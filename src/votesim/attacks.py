@@ -25,9 +25,9 @@ Strategies:
                        attacker ballot.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from random import Random
-from typing import Optional
+from typing import Callable, Optional
 
 from .ballots import Ballot, ElectionManifest, encode_ballot
 from .election import ComplaintEntry, ComplaintKind, VerifyLogEntry
@@ -37,10 +37,6 @@ from .netsim import Decision, Event, MitmTap, Simulator
 
 
 class AttackError(Exception):
-    pass
-
-
-class NoSessionKey(AttackError):
     pass
 
 
@@ -90,7 +86,6 @@ class AttackerState:
 
     c2_log: list[C2Entry] = field(default_factory=list)
     clash_pool: dict[bytes, list[PoolEntry]] = field(default_factory=dict)
-    stolen_registrations: list[RegistrationRequest] = field(default_factory=list)
     manipulation_ledger: list[LedgerEntry] = field(default_factory=list)
     clash_victims: dict[str, ClashVictim] = field(default_factory=dict)
     harvest_targets: dict[str, Credentials] = field(default_factory=dict)
@@ -159,6 +154,32 @@ def compute_metrics(
 
 # --- in-browser rewrite strategies (hooks on the client casting step) ---
 
+def _claimable(intent: CastIntent) -> bool:
+    """A cast no earlier strategy has claimed, in a compromised session
+    whose keys the attacker recovered.
+    """
+    return (intent.handled_by is None and intent.session.compromised
+            and intent.session.session_key is not None)
+
+
+def _claim(state: AttackerState, intent: CastIntent, attacker_ballot: Ballot,
+           strategy: str, **changes) -> Decision:
+    """Exfiltrate intent plus credentials, ledger the swap, and submit the
+    attacker ballot in place of the voter's.
+    """
+    state.c2_log.append(C2Entry(
+        voter_id=intent.voter_id, credentials=intent.credentials,
+        intended=intent.ballot, time=intent.cast_time,
+    ))
+    state.manipulation_ledger.append(LedgerEntry(
+        voter_id=intent.voter_id, intended=intent.ballot,
+        submitted=attacker_ballot, strategy=strategy,
+        cast_time=intent.cast_time,
+    ))
+    return Decision.modify(replace(intent, ballot=attacker_ballot,
+                                   handled_by=strategy, **changes))
+
+
 def inject_vote_rewrite(
     state: AttackerState,
     intent: CastIntent,
@@ -170,26 +191,9 @@ def inject_vote_rewrite(
     cast no earlier strategy has already claimed; anything else is
     forwarded untouched.
     """
-    if intent.handled_by is not None:
+    if not _claimable(intent):
         return Decision.forward()
-    if not intent.session.compromised or intent.session.session_key is None:
-        return Decision.forward()
-    state.c2_log.append(C2Entry(
-        voter_id=intent.voter_id, credentials=intent.credentials,
-        intended=intent.ballot, time=intent.cast_time,
-    ))
-    state.manipulation_ledger.append(LedgerEntry(
-        voter_id=intent.voter_id, intended=intent.ballot,
-        submitted=attacker_ballot, strategy=strategy,
-        cast_time=intent.cast_time,
-    ))
-    rewritten = CastIntent(
-        voter_id=intent.voter_id, credentials=intent.credentials,
-        ballot=attacker_ballot, cast_time=intent.cast_time,
-        channel=intent.channel, session=intent.session,
-        show_receipt=intent.show_receipt, handled_by=strategy,
-    )
-    return Decision.modify(rewritten)
+    return _claim(state, intent, attacker_ballot, strategy)
 
 
 def last_minute_rewrite(
@@ -221,35 +225,13 @@ def delay_receipt_gambit(
     up on a waiter, a later strategy rewriting it anyway would hand the
     voter the very detection chance the gambit avoided.
     """
-    if intent.handled_by is not None:
+    if not _claimable(intent):
         return Decision.forward()
-    if not intent.session.compromised or intent.session.session_key is None:
-        return Decision.forward()
-    leaves = rng.random() < p_leave_without_receipt
-    if not leaves:
-        kept = CastIntent(
-            voter_id=intent.voter_id, credentials=intent.credentials,
-            ballot=intent.ballot, cast_time=intent.cast_time,
-            channel=intent.channel, session=intent.session,
-            show_receipt=True, handled_by="receipt_delay",
-        )
-        return Decision.modify(kept)
-    state.c2_log.append(C2Entry(
-        voter_id=intent.voter_id, credentials=intent.credentials,
-        intended=intent.ballot, time=intent.cast_time,
-    ))
-    state.manipulation_ledger.append(LedgerEntry(
-        voter_id=intent.voter_id, intended=intent.ballot,
-        submitted=attacker_ballot, strategy="receipt_delay",
-        cast_time=intent.cast_time,
-    ))
-    rewritten = CastIntent(
-        voter_id=intent.voter_id, credentials=intent.credentials,
-        ballot=attacker_ballot, cast_time=intent.cast_time,
-        channel=intent.channel, session=intent.session,
-        show_receipt=False, handled_by="receipt_delay",
-    )
-    return Decision.modify(rewritten)
+    if rng.random() < p_leave_without_receipt:
+        return _claim(state, intent, attacker_ballot, "receipt_delay",
+                      show_receipt=False)
+    return Decision.modify(replace(intent, show_receipt=True,
+                                   handled_by="receipt_delay"))
 
 
 def fake_verification_redirect(
@@ -304,7 +286,6 @@ def clash_register(
     """
     if not gateway_stripped:
         raise GatewayNotStripped("registration gateway no longer serves plain HTTP")
-    state.stolen_registrations.append(request)
     key = encode_ballot(predicted, manifest)
     pool = state.clash_pool.get(key, [])
     if pool:
@@ -360,107 +341,33 @@ def clash_suppress_cast(state: AttackerState, intent: CastIntent,
         cast_time=intent.cast_time,
         masked=(intent.ballot == victim.handed_out.ballot),
     ))
-    suppressed = CastIntent(
-        voter_id=intent.voter_id, credentials=intent.credentials,
-        ballot=intent.ballot, cast_time=intent.cast_time,
-        channel=intent.channel, session=intent.session,
-        suppress_submit=True, believed_receipt=victim.handed_out.receipt,
-        handled_by="clash",
-    )
-    return Decision.modify(suppressed)
+    return Decision.modify(replace(
+        intent, suppress_submit=True,
+        believed_receipt=victim.handed_out.receipt, handled_by="clash"))
 
 
-# --- tap factories (composition with the event network) ---
+# --- the browser tap (composition with the event network) ---
 
-def make_rewrite_tap(
-    state: AttackerState,
-    attacker_ballot: Ballot,
-    dst: str = "browser",
+def make_browser_tap(
+    name: str,
+    decide: Callable[[CastIntent], Decision],
+    exfiltrate: bool,
 ) -> MitmTap:
+    """Injected client-side code on the casting step: `decide` sees each
+    plaintext CastIntent; when `exfiltrate` is set, every cast it modifies
+    also phones the voter's intent and credentials home.
+    """
     def handler(event: Event, sim: Simulator) -> Decision:
-        if not isinstance(event.payload, CastIntent):
+        intent = event.payload
+        if not isinstance(intent, CastIntent):
             return Decision.forward()
-        decision = inject_vote_rewrite(state, event.payload, attacker_ballot)
-        if decision.kind == "modify":
+        decision = decide(intent)
+        if exfiltrate and decision.kind == "modify":
             sim.schedule(event.time, event.src, "attacker-c2", C2Exfil(
-                voter_id=event.payload.voter_id,
-                credentials=event.payload.credentials,
-                intended=event.payload.ballot,
+                voter_id=intent.voter_id,
+                credentials=intent.credentials,
+                intended=intent.ballot,
             ))
         return decision
 
-    return MitmTap(name="vote-rewrite", matcher=lambda s, d: d == dst, handler=handler)
-
-
-def make_last_minute_tap(
-    state: AttackerState,
-    attacker_ballot: Ballot,
-    polls_close: int,
-    safety_window: int,
-    dst: str = "browser",
-) -> MitmTap:
-    def handler(event: Event, sim: Simulator) -> Decision:
-        if not isinstance(event.payload, CastIntent):
-            return Decision.forward()
-        decision = last_minute_rewrite(state, event.payload, attacker_ballot,
-                                       polls_close, safety_window)
-        if decision.kind == "modify":
-            sim.schedule(event.time, event.src, "attacker-c2", C2Exfil(
-                voter_id=event.payload.voter_id,
-                credentials=event.payload.credentials,
-                intended=event.payload.ballot,
-            ))
-        return decision
-
-    return MitmTap(name="last-minute", matcher=lambda s, d: d == dst, handler=handler)
-
-
-def make_receipt_delay_tap(
-    state: AttackerState,
-    attacker_ballot: Ballot,
-    p_leave_without_receipt: float,
-    rng: Random,
-    dst: str = "browser",
-) -> MitmTap:
-    def handler(event: Event, sim: Simulator) -> Decision:
-        if not isinstance(event.payload, CastIntent):
-            return Decision.forward()
-        return delay_receipt_gambit(state, event.payload, attacker_ballot,
-                                    p_leave_without_receipt, rng)
-
-    return MitmTap(name="receipt-delay", matcher=lambda s, d: d == dst, handler=handler)
-
-
-def make_fake_ivr_tap(
-    state: AttackerState,
-    rng: Random,
-    dial_genuine_rate: float = 0.0,
-    attacker_ivr: str = "attacker-ivr",
-    genuine_ivr: str = "verification-ivr",
-) -> MitmTap:
-    def handler(event: Event, sim: Simulator) -> Decision:
-        voter_id = getattr(event.payload, "voter_id", None)
-        if voter_id is None:
-            return Decision.forward()
-        dials_genuine = dial_genuine_rate > 0 and rng.random() < dial_genuine_rate
-        decision = fake_verification_redirect(state, voter_id, attacker_ivr,
-                                              dials_genuine)
-        if decision.kind == "modify":
-            decision.payload = event.payload
-        return decision
-
-    return MitmTap(name="fake-ivr", matcher=lambda s, d: d == genuine_ivr,
-                   handler=handler)
-
-
-def make_clash_cast_tap(
-    state: AttackerState,
-    attacker_ballot: Ballot,
-    dst: str = "browser",
-) -> MitmTap:
-    def handler(event: Event, sim: Simulator) -> Decision:
-        if not isinstance(event.payload, CastIntent):
-            return Decision.forward()
-        return clash_suppress_cast(state, event.payload, attacker_ballot)
-
-    return MitmTap(name="clash-cast", matcher=lambda s, d: d == dst, handler=handler)
+    return MitmTap(name=name, matcher=lambda s, d: d == "browser", handler=handler)

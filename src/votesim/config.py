@@ -151,6 +151,16 @@ def _check_int(value, path, minimum=None) -> int:
     return value
 
 
+def _check_bool(value, path) -> bool:
+    if not isinstance(value, bool):
+        _fail(path, f"expected true or false, got {type(value).__name__}")
+    return value
+
+
+def _check_window_bound(value, path) -> Optional[int]:
+    return None if value is None else _check_int(value, path)
+
+
 def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
     if not isinstance(tree, dict):
         raise ConfigInvalid("top level: expected a mapping")
@@ -235,7 +245,9 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
     c = tree.get("crypto", {}) or {}
     crypto = CryptoConfig(
         envelope_bits=_check_int(c.get("envelope_bits", 64), "crypto.envelope_bits", 32),
-        signature_forgeable_by_server=bool(c.get("signature_forgeable_by_server", True)),
+        signature_forgeable_by_server=_check_bool(
+            c.get("signature_forgeable_by_server", True),
+            "crypto.signature_forgeable_by_server"),
     )
     if crypto.envelope_bits not in (32, 64, 128):
         _fail("crypto.envelope_bits", "must be one of 32, 64, 128")
@@ -247,7 +259,7 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
         if s not in _SUITE_NAMES:
             _fail("tls.third_party_suites", f"unknown suite {s!r}")
     tls = TlsConfig(
-        enabled=bool(tl.get("enabled", True)),
+        enabled=_check_bool(tl.get("enabled", True), "tls.enabled"),
         export_bits=_check_int(tl.get("export_bits", 64), "tls.export_bits", 32),
         client_patch_rate=_check_prob(tl.get("client_patch_rate", 1.0),
                                       "tls.client_patch_rate"),
@@ -261,12 +273,17 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
 
     a = tree.get("attacks", {}) or {}
 
+    def enabled(sub: dict, key: str) -> bool:
+        return _check_bool(sub.get("enabled", False), f"attacks.{key}.enabled")
+
     def windowed(key: str) -> WindowedAttack:
         sub = a.get(key, {}) or {}
         return WindowedAttack(
-            enabled=bool(sub.get("enabled", False)),
-            window_start=sub.get("window_start"),
-            window_end=sub.get("window_end"),
+            enabled=enabled(sub, key),
+            window_start=_check_window_bound(sub.get("window_start"),
+                                             f"attacks.{key}.window_start"),
+            window_end=_check_window_bound(sub.get("window_end"),
+                                           f"attacks.{key}.window_end"),
             control_rate=_check_prob(sub.get("control_rate", 1.0),
                                      f"attacks.{key}.control_rate"),
         )
@@ -283,23 +300,24 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
     attacks = AttacksConfig(
         freak=windowed("freak"),
         logjam=windowed("logjam"),
-        vote_rewrite_enabled=bool(rewrite.get("enabled", False)),
-        last_minute_enabled=bool(last_minute.get("enabled", False)),
+        vote_rewrite_enabled=enabled(rewrite, "vote_rewrite"),
+        last_minute_enabled=enabled(last_minute, "last_minute"),
         last_minute_safety_window=_check_int(last_minute.get("safety_window", 600),
                                              "attacks.last_minute.safety_window", 0),
-        receipt_delay_enabled=bool(receipt_delay.get("enabled", False)),
-        fake_ivr_enabled=bool(fake_ivr.get("enabled", False)),
+        receipt_delay_enabled=enabled(receipt_delay, "receipt_delay"),
+        fake_ivr_enabled=enabled(fake_ivr, "fake_ivr"),
         fake_ivr_dial_genuine_rate=_check_prob(
             fake_ivr.get("dial_genuine_rate", 0.0),
             "attacks.fake_ivr.dial_genuine_rate"),
-        clash_enabled=bool(clash.get("enabled", False)),
+        clash_enabled=enabled(clash, "clash"),
         clash_prediction=prediction,
-        server_rewrite_enabled=bool(server_rewrite.get("enabled", False)),
+        server_rewrite_enabled=enabled(server_rewrite, "server_rewrite"),
         server_rewrite_count=_check_int(server_rewrite.get("count", 0),
                                         "attacks.server_rewrite.count", 0),
         granted_compromise_rate=_check_prob(a.get("granted_compromise_rate", 0.0),
                                             "attacks.granted_compromise_rate"),
-        gateway_stripped=bool(a.get("gateway_stripped", False)),
+        gateway_stripped=_check_bool(a.get("gateway_stripped", False),
+                                     "attacks.gateway_stripped"),
         target_group=a.get("target_group"),
     )
 
@@ -333,7 +351,7 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
         attacks=attacks,
         audit_mode=audit_mode,
         linkage_compromised=compromised,
-        linkage_phone_tap=bool(lk.get("phone_tap", True)),
+        linkage_phone_tap=_check_bool(lk.get("phone_tap", True), "linkage.phone_tap"),
     )
 
 

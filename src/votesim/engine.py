@@ -29,7 +29,7 @@ from . import election as el
 from . import envelope as env
 from . import minitls as tls
 from . import netsim
-from .config import ScenarioConfig
+from .config import ConfigInvalid, ScenarioConfig, WindowedAttack
 from .messages import (
     CastIntent,
     CastSubmission,
@@ -156,7 +156,7 @@ class ScenarioEngine:
 
         target = config.attacks.target_group or self.manifest.groups[1 % len(self.manifest.groups)]
         if target not in self.manifest.cards:
-            raise ValueError(f"attacks.target_group {target!r} not in manifest")
+            raise ConfigInvalid(f"attacks.target_group: {target!r} not in manifest")
         self.attacker_ballot = self.manifest.cards[target]
         self.target_group = target
 
@@ -191,8 +191,7 @@ class ScenarioEngine:
         if self.config.attacks.freak.enabled:
             self._build_freak_oracles()
 
-    def _freak_window(self) -> tuple[int, int]:
-        w = self.config.attacks.freak
+    def _attack_window(self, w: WindowedAttack) -> tuple[int, int]:
         start = w.window_start if w.window_start is not None else self.timeline.polls_open
         end = w.window_end if w.window_end is not None else self.timeline.polls_close
         return start, end
@@ -204,8 +203,10 @@ class ScenarioEngine:
         """
         lifetime = self.config.tls.oracle_connection_lifetime
         if lifetime <= FACTORING_SIM_SECONDS:
-            raise ValueError("oracle connection lifetime shorter than factoring time")
-        start, end = self._freak_window()
+            raise ConfigInvalid(
+                "tls.oracle_connection_lifetime: must exceed the "
+                f"{FACTORING_SIM_SECONDS} s factoring time")
+        start, end = self._attack_window(self.config.attacks.freak)
         open_at = start - FACTORING_SIM_SECONDS
         while open_at + FACTORING_SIM_SECONDS < end:
             self._tls_clock = open_at
@@ -278,11 +279,13 @@ class ScenarioEngine:
             return [None] * n  # draw per voter later
         order = []
         for group in sorted(counts):
-            if group not in set(self.manifest.groups):
-                raise ValueError(f"leaning_counts group {group!r} not in manifest")
+            if group not in self.manifest.groups:
+                raise ConfigInvalid(
+                    f"behavior.leaning_counts.{group}: group not in manifest")
             order.extend([group] * counts[group])
         if len(order) > n:
-            raise ValueError("leaning_counts exceed voter count")
+            raise ConfigInvalid(
+                f"behavior.leaning_counts: {len(order)} exceed the {n} voters")
         remaining = [g for g in self.manifest.groups]
         rng = Random(f"{self.config.seed}:quota")
         while len(order) < n:
@@ -302,17 +305,16 @@ class ScenarioEngine:
         fetch_lead = FETCH_LEAD_DLOG if cfg.attacks.logjam.enabled else FETCH_LEAD_PLAIN
         earliest_cast = self.timeline.polls_open + REGISTRATION_LEAD + fetch_lead + 1
         if earliest_cast >= self.timeline.polls_close:
-            raise ValueError(
-                "timeline.polls_close leaves no casting window after the "
+            raise ConfigInvalid(
+                "timeline.polls_close: leaves no casting window after the "
                 f"registration and fetch leads (needs > {earliest_cast})")
+        for group in cfg.behavior.leaning_weights or {}:
+            if group not in self.manifest.groups:
+                raise ConfigInvalid(
+                    f"behavior.leaning_weights.{group}: group not in manifest")
         leanings = self._draw_leanings()
-        freak_w = self._freak_window()
-        logjam_w = (cfg.attacks.logjam.window_start
-                    if cfg.attacks.logjam.window_start is not None
-                    else self.timeline.polls_open,
-                    cfg.attacks.logjam.window_end
-                    if cfg.attacks.logjam.window_end is not None
-                    else self.timeline.polls_close)
+        freak_w = self._attack_window(cfg.attacks.freak)
+        logjam_w = self._attack_window(cfg.attacks.logjam)
         for i in range(cfg.voters):
             voter_id = f"voter{i:05d}"
             rng = Random(f"{cfg.seed}:voter:{i}")
@@ -362,10 +364,13 @@ class ScenarioEngine:
 
     def _install_attack_taps(self) -> None:
         a = self.config.attacks
+        attacker, ballot = self.attacker, self.attacker_ballot
         if a.clash_enabled:
             self.sim.install_tap(netsim.make_sslstrip_tap("attacker-registration"))
-            self.sim.install_tap(atk.make_clash_cast_tap(self.attacker,
-                                                         self.attacker_ballot))
+            self.sim.install_tap(atk.make_browser_tap(
+                "clash-cast",
+                lambda intent: atk.clash_suppress_cast(attacker, intent, ballot),
+                exfiltrate=False))
         if self.piwik_server is not None and (a.freak.enabled or a.logjam.enabled):
             self.sim.install_tap(netsim.MitmTap(
                 name="downgrade-mitm",
@@ -373,20 +378,24 @@ class ScenarioEngine:
                 handler=self._piwik_mitm,
             ))
         if a.last_minute_enabled:
-            self.sim.install_tap(atk.make_last_minute_tap(
-                self.attacker, self.attacker_ballot,
-                polls_close=self.timeline.polls_close,
-                safety_window=a.last_minute_safety_window,
-            ))
+            close, window = self.timeline.polls_close, a.last_minute_safety_window
+            self.sim.install_tap(atk.make_browser_tap(
+                "last-minute",
+                lambda intent: atk.last_minute_rewrite(
+                    attacker, intent, ballot, close, window),
+                exfiltrate=True))
         if a.receipt_delay_enabled:
-            self.sim.install_tap(atk.make_receipt_delay_tap(
-                self.attacker, self.attacker_ballot,
-                self.config.behavior.p_leave_without_receipt,
-                self.rng_attacker,
-            ))
+            p_leave = self.config.behavior.p_leave_without_receipt
+            self.sim.install_tap(atk.make_browser_tap(
+                "receipt-delay",
+                lambda intent: atk.delay_receipt_gambit(
+                    attacker, intent, ballot, p_leave, self.rng_attacker),
+                exfiltrate=False))
         if a.vote_rewrite_enabled:
-            self.sim.install_tap(atk.make_rewrite_tap(self.attacker,
-                                                      self.attacker_ballot))
+            self.sim.install_tap(atk.make_browser_tap(
+                "vote-rewrite",
+                lambda intent: atk.inject_vote_rewrite(attacker, intent, ballot),
+                exfiltrate=True))
         if a.fake_ivr_enabled:
             self.sim.install_tap(netsim.MitmTap(
                 name="fake-ivr",
@@ -448,7 +457,6 @@ class ScenarioEngine:
                 state.session.compromised = True
                 state.session.session_key = result.attacker_session_key
                 state.session.via = "logjam"
-                state.session.simulated_delay = result.simulated_delay
                 self.attack_events.append({
                     "time": now, "voter": payload.voter_id, "kind": "logjam",
                     "outcome": "compromised", "delay": result.simulated_delay,
@@ -798,13 +806,10 @@ class ScenarioEngine:
             self.election_key, self.manifest)
         holdings = el.collect_holdings(
             self.registration, self.verification, self.cvs, self.election_key,
-            self.manifest, phone_tap_enabled=self.linkage_phone_tap_enabled())
+            self.manifest, phone_tap_enabled=self.config.linkage_phone_tap)
         compromised = {el.Component(c) for c in self.config.linkage_compromised}
         self.linked = el.linkage_report(compromised, holdings)
         self.conservation = self.sim.finalize()
-
-    def linkage_phone_tap_enabled(self) -> bool:
-        return self.config.linkage_phone_tap
 
     def _apply_server_rewrite(self) -> None:
         """Corrupt collecting server rewrites stored envelopes after the
@@ -863,11 +868,3 @@ def run_engine(config: ScenarioConfig) -> ScenarioEngine:
     engine = ScenarioEngine(config)
     engine.run()
     return engine
-
-
-def run_scenario(config_path: str) -> dict:
-    """Load a scenario file, run it, and return the report tree."""
-    from .config import load_config
-    from .report import build_report
-
-    return build_report(run_engine(load_config(config_path)))

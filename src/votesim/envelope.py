@@ -5,9 +5,7 @@ of the two tabulation servers' public keys (so either server can open
 it), plus the encoded ballot encrypted under that symmetric key with an
 authenticated stream cipher, plus a keyed client tag over the ciphertext.
 
-Parameters are desk-scale by default (64-bit modulus class). The
-historical 512-bit export modulus observed in the wild ships as a
-non-generable constant for reporting; no cryptanalysis is run against it.
+Parameters are desk-scale (32-, 64- or 128-bit safe-prime moduli).
 
 All constructions here are simulation-grade, not production cryptography.
 """
@@ -16,7 +14,6 @@ import hashlib
 import hmac as hmac_mod
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from random import Random
 from typing import Optional
 
@@ -46,27 +43,25 @@ class RegistryExhausted(EnvelopeError):
 
 
 GENERABLE_BITS = (32, 64, 128)
-HISTORICAL_BITS = 512
 TAG_LEN = 16
 NONCE_LEN = 12
 
 
 @dataclass(frozen=True)
 class ElGamalParams:
-    """Prime-order subgroup of Z_p^*. For generable sizes p is a safe
-    prime (p = 2q + 1) and g generates the quadratic residues.
+    """Prime-order subgroup of Z_p^*. For envelope keys p is a safe prime
+    (p = 2q + 1) and g generates the quadratic residues.
     """
 
     p: int
     g: int
     q: int
     bit_length: int
-    generable: bool = True
 
     def __post_init__(self):
         if not (1 < self.g < self.p):
             raise EnvelopeError("generator out of range")
-        if self.generable and pow(self.g, self.q, self.p) != 1:
+        if pow(self.g, self.q, self.p) != 1:
             raise EnvelopeError("generator does not have order q")
 
 
@@ -86,30 +81,18 @@ class KeyPair:
         return PublicKey(self.params, self.y)
 
 
-def _historical_modulus() -> int:
-    text = resources.files("votesim").joinpath("data/legacy_export_modulus.hex").read_text()
-    return int(text.strip(), 16)
-
-
 def gen_params(bit_length: int, rng: Random) -> ElGamalParams:
     """Safe-prime-derived parameters at a desk-scale size, deterministic
-    for a given rng state. 512 returns the recorded historical modulus as
-    a metadata-only, non-generable record (g fixed to 2, q unverified).
+    for a given rng state.
     """
-    if bit_length == HISTORICAL_BITS:
-        p = _historical_modulus()
-        return ElGamalParams(p=p, g=2, q=(p - 1) // 2, bit_length=HISTORICAL_BITS,
-                             generable=False)
     if bit_length not in GENERABLE_BITS:
-        raise UnsupportedSize(f"bit length {bit_length} not in {GENERABLE_BITS + (512,)}")
+        raise UnsupportedSize(f"bit length {bit_length} not in {GENERABLE_BITS}")
     p, q = gen_safe_prime(bit_length, rng)
     g = find_subgroup_generator(p, q, rng)
     return ElGamalParams(p=p, g=g, q=q, bit_length=bit_length)
 
 
 def gen_keypair(params: ElGamalParams, rng: Random) -> KeyPair:
-    if not params.generable:
-        raise UnsupportedSize("historical parameters are metadata only")
     x = rng.randrange(1, params.q)
     return KeyPair(params=params, x=x, y=pow(params.g, x, params.p))
 
@@ -146,13 +129,15 @@ def _key_bytes(key_int: int) -> bytes:
     return key_int.to_bytes((key_int.bit_length() + 7) // 8 or 1, "big")
 
 
-def _stream(key: bytes, nonce: bytes, n: int) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < n:
-        out += hashlib.sha256(key + nonce + counter.to_bytes(8, "big")).digest()
-        counter += 1
-    return bytes(out[:n])
+def keystream_xor(key: bytes, data: bytes) -> bytes:
+    """XOR `data` with the keystream sha256(key || counter) for counter =
+    0, 1, ... as 8-byte big-endian blocks; encrypts and decrypts alike.
+    """
+    n = len(data)
+    stream = b"".join(hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
+                      for counter in range(-(-n // 32)))
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
 
 
 def symmetric_seal(key_int: int, plaintext: bytes, rng: Random) -> tuple[bytes, bytes, bytes]:
@@ -163,7 +148,7 @@ def symmetric_seal(key_int: int, plaintext: bytes, rng: Random) -> tuple[bytes, 
     enc_key = hashlib.sha256(b"enc" + kb).digest()
     mac_key = hashlib.sha256(b"mac" + kb).digest()
     nonce = rng.getrandbits(NONCE_LEN * 8).to_bytes(NONCE_LEN, "big")
-    ciphertext = bytes(a ^ b for a, b in zip(plaintext, _stream(enc_key, nonce, len(plaintext))))
+    ciphertext = keystream_xor(enc_key + nonce, plaintext)
     tag = hmac_mod.new(mac_key, nonce + ciphertext, hashlib.sha256).digest()[:TAG_LEN]
     return nonce, ciphertext, tag
 
@@ -175,7 +160,7 @@ def symmetric_open(key_int: int, nonce: bytes, ciphertext: bytes, tag: bytes) ->
     expect = hmac_mod.new(mac_key, nonce + ciphertext, hashlib.sha256).digest()[:TAG_LEN]
     if not hmac_mod.compare_digest(expect, tag):
         raise AuthFailure("vote ciphertext failed authentication")
-    return bytes(a ^ b for a, b in zip(ciphertext, _stream(enc_key, nonce, len(ciphertext))))
+    return keystream_xor(enc_key + nonce, ciphertext)
 
 
 def client_signature(session_key: bytes, vote_ciphertext: bytes) -> bytes:
@@ -347,9 +332,3 @@ class CredentialRegistry:
     def check_pin(self, login_id: str, pin: str) -> bool:
         stored = self._pin_hash.get(login_id)
         return stored is not None and hmac_mod.compare_digest(stored, self.hash_pin(pin))
-
-
-def issue_credentials(
-    registry: CredentialRegistry, pin_choice: Optional[str], rng: Random
-) -> Credentials:
-    return registry.issue(pin_choice, rng)

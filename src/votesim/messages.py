@@ -19,7 +19,6 @@ class SessionContext:
     compromised: bool = False
     session_key: Optional[bytes] = None
     via: Optional[str] = None  # which downgrade delivered the compromise
-    simulated_delay: int = 0
 
 
 @dataclass

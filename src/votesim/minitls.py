@@ -31,7 +31,7 @@ from enum import Enum
 from random import Random
 from typing import Callable, Optional
 
-from .envelope import ElGamalParams
+from .envelope import ElGamalParams, keystream_xor
 from .numth import (
     find_subgroup_generator,
     gen_prime,
@@ -102,6 +102,9 @@ REAL_WORLD_COSTS = {
     "dlog_512_dhe": {"precompute_days": 7, "per_target_seconds": 90},
 }
 DLOG_INDIVIDUAL_DELAY = 90  # simulated seconds billed per descended target
+CERT_BITS = 192  # certificate key: beyond the desk-scale factoring budget
+# baby-step table size over sqrt(q); sets the precompute/descent cost ratio
+DLOG_TABLE_FACTOR = 16
 
 
 # --- RSA primitive (textbook, simulation-grade) ---
@@ -301,7 +304,6 @@ class ServerTlsConfig:
     export_rsa_bits: int = 64
     dhe_params: Optional[ElGamalParams] = None
     export_dhe_params: Optional[ElGamalParams] = None
-    pin_temp_key_to_connection: bool = True  # observed behaviour; fixed on
     key_seed: int = 0
 
     def __post_init__(self):
@@ -325,13 +327,12 @@ def make_server_config(
     rng: Random,
     rotation_period: int = 3600,
     export_bits: int = 64,
-    cert_bits: int = 192,
 ) -> ServerTlsConfig:
     """Server identity plus key material sized so the certificate key is
     out of reach of the desk-scale factoring budget while export material
     is squarely inside it.
     """
-    cert = gen_rsa_keypair(cert_bits, rng)
+    cert = gen_rsa_keypair(CERT_BITS, rng)
     dhe = None
     dhe_export = None
     if CipherSuite.DHE in suites:
@@ -665,7 +666,7 @@ def factor_export_modulus(n: int, rng: Optional[Random] = None,
 @dataclass
 class PrecompTable:
     """Reusable baby-step table for one fixed group. Deliberately oversized
-    (table_factor times sqrt(q)) so each individual descent is a small
+    (DLOG_TABLE_FACTOR times sqrt(q)) so each individual descent is a small
     fraction of the precompute cost.
     """
 
@@ -676,9 +677,9 @@ class PrecompTable:
     metadata: dict = field(default_factory=lambda: dict(REAL_WORLD_COSTS["dlog_512_dhe"]))
 
 
-def dlog_precompute(params: ElGamalParams, table_factor: int = 16) -> PrecompTable:
+def dlog_precompute(params: ElGamalParams) -> PrecompTable:
     p, g, q = params.p, params.g, params.q
-    size = table_factor * math.isqrt(q)
+    size = DLOG_TABLE_FACTOR * math.isqrt(q)
     table: dict[int, int] = {}
     acc = 1
     for j in range(size):
@@ -862,14 +863,12 @@ def mitm_logjam(
 
 # --- record layer ---
 
+def _record_key(session_key: bytes, seq: int) -> bytes:
+    return hashlib.sha256(b"record-enc" + session_key + seq.to_bytes(8, "big")).digest()
+
+
 def encrypt_record(session_key: bytes, seq: int, plaintext: bytes) -> bytes:
-    key = hashlib.sha256(b"record-enc" + session_key + seq.to_bytes(8, "big")).digest()
-    stream = bytearray()
-    counter = 0
-    while len(stream) < len(plaintext):
-        stream += hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
-        counter += 1
-    body = bytes(a ^ b for a, b in zip(plaintext, stream))
+    body = keystream_xor(_record_key(session_key, seq), plaintext)
     mac = hmac_mod.new(session_key, b"record" + seq.to_bytes(8, "big") + body,
                        hashlib.sha256).digest()[:16]
     return body + mac
@@ -883,13 +882,7 @@ def decrypt_record(session_key: bytes, seq: int, blob: bytes) -> bytes:
                           hashlib.sha256).digest()[:16]
     if not hmac_mod.compare_digest(expect, mac):
         raise RecordTampered("record MAC mismatch")
-    key = hashlib.sha256(b"record-enc" + session_key + seq.to_bytes(8, "big")).digest()
-    stream = bytearray()
-    counter = 0
-    while len(stream) < len(body):
-        stream += hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
-        counter += 1
-    return bytes(a ^ b for a, b in zip(body, stream))
+    return keystream_xor(_record_key(session_key, seq), body)
 
 
 # --- downgrade outcome matrix ---

@@ -31,10 +31,6 @@ class SchedulingAfterFinalize(NetsimError):
     pass
 
 
-class UnknownHandle(NetsimError):
-    pass
-
-
 # --- channel policies ---
 
 @dataclass(frozen=True)
@@ -127,12 +123,6 @@ class MitmTap:
     handler: Callable[[Event, "Simulator"], Decision]
 
 
-class TapHandle:
-    def __init__(self, tap: MitmTap, token: int):
-        self.tap = tap
-        self.token = token
-
-
 def describe_payload(payload: Any) -> str:
     """Stable single-token description for trace lines. Payload objects may
     provide trace_fields() -> dict; bytes are hexed; everything else falls
@@ -166,14 +156,11 @@ class Simulator:
         self.now = start_time
         self._queue: list[tuple[int, int, Event]] = []  # heap on (time, seq)
         self._seq = 0
-        self._taps: list[tuple[int, MitmTap]] = []
-        self._tap_token = 0
+        self._taps: list[MitmTap] = []
         self.endpoints: dict[str, Endpoint] = {}
         self.trace: list[str] = []
         self.finalized = False
         self.counters = {"scheduled": 0, "delivered": 0, "dropped": 0, "replaced": 0}
-        self._path_delay: dict[tuple[str, str], int] = {}
-        self.default_delay = 0
 
     # --- topology ---
 
@@ -196,33 +183,17 @@ class Simulator:
     def policy_for(self, src: str, dst: str) -> Optional[ChannelPolicy]:
         return self.endpoint(dst).policy_for(src)
 
-    def set_path_delay(self, src: str, dst: str, delay: int) -> None:
-        self._path_delay[(src, dst)] = delay
-
-    def _delay(self, src: str, dst: str) -> int:
-        return self._path_delay.get((src, dst), self.default_delay)
-
     # --- taps ---
 
-    def install_tap(self, tap: MitmTap) -> TapHandle:
-        self._tap_token += 1
-        self._taps.append((self._tap_token, tap))
-        return TapHandle(tap, self._tap_token)
-
-    def remove_tap(self, handle: TapHandle) -> None:
-        for i, (token, _) in enumerate(self._taps):
-            if token == handle.token:
-                del self._taps[i]
-                return
-        raise UnknownHandle("tap not installed")
+    def install_tap(self, tap: MitmTap) -> None:
+        self._taps.append(tap)
 
     # --- scheduling and delivery ---
 
     def schedule(self, time: int, src: str, dst: str, payload: Any) -> Event:
         if self.finalized:
             raise SchedulingAfterFinalize("simulator already finalized")
-        event = Event(time=time + self._delay(src, dst), src=src, dst=dst,
-                      payload=payload, seq=self._seq)
+        event = Event(time=time, src=src, dst=dst, payload=payload, seq=self._seq)
         self._seq += 1
         self.counters["scheduled"] += 1
         heapq.heappush(self._queue, (event.time, event.seq, event))
@@ -237,7 +208,7 @@ class Simulator:
 
     def _apply_taps(self, event: Event) -> Optional[Event]:
         notes = []
-        for _, tap in list(self._taps):
+        for tap in self._taps:
             if not tap.matcher(event.src, event.dst):
                 continue
             decision = tap.handler(event, self)
@@ -321,10 +292,10 @@ def sslstrip_decision(sim: Simulator, event: Event, attacker_endpoint: str) -> D
     return Decision.modify(event.payload, dst=attacker_endpoint)
 
 
-def make_sslstrip_tap(attacker_endpoint: str, src_pattern: str = "voter*",
-                      dst_name: str = "registration-gateway") -> MitmTap:
+def make_sslstrip_tap(attacker_endpoint: str) -> MitmTap:
+    """Sit on every voter's path to the registration gateway."""
     def matcher(src: str, dst: str) -> bool:
-        return fnmatch.fnmatchcase(src, src_pattern) and dst == dst_name
+        return fnmatch.fnmatchcase(src, "voter*") and dst == "registration-gateway"
 
     def handler(event: Event, sim: Simulator) -> Decision:
         return sslstrip_decision(sim, event, attacker_endpoint)

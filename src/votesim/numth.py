@@ -103,19 +103,3 @@ def pollard_rho(n: int, rng: Random, max_iters: int = 1 << 20) -> int | None:
             return g
     return None
 
-
-def trial_division_factor(n: int) -> int | None:
-    """Smallest prime factor of n by trial division, or None if n is prime.
-
-    Only sensible for small n; kept as an independent cross-check oracle.
-    """
-    if n < 4:
-        return None
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return None

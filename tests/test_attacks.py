@@ -423,7 +423,8 @@ class TestClash:
                      "target_group": "g02"},
         ))
         assert wary.metrics_by_strategy()["overall"].manipulated_count == 0
-        assert wary.attacker.stolen_registrations == []
+        assert wary.attacker.clash_victims == {}
+        assert wary.attacker.harvest_targets == {}
         assert wary.tally.counts == wary.intent_tally.counts
         # partial suspicion thins the victim pool proportionally
         partial = self.run_clash(voters=400)

@@ -1,5 +1,6 @@
 """Hybrid envelope crypto and credential formats."""
 
+import hashlib
 import re
 from random import Random
 
@@ -17,9 +18,10 @@ from votesim.envelope import (
     elgamal_encrypt,
     gen_keypair,
     gen_params,
-    issue_credentials,
     open_envelope,
     seal,
+    symmetric_open,
+    symmetric_seal,
 )
 
 
@@ -53,15 +55,9 @@ class TestParams:
     def test_deterministic_given_seed(self):
         assert gen_params(32, Random(5)) == gen_params(32, Random(5))
 
-    def test_historical_512_is_constant_metadata(self):
-        params = gen_params(512, Random(1))
-        assert params.generable is False
-        assert params.bit_length == 512
-        assert f"{params.p:x}".startswith("a705d4b83411")
-        assert params.p.bit_length() == 512
-        # metadata record only: key generation refuses it
+    def test_historical_512_unsupported(self):
         with pytest.raises(UnsupportedSize):
-            gen_keypair(params, Random(1))
+            gen_params(512, Random(1))
 
     def test_unsupported_size(self):
         with pytest.raises(UnsupportedSize):
@@ -165,18 +161,35 @@ class TestEnvelope:
         env = self.seal_one(Random(7))
         assert DigitalEnvelope.from_bytes(env.to_bytes()) == env
 
+    # sha256 of the exact nonce || ciphertext || tag: a keystream change in
+    # both directions still round-trips, but cannot keep these bytes
+    @pytest.mark.parametrize("n, digest", [
+        (0, "24e613fb858511492564394fa057b74542a17151bbc79cf9f2b843fa1f86d5e5"),
+        (1, "fd3e599a298a93a9d1f215d7391e5707390caf70ea06b97edc409ddd23f1a20b"),
+        (32, "bb07cf2f3e820c3ecf75b2b16f147b958685f276db6bbbdf25632779fab76773"),
+        (33, "972e3e6540bd0bb85dbd93f14190e315975d16aaf660a545709b81361ed1a8d2"),
+        (300, "263ac60513a9cf869bd513c03fe8785949c6ae95c50ed286f2886f41e8f62cd8"),
+    ])
+    def test_symmetric_seal_known_answers(self, n, digest):
+        key = 0x1234567890ABCDEF
+        plaintext = bytes((7 * i + 3) % 256 for i in range(n))
+        nonce, ciphertext, tag = symmetric_seal(key, plaintext, Random(n))
+        assert len(ciphertext) == n
+        assert hashlib.sha256(nonce + ciphertext + tag).hexdigest() == digest
+        assert symmetric_open(key, nonce, ciphertext, tag) == plaintext
+
 
 class TestCredentials:
     def test_successive_ids_distinct(self):
         reg = CredentialRegistry()
         rng = Random(1)
-        a = issue_credentials(reg, None, rng)
-        b = issue_credentials(reg, None, rng)
+        a = reg.issue(None, rng)
+        b = reg.issue(None, rng)
         assert a.login_id != b.login_id
 
     def test_pin_choice_passthrough(self):
         reg = CredentialRegistry()
-        creds = issue_credentials(reg, "123456", Random(1))
+        creds = reg.issue("123456", Random(1))
         assert creds.pin == "123456"
         assert reg.check_pin(creds.login_id, "123456")
         assert not reg.check_pin(creds.login_id, "123457")
@@ -186,7 +199,7 @@ class TestCredentials:
         rng = Random(2)
         seen = set()
         for _ in range(10_000):
-            creds = issue_credentials(reg, None, rng)
+            creds = reg.issue(None, rng)
             assert re.fullmatch(r"\d{8}", creds.login_id)
             assert re.fullmatch(r"\d{6}", creds.pin)
             assert creds.login_id not in seen

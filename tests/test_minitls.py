@@ -1,5 +1,6 @@
 """Handshake correctness, downgrade attacks, and the cryptanalysis oracles."""
 
+import hashlib
 import math
 from random import Random
 
@@ -363,6 +364,23 @@ class TestRecords:
             decrypt_record(key, 3, bad)
         with pytest.raises(RecordTampered):
             decrypt_record(key, 4, blob)  # wrong sequence number
+
+    # sha256 of the exact record blob, pinned for the same reason as the
+    # envelope's symmetric_seal known answers
+    @pytest.mark.parametrize("n, digest", [
+        (0, "f69859b1ad79c5e6c110e5d6a3c0dc0d325ce71d059bfae593963f1136c5c13c"),
+        (1, "ef7c08f940a5a0bb49629330bcc14045cb34359326874141ab7fcc9518978528"),
+        (32, "2f4cc24f161481dfcdf6bc1dad526d5512eb60bf3ed1425e152d846227d099d3"),
+        (33, "08cbe66e6004071b746911c6a6a1af9a2769031e2f0f50a1287218e671f33cdc"),
+        (300, "41cf89ddfc3ebdf0342a4bb1002e7be240f2550712f90a001ffc9620ca30b311"),
+    ])
+    def test_encrypt_record_known_answers(self, n, digest):
+        key = hashlib.sha256(b"kat").digest()
+        plaintext = bytes((7 * i + 3) % 256 for i in range(n))
+        blob = encrypt_record(key, 5, plaintext)
+        assert len(blob) == n + 16
+        assert hashlib.sha256(blob).hexdigest() == digest
+        assert decrypt_record(key, 5, blob) == plaintext
 
 
 class TestDowngradeMatrix:

@@ -15,7 +15,6 @@ from votesim.netsim import (
     PlainHttp,
     SchedulingAfterFinalize,
     Simulator,
-    UnknownHandle,
     make_sslstrip_tap,
     sslstrip_decision,
 )
@@ -98,20 +97,6 @@ class TestTaps:
         counts = sim.finalize()
         assert counts["dropped"] == 5
         assert counts["delivered"] == 0
-
-    def test_install_then_remove(self):
-        sim, received = make_sim()
-        handle = sim.install_tap(MitmTap("blackhole",
-                                         matcher=lambda s, d: True,
-                                         handler=lambda e, s: Decision.drop()))
-        sim.schedule(0, "voter1", "cvs", Ping("dropped"))
-        sim.run_all()
-        sim.remove_tap(handle)
-        sim.schedule(1, "voter1", "cvs", Ping("kept"))
-        sim.run_all()
-        assert [e.payload.tag for e in received] == ["kept"]
-        with pytest.raises(UnknownHandle):
-            sim.remove_tap(handle)
 
     def test_modify_taps_compose_in_install_order(self):
         sim, received = make_sim()

@@ -3,6 +3,7 @@
 import time
 
 import pytest
+import yaml
 
 from votesim.cli import main
 from votesim.config import (
@@ -212,6 +213,57 @@ class TestCli:
         rc = main(["run", str(bad)])
         assert rc == 2
         assert "seed" in capsys.readouterr().err
+
+    @staticmethod
+    def run_tree(tree, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        rc = main(["run", str(path), "--out", str(tmp_path)])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("key_path", [
+        "tls.enabled", "crypto.signature_forgeable_by_server",
+        "attacks.freak.enabled", "attacks.logjam.enabled",
+        "attacks.vote_rewrite.enabled", "attacks.last_minute.enabled",
+        "attacks.receipt_delay.enabled", "attacks.fake_ivr.enabled",
+        "attacks.clash.enabled", "attacks.server_rewrite.enabled",
+        "attacks.gateway_stripped", "linkage.phone_tap",
+    ])
+    def test_quoted_boolean_exits_2_with_key_path(self, key_path, tmp_path, capsys):
+        tree = minimal_tree()
+        *parents, leaf = key_path.split(".")
+        node = tree
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = "false"
+        rc, err = self.run_tree(tree, tmp_path, capsys)
+        assert rc == 2
+        assert key_path in err
+
+    @pytest.mark.parametrize("key_path, over", [
+        ("attacks.target_group", {"attacks": {"target_group": "g99"}}),
+        ("tls.oracle_connection_lifetime",
+         {"tls": {"enabled": True, "oracle_connection_lifetime": 3600},
+          "attacks": {"freak": {"enabled": True}}}),
+        ("behavior.leaning_counts.g99", {"behavior": {"leaning_counts": {"g99": 3}}}),
+        ("behavior.leaning_counts", {"behavior": {"leaning_counts": {"g01": 60}}}),
+        ("timeline.polls_close", {"timeline": {"polls_open": 0, "polls_close": 1000,
+                                               "receipt_service_end": 2000}}),
+        ("behavior.leaning_weights.g99",
+         {"behavior": {"leaning_weights": {"g01": 1.0, "g99": 1.0}}}),
+        ("attacks.freak.window_start",
+         {"tls": {"enabled": True},
+          "attacks": {"freak": {"enabled": True, "window_start": "3600"}}}),
+        ("attacks.logjam.window_end",
+         {"tls": {"enabled": True},
+          "attacks": {"logjam": {"enabled": True, "window_end": "40000"}}}),
+    ])
+    def test_unrunnable_config_exits_2_with_key_path(self, key_path, over, tmp_path,
+                                                     capsys):
+        rc, err = self.run_tree(minimal_tree(**over), tmp_path, capsys)
+        assert rc == 2
+        assert key_path in err
+        assert "Traceback" not in err
 
     def test_unknown_scenario_name(self, capsys):
         rc = main(["run", "does-not-exist"])
