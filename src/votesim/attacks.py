@@ -270,7 +270,6 @@ def clash_register(
     attacker_pin: str,
     gateway_stripped: bool,
     now: int,
-    rng: Random,
 ) -> ClashOutcome:
     """Registration handler on the attacker's look-alike site.
 

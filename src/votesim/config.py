@@ -5,7 +5,7 @@ path of the first offending entry; YAML syntax errors keep the parser's
 line/column. `seed` is mandatory; every probability must sit in [0, 1].
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import Any, Optional
 
@@ -161,9 +161,52 @@ def _check_window_bound(value, path) -> Optional[int]:
     return None if value is None else _check_int(value, path)
 
 
+def _keys(cls) -> frozenset:
+    return frozenset(f.name for f in fields(cls))
+
+
+# every key parse_config reads; any other key is a typo that would
+# silently run a different election
+_TOP_KEYS = frozenset({"schema_version", "seed", "voters", "name", "manifest",
+                       "behavior", "timeline", "crypto", "tls", "attacks",
+                       "audit", "linkage"})
+_CARD_KEYS = frozenset({"mode", "assembly", "council"})
+_ATTACK_SECTIONS = {
+    "freak": _keys(WindowedAttack),
+    "logjam": _keys(WindowedAttack),
+    "vote_rewrite": frozenset({"enabled"}),
+    "last_minute": frozenset({"enabled", "safety_window"}),
+    "receipt_delay": frozenset({"enabled"}),
+    "fake_ivr": frozenset({"enabled", "dial_genuine_rate"}),
+    "clash": frozenset({"enabled", "prediction"}),
+    "server_rewrite": frozenset({"enabled", "count"}),
+}
+_ATTACKS_KEYS = frozenset(_ATTACK_SECTIONS) | {"granted_compromise_rate",
+                                               "gateway_stripped", "target_group"}
+
+
+def _check_keys(tree: dict, path: str, allowed: frozenset) -> None:
+    for key in tree:
+        if key not in allowed:
+            _fail(f"{path}.{key}" if path else str(key),
+                  f"unknown key (expected one of {', '.join(sorted(allowed))})")
+
+
+def _section(tree: dict, path: str, allowed: frozenset) -> dict:
+    """The mapping at `path`'s last key in `tree` ({} when absent or
+    empty), with its own keys checked against `allowed`.
+    """
+    sub = tree.get(path.rpartition(".")[2]) or {}
+    if not isinstance(sub, dict):
+        _fail(path, "expected a mapping")
+    _check_keys(sub, path, allowed)
+    return sub
+
+
 def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
     if not isinstance(tree, dict):
         raise ConfigInvalid("top level: expected a mapping")
+    _check_keys(tree, "", _TOP_KEYS)
     version = _get(tree, "", "schema_version", required=True)
     if version != SCHEMA_VERSION:
         _fail("schema_version", f"unsupported version {version} (want {SCHEMA_VERSION})")
@@ -171,7 +214,7 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
     voters = _check_int(_get(tree, "", "voters", required=True), "voters", minimum=1)
     name = _get(tree, "", "name", default=name_hint)
 
-    m = tree.get("manifest", {}) or {}
+    m = _section(tree, "manifest", _keys(ManifestConfig))
     cards = m.get("cards")
     if cards is not None:
         if not isinstance(cards, dict):
@@ -179,6 +222,7 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
         for grp, card in cards.items():
             if not isinstance(card, dict):
                 _fail(f"manifest.cards.{grp}", "expected a mapping")
+            _check_keys(card, f"manifest.cards.{grp}", _CARD_KEYS)
             mode = card.get("mode", "atl")
             if mode not in ("atl", "btl"):
                 _fail(f"manifest.cards.{grp}.mode", "must be atl or btl")
@@ -194,7 +238,7 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
         cards=cards,
     )
 
-    b = tree.get("behavior", {}) or {}
+    b = _section(tree, "behavior", _keys(BehaviorConfig))
     behavior = BehaviorConfig(
         card_rate=_check_prob(b.get("card_rate", 0.40), "behavior.card_rate"),
         p_verify_ivr=_check_prob(b.get("p_verify_ivr", 0.2), "behavior.p_verify_ivr"),
@@ -228,11 +272,13 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
         for k, v in behavior.leaning_weights.items():
             if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
                 _fail(f"behavior.leaning_weights.{k}", "weights must be nonnegative numbers")
+        if behavior.leaning_weights and not any(behavior.leaning_weights.values()):
+            _fail("behavior.leaning_weights", "at least one weight must be positive")
     if behavior.leaning_counts is not None:
         for k, v in behavior.leaning_counts.items():
             _check_int(v, f"behavior.leaning_counts.{k}", 0)
 
-    t = tree.get("timeline", {}) or {}
+    t = _section(tree, "timeline", _keys(TimelineConfig))
     timeline = TimelineConfig(
         polls_open=_check_int(t.get("polls_open", 0), "timeline.polls_open", 0),
         polls_close=_check_int(t.get("polls_close", 43200), "timeline.polls_close", 1),
@@ -242,7 +288,7 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
     if not timeline.polls_open < timeline.polls_close < timeline.receipt_service_end:
         _fail("timeline", "must order polls_open < polls_close < receipt_service_end")
 
-    c = tree.get("crypto", {}) or {}
+    c = _section(tree, "crypto", _keys(CryptoConfig))
     crypto = CryptoConfig(
         envelope_bits=_check_int(c.get("envelope_bits", 64), "crypto.envelope_bits", 32),
         signature_forgeable_by_server=_check_bool(
@@ -252,7 +298,7 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
     if crypto.envelope_bits not in (32, 64, 128):
         _fail("crypto.envelope_bits", "must be one of 32, 64, 128")
 
-    tl = tree.get("tls", {}) or {}
+    tl = _section(tree, "tls", _keys(TlsConfig))
     suites = tuple(tl.get("third_party_suites",
                           ["RSA", "RSA_EXPORT", "DHE", "DHE_EXPORT"]))
     for s in suites:
@@ -271,13 +317,15 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
             "tls.oracle_connection_lifetime", 1),
     )
 
-    a = tree.get("attacks", {}) or {}
+    a = _section(tree, "attacks", _ATTACKS_KEYS)
+    sections = {key: _section(a, f"attacks.{key}", allowed)
+                for key, allowed in _ATTACK_SECTIONS.items()}
 
     def enabled(sub: dict, key: str) -> bool:
         return _check_bool(sub.get("enabled", False), f"attacks.{key}.enabled")
 
     def windowed(key: str) -> WindowedAttack:
-        sub = a.get(key, {}) or {}
+        sub = sections[key]
         return WindowedAttack(
             enabled=enabled(sub, key),
             window_start=_check_window_bound(sub.get("window_start"),
@@ -288,12 +336,12 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
                                      f"attacks.{key}.control_rate"),
         )
 
-    rewrite = a.get("vote_rewrite", {}) or {}
-    last_minute = a.get("last_minute", {}) or {}
-    receipt_delay = a.get("receipt_delay", {}) or {}
-    fake_ivr = a.get("fake_ivr", {}) or {}
-    clash = a.get("clash", {}) or {}
-    server_rewrite = a.get("server_rewrite", {}) or {}
+    rewrite = sections["vote_rewrite"]
+    last_minute = sections["last_minute"]
+    receipt_delay = sections["receipt_delay"]
+    fake_ivr = sections["fake_ivr"]
+    clash = sections["clash"]
+    server_rewrite = sections["server_rewrite"]
     prediction = clash.get("prediction", "card")
     if prediction not in _PREDICTIONS:
         _fail("attacks.clash.prediction", f"must be one of {sorted(_PREDICTIONS)}")
@@ -328,12 +376,12 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
     if attacks.logjam.enabled and "DHE_EXPORT" not in suites:
         _fail("attacks.logjam", "needs DHE_EXPORT in tls.third_party_suites")
 
-    audit = tree.get("audit", {}) or {}
+    audit = _section(tree, "audit", frozenset({"mode"}))
     audit_mode = audit.get("mode", "honest")
     if audit_mode not in _AUDIT_MODES:
         _fail("audit.mode", f"must be one of {sorted(_AUDIT_MODES)}")
 
-    lk = tree.get("linkage", {}) or {}
+    lk = _section(tree, "linkage", frozenset({"compromised", "phone_tap"}))
     compromised = tuple(lk.get("compromised", []) or [])
     for comp in compromised:
         if comp not in _COMPONENTS:

@@ -250,30 +250,42 @@ def _latest_record_for_voter(cvs: CoreVotingSystem, registration: RegistrationSe
     return latest
 
 
+def open_core_store(
+    cvs: CoreVotingSystem,
+    election_key: KeyPair,
+    manifest: ElectionManifest,
+) -> list[Ballot]:
+    """Decrypt every stored envelope once with the election key, after the
+    close of polls. The result is aligned with `cvs.records` and is the
+    plaintext view that counting, audit and linkage share. A record that
+    fails authentication raises AuthFailure, aborting the post-poll run.
+    """
+    return [decode_ballot(open_envelope(record.envelope, ServerRole.ELECTION,
+                                        election_key), manifest)
+            for record in cvs.records]
+
+
 def dedup_and_count(
     cvs: CoreVotingSystem,
     registration: RegistrationService,
-    election_key: KeyPair,
+    core_ballots: list[Ballot],
     manifest: ElectionManifest,
 ) -> tuple[TallyResult, list[Ballot]]:
     """Keep exactly the latest cast per voter (re-registrations collapse
-    onto the voter, later casts win), mark the rest superseded, decrypt
-    with the election key, and tally first preferences.
+    onto the voter, later casts win), mark the rest superseded, and tally
+    the kept records' first preferences. `core_ballots` is
+    `open_core_store`'s view, aligned with `cvs.records`.
     """
-    keep: dict[str, CoreVotingRecord] = {}
-    for record in cvs.records:
+    keep: dict[str, int] = {}
+    for i, record in enumerate(cvs.records):
         voter = registration.owner.get(record.login_id, f"?{record.login_id}")
         cur = keep.get(voter)
-        if cur is None or record.cast_time >= cur.cast_time:
-            keep[voter] = record
-    kept = set(id(r) for r in keep.values())
-    for record in cvs.records:
-        record.superseded = id(record) not in kept
-    ballots = []
-    for voter in sorted(keep):
-        record = keep[voter]
-        ballot_bytes = open_envelope(record.envelope, ServerRole.ELECTION, election_key)
-        ballots.append(decode_ballot(ballot_bytes, manifest))
+        if cur is None or record.cast_time >= cvs.records[cur].cast_time:
+            keep[voter] = i
+    kept = set(keep.values())
+    for i, record in enumerate(cvs.records):
+        record.superseded = i not in kept
+    ballots = [core_ballots[keep[voter]] for voter in sorted(keep)]
     return tally_first_preferences(ballots, manifest), ballots
 
 
@@ -299,8 +311,7 @@ def audit_reconcile(
     mode: AuditMode,
     cvs: CoreVotingSystem,
     verification: VerificationService,
-    election_key: KeyPair,
-    manifest: ElectionManifest,
+    core_ballots: list[Ballot],
 ) -> AuditReport:
     """Reconcile the two stores. Honest mode reports every divergence;
     blind-eye mode reports nothing no matter what (the corrupt-auditor
@@ -310,7 +321,7 @@ def audit_reconcile(
         return AuditReport(mode=mode, inconsistencies=[])
     found = []
     seen = set()
-    for record in cvs.records:
+    for record, ballot in zip(cvs.records, core_ballots):
         key = (record.login_id, record.receipt)
         seen.add(key)
         vrec = verification.records.get(key)
@@ -318,8 +329,6 @@ def audit_reconcile(
             found.append(Inconsistency(record.login_id, record.receipt,
                                        "missing_verification"))
             continue
-        ballot_bytes = open_envelope(record.envelope, ServerRole.ELECTION, election_key)
-        ballot = decode_ballot(ballot_bytes, manifest)
         if ballot != vrec.ballot:
             found.append(Inconsistency(record.login_id, record.receipt,
                                        "ballot_mismatch"))
@@ -360,8 +369,7 @@ def collect_holdings(
     registration: RegistrationService,
     verification: VerificationService,
     cvs: CoreVotingSystem,
-    election_key: KeyPair,
-    manifest: ElectionManifest,
+    core_ballots: list[Ballot],
     phone_tap_enabled: bool = True,
 ) -> DataHoldings:
     h = DataHoldings()
@@ -382,19 +390,16 @@ def collect_holdings(
     }
     # the auditor sees both stores' contents during reconciliation
     auditor_votes = set(ver_votes)
-    for record in cvs.records:
-        ballot_bytes = open_envelope(record.envelope, ServerRole.ELECTION, election_key)
-        auditor_votes.add((record.login_id, decode_ballot(ballot_bytes, manifest)))
+    auditor_votes.update((record.login_id, ballot)
+                         for record, ballot in zip(cvs.records, core_ballots))
     h.login_to_ballot[Component.AUDITOR] = auditor_votes
     # polling-place machines register and collect on the same box
     polling_direct = set()
-    for record in cvs.records:
+    for record, ballot in zip(cvs.records, core_ballots):
         if record.channel is VoteChannel.POLLING_PLACE:
             voter = registration.owner.get(record.login_id)
             if voter is not None:
-                ballot_bytes = open_envelope(record.envelope, ServerRole.ELECTION,
-                                             election_key)
-                polling_direct.add((voter, decode_ballot(ballot_bytes, manifest)))
+                polling_direct.add((voter, ballot))
     h.identity_to_ballot[Component.POLLING_PLACE_MACHINE] = polling_direct
     # a tap on the phone network hears ballots read back, and learns who is
     # calling exactly when the line carries a caller id

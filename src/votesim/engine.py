@@ -18,7 +18,6 @@ sealed. Everything voter-to-server rides the configured channel policy.
 """
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from random import Random
 from typing import Optional
@@ -110,6 +109,8 @@ class ScenarioEngine:
         if config.manifest.cards:
             merged = dict(self.manifest.cards)
             for grp, card in config.manifest.cards.items():
+                if grp not in self.manifest.groups:
+                    raise ConfigInvalid(f"manifest.cards.{grp}: group not in manifest")
                 mode = (bal.CouncilMode.ABOVE_THE_LINE
                         if card.get("mode", "atl") == "atl"
                         else bal.CouncilMode.BELOW_THE_LINE)
@@ -118,6 +119,10 @@ class ScenarioEngine:
                     council_mode=mode,
                     council_prefs=tuple(card["council"]),
                 )
+                try:
+                    bal.validate_ballot(merged[grp], self.manifest)
+                except bal.InvalidBallot as exc:
+                    raise ConfigInvalid(f"manifest.cards.{grp}: {exc}") from exc
             self.manifest = bal.ElectionManifest(
                 groups=self.manifest.groups,
                 candidates=self.manifest.candidates,
@@ -216,9 +221,7 @@ class ScenarioEngine:
                 n = conn.pinned_temp_key.n
                 try:
                     p, q = tls.factor_export_modulus(n, self.rng_attacker)
-                    lam = math.lcm(p - 1, q - 1)
-                    factored = tls.RsaKey(n=n, e=conn.pinned_temp_key.e,
-                                          d=pow(conn.pinned_temp_key.e, -1, lam))
+                    factored = tls.RsaKey.from_primes(p, q, conn.pinned_temp_key.e)
                 except tls.NotFactorable:
                     factored = None
             self.freak_oracles.append(FreakOracle(
@@ -524,7 +527,7 @@ class ScenarioEngine:
             self.attacker, req, predicted, self.manifest,
             register_entitlement, attacker_pin,
             gateway_stripped=self.config.attacks.gateway_stripped,
-            now=event.time, rng=self.rng_attacker,
+            now=event.time,
         )
         if outcome.reused:
             # spend the victim's entitlement on the attacker's ballot
@@ -798,15 +801,16 @@ class ScenarioEngine:
         self.schedule_all()
         self.sim.run_all()
         self._apply_server_rewrite()
+        core_ballots = el.open_core_store(self.cvs, self.election_key, self.manifest)
         self.tally, self.counted_ballots = el.dedup_and_count(
-            self.cvs, self.registration, self.election_key, self.manifest)
+            self.cvs, self.registration, core_ballots, self.manifest)
         self.intent_tally = self.intents.intent_tally(self.manifest)
         self.audit = el.audit_reconcile(
             el.AuditMode(self.config.audit_mode), self.cvs, self.verification,
-            self.election_key, self.manifest)
+            core_ballots)
         holdings = el.collect_holdings(
-            self.registration, self.verification, self.cvs, self.election_key,
-            self.manifest, phone_tap_enabled=self.config.linkage_phone_tap)
+            self.registration, self.verification, self.cvs, core_ballots,
+            phone_tap_enabled=self.config.linkage_phone_tap)
         compromised = {el.Component(c) for c in self.config.linkage_compromised}
         self.linked = el.linkage_report(compromised, holdings)
         self.conservation = self.sim.finalize()

@@ -119,7 +119,9 @@ def elgamal_encrypt(params: ElGamalParams, y: int, msg: int, rng: Random) -> tup
 def elgamal_decrypt(params: ElGamalParams, x: int, ciphertext: tuple[int, int]) -> int:
     c1, c2 = ciphertext
     shared = pow(c1, x, params.p)
-    s = (c2 * pow(shared, params.p - 2, params.p)) % params.p
+    # c1 = 0 (mod p) has no inverse; s = 0 is what the Fermat form
+    # pow(shared, p - 2, p) gave there
+    s = (c2 * pow(shared, -1, params.p)) % params.p if shared else 0
     return _decode_message(params, s)
 
 

@@ -111,9 +111,25 @@ DLOG_TABLE_FACTOR = 16
 
 @dataclass(frozen=True)
 class RsaKey:
+    """Public key (n, e). A private key also carries its primes and CRT
+    values, and every private operation runs mod p and mod q.
+    """
+
     n: int
     e: int
-    d: Optional[int] = None
+    p: Optional[int] = None
+    q: Optional[int] = None
+    dp: Optional[int] = None  # e^-1 mod p - 1
+    dq: Optional[int] = None  # e^-1 mod q - 1
+    qinv: Optional[int] = None  # q^-1 mod p
+
+    @classmethod
+    def from_primes(cls, p: int, q: int, e: int) -> "RsaKey":
+        """Private key over distinct primes p and q; ValueError when e is
+        not invertible mod p - 1 or q - 1.
+        """
+        return cls(n=p * q, e=e, p=p, q=q, dp=pow(e, -1, p - 1),
+                   dq=pow(e, -1, q - 1), qinv=pow(q, -1, p))
 
     @property
     def bits(self) -> int:
@@ -128,25 +144,29 @@ def gen_rsa_keypair(bits: int, rng: Random) -> RsaKey:
     while True:
         p = gen_prime(bits // 2, rng)
         q = gen_prime(bits - bits // 2, rng)
-        if p == q:
+        if p == q or (p * q).bit_length() != bits:
             continue
-        lam = math.lcm(p - 1, q - 1)
-        if math.gcd(e, lam) != 1:
+        try:
+            return RsaKey.from_primes(p, q, e)
+        except ValueError:  # e shares a factor with p - 1 or q - 1
             continue
-        n = p * q
-        if n.bit_length() != bits:
-            continue
-        return RsaKey(n=n, e=e, d=pow(e, -1, lam))
 
 
 def _digest_int(data: bytes, n: int) -> int:
     return int.from_bytes(hashlib.sha256(data).digest(), "big") % n
 
 
+def _rsa_private(key: RsaKey, x: int) -> int:
+    """x^d mod n by the Chinese remainder theorem (Garner's recombination)."""
+    m1 = pow(x, key.dp, key.p)
+    m2 = pow(x, key.dq, key.q)
+    return m2 + (key.qinv * (m1 - m2) % key.p) * key.q
+
+
 def rsa_sign(key: RsaKey, data: bytes) -> int:
-    if key.d is None:
-        raise TlsError("signing needs the private exponent")
-    return pow(_digest_int(data, key.n), key.d, key.n)
+    if key.p is None:
+        raise TlsError("signing needs the private key")
+    return _rsa_private(key, _digest_int(data, key.n))
 
 
 def rsa_verify(key: RsaKey, data: bytes, signature: int) -> bool:
@@ -160,9 +180,9 @@ def rsa_encrypt_int(key: RsaKey, m: int) -> int:
 
 
 def rsa_decrypt_int(key: RsaKey, c: int) -> int:
-    if key.d is None:
-        raise TlsError("decryption needs the private exponent")
-    return pow(c, key.d, key.n)
+    if key.p is None:
+        raise TlsError("decryption needs the private key")
+    return _rsa_private(key, c)
 
 
 def gen_export_dhe_params(bits: int, rng: Random) -> ElGamalParams:
@@ -762,7 +782,7 @@ def mitm_freak(
 
     cke = client.client_key_exchange()
     t.record("c->a", cke)
-    if factored_temp_key is None or factored_temp_key.d is None \
+    if factored_temp_key is None or factored_temp_key.p is None \
             or factored_temp_key.n != ske.params[0]:
         return MitmResult(success=False, error="temp key not factored; cannot decrypt",
                           client_transcript=t, client_session_key=None)
@@ -929,9 +949,7 @@ def run_downgrade_matrix(rng: Random, export_bits: int = 64) -> list[MatrixCell]
                     if export_rsa:
                         _, probe = signature_oracle(oracle, b"\x00" * NONCE_LEN, rng)
                         fp, fq = factor_export_modulus(probe.params[0], rng)
-                        lam = math.lcm(fp - 1, fq - 1)
-                        factored = RsaKey(n=probe.params[0], e=probe.params[1],
-                                          d=pow(probe.params[1], -1, lam))
+                        factored = RsaKey.from_primes(fp, fq, probe.params[1])
                     else:
                         factored = None
                     result = mitm_freak(client_cfg, oracle, factored, rng)

@@ -242,11 +242,8 @@ class Simulator:
             f"{status} {describe_payload(event.payload)} {note}"
         )
 
-    def run_until(self, limit: Optional[int] = None) -> list[Event]:
-        """Deliver every event with time <= limit (all pending if None).
-        Returns the delivered events in delivery order.
-        """
-        delivered = []
+    def run_until(self, limit: Optional[int] = None) -> None:
+        """Deliver every event with time <= limit (all pending if None)."""
         while True:
             event = self._pop_next(limit)
             if event is None:
@@ -257,14 +254,12 @@ class Simulator:
                 continue
             self.counters["delivered"] += 1
             self._trace(final, "deliver", getattr(final, "_notes", []))
-            delivered.append(final)
             handler = self.endpoint(final.dst).handler
             if handler is not None:
                 handler(final, self)
-        return delivered
 
-    def run_all(self) -> list[Event]:
-        return self.run_until(None)
+    def run_all(self) -> None:
+        self.run_until(None)
 
     def finalize(self) -> dict[str, int]:
         """Stop accepting events and reconcile conservation: every scheduled

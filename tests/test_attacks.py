@@ -306,7 +306,7 @@ class TestClash:
             atk.clash_register(state, req, m.cards["g01"], m,
                                register_entitlement=lambda v, p, t: None,
                                attacker_pin="111111", gateway_stripped=False,
-                               now=10, rng=Random(1))
+                               now=10)
 
     def test_pool_miss_registers_honestly_then_harvests(self):
         m = self.manifest()
@@ -320,7 +320,7 @@ class TestClash:
         req = RegistrationRequest(voter_id="first", pin_choice=None,
                                   channel=VoteChannel.WEB)
         outcome = atk.clash_register(state, req, m.cards["g01"], m, entitle,
-                                     "111111", True, 10, rng)
+                                     "111111", True, 10)
         assert outcome.reused is False
         assert outcome.handed_out.pin == "111111"  # attacker-assigned
         assert "first" in state.harvest_targets
@@ -333,7 +333,7 @@ class TestClash:
         req2 = RegistrationRequest(voter_id="second", pin_choice=None,
                                    channel=VoteChannel.WEB)
         outcome2 = atk.clash_register(state, req2, m.cards["g01"], m, entitle,
-                                      "222222", True, 20, rng)
+                                      "222222", True, 20)
         assert outcome2.reused is True
         assert outcome2.handed_out.login_id == outcome.handed_out.login_id
         assert outcome2.handed_out.pin == "111111"

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from votesim import election
 from votesim.ballots import (
     BehaviorModel,
     decode_ballot,
@@ -13,6 +14,7 @@ from votesim.ballots import (
     make_manifest,
     tally_first_preferences,
 )
+from votesim.config import bundled_scenarios, load_config
 from votesim.election import (
     AuditMode,
     BadCredentials,
@@ -31,7 +33,9 @@ from votesim.election import (
     collect_holdings,
     dedup_and_count,
     linkage_report,
+    open_core_store,
 )
+from votesim.engine import ScenarioEngine
 from votesim.envelope import (
     CredentialRegistry,
     ServerRole,
@@ -61,6 +65,9 @@ class Fixture:
         self.cvs = CoreVotingSystem(self.registry, self.timeline, self.verification)
         self.receipts = ReceiptService(self.cvs, self.registration, self.timeline)
         self.rng = Random(seed + 1000)
+
+    def core_ballots(self):
+        return open_core_store(self.cvs, self.election_key, self.manifest)
 
     def ballot_for(self, group):
         return self.manifest.cards[group]
@@ -201,14 +208,14 @@ class TestDedupAndCount:
         fx.cast(creds, fx.ballot_for("g01"), now=10)
         fx.cast(creds, fx.ballot_for("g02"), now=20)
         tally, ballots = dedup_and_count(fx.cvs, fx.registration,
-                                         fx.election_key, fx.manifest)
+                                         fx.core_ballots(), fx.manifest)
         assert len(ballots) == 1
         assert tally.counts == {"g02": 1}
 
     def test_empty(self):
         fx = Fixture()
         tally, ballots = dedup_and_count(fx.cvs, fx.registration,
-                                         fx.election_key, fx.manifest)
+                                         fx.core_ballots(), fx.manifest)
         assert ballots == [] and tally.counts == {}
 
     def test_hundred_voters_ten_revotes_vs_recount_oracle(self):
@@ -231,7 +238,7 @@ class TestDedupAndCount:
             fx.cast(creds, ballot, now=400 + i)
             expected[voter] = ballot
         tally, ballots = dedup_and_count(fx.cvs, fx.registration,
-                                         fx.election_key, fx.manifest)
+                                         fx.core_ballots(), fx.manifest)
         assert len(ballots) == 100
         oracle = tally_first_preferences(list(expected.values()), fx.manifest)
         assert tally.counts == oracle.counts
@@ -251,7 +258,7 @@ class TestAudit:
     def test_honest_run_zero_inconsistencies(self):
         fx, _ = self.seeded_run()
         report = audit_reconcile(AuditMode.HONEST, fx.cvs, fx.verification,
-                                 fx.election_key, fx.manifest)
+                                 fx.core_ballots())
         assert report.inconsistencies == []
 
     def test_honest_audit_lists_exactly_manipulated_ids(self):
@@ -265,22 +272,22 @@ class TestAudit:
             record.envelope = forged
             manipulated.append(record.login_id)
         report = audit_reconcile(AuditMode.HONEST, fx.cvs, fx.verification,
-                                 fx.election_key, fx.manifest)
+                                 fx.core_ballots())
         assert sorted(i.login_id for i in report.inconsistencies) == sorted(manipulated)
         assert all(i.kind == "ballot_mismatch" for i in report.inconsistencies)
 
     def test_blind_eye_sees_nothing_while_tally_is_wrong(self):
         fx, _ = self.seeded_run()
         honest_tally, _ = dedup_and_count(fx.cvs, fx.registration,
-                                          fx.election_key, fx.manifest)
+                                          fx.core_ballots(), fx.manifest)
         for record in fx.cvs.records[:5]:
             record.envelope = seal(
                 encode_ballot(fx.ballot_for("g06"), fx.manifest),
                 fx.election_key.public(), fx.verification_key.public(), fx.rng)
         report = audit_reconcile(AuditMode.BLIND_EYE, fx.cvs, fx.verification,
-                                 fx.election_key, fx.manifest)
+                                 fx.core_ballots())
         new_tally, _ = dedup_and_count(fx.cvs, fx.registration,
-                                       fx.election_key, fx.manifest)
+                                       fx.core_ballots(), fx.manifest)
         assert report.inconsistencies == []
         assert new_tally.counts != honest_tally.counts
 
@@ -300,8 +307,7 @@ class TestLinkage:
 
     def holdings(self, fx, phone_tap=True):
         return collect_holdings(fx.registration, fx.verification, fx.cvs,
-                                fx.election_key, fx.manifest,
-                                phone_tap_enabled=phone_tap)
+                                fx.core_ballots(), phone_tap_enabled=phone_tap)
 
     def test_empty_set_links_nothing(self):
         fx = self.seeded_run()
@@ -355,3 +361,24 @@ class TestLinkage:
         fx = self.seeded_run()
         with pytest.raises(UnknownComponent):
             linkage_report({"mystery"}, self.holdings(fx))
+
+
+class TestPostPollOpens:
+    def test_each_core_record_opened_once_per_run(self, monkeypatch):
+        # blind-auditor rewrites stored envelopes after the close, so the
+        # single open must come after the rewrite and see the forged ones
+        engine = ScenarioEngine(load_config(bundled_scenarios()["blind-auditor"]))
+        opened = []
+        real_open = election.open_envelope
+
+        def counting_open(envelope, which, keypair):
+            if which is ServerRole.ELECTION:
+                opened.append(envelope)
+            return real_open(envelope, which, keypair)
+
+        monkeypatch.setattr(election, "open_envelope", counting_open)
+        engine.run()
+        stored = [record.envelope for record in engine.cvs.records]
+        assert engine.attacker.manipulation_ledger
+        assert len(opened) == len(stored) > 0
+        assert sorted(map(id, opened)) == sorted(map(id, stored))

@@ -23,6 +23,7 @@ from votesim.envelope import (
     symmetric_open,
     symmetric_seal,
 )
+from votesim.numth import sqrt_mod_3mod4
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -106,6 +107,27 @@ class TestElGamal:
         ct1 = elgamal_encrypt(self.params, self.key.y, 7, Random(1))
         ct2 = elgamal_encrypt(self.params, self.key.y, 7, Random(2))
         assert ct1 != ct2
+
+    @pytest.mark.parametrize("bits", [32, 64, 128])
+    def test_inverse_matches_fermat_formula(self, bits):
+        # the unwrap inverts with pow(shared, -1, p); the Fermat form
+        # pow(shared, p - 2, p) is the reference, including c1 = 0 (mod p)
+        rng = Random(bits)
+        params = gen_params(bits, rng)
+        key = gen_keypair(params, rng)
+        p = params.p
+
+        def fermat(c1, c2):
+            s = c2 * pow(pow(c1, key.x, p), p - 2, p) % p
+            r = sqrt_mod_3mod4(s, p)
+            return min(r, p - r)
+
+        cts = [(rng.randrange(p), rng.randrange(p)) for _ in range(200)]
+        cts += [(0, rng.randrange(p)), (p, rng.randrange(p)), (0, 0), (p, 1)]
+        cts += [elgamal_encrypt(params, key.y, rng.randrange(1, params.q), rng)
+                for _ in range(50)]
+        for c1, c2 in cts:
+            assert elgamal_decrypt(params, key.x, (c1, c2)) == fermat(c1, c2)
 
 
 class TestEnvelope:

@@ -19,6 +19,7 @@ from votesim.minitls import (
     RecordTampered,
     RsaKey,
     ServerKeyExchange,
+    TlsError,
     TlsServer,
     decrypt_record,
     dlog_individual,
@@ -32,6 +33,8 @@ from votesim.minitls import (
     mitm_freak,
     mitm_logjam,
     renegotiate,
+    rsa_decrypt_int,
+    rsa_sign,
     rsa_verify,
     run_downgrade_matrix,
     signature_oracle,
@@ -203,6 +206,37 @@ class TestFactoring:
             factor_export_modulus(101, Random(1), max_iters=1 << 12)
 
 
+class TestRsaCrt:
+    @pytest.mark.parametrize("bits", [64, 192])
+    def test_private_ops_match_plain_exponent(self, bits):
+        # CRT private operations against pow(x, d, n) with the textbook d
+        rng = Random(bits)
+        key = gen_rsa_keypair(bits, rng)
+        n, p, q = key.n, key.p, key.q
+        assert p * q == n and key.bits == bits
+        d = pow(key.e, -1, math.lcm(p - 1, q - 1))
+        xs = [0, 1, p, q, n - 1] + [rng.randrange(n) for _ in range(200)]
+        for x in xs:
+            assert rsa_decrypt_int(key, x) == pow(x, d, n)
+        for _ in range(100):
+            data = rng.randbytes(rng.randrange(0, 64))
+            digest = int.from_bytes(hashlib.sha256(data).digest(), "big") % n
+            sig = rsa_sign(key, data)
+            assert sig == pow(digest, d, n)
+            assert rsa_verify(key.public(), data, sig)
+
+    def test_from_primes_rejects_noninvertible_exponent(self):
+        with pytest.raises(ValueError):
+            RsaKey.from_primes(7, 11, 3)  # 3 divides 7 - 1
+
+    def test_public_key_cannot_decrypt_or_sign(self):
+        key = gen_rsa_keypair(64, Random(3)).public()
+        with pytest.raises(TlsError):
+            rsa_decrypt_int(key, 5)
+        with pytest.raises(TlsError):
+            rsa_sign(key, b"blob")
+
+
 class TestDlog:
     def setup_method(self):
         self.params = gen_export_dhe_params(64, Random(12))
@@ -237,8 +271,7 @@ class TestFreak:
         self.oracle_conn = self.server.connect()
         n = self.oracle_conn.pinned_temp_key.n
         p, q = factor_export_modulus(n, Random(41))
-        e = self.oracle_conn.pinned_temp_key.e
-        self.factored = RsaKey(n=n, e=e, d=pow(e, -1, math.lcm(p - 1, q - 1)))
+        self.factored = RsaKey.from_primes(p, q, self.oracle_conn.pinned_temp_key.e)
 
     def test_vulnerable_client_loses_session_key(self):
         client = ClientTlsConfig(offered_suites=(CipherSuite.RSA,), patched=False)

@@ -257,6 +257,42 @@ class TestCli:
         ("attacks.logjam.window_end",
          {"tls": {"enabled": True},
           "attacks": {"logjam": {"enabled": True, "window_end": "40000"}}}),
+        ("behavior.leaning_weights",
+         {"behavior": {"leaning_weights": {"g01": 0, "g02": 0.0}}}),
+        ("manifest.cards.g01",
+         {"manifest": {"groups": 4, "candidates": 8, "assembly": 4,
+                       "cards": {"g01": {"assembly": ["a99"], "council": ["g01"]}}}}),
+        ("manifest.cards.g01",
+         {"manifest": {"groups": 4, "candidates": 8, "assembly": 4,
+                       "cards": {"g01": {"assembly": ["a01"], "mode": "btl",
+                                         "council": ["c999"]}}}}),
+        ("manifest.cards.g09",
+         {"manifest": {"groups": 4, "candidates": 8, "assembly": 4,
+                       "cards": {"g09": {"assembly": ["a01"], "council": ["g01"]}}}}),
+        # unknown keys, at the top level and in every section
+        ("attackz", {"attackz": {"vote_rewrite": {"enabled": True}}}),
+        ("behavior.p_verify_irv", {"behavior": {"p_verify_irv": 0.5}}),
+        ("manifest.group", {"manifest": {"groups": 4, "candidates": 8,
+                                         "assembly": 4, "group": 4}}),
+        ("manifest.cards.g01.councl",
+         {"manifest": {"groups": 4, "candidates": 8, "assembly": 4,
+                       "cards": {"g01": {"assembly": ["a01"], "council": ["g01"],
+                                         "councl": ["g02"]}}}}),
+        ("timeline.polls_end", {"timeline": {"polls_end": 100}}),
+        ("crypto.bits", {"crypto": {"bits": 64}}),
+        ("tls.enable", {"tls": {"enabled": False, "enable": True}}),
+        ("attacks.vote_rewite", {"attacks": {"vote_rewite": {"enabled": True}}}),
+        ("attacks.freak.window", {"attacks": {"freak": {"window": 5}}}),
+        ("attacks.vote_rewrite.enable",
+         {"attacks": {"vote_rewrite": {"enable": True}}}),
+        ("attacks.last_minute.window",
+         {"attacks": {"last_minute": {"window": 60}}}),
+        ("attacks.clash.predict", {"attacks": {"clash": {"predict": "card"}}}),
+        ("attacks.server_rewrite.counts",
+         {"attacks": {"server_rewrite": {"counts": 3}}}),
+        ("audit.mod", {"audit": {"mod": "honest"}}),
+        ("linkage.phone_taps", {"linkage": {"phone_taps": False}}),
+        ("behavior", {"behavior": [0.5]}),
     ])
     def test_unrunnable_config_exits_2_with_key_path(self, key_path, over, tmp_path,
                                                      capsys):
