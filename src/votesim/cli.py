@@ -30,10 +30,14 @@ def _resolve_config(name_or_path: str) -> str:
 
 
 def cmd_run(args) -> int:
-    config = load_config(_resolve_config(args.config))
+    path = _resolve_config(args.config)
+    config = load_config(path)
     if args.seed is not None:
         config.seed = args.seed
-    engine = run_engine(config)
+    try:
+        engine = run_engine(config)
+    except ConfigInvalid as exc:  # a check that needs the built manifest
+        raise ConfigInvalid(f"{path}: {exc}") from exc
     report = build_report(engine)
     text = serialize_report(report)
     out_dir = args.out or "."

@@ -1,13 +1,32 @@
 """Scenario configuration: a versioned YAML key tree.
 
-The full grammar is documented in the README. Validation reports the key
-path of the first offending entry; YAML syntax errors keep the parser's
-line/column. `seed` is mandatory; every probability must sit in [0, 1].
+The dataclasses below are the grammar, documented in the README: each
+section is a dataclass, each key one of its fields, each default that
+field's default. `parse_config` walks them, so a key that is not a field
+is rejected, and every error names the key path of the first offending
+entry; YAML syntax errors keep the parser's line/column.
+
+What a field's type admits:
+
+    bool              YAML true or false, never a quoted string
+    int               an integer, not a bool; metadata `min` or `choices`
+    float             a probability in [0, 1], returned as float; with
+                      metadata `min`, any number >= min
+    str               a string; metadata `choices`
+    tuple[str, ...]   a list (null is the empty list); `choices` bounds
+                      each item, `min` the length
+    Optional[T]       null, or a T
+    dict[str, T]      a mapping whose values are each a T, checked with
+                      the field's metadata
+    a dataclass       a mapping (null is the empty mapping)
+
+Checks that span fields follow the walk in `parse_config`; those that
+need the built manifest run in `ScenarioEngine.__init__`.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from importlib import resources
-from typing import Any, Optional
+from typing import Any, Optional, Union, get_args, get_origin
 
 import yaml
 
@@ -20,24 +39,29 @@ class ConfigInvalid(Exception):
 
 SCHEMA_VERSION = 1
 
-_SUITE_NAMES = {s.value for s in CipherSuite}
-_PREDICTIONS = {"card", "perfect"}
-_AUDIT_MODES = {"honest", "blind_eye"}
-_COMPONENTS = {
-    "registration", "verification_server", "voice_server", "auditor",
-    "polling_place_machine", "phone_tap_caller_id",
-}
+
+def _field(default=MISSING, **meta):
+    """A grammar field: `default` (none: the key is required) plus the
+    `min`/`choices` bounds the walker enforces.
+    """
+    return field(default=default, metadata=meta)
+
+
+@dataclass
+class CardConfig:
+    """One group's voting-card override."""
+    assembly: tuple[str, ...] = _field(min=1)
+    council: tuple[str, ...] = _field(min=1)
+    mode: str = _field("atl", choices=("atl", "btl"))
 
 
 @dataclass
 class ManifestConfig:
-    groups: int = 24
-    candidates: int = 394
-    assembly: int = 24
-    min_below_line_prefs: int = 1
-    # optional per-group card overrides:
-    #   cards: {g01: {assembly: [a01], mode: atl, council: [g01, g03]}}
-    cards: Optional[dict[str, dict]] = None
+    groups: int = _field(24, min=1)
+    candidates: int = _field(394, min=1)
+    assembly: int = _field(24, min=1)
+    min_below_line_prefs: int = _field(1, min=1)
+    cards: Optional[dict[str, CardConfig]] = None
 
 
 @dataclass
@@ -51,356 +75,231 @@ class BehaviorConfig:
     polling_fraction: float = 0.0
     caller_id_fraction: float = 0.0
     p_pin_suspicion: float = 0.0
-    verify_delay_min: int = 600
-    verify_delay_max: int = 3600
-    leaning_weights: Optional[dict[str, float]] = None
-    leaning_counts: Optional[dict[str, int]] = None
+    verify_delay_min: int = _field(600, min=0)
+    verify_delay_max: int = _field(3600, min=0)
+    leaning_weights: Optional[dict[str, float]] = _field(None, min=0)
+    leaning_counts: Optional[dict[str, int]] = _field(None, min=0)
 
 
 @dataclass
 class TimelineConfig:
-    polls_open: int = 0
-    polls_close: int = 43200
-    receipt_service_end: int = 86400
+    polls_open: int = _field(0, min=0)
+    polls_close: int = _field(43200, min=1)
+    receipt_service_end: int = _field(86400, min=1)
 
 
 @dataclass
 class CryptoConfig:
-    envelope_bits: int = 64
+    envelope_bits: int = _field(64, choices=(32, 64, 128))
     signature_forgeable_by_server: bool = True
 
 
 @dataclass
 class TlsConfig:
     enabled: bool = True
-    export_bits: int = 64
     client_patch_rate: float = 1.0
-    third_party_suites: tuple[str, ...] = ("RSA", "RSA_EXPORT", "DHE", "DHE_EXPORT")
-    rotation_period: int = 3600
-    oracle_connection_lifetime: int = 64800
+    third_party_suites: tuple[str, ...] = _field(
+        ("RSA", "RSA_EXPORT", "DHE", "DHE_EXPORT"),
+        choices=tuple(s.value for s in CipherSuite))
+    rotation_period: int = _field(3600, min=1)
+    oracle_connection_lifetime: int = _field(64800, min=1)
 
 
 @dataclass
-class WindowedAttack:
+class Toggle:
     enabled: bool = False
+
+
+@dataclass
+class WindowedAttack(Toggle):
+    # null: the polls' own bound; ScenarioConfig resolves it
     window_start: Optional[int] = None
     window_end: Optional[int] = None
     control_rate: float = 1.0
 
 
 @dataclass
+class LastMinuteAttack(Toggle):
+    safety_window: int = _field(600, min=0)
+
+
+@dataclass
+class FakeIvrAttack(Toggle):
+    dial_genuine_rate: float = 0.0
+
+
+@dataclass
+class ClashAttack(Toggle):
+    prediction: str = _field("card", choices=("card", "perfect"))
+
+
+@dataclass
+class ServerRewriteAttack(Toggle):
+    count: int = _field(0, min=0)
+
+
+@dataclass
 class AttacksConfig:
     freak: WindowedAttack = field(default_factory=WindowedAttack)
     logjam: WindowedAttack = field(default_factory=WindowedAttack)
-    vote_rewrite_enabled: bool = False
-    last_minute_enabled: bool = False
-    last_minute_safety_window: int = 600
-    receipt_delay_enabled: bool = False
-    fake_ivr_enabled: bool = False
-    fake_ivr_dial_genuine_rate: float = 0.0
-    clash_enabled: bool = False
-    clash_prediction: str = "card"
-    server_rewrite_enabled: bool = False
-    server_rewrite_count: int = 0
+    vote_rewrite: Toggle = field(default_factory=Toggle)
+    last_minute: LastMinuteAttack = field(default_factory=LastMinuteAttack)
+    receipt_delay: Toggle = field(default_factory=Toggle)
+    fake_ivr: FakeIvrAttack = field(default_factory=FakeIvrAttack)
+    clash: ClashAttack = field(default_factory=ClashAttack)
+    server_rewrite: ServerRewriteAttack = field(default_factory=ServerRewriteAttack)
     granted_compromise_rate: float = 0.0
     gateway_stripped: bool = False
     target_group: Optional[str] = None
 
 
 @dataclass
+class AuditConfig:
+    mode: str = _field("honest", choices=("honest", "blind_eye"))
+
+
+@dataclass
+class LinkageConfig:
+    compromised: tuple[str, ...] = _field((), choices=(
+        "registration", "verification_server", "voice_server", "auditor",
+        "polling_place_machine", "phone_tap_caller_id"))
+    phone_tap: bool = True
+
+
+@dataclass
 class ScenarioConfig:
     name: str
     seed: int
-    voters: int
+    voters: int = _field(min=1)
     manifest: ManifestConfig = field(default_factory=ManifestConfig)
     behavior: BehaviorConfig = field(default_factory=BehaviorConfig)
     timeline: TimelineConfig = field(default_factory=TimelineConfig)
     crypto: CryptoConfig = field(default_factory=CryptoConfig)
     tls: TlsConfig = field(default_factory=TlsConfig)
     attacks: AttacksConfig = field(default_factory=AttacksConfig)
-    audit_mode: str = "honest"
-    linkage_compromised: tuple[str, ...] = ()
-    linkage_phone_tap: bool = True
+    audit: AuditConfig = field(default_factory=AuditConfig)
+    linkage: LinkageConfig = field(default_factory=LinkageConfig)
+
+    def __post_init__(self):
+        # a null attack-window bound is the polls' own
+        for w in (self.attacks.freak, self.attacks.logjam):
+            if w.window_start is None:
+                w.window_start = self.timeline.polls_open
+            if w.window_end is None:
+                w.window_end = self.timeline.polls_close
 
 
 def _fail(path: str, why: str):
     raise ConfigInvalid(f"{path}: {why}")
 
 
-def _get(tree: dict, path: str, key: str, default=None, required=False):
-    if key in tree:
-        return tree[key]
-    if required:
-        _fail(f"{path}.{key}" if path else key, "required key missing")
-    return default
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
 
 
-def _check_prob(value, path) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected probability, got {type(value).__name__}")
-    if not 0.0 <= float(value) <= 1.0:
-        _fail(path, f"probability {value} outside [0, 1]")
-    return float(value)
-
-
-def _check_int(value, path, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}")
-    return value
-
-
-def _check_bool(value, path) -> bool:
-    if not isinstance(value, bool):
-        _fail(path, f"expected true or false, got {type(value).__name__}")
-    return value
-
-
-def _check_window_bound(value, path) -> Optional[int]:
-    return None if value is None else _check_int(value, path)
-
-
-def _keys(cls) -> frozenset:
-    return frozenset(f.name for f in fields(cls))
-
-
-# every key parse_config reads; any other key is a typo that would
-# silently run a different election
-_TOP_KEYS = frozenset({"schema_version", "seed", "voters", "name", "manifest",
-                       "behavior", "timeline", "crypto", "tls", "attacks",
-                       "audit", "linkage"})
-_CARD_KEYS = frozenset({"mode", "assembly", "council"})
-_ATTACK_SECTIONS = {
-    "freak": _keys(WindowedAttack),
-    "logjam": _keys(WindowedAttack),
-    "vote_rewrite": frozenset({"enabled"}),
-    "last_minute": frozenset({"enabled", "safety_window"}),
-    "receipt_delay": frozenset({"enabled"}),
-    "fake_ivr": frozenset({"enabled", "dial_genuine_rate"}),
-    "clash": frozenset({"enabled", "prediction"}),
-    "server_rewrite": frozenset({"enabled", "count"}),
-}
-_ATTACKS_KEYS = frozenset(_ATTACK_SECTIONS) | {"granted_compromise_rate",
-                                               "gateway_stripped", "target_group"}
-
-
-def _check_keys(tree: dict, path: str, allowed: frozenset) -> None:
-    for key in tree:
-        if key not in allowed:
-            _fail(f"{path}.{key}" if path else str(key),
-                  f"unknown key (expected one of {', '.join(sorted(allowed))})")
-
-
-def _section(tree: dict, path: str, allowed: frozenset) -> dict:
-    """The mapping at `path`'s last key in `tree` ({} when absent or
-    empty), with its own keys checked against `allowed`.
+def _build(cls, tree: Any, path: str):
+    """An instance of dataclass `cls` from the mapping `tree` found at
+    key `path`, each absent key taking its field's default.
     """
-    sub = tree.get(path.rpartition(".")[2]) or {}
-    if not isinstance(sub, dict):
+    if tree is None:
+        tree = {}
+    if not isinstance(tree, dict):
         _fail(path, "expected a mapping")
-    _check_keys(sub, path, allowed)
-    return sub
+    known = {f.name: f for f in fields(cls)}
+    for key in tree:
+        if key not in known:
+            _fail(_join(path, key),
+                  f"unknown key (expected one of {', '.join(sorted(known))})")
+    values = {}
+    for name, f in known.items():
+        if name in tree:
+            values[name] = _value(f.type, tree[name], _join(path, name), f.metadata)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            _fail(_join(path, name), "required key missing")
+    return cls(**values)
+
+
+def _value(tp, value: Any, path: str, meta) -> Any:
+    """`value`, found at `path`, checked against the field type `tp` and
+    the field's metadata.
+    """
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:  # Optional[T]
+        return None if value is None else _value(args[0], value, path, meta)
+    if is_dataclass(tp):
+        return _build(tp, value, path)
+    if origin is dict:
+        if not isinstance(value, dict):
+            _fail(path, "expected a mapping")
+        return {k: _value(args[1], v, f"{path}.{k}", meta) for k, v in value.items()}
+    if origin is tuple:
+        items = [] if value is None else value
+        if not isinstance(items, list):
+            _fail(path, f"expected a list, got {type(value).__name__}")
+        if len(items) < meta.get("min", 0):
+            _fail(path, "expected a non-empty list")
+        return tuple(_scalar(args[0], item, path, meta) for item in items)
+    return _scalar(tp, value, path, meta)
+
+
+def _scalar(tp, value: Any, path: str, meta) -> Any:
+    got = type(value).__name__
+    if tp is bool or tp is str:
+        if not isinstance(value, tp):
+            _fail(path, f"expected {'true or false' if tp is bool else 'a string'}, got {got}")
+    else:
+        if isinstance(value, bool) or not isinstance(value, int if tp is int else (int, float)):
+            _fail(path, f"expected {'integer' if tp is int else 'number'}, got {got}")
+        if "min" in meta:
+            if not value >= meta["min"]:
+                _fail(path, f"must be >= {meta['min']}")
+        elif tp is float:
+            if not 0.0 <= value <= 1.0:
+                _fail(path, f"probability {value} outside [0, 1]")
+            value = float(value)
+    choices = meta.get("choices")
+    if choices is not None and value not in choices:
+        _fail(path, f"{value!r} is not one of {', '.join(map(str, choices))}")
+    return value
 
 
 def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
     if not isinstance(tree, dict):
         raise ConfigInvalid("top level: expected a mapping")
-    _check_keys(tree, "", _TOP_KEYS)
-    version = _get(tree, "", "schema_version", required=True)
+    tree = dict(tree)
+    if "schema_version" not in tree:
+        _fail("schema_version", "required key missing")
+    version = tree.pop("schema_version")
     if version != SCHEMA_VERSION:
         _fail("schema_version", f"unsupported version {version} (want {SCHEMA_VERSION})")
-    seed = _check_int(_get(tree, "", "seed", required=True), "seed")
-    voters = _check_int(_get(tree, "", "voters", required=True), "voters", minimum=1)
-    name = _get(tree, "", "name", default=name_hint)
+    tree["name"] = str(tree.get("name", name_hint))
+    cfg = _build(ScenarioConfig, tree, "")
 
-    m = _section(tree, "manifest", _keys(ManifestConfig))
-    cards = m.get("cards")
-    if cards is not None:
-        if not isinstance(cards, dict):
-            _fail("manifest.cards", "expected a mapping of group -> card")
-        for grp, card in cards.items():
-            if not isinstance(card, dict):
-                _fail(f"manifest.cards.{grp}", "expected a mapping")
-            _check_keys(card, f"manifest.cards.{grp}", _CARD_KEYS)
-            mode = card.get("mode", "atl")
-            if mode not in ("atl", "btl"):
-                _fail(f"manifest.cards.{grp}.mode", "must be atl or btl")
-            for key in ("assembly", "council"):
-                if not isinstance(card.get(key), list) or not card[key]:
-                    _fail(f"manifest.cards.{grp}.{key}", "expected a non-empty list")
-    manifest = ManifestConfig(
-        groups=_check_int(m.get("groups", 24), "manifest.groups", 1),
-        candidates=_check_int(m.get("candidates", 394), "manifest.candidates", 1),
-        assembly=_check_int(m.get("assembly", 24), "manifest.assembly", 1),
-        min_below_line_prefs=_check_int(m.get("min_below_line_prefs", 1),
-                                        "manifest.min_below_line_prefs", 1),
-        cards=cards,
-    )
-
-    b = _section(tree, "behavior", _keys(BehaviorConfig))
-    behavior = BehaviorConfig(
-        card_rate=_check_prob(b.get("card_rate", 0.40), "behavior.card_rate"),
-        p_verify_ivr=_check_prob(b.get("p_verify_ivr", 0.2), "behavior.p_verify_ivr"),
-        p_check_receipt_only=_check_prob(b.get("p_check_receipt_only", 0.3),
-                                         "behavior.p_check_receipt_only"),
-        p_false_complaint=_check_prob(b.get("p_false_complaint", 0.0),
-                                      "behavior.p_false_complaint"),
-        p_leave_without_receipt=_check_prob(b.get("p_leave_without_receipt", 0.0),
-                                            "behavior.p_leave_without_receipt"),
-        phone_fraction=_check_prob(b.get("phone_fraction", 0.0),
-                                   "behavior.phone_fraction"),
-        polling_fraction=_check_prob(b.get("polling_fraction", 0.0),
-                                     "behavior.polling_fraction"),
-        caller_id_fraction=_check_prob(b.get("caller_id_fraction", 0.0),
-                                       "behavior.caller_id_fraction"),
-        p_pin_suspicion=_check_prob(b.get("p_pin_suspicion", 0.0),
-                                    "behavior.p_pin_suspicion"),
-        verify_delay_min=_check_int(b.get("verify_delay_min", 600),
-                                    "behavior.verify_delay_min", 0),
-        verify_delay_max=_check_int(b.get("verify_delay_max", 3600),
-                                    "behavior.verify_delay_max", 0),
-        leaning_weights=b.get("leaning_weights"),
-        leaning_counts=b.get("leaning_counts"),
-    )
-    if behavior.p_verify_ivr + behavior.p_check_receipt_only > 1.0:
+    b, t, tls = cfg.behavior, cfg.timeline, cfg.tls
+    if b.p_verify_ivr + b.p_check_receipt_only > 1.0:
         _fail("behavior.p_check_receipt_only",
               "p_verify_ivr + p_check_receipt_only must be <= 1")
-    if behavior.verify_delay_min > behavior.verify_delay_max:
+    if b.verify_delay_min > b.verify_delay_max:
         _fail("behavior.verify_delay_min", "must be <= verify_delay_max")
-    if behavior.leaning_weights is not None:
-        for k, v in behavior.leaning_weights.items():
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
-                _fail(f"behavior.leaning_weights.{k}", "weights must be nonnegative numbers")
-        if behavior.leaning_weights and not any(behavior.leaning_weights.values()):
-            _fail("behavior.leaning_weights", "at least one weight must be positive")
-    if behavior.leaning_counts is not None:
-        for k, v in behavior.leaning_counts.items():
-            _check_int(v, f"behavior.leaning_counts.{k}", 0)
-
-    t = _section(tree, "timeline", _keys(TimelineConfig))
-    timeline = TimelineConfig(
-        polls_open=_check_int(t.get("polls_open", 0), "timeline.polls_open", 0),
-        polls_close=_check_int(t.get("polls_close", 43200), "timeline.polls_close", 1),
-        receipt_service_end=_check_int(t.get("receipt_service_end", 86400),
-                                       "timeline.receipt_service_end", 1),
-    )
-    if not timeline.polls_open < timeline.polls_close < timeline.receipt_service_end:
+    if b.leaning_weights and not any(b.leaning_weights.values()):
+        _fail("behavior.leaning_weights", "at least one weight must be positive")
+    if not t.polls_open < t.polls_close < t.receipt_service_end:
         _fail("timeline", "must order polls_open < polls_close < receipt_service_end")
-
-    c = _section(tree, "crypto", _keys(CryptoConfig))
-    crypto = CryptoConfig(
-        envelope_bits=_check_int(c.get("envelope_bits", 64), "crypto.envelope_bits", 32),
-        signature_forgeable_by_server=_check_bool(
-            c.get("signature_forgeable_by_server", True),
-            "crypto.signature_forgeable_by_server"),
-    )
-    if crypto.envelope_bits not in (32, 64, 128):
-        _fail("crypto.envelope_bits", "must be one of 32, 64, 128")
-
-    tl = _section(tree, "tls", _keys(TlsConfig))
-    suites = tuple(tl.get("third_party_suites",
-                          ["RSA", "RSA_EXPORT", "DHE", "DHE_EXPORT"]))
-    for s in suites:
-        if s not in _SUITE_NAMES:
-            _fail("tls.third_party_suites", f"unknown suite {s!r}")
-    tls = TlsConfig(
-        enabled=_check_bool(tl.get("enabled", True), "tls.enabled"),
-        export_bits=_check_int(tl.get("export_bits", 64), "tls.export_bits", 32),
-        client_patch_rate=_check_prob(tl.get("client_patch_rate", 1.0),
-                                      "tls.client_patch_rate"),
-        third_party_suites=suites,
-        rotation_period=_check_int(tl.get("rotation_period", 3600),
-                                   "tls.rotation_period", 1),
-        oracle_connection_lifetime=_check_int(
-            tl.get("oracle_connection_lifetime", 64800),
-            "tls.oracle_connection_lifetime", 1),
-    )
-
-    a = _section(tree, "attacks", _ATTACKS_KEYS)
-    sections = {key: _section(a, f"attacks.{key}", allowed)
-                for key, allowed in _ATTACK_SECTIONS.items()}
-
-    def enabled(sub: dict, key: str) -> bool:
-        return _check_bool(sub.get("enabled", False), f"attacks.{key}.enabled")
-
-    def windowed(key: str) -> WindowedAttack:
-        sub = sections[key]
-        return WindowedAttack(
-            enabled=enabled(sub, key),
-            window_start=_check_window_bound(sub.get("window_start"),
-                                             f"attacks.{key}.window_start"),
-            window_end=_check_window_bound(sub.get("window_end"),
-                                           f"attacks.{key}.window_end"),
-            control_rate=_check_prob(sub.get("control_rate", 1.0),
-                                     f"attacks.{key}.control_rate"),
-        )
-
-    rewrite = sections["vote_rewrite"]
-    last_minute = sections["last_minute"]
-    receipt_delay = sections["receipt_delay"]
-    fake_ivr = sections["fake_ivr"]
-    clash = sections["clash"]
-    server_rewrite = sections["server_rewrite"]
-    prediction = clash.get("prediction", "card")
-    if prediction not in _PREDICTIONS:
-        _fail("attacks.clash.prediction", f"must be one of {sorted(_PREDICTIONS)}")
-    attacks = AttacksConfig(
-        freak=windowed("freak"),
-        logjam=windowed("logjam"),
-        vote_rewrite_enabled=enabled(rewrite, "vote_rewrite"),
-        last_minute_enabled=enabled(last_minute, "last_minute"),
-        last_minute_safety_window=_check_int(last_minute.get("safety_window", 600),
-                                             "attacks.last_minute.safety_window", 0),
-        receipt_delay_enabled=enabled(receipt_delay, "receipt_delay"),
-        fake_ivr_enabled=enabled(fake_ivr, "fake_ivr"),
-        fake_ivr_dial_genuine_rate=_check_prob(
-            fake_ivr.get("dial_genuine_rate", 0.0),
-            "attacks.fake_ivr.dial_genuine_rate"),
-        clash_enabled=enabled(clash, "clash"),
-        clash_prediction=prediction,
-        server_rewrite_enabled=enabled(server_rewrite, "server_rewrite"),
-        server_rewrite_count=_check_int(server_rewrite.get("count", 0),
-                                        "attacks.server_rewrite.count", 0),
-        granted_compromise_rate=_check_prob(a.get("granted_compromise_rate", 0.0),
-                                            "attacks.granted_compromise_rate"),
-        gateway_stripped=_check_bool(a.get("gateway_stripped", False),
-                                     "attacks.gateway_stripped"),
-        target_group=a.get("target_group"),
-    )
-
-    if not tls.enabled and (attacks.freak.enabled or attacks.logjam.enabled):
-        _fail("attacks", "downgrade attacks need tls.enabled: true")
-    if attacks.freak.enabled and "RSA_EXPORT" not in suites:
-        _fail("attacks.freak", "needs RSA_EXPORT in tls.third_party_suites")
-    if attacks.logjam.enabled and "DHE_EXPORT" not in suites:
-        _fail("attacks.logjam", "needs DHE_EXPORT in tls.third_party_suites")
-
-    audit = _section(tree, "audit", frozenset({"mode"}))
-    audit_mode = audit.get("mode", "honest")
-    if audit_mode not in _AUDIT_MODES:
-        _fail("audit.mode", f"must be one of {sorted(_AUDIT_MODES)}")
-
-    lk = _section(tree, "linkage", frozenset({"compromised", "phone_tap"}))
-    compromised = tuple(lk.get("compromised", []) or [])
-    for comp in compromised:
-        if comp not in _COMPONENTS:
-            _fail("linkage.compromised", f"unknown component {comp!r}")
-
-    return ScenarioConfig(
-        name=str(name),
-        seed=seed,
-        voters=voters,
-        manifest=manifest,
-        behavior=behavior,
-        timeline=timeline,
-        crypto=crypto,
-        tls=tls,
-        attacks=attacks,
-        audit_mode=audit_mode,
-        linkage_compromised=compromised,
-        linkage_phone_tap=_check_bool(lk.get("phone_tap", True), "linkage.phone_tap"),
-    )
+    for key, suite in (("freak", "RSA_EXPORT"), ("logjam", "DHE_EXPORT")):
+        w = getattr(cfg.attacks, key)
+        if not w.enabled:
+            continue
+        if not tls.enabled:
+            _fail("attacks", "downgrade attacks need tls.enabled: true")
+        if suite not in tls.third_party_suites:
+            _fail(f"attacks.{key}", f"needs {suite} in tls.third_party_suites")
+        window = f"window [{w.window_start}, {w.window_end})"
+        if w.window_start >= w.window_end:
+            _fail(f"attacks.{key}.window_start", f"{window} is empty")
+        if w.window_end <= t.polls_open or w.window_start >= t.polls_close:
+            _fail(f"attacks.{key}.window_start", f"{window} lies outside the polls "
+                                                 f"[{t.polls_open}, {t.polls_close})")
+    return cfg
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -28,7 +28,7 @@ from . import election as el
 from . import envelope as env
 from . import minitls as tls
 from . import netsim
-from .config import ConfigInvalid, ScenarioConfig, WindowedAttack
+from .config import ConfigInvalid, ScenarioConfig
 from .messages import (
     CastIntent,
     CastSubmission,
@@ -111,13 +111,12 @@ class ScenarioEngine:
             for grp, card in config.manifest.cards.items():
                 if grp not in self.manifest.groups:
                     raise ConfigInvalid(f"manifest.cards.{grp}: group not in manifest")
-                mode = (bal.CouncilMode.ABOVE_THE_LINE
-                        if card.get("mode", "atl") == "atl"
+                mode = (bal.CouncilMode.ABOVE_THE_LINE if card.mode == "atl"
                         else bal.CouncilMode.BELOW_THE_LINE)
                 merged[grp] = bal.Ballot(
-                    assembly_prefs=tuple(card["assembly"]),
+                    assembly_prefs=card.assembly,
                     council_mode=mode,
-                    council_prefs=tuple(card["council"]),
+                    council_prefs=card.council,
                 )
                 try:
                     bal.validate_ballot(merged[grp], self.manifest)
@@ -186,7 +185,6 @@ class ScenarioEngine:
         server_cfg = tls.make_server_config(
             "piwik", suites, self.rng_setup,
             rotation_period=cfg.rotation_period,
-            export_bits=cfg.export_bits,
         )
         self.piwik_server = tls.TlsServer(server_cfg, clock=lambda: self._tls_clock)
         if self.config.attacks.logjam.enabled and server_cfg.export_dhe_params is not None:
@@ -195,11 +193,6 @@ class ScenarioEngine:
             self.dlog_table = tls.dlog_precompute(server_cfg.export_dhe_params)
         if self.config.attacks.freak.enabled:
             self._build_freak_oracles()
-
-    def _attack_window(self, w: WindowedAttack) -> tuple[int, int]:
-        start = w.window_start if w.window_start is not None else self.timeline.polls_open
-        end = w.window_end if w.window_end is not None else self.timeline.polls_close
-        return start, end
 
     def _build_freak_oracles(self) -> None:
         """Staggered long-lived connections: each is opened, its pinned key
@@ -211,9 +204,9 @@ class ScenarioEngine:
             raise ConfigInvalid(
                 "tls.oracle_connection_lifetime: must exceed the "
                 f"{FACTORING_SIM_SECONDS} s factoring time")
-        start, end = self._attack_window(self.config.attacks.freak)
-        open_at = start - FACTORING_SIM_SECONDS
-        while open_at + FACTORING_SIM_SECONDS < end:
+        freak = self.config.attacks.freak
+        open_at = freak.window_start - FACTORING_SIM_SECONDS
+        while open_at + FACTORING_SIM_SECONDS < freak.window_end:
             self._tls_clock = open_at
             conn = self.piwik_server.connect()
             factored = None
@@ -316,8 +309,7 @@ class ScenarioEngine:
                 raise ConfigInvalid(
                     f"behavior.leaning_weights.{group}: group not in manifest")
         leanings = self._draw_leanings()
-        freak_w = self._attack_window(cfg.attacks.freak)
-        logjam_w = self._attack_window(cfg.attacks.logjam)
+        freak, logjam = cfg.attacks.freak, cfg.attacks.logjam
         for i in range(cfg.voters):
             voter_id = f"voter{i:05d}"
             rng = Random(f"{cfg.seed}:voter:{i}")
@@ -345,19 +337,19 @@ class ScenarioEngine:
                 verifies=rng.random() < profile.p_verify_ivr,
                 checks_receipt=rng.random() < profile.p_check_receipt_only,
                 false_complainer=rng.random() < profile.p_false_complaint,
-                dials_genuine=rng.random() < cfg.attacks.fake_ivr_dial_genuine_rate,
+                dials_genuine=rng.random() < cfg.attacks.fake_ivr.dial_genuine_rate,
                 reveals_caller_id=rng.random() < cfg.behavior.caller_id_fraction,
                 suspicious=rng.random() < cfg.behavior.p_pin_suspicion,
                 verify_delay=rng.randint(cfg.behavior.verify_delay_min,
                                          cfg.behavior.verify_delay_max),
                 granted=rng.random() < cfg.attacks.granted_compromise_rate,
             )
-            in_freak = cfg.attacks.freak.enabled and \
-                freak_w[0] <= state.fetch_time < freak_w[1] and \
-                rng.random() < cfg.attacks.freak.control_rate
-            in_logjam = cfg.attacks.logjam.enabled and \
-                logjam_w[0] <= state.fetch_time < logjam_w[1] and \
-                rng.random() < cfg.attacks.logjam.control_rate
+            in_freak = freak.enabled and \
+                freak.window_start <= state.fetch_time < freak.window_end and \
+                rng.random() < freak.control_rate
+            in_logjam = logjam.enabled and \
+                logjam.window_start <= state.fetch_time < logjam.window_end and \
+                rng.random() < logjam.control_rate
             state.controlled = in_freak or in_logjam
             self.voters[voter_id] = state
             self.intents.record(el.IntentEntry(
@@ -368,7 +360,7 @@ class ScenarioEngine:
     def _install_attack_taps(self) -> None:
         a = self.config.attacks
         attacker, ballot = self.attacker, self.attacker_ballot
-        if a.clash_enabled:
+        if a.clash.enabled:
             self.sim.install_tap(netsim.make_sslstrip_tap("attacker-registration"))
             self.sim.install_tap(atk.make_browser_tap(
                 "clash-cast",
@@ -380,26 +372,26 @@ class ScenarioEngine:
                 matcher=lambda s, d: d == "piwik",
                 handler=self._piwik_mitm,
             ))
-        if a.last_minute_enabled:
-            close, window = self.timeline.polls_close, a.last_minute_safety_window
+        if a.last_minute.enabled:
+            close, window = self.timeline.polls_close, a.last_minute.safety_window
             self.sim.install_tap(atk.make_browser_tap(
                 "last-minute",
                 lambda intent: atk.last_minute_rewrite(
                     attacker, intent, ballot, close, window),
                 exfiltrate=True))
-        if a.receipt_delay_enabled:
+        if a.receipt_delay.enabled:
             p_leave = self.config.behavior.p_leave_without_receipt
             self.sim.install_tap(atk.make_browser_tap(
                 "receipt-delay",
                 lambda intent: atk.delay_receipt_gambit(
                     attacker, intent, ballot, p_leave, self.rng_attacker),
                 exfiltrate=False))
-        if a.vote_rewrite_enabled:
+        if a.vote_rewrite.enabled:
             self.sim.install_tap(atk.make_browser_tap(
                 "vote-rewrite",
                 lambda intent: atk.inject_vote_rewrite(attacker, intent, ballot),
                 exfiltrate=True))
-        if a.fake_ivr_enabled:
+        if a.fake_ivr.enabled:
             self.sim.install_tap(netsim.MitmTap(
                 name="fake-ivr",
                 matcher=lambda s, d: d == "verification-ivr",
@@ -513,7 +505,7 @@ class ScenarioEngine:
             # to the genuine service; this victim is lost to the attacker
             sim.schedule(event.time, req.voter_id, "registration", req)
             return
-        if self.config.attacks.clash_prediction == "perfect":
+        if self.config.attacks.clash.prediction == "perfect":
             predicted = state.intended
         else:
             predicted = self.manifest.cards[state.profile.party_leaning]
@@ -806,12 +798,12 @@ class ScenarioEngine:
             self.cvs, self.registration, core_ballots, self.manifest)
         self.intent_tally = self.intents.intent_tally(self.manifest)
         self.audit = el.audit_reconcile(
-            el.AuditMode(self.config.audit_mode), self.cvs, self.verification,
+            el.AuditMode(self.config.audit.mode), self.cvs, self.verification,
             core_ballots)
         holdings = el.collect_holdings(
             self.registration, self.verification, self.cvs, core_ballots,
-            phone_tap_enabled=self.config.linkage_phone_tap)
-        compromised = {el.Component(c) for c in self.config.linkage_compromised}
+            phone_tap_enabled=self.config.linkage.phone_tap)
+        compromised = {el.Component(c) for c in self.config.linkage.compromised}
         self.linked = el.linkage_report(compromised, holdings)
         self.conservation = self.sim.finalize()
 
@@ -821,7 +813,7 @@ class ScenarioEngine:
         willingly honest audit notices.
         """
         a = self.config.attacks
-        if not a.server_rewrite_enabled or a.server_rewrite_count <= 0:
+        if not a.server_rewrite.enabled or a.server_rewrite.count <= 0:
             return
         rng = Random(f"{self.config.seed}:server-rewrite")
         ballot_bytes = bal.encode_ballot(self.attacker_ballot, self.manifest)
@@ -836,7 +828,7 @@ class ScenarioEngine:
                 continue
             candidates.append(r)
         candidates.sort(key=lambda r: r.receipt)
-        for record in candidates[:a.server_rewrite_count]:
+        for record in candidates[:a.server_rewrite.count]:
             voter_id = self.registration.owner[record.login_id]
             state = self.voters.get(voter_id)
             intended = state.intended if state is not None else self.attacker_ballot

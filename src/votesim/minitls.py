@@ -103,6 +103,7 @@ REAL_WORLD_COSTS = {
 }
 DLOG_INDIVIDUAL_DELAY = 90  # simulated seconds billed per descended target
 CERT_BITS = 192  # certificate key: beyond the desk-scale factoring budget
+EXPORT_BITS = 64  # export RSA keys and DHE groups: squarely inside it
 # baby-step table size over sqrt(q); sets the precompute/descent cost ratio
 DLOG_TABLE_FACTOR = 16
 
@@ -321,7 +322,6 @@ class ServerTlsConfig:
     cert_key: RsaKey
     enabled_suites: frozenset[CipherSuite]
     temp_rsa_rotation_period: int = 3600
-    export_rsa_bits: int = 64
     dhe_params: Optional[ElGamalParams] = None
     export_dhe_params: Optional[ElGamalParams] = None
     key_seed: int = 0
@@ -346,7 +346,6 @@ def make_server_config(
     suites: frozenset[CipherSuite],
     rng: Random,
     rotation_period: int = 3600,
-    export_bits: int = 64,
 ) -> ServerTlsConfig:
     """Server identity plus key material sized so the certificate key is
     out of reach of the desk-scale factoring budget while export material
@@ -360,13 +359,12 @@ def make_server_config(
         g = find_subgroup_generator(p, q, rng)
         dhe = ElGamalParams(p=p, g=g, q=q, bit_length=128)
     if CipherSuite.DHE_EXPORT in suites:
-        dhe_export = gen_export_dhe_params(export_bits, rng)
+        dhe_export = gen_export_dhe_params(EXPORT_BITS, rng)
     return ServerTlsConfig(
         name=name,
         cert_key=cert,
         enabled_suites=suites,
         temp_rsa_rotation_period=rotation_period,
-        export_rsa_bits=export_bits,
         dhe_params=dhe,
         export_dhe_params=dhe_export,
         key_seed=rng.getrandbits(64),
@@ -388,7 +386,7 @@ class TlsServer:
         key = self._epoch_keys.get(epoch)
         if key is None:
             key_rng = Random(f"{self.config.key_seed}:epoch:{epoch}")
-            key = gen_rsa_keypair(self.config.export_rsa_bits, key_rng)
+            key = gen_rsa_keypair(EXPORT_BITS, key_rng)
             self._epoch_keys[epoch] = key
         return key
 
@@ -916,13 +914,13 @@ class MatrixCell:
     logjam_succeeded: bool
 
 
-def run_downgrade_matrix(rng: Random, export_bits: int = 64) -> list[MatrixCell]:
+def run_downgrade_matrix(rng: Random) -> list[MatrixCell]:
     """Exhaustive sweep of patched x export-RSA x export-DHE. The export-RSA
     flaw needs an unpatched client AND the export suite enabled; the
     export-DHE flaw needs only the export suite, any client.
     """
     cells = []
-    export_dhe_params = gen_export_dhe_params(export_bits, rng)
+    export_dhe_params = gen_export_dhe_params(EXPORT_BITS, rng)
     table = dlog_precompute(export_dhe_params)
     for patched in (False, True):
         for export_rsa in (False, True):
@@ -932,8 +930,7 @@ def run_downgrade_matrix(rng: Random, export_bits: int = 64) -> list[MatrixCell]
                     suites.add(CipherSuite.RSA_EXPORT)
                 if export_dhe:
                     suites.add(CipherSuite.DHE_EXPORT)
-                cfg = make_server_config("matrix", frozenset(suites), rng,
-                                         export_bits=export_bits)
+                cfg = make_server_config("matrix", frozenset(suites), rng)
                 if export_dhe:
                     cfg = replace(cfg, export_dhe_params=export_dhe_params)
                 clock_now = [0]

@@ -102,7 +102,7 @@ def build_report(engine) -> dict:
             ],
         },
         "linkage": {
-            "compromised_components": sorted(cfg.linkage_compromised),
+            "compromised_components": sorted(cfg.linkage.compromised),
             "linked_voter_count": len(linked_voters),
             "linked_voters": linked_voters,
         },

@@ -36,7 +36,7 @@ def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
 class TestAcceptance:
     def test_01_downgrade_matrix(self):
         start = time.perf_counter()
-        cells = tls.run_downgrade_matrix(Random(1), export_bits=64)
+        cells = tls.run_downgrade_matrix(Random(1))
         elapsed = time.perf_counter() - start
         exceptions = []
         for cell in cells:
@@ -243,7 +243,7 @@ class TestAcceptance:
     def test_09_blind_auditor(self):
         path = bundled_scenarios()["blind-auditor"]
         honest_cfg = load_config(path)
-        honest_cfg.audit_mode = "honest"
+        honest_cfg.audit.mode = "honest"
         honest = run_engine(honest_cfg)
         ledger_ids = sorted({
             honest.registration.links[e.voter_id][-1]

@@ -1,13 +1,18 @@
 """Config validation, scenario runner determinism, report diffs, CLI."""
 
 import time
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+from typing import Union, get_args, get_origin
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from votesim.cli import main
 from votesim.config import (
     ConfigInvalid,
+    LinkageConfig,
     ScenarioConfig,
     bundled_scenarios,
     load_config,
@@ -103,6 +108,160 @@ class TestConfigValidation:
             load_config(str(path))
 
 
+def grammar(cls=ScenarioConfig, path=""):
+    """(path, type, metadata) of every section and every leaf of the config
+    grammar under dataclass `cls`. `name` is left out: any value is taken
+    as its string.
+    """
+    yield path, cls, {}
+    for f in fields(cls):
+        if f.name == "name":
+            continue
+        sub = f"{path}.{f.name}" if path else f.name
+        tp = f.type
+        if get_origin(tp) is Union:  # Optional[T]: null is valid, so mutate T
+            tp = get_args(tp)[0]
+        if is_dataclass(tp):
+            yield from grammar(tp, sub)
+            continue
+        yield sub, tp, f.metadata
+        if get_origin(tp) is dict and is_dataclass(get_args(tp)[1]):
+            yield from grammar(get_args(tp)[1], f"{sub}.g01")
+
+
+KEYS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
+NOT_A_MAPPING = st.one_of(st.integers(), st.text(), st.lists(st.integers(), max_size=2))
+
+
+def invalid_leaf(tp, meta):
+    """Values a field of type `tp` with `meta` rejects."""
+    if tp is bool:
+        return st.one_of(st.text(), st.integers(), st.floats())
+    if tp is str:
+        wrong = st.one_of(st.integers(), st.booleans(), st.floats())
+        if "choices" in meta:
+            wrong = st.one_of(wrong, st.text().filter(lambda v: v not in meta["choices"]))
+        return wrong
+    if get_origin(tp) is tuple:
+        item = st.integers()
+        if "choices" in meta:
+            item = st.one_of(item, st.text().filter(lambda v: v not in meta["choices"]))
+        wrong = st.one_of(st.integers(), st.text(), st.lists(item, min_size=1, max_size=3))
+        return st.one_of(wrong, st.just([])) if meta.get("min") else wrong
+    wrong = st.one_of(st.text(), st.booleans(), st.lists(st.integers(), max_size=2))
+    if tp is int:
+        wrong = st.one_of(wrong, st.floats())
+        if "min" in meta:
+            wrong = st.one_of(wrong, st.integers(max_value=meta["min"] - 1))
+        if "choices" in meta:
+            wrong = st.one_of(wrong, st.integers().filter(lambda v: v not in meta["choices"]))
+        return wrong
+    assert tp is float, tp
+    if "min" in meta:
+        return st.one_of(wrong, st.floats(max_value=meta["min"], exclude_max=True))
+    return st.one_of(wrong, st.floats().filter(lambda v: not 0 <= v <= 1))
+
+
+def valid_grammar_tree():
+    tree = minimal_tree()
+    tree["manifest"]["cards"] = {"g01": {"assembly": ["a01"], "council": ["g01"]}}
+    return tree
+
+
+class TestGrammar:
+    def test_readme_grammar_block_is_the_dataclass_defaults(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("## Scenario config grammar", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(yaml.safe_load(block))
+        assert cfg == ScenarioConfig(name=cfg.name, seed=cfg.seed, voters=cfg.voters)
+
+    @pytest.mark.parametrize("path, tp, meta", list(grammar()),
+                             ids=[path or "top" for path, _, _ in grammar()])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(data=st.data())
+    def test_every_invalid_leaf_or_extra_key_names_its_path(self, path, tp, meta, data):
+        tree = valid_grammar_tree()
+        *parents, leaf = path.split(".") if path else [""]
+        node = tree
+        for key in parents:
+            node = node.setdefault(key, {})
+        if is_dataclass(tp):
+            section = node if not path else node.setdefault(leaf, {})
+            known = {f.name for f in fields(tp)} | ({"schema_version"} if not path else set())
+            key = data.draw(KEYS.filter(lambda k: k not in known), label="extra key")
+            if path and data.draw(st.booleans(), label="replace section"):
+                node[leaf] = data.draw(NOT_A_MAPPING, label="section")
+                want = path
+            else:
+                section[key] = 1
+                want = f"{path}.{key}" if path else key
+        elif get_origin(tp) is dict and not is_dataclass(get_args(tp)[1]):
+            if data.draw(st.booleans(), label="replace mapping"):
+                node[leaf] = data.draw(NOT_A_MAPPING, label="mapping")
+                want = path
+            else:
+                node[leaf] = {"g01": data.draw(invalid_leaf(get_args(tp)[1], meta),
+                                               label="value")}
+                want = f"{path}.g01"
+        elif get_origin(tp) is dict:
+            node[leaf] = data.draw(NOT_A_MAPPING, label="cards")
+            want = path
+        else:
+            node[leaf] = data.draw(invalid_leaf(tp, meta), label="value")
+            want = path
+        with pytest.raises(ConfigInvalid) as exc:
+            parse_config(tree)
+        assert str(exc.value).startswith(f"{want}:"), str(exc.value)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_valid_config_without_adversary_keeps_invariants(self, data):
+        prob = st.floats(0, 1)
+        p_verify = data.draw(prob)
+        groups = data.draw(st.integers(1, 6))
+        delay_min = data.draw(st.integers(0, 3600))
+        polls_open = data.draw(st.integers(0, 3600))
+        polls_close = polls_open + data.draw(st.integers(1812, 86400))
+        tree = {
+            "schema_version": 1, "seed": data.draw(st.integers(0, 2**32)),
+            "voters": data.draw(st.integers(1, 40)),
+            "manifest": {"groups": groups,
+                         "candidates": data.draw(st.integers(1, 3 * groups)),
+                         "assembly": data.draw(st.integers(1, 6)),
+                         "min_below_line_prefs": data.draw(st.integers(1, 3))},
+            "behavior": {"card_rate": data.draw(prob), "p_verify_ivr": p_verify,
+                         "p_check_receipt_only": data.draw(st.floats(0, 1 - p_verify)),
+                         "p_false_complaint": data.draw(prob),
+                         "phone_fraction": data.draw(prob),
+                         "polling_fraction": data.draw(prob),
+                         "caller_id_fraction": data.draw(prob),
+                         "verify_delay_min": delay_min,
+                         "verify_delay_max": delay_min + data.draw(st.integers(0, 7200))},
+            "timeline": {"polls_open": polls_open, "polls_close": polls_close,
+                         "receipt_service_end": polls_close
+                         + data.draw(st.integers(1, 86400))},
+            "crypto": {"envelope_bits": data.draw(st.sampled_from([32, 64, 128]))},
+            "tls": {"enabled": data.draw(st.booleans()),
+                    "client_patch_rate": data.draw(prob),
+                    "third_party_suites": data.draw(st.lists(
+                        st.sampled_from(["RSA", "RSA_EXPORT", "DHE", "DHE_EXPORT"]),
+                        unique=True))},
+            "linkage": {"compromised": data.draw(st.lists(st.sampled_from(
+                LinkageConfig.__dataclass_fields__["compromised"].metadata["choices"]),
+                unique=True))},
+        }
+        engine = run_engine(parse_config(tree))
+        report = build_report(engine)
+        c = report["event_conservation"]
+        assert c["delivered"] + c["dropped"] + c["replaced"] + c["pending"] \
+            == c["scheduled"]
+        assert engine.tally.counts == engine.intent_tally.counts
+        assert report["detection"]["overall"]["manipulated"] == 0
+        assert report["winner_flip"]["manipulated"] == 0
+        assert engine.audit.inconsistencies == []
+
+
 class TestBundledScenarios:
     def test_all_nine_present(self):
         names = set(bundled_scenarios())
@@ -167,7 +326,7 @@ class TestDeterminismAndDiff:
 
     def test_redirect_paired_runs_differ_only_in_detection_fields(self):
         base = load_config(bundled_scenarios()["fake-ivr"])
-        base.attacks.fake_ivr_enabled = False
+        base.attacks.fake_ivr.enabled = False
         off = build_report(run_engine(base))
         on_cfg = load_config(bundled_scenarios()["fake-ivr"])
         on = build_report(run_engine(on_cfg))
@@ -293,12 +452,23 @@ class TestCli:
         ("audit.mod", {"audit": {"mod": "honest"}}),
         ("linkage.phone_taps", {"linkage": {"phone_taps": False}}),
         ("behavior", {"behavior": [0.5]}),
+        ("tls.export_bits", {"tls": {"enabled": True, "export_bits": 96}}),
+        # an attack window that cannot fire: inverted, or after the polls close
+        ("attacks.freak.window_start",
+         {"tls": {"enabled": True},
+          "attacks": {"freak": {"enabled": True, "window_start": 40000,
+                                "window_end": 3600}}}),
+        ("attacks.logjam.window_start",
+         {"tls": {"enabled": True},
+          "attacks": {"logjam": {"enabled": True, "window_start": 50000,
+                                 "window_end": 60000}}}),
     ])
     def test_unrunnable_config_exits_2_with_key_path(self, key_path, over, tmp_path,
                                                      capsys):
         rc, err = self.run_tree(minimal_tree(**over), tmp_path, capsys)
         assert rc == 2
         assert key_path in err
+        assert str(tmp_path / "scenario.yaml") in err
         assert "Traceback" not in err
 
     def test_unknown_scenario_name(self, capsys):
