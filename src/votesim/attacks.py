@@ -32,7 +32,7 @@ from typing import Callable, Optional
 from .ballots import Ballot, ElectionManifest, encode_ballot
 from .election import ComplaintEntry, ComplaintKind, VerifyLogEntry
 from .envelope import Credentials
-from .messages import CastIntent, C2Exfil, RegistrationRequest
+from .messages import CastIntent, C2Exfil, RegistrationRequest, VerifyCall
 from .netsim import Decision, Event, MitmTap, Simulator
 
 
@@ -236,7 +236,7 @@ def delay_receipt_gambit(
 
 def fake_verification_redirect(
     state: AttackerState,
-    voter_id: str,
+    call: VerifyCall,
     attacker_ivr: str,
     dials_genuine: bool,
 ) -> Decision:
@@ -244,11 +244,11 @@ def fake_verification_redirect(
     will read back the intent it exfiltrated earlier. Voters who dial the
     genuine number anyway stay on the honest path.
     """
-    entry = state.ledger_by_voter(voter_id)
+    entry = state.ledger_by_voter(call.voter_id)
     if entry is None or dials_genuine:
         return Decision.forward()
     entry.masked = True
-    return Decision("modify", payload=None, dst=attacker_ivr)
+    return Decision.modify(call, dst=attacker_ivr)
 
 
 # --- the clash registration front ---

@@ -92,29 +92,7 @@ class VoterProfile:
 
     party_leaning: str
     follows_card: bool
-    p_verify_ivr: float
-    p_check_receipt_only: float
-    p_false_complaint: float
     cast_time: int
-
-    def __post_init__(self):
-        for name in ("p_verify_ivr", "p_check_receipt_only", "p_false_complaint"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} out of [0,1]")
-        if self.p_verify_ivr + self.p_check_receipt_only > 1.0 + 1e-12:
-            raise ValueError("p_verify_ivr + p_check_receipt_only must be <= 1")
-
-
-@dataclass(frozen=True)
-class BehaviorModel:
-    """Population-level behaviour knobs used when drawing profiles."""
-
-    card_rate: float = 0.40
-    p_verify_ivr: float = 0.2
-    p_check_receipt_only: float = 0.3
-    p_false_complaint: float = 0.0
-    leaning_weights: Optional[dict[str, float]] = None
 
 
 def make_manifest(
@@ -247,28 +225,27 @@ def decode_ballot(data: bytes, manifest: ElectionManifest) -> Ballot:
 
 
 def draw_profile(
-    behavior: BehaviorModel,
+    card_rate: float,
+    leaning_weights: Optional[dict[str, float]],
     manifest: ElectionManifest,
     rng: Random,
     cast_time: int = 0,
     leaning: Optional[str] = None,
 ) -> VoterProfile:
-    """Draw one voter profile. Leaning is sampled from the configured
-    weights (uniform by default) unless fixed by the caller.
+    """Draw one voter profile: a card follower with probability
+    `card_rate`. Leaning is sampled from `leaning_weights` (uniform over
+    the manifest's groups when None or empty) unless fixed by the caller.
     """
     if leaning is None:
-        if behavior.leaning_weights:
-            groups = list(behavior.leaning_weights.keys())
-            weights = [behavior.leaning_weights[g] for g in groups]
+        if leaning_weights:
+            groups = list(leaning_weights.keys())
+            weights = [leaning_weights[g] for g in groups]
             leaning = rng.choices(groups, weights=weights, k=1)[0]
         else:
             leaning = rng.choice(manifest.groups)
     return VoterProfile(
         party_leaning=leaning,
-        follows_card=rng.random() < behavior.card_rate,
-        p_verify_ivr=behavior.p_verify_ivr,
-        p_check_receipt_only=behavior.p_check_receipt_only,
-        p_false_complaint=behavior.p_false_complaint,
+        follows_card=rng.random() < card_rate,
         cast_time=cast_time,
     )
 

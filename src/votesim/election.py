@@ -13,8 +13,6 @@
 The verification service holds its own unwrapping key and decrypts on
 receipt, so read-back answers come from its copy, never from the core
 store: the two can disagree, which is exactly what the auditor is for.
-A ground-truth intent ledger records what every honest voter meant to
-cast; soundness and detection metrics are all defined against it.
 """
 
 from dataclasses import dataclass, field
@@ -436,33 +434,3 @@ def linkage_report(
         for voter in by_login.get(login, ()):
             linked.add((voter, ballot))
     return linked
-
-
-# --- ground truth ---
-
-@dataclass
-class IntentEntry:
-    voter_id: str
-    intended: Ballot
-    cast_time: int
-    channel: VoteChannel
-    login_id: Optional[str] = None
-    receipt: Optional[str] = None
-
-
-class IntentLedger:
-    """Out-of-band record of what every voter meant to do. The real system
-    has nothing like it; the simulator needs it to define soundness.
-    """
-
-    def __init__(self):
-        self.entries: dict[str, IntentEntry] = {}
-
-    def record(self, entry: IntentEntry) -> None:
-        self.entries[entry.voter_id] = entry
-
-    def intent_ballots(self) -> list[Ballot]:
-        return [e.intended for _, e in sorted(self.entries.items())]
-
-    def intent_tally(self, manifest: ElectionManifest) -> TallyResult:
-        return tally_first_preferences(self.intent_ballots(), manifest)

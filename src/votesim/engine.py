@@ -14,11 +14,12 @@ Endpoint map:
 
 The "browser" hop is the in-device casting step: taps matching it play
 the role of injected client-side code and see the ballot before it is
-sealed. Everything voter-to-server rides the configured channel policy.
+sealed. A registration gateway that still serves plain HTTP
+(`attacks.gateway_stripped`) is the one path the clash attack can strip.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Optional
 
@@ -52,7 +53,6 @@ FETCH_LEAD_DLOG = tls.DLOG_INDIVIDUAL_DELAY + 30
 @dataclass
 class VoterState:
     voter_id: str
-    index: int
     rng: Random
     profile: bal.VoterProfile
     intended: bal.Ballot
@@ -74,7 +74,6 @@ class VoterState:
     # holding a reference observe attack outcomes)
     session: SessionContext = field(default_factory=SessionContext)
     credentials: Optional[env.Credentials] = None
-    believed_credentials: Optional[env.Credentials] = None
     believed_receipt: Optional[str] = None
     actual_receipt: Optional[str] = None
     submitted: Optional[bal.Ballot] = None
@@ -122,13 +121,7 @@ class ScenarioEngine:
                     bal.validate_ballot(merged[grp], self.manifest)
                 except bal.InvalidBallot as exc:
                     raise ConfigInvalid(f"manifest.cards.{grp}: {exc}") from exc
-            self.manifest = bal.ElectionManifest(
-                groups=self.manifest.groups,
-                candidates=self.manifest.candidates,
-                assembly_candidates=self.manifest.assembly_candidates,
-                min_below_line_prefs=self.manifest.min_below_line_prefs,
-                cards=merged,
-            )
+            self.manifest = replace(self.manifest, cards=merged)
         self.timeline = el.ElectionTimeline(
             polls_open=config.timeline.polls_open,
             polls_close=config.timeline.polls_close,
@@ -146,7 +139,6 @@ class ScenarioEngine:
         self.receipt_service = el.ReceiptService(self.cvs, self.registration,
                                                  self.timeline)
 
-        self.intents = el.IntentLedger()
         self.complaints: list[el.ComplaintEntry] = []
         self.verify_log: list[el.VerifyLogEntry] = []
         self.attacker = atk.AttackerState()
@@ -234,36 +226,20 @@ class ScenarioEngine:
         return None
 
     def _build_network(self) -> None:
-        sim = self.sim
-        cfgs = self.config
-        https = None
-        if self.piwik_server is not None:
-            https = netsim.Https(self.piwik_server.config)
-        gateway_policy = (netsim.PlainHttp() if cfgs.attacks.gateway_stripped
-                          else netsim.Https(None))
-        sim.add_endpoint(netsim.Endpoint(
-            "registration-gateway", {"voter*": gateway_policy},
-            handler=self._on_gateway))
-        sim.add_endpoint(netsim.Endpoint(
-            "registration", {"*": netsim.Https(None)}, handler=self._on_registration))
-        sim.add_endpoint(netsim.Endpoint(
-            "attacker-registration", {}, handler=self._on_attacker_registration))
-        sim.add_endpoint(netsim.Endpoint(
-            "piwik", {"voter*": https or netsim.Https(None)}, handler=self._on_piwik))
-        sim.add_endpoint(netsim.Endpoint("browser", {}, handler=self._on_browser))
-        sim.add_endpoint(netsim.Endpoint(
-            "cvs", {"voter*": netsim.Https(None)}, handler=self._on_cvs))
-        sim.add_endpoint(netsim.Endpoint(
-            "voice-server", {"voter*": netsim.PhoneIvr()}, handler=self._on_voice))
-        sim.add_endpoint(netsim.Endpoint(
-            "verification-ivr", {"voter*": netsim.PhoneIvr()}, handler=self._on_ivr))
-        sim.add_endpoint(netsim.Endpoint(
-            "attacker-ivr", {}, handler=self._on_attacker_ivr))
-        sim.add_endpoint(netsim.Endpoint(
-            "receipt-service", {"voter*": netsim.Https(None)},
-            handler=self._on_receipt_service))
-        sim.add_endpoint(netsim.Endpoint("attacker-c2", {}, handler=None))
-        sim.add_endpoint(netsim.Endpoint("voter*", {}, handler=self._on_voter))
+        for name, handler in (
+                ("registration-gateway", self._on_gateway),
+                ("registration", self._on_registration),
+                ("attacker-registration", self._on_attacker_registration),
+                ("piwik", self._on_piwik),
+                ("browser", self._on_browser),
+                ("cvs", self._on_cvs),
+                ("voice-server", self._on_voice),
+                ("verification-ivr", self._on_ivr),
+                ("attacker-ivr", self._on_attacker_ivr),
+                ("receipt-service", self._on_receipt_service),
+                ("attacker-c2", None),
+                ("voter*", self._on_voter)):
+            self.sim.add_endpoint(netsim.Endpoint(name, handler))
 
     def _draw_leanings(self) -> list[str]:
         """Quota mode fixes group counts exactly; otherwise leanings are
@@ -291,19 +267,22 @@ class ScenarioEngine:
 
     def _build_voters(self) -> None:
         cfg = self.config
-        behavior = bal.BehaviorModel(
-            card_rate=cfg.behavior.card_rate,
-            p_verify_ivr=cfg.behavior.p_verify_ivr,
-            p_check_receipt_only=cfg.behavior.p_check_receipt_only,
-            p_false_complaint=cfg.behavior.p_false_complaint,
-            leaning_weights=cfg.behavior.leaning_weights,
-        )
         fetch_lead = FETCH_LEAD_DLOG if cfg.attacks.logjam.enabled else FETCH_LEAD_PLAIN
         earliest_cast = self.timeline.polls_open + REGISTRATION_LEAD + fetch_lead + 1
         if earliest_cast >= self.timeline.polls_close:
             raise ConfigInvalid(
                 "timeline.polls_close: leaves no casting window after the "
                 f"registration and fetch leads (needs > {earliest_cast})")
+        # every background fetch falls in [first_fetch, last_fetch]
+        first_fetch = earliest_cast - fetch_lead
+        last_fetch = self.timeline.polls_close - 1 - fetch_lead
+        for key in ("freak", "logjam"):
+            w = getattr(cfg.attacks, key)
+            if w.enabled and (w.window_end <= first_fetch or w.window_start > last_fetch):
+                raise ConfigInvalid(
+                    f"attacks.{key}.window_start: window [{w.window_start}, "
+                    f"{w.window_end}) misses every background fetch (fetches "
+                    f"run in [{first_fetch}, {last_fetch}])")
         for group in cfg.behavior.leaning_weights or {}:
             if group not in self.manifest.groups:
                 raise ConfigInvalid(
@@ -314,7 +293,8 @@ class ScenarioEngine:
             voter_id = f"voter{i:05d}"
             rng = Random(f"{cfg.seed}:voter:{i}")
             cast_time = rng.randint(earliest_cast, self.timeline.polls_close - 1)
-            profile = bal.draw_profile(behavior, self.manifest, rng,
+            profile = bal.draw_profile(cfg.behavior.card_rate,
+                                       cfg.behavior.leaning_weights, self.manifest, rng,
                                        cast_time=cast_time, leaning=leanings[i])
             intended = bal.draw_ballot(profile, self.manifest, rng)
             chan_draw = rng.random()
@@ -326,7 +306,6 @@ class ScenarioEngine:
                 channel = el.VoteChannel.WEB
             state = VoterState(
                 voter_id=voter_id,
-                index=i,
                 rng=rng,
                 profile=profile,
                 intended=intended,
@@ -334,9 +313,9 @@ class ScenarioEngine:
                 reg_time=cast_time - REGISTRATION_LEAD,
                 fetch_time=cast_time - fetch_lead,
                 patched=rng.random() < cfg.tls.client_patch_rate,
-                verifies=rng.random() < profile.p_verify_ivr,
-                checks_receipt=rng.random() < profile.p_check_receipt_only,
-                false_complainer=rng.random() < profile.p_false_complaint,
+                verifies=rng.random() < cfg.behavior.p_verify_ivr,
+                checks_receipt=rng.random() < cfg.behavior.p_check_receipt_only,
+                false_complainer=rng.random() < cfg.behavior.p_false_complaint,
                 dials_genuine=rng.random() < cfg.attacks.fake_ivr.dial_genuine_rate,
                 reveals_caller_id=rng.random() < cfg.behavior.caller_id_fraction,
                 suspicious=rng.random() < cfg.behavior.p_pin_suspicion,
@@ -352,16 +331,13 @@ class ScenarioEngine:
                 rng.random() < logjam.control_rate
             state.controlled = in_freak or in_logjam
             self.voters[voter_id] = state
-            self.intents.record(el.IntentEntry(
-                voter_id=voter_id, intended=intended, cast_time=cast_time,
-                channel=channel,
-            ))
 
     def _install_attack_taps(self) -> None:
         a = self.config.attacks
         attacker, ballot = self.attacker, self.attacker_ballot
-        if a.clash.enabled:
+        if a.clash.enabled and a.gateway_stripped:
             self.sim.install_tap(netsim.make_sslstrip_tap("attacker-registration"))
+        if a.clash.enabled:
             self.sim.install_tap(atk.make_browser_tap(
                 "clash-cast",
                 lambda intent: atk.clash_suppress_cast(attacker, intent, ballot),
@@ -471,11 +447,8 @@ class ScenarioEngine:
             return netsim.Decision.forward()
         state = self.voters.get(payload.voter_id)
         dials_genuine = state.dials_genuine if state else False
-        decision = atk.fake_verification_redirect(self.attacker, payload.voter_id,
-                                                  "attacker-ivr", dials_genuine)
-        if decision.kind == "modify":
-            decision.payload = payload
-        return decision
+        return atk.fake_verification_redirect(self.attacker, payload,
+                                              "attacker-ivr", dials_genuine)
 
     # --- endpoint handlers ---
 
@@ -542,16 +515,15 @@ class ScenarioEngine:
             state = self.voters.get(payload.voter_id)
             if state is not None:
                 state.credentials = payload.credentials
-                state.believed_credentials = payload.credentials
             return
         if isinstance(payload, CastTrigger):
             state = self.voters.get(payload.voter_id)
-            if state is None or state.believed_credentials is None:
+            if state is None or state.credentials is None:
                 return  # registration never completed; this voter cannot cast
             sim.schedule(state.profile.cast_time, state.voter_id, "browser",
                          CastIntent(
                              voter_id=state.voter_id,
-                             credentials=state.believed_credentials,
+                             credentials=state.credentials,
                              ballot=state.intended,
                              cast_time=state.profile.cast_time,
                              channel=state.channel,
@@ -676,10 +648,6 @@ class ScenarioEngine:
         state.actual_receipt = receipt
         if state.show_receipt:
             state.believed_receipt = receipt
-        entry = self.intents.entries.get(submission.voter_id)
-        if entry is not None:
-            entry.login_id = submission.credentials.login_id
-            entry.receipt = receipt
         if submission.voter_id in self.attacker.harvest_targets and \
                 state.submitted is not None:
             atk.clash_note_cast(self.attacker, submission.voter_id,
@@ -690,12 +658,11 @@ class ScenarioEngine:
     def _schedule_voter_followups(self, state: VoterState, now: int,
                                   sim: netsim.Simulator) -> None:
         if state.verifies and state.believed_receipt is not None:
-            creds = state.believed_credentials or state.credentials
             sim.schedule(now + state.verify_delay, state.voter_id,
                          "verification-ivr", VerifyCall(
                              voter_id=state.voter_id,
-                             login_id=creds.login_id,
-                             pin=creds.pin,
+                             login_id=state.credentials.login_id,
+                             pin=state.credentials.pin,
                              receipt=state.believed_receipt,
                              caller_id=state.voter_id if state.reveals_caller_id else None,
                          ))
@@ -796,7 +763,8 @@ class ScenarioEngine:
         core_ballots = el.open_core_store(self.cvs, self.election_key, self.manifest)
         self.tally, self.counted_ballots = el.dedup_and_count(
             self.cvs, self.registration, core_ballots, self.manifest)
-        self.intent_tally = self.intents.intent_tally(self.manifest)
+        self.intent_tally = bal.tally_first_preferences(
+            [self.voters[v].intended for v in sorted(self.voters)], self.manifest)
         self.audit = el.audit_reconcile(
             el.AuditMode(self.config.audit.mode), self.cvs, self.verification,
             core_ballots)

@@ -1,8 +1,8 @@
 """Deterministic discrete-event network with man-in-the-middle tap points.
 
-Endpoints are named; each path carries a channel-security label (plain
-HTTP, HTTPS backed by a mini-TLS server config, or a phone line). Events
-are delivered in nondecreasing time order with insertion order breaking
+Endpoints are named; a name ending in "*" (e.g. "voter*") owns every
+endpoint name that starts with the part before the star. Events are
+delivered in nondecreasing time order with insertion order breaking
 ties, so a full trace is a pure function of (scenario, seed).
 
 Taps are the adversary surface: a tap matches a (src, dst) pair and maps
@@ -10,17 +10,17 @@ each event to a decision — forward it, modify it (optionally re-routing
 it to a different endpoint), drop it, or replace it with injected events.
 Taps compose in installation order; later taps see earlier modifications.
 
-On HTTPS paths, application payloads travel as encrypted records, so a
-tap that flips ciphertext bits without holding the session key produces a
-record failure at the receiver rather than a silent change.
+Channel security is not a netsim concept. Encrypted records are payloads
+like any other, so a tap that flips their bits without the session key
+produces a record failure at the receiver rather than a silent change.
+Whether the registration gateway still serves plain HTTP is the
+scenario's `attacks.gateway_stripped`; it decides whether the engine
+installs the stripping tap at all.
 """
 
-import fnmatch
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
-
-from .minitls import ServerTlsConfig
 
 
 class NetsimError(Exception):
@@ -31,44 +31,12 @@ class SchedulingAfterFinalize(NetsimError):
     pass
 
 
-# --- channel policies ---
-
-@dataclass(frozen=True)
-class PlainHttp:
-    pass
-
-
-@dataclass(frozen=True)
-class Https:
-    server_config: ServerTlsConfig
-
-
-@dataclass(frozen=True)
-class PhoneIvr:
-    pass
-
-
-ChannelPolicy = Any  # PlainHttp | Https | PhoneIvr
-
-
 @dataclass
 class Endpoint:
-    """Named network participant. `policies` maps peer-name patterns
-    (fnmatch globs, e.g. "voter*") to the channel label used when that
-    peer talks to this endpoint.
-    """
+    """Named network participant; a trailing "*" makes it a family."""
 
     name: str
-    policies: dict[str, ChannelPolicy] = field(default_factory=dict)
     handler: Optional[Callable[["Event", "Simulator"], None]] = None
-
-    def policy_for(self, peer: str) -> Optional[ChannelPolicy]:
-        if peer in self.policies:
-            return self.policies[peer]
-        for pattern, policy in self.policies.items():
-            if fnmatch.fnmatchcase(peer, pattern):
-                return policy
-        return None
 
 
 # --- events and decisions ---
@@ -158,6 +126,7 @@ class Simulator:
         self._seq = 0
         self._taps: list[MitmTap] = []
         self.endpoints: dict[str, Endpoint] = {}
+        self._families: list[tuple[str, Endpoint]] = []  # (name prefix, owner)
         self.trace: list[str] = []
         self.finalized = False
         self.counters = {"scheduled": 0, "delivered": 0, "dropped": 0, "replaced": 0}
@@ -168,20 +137,19 @@ class Simulator:
         if endpoint.name in self.endpoints:
             raise NetsimError(f"duplicate endpoint {endpoint.name}")
         self.endpoints[endpoint.name] = endpoint
+        if endpoint.name.endswith("*"):
+            self._families.append((endpoint.name[:-1], endpoint))
         return endpoint
 
     def endpoint(self, name: str) -> Endpoint:
         ep = self.endpoints.get(name)
         if ep is None:
-            # voters and other families register lazily via glob owners
-            for candidate in self.endpoints.values():
-                if fnmatch.fnmatchcase(name, candidate.name):
-                    return candidate
+            # voters and other families are served by their "*" owner
+            for prefix, family in self._families:
+                if name.startswith(prefix):
+                    return family
             raise NetsimError(f"unknown endpoint {name}")
         return ep
-
-    def policy_for(self, src: str, dst: str) -> Optional[ChannelPolicy]:
-        return self.endpoint(dst).policy_for(src)
 
     # --- taps ---
 
@@ -277,22 +245,14 @@ class Simulator:
 
 # --- the pre-TLS stripping attack ---
 
-def sslstrip_decision(sim: Simulator, event: Event, attacker_endpoint: str) -> Decision:
-    """Redirect a registration attempt to the attacker's look-alike site.
-    Only possible before TLS: on HTTPS paths this refuses and forwards.
-    """
-    policy = sim.policy_for(event.src, event.dst)
-    if not isinstance(policy, PlainHttp):
-        return Decision.forward()
-    return Decision.modify(event.payload, dst=attacker_endpoint)
-
-
 def make_sslstrip_tap(attacker_endpoint: str) -> MitmTap:
-    """Sit on every voter's path to the registration gateway."""
+    """Sit on every voter's path to a plain-HTTP registration gateway and
+    redirect each registration attempt to the attacker's look-alike site.
+    """
     def matcher(src: str, dst: str) -> bool:
-        return fnmatch.fnmatchcase(src, "voter*") and dst == "registration-gateway"
+        return src.startswith("voter") and dst == "registration-gateway"
 
     def handler(event: Event, sim: Simulator) -> Decision:
-        return sslstrip_decision(sim, event, attacker_endpoint)
+        return Decision.modify(event.payload, dst=attacker_endpoint)
 
     return MitmTap(name="sslstrip", matcher=matcher, handler=handler)

@@ -411,6 +411,19 @@ class TestClash:
         assert m.manipulated_count > 0
         assert m.complaints_true == 0
 
+    def test_https_gateway_leaves_every_registration_alone(self):
+        # with the gateway on HTTPS there is nothing to strip: no request
+        # reaches the look-alike site, so the clash attack collects nothing
+        engine = run_tree(base_tree(
+            voters=300,
+            attacks={"gateway_stripped": False,
+                     "clash": {"enabled": True, "prediction": "card"},
+                     "target_group": "g02"},
+        ))
+        assert not any("attacker-registration" in line for line in engine.sim.trace)
+        assert engine.attacker.clash_victims == {}
+        assert engine.tally.counts == engine.intent_tally.counts
+
     def test_pin_suspicion_defeats_the_front(self):
         # a voter who notices the assigned PIN escapes to the genuine
         # service; at rate 1.0 the attack collects nothing at all

@@ -8,7 +8,6 @@ import pytest
 
 from votesim.ballots import (
     Ballot,
-    BehaviorModel,
     CouncilMode,
     InvalidBallot,
     MalformedEncoding,
@@ -144,27 +143,27 @@ class TestDrawBallot:
 
     def test_card_follower_gets_exact_card(self):
         rng = Random(1)
-        behavior = BehaviorModel(card_rate=1.0)
-        profile = draw_profile(behavior, self.m, rng, leaning="g01")
+        card_rate = 1.0
+        profile = draw_profile(card_rate, None, self.m, rng, leaning="g01")
         assert profile.follows_card
         assert draw_ballot(profile, self.m, rng) == self.m.cards["g01"]
 
     def test_non_follower_first_pref_is_leaning(self):
         rng = Random(2)
-        behavior = BehaviorModel(card_rate=0.0)
+        card_rate = 0.0
         for _ in range(50):
-            profile = draw_profile(behavior, self.m, rng, leaning="g01")
+            profile = draw_profile(card_rate, None, self.m, rng, leaning="g01")
             ballot = draw_ballot(profile, self.m, rng)
             assert ballot.council_prefs[0] == "g01"
 
     def test_card_following_rate_monte_carlo(self):
         # 10,000 draws at rate 0.40; tolerance 0.02 is ~4 binomial sigma
         rng = Random(3)
-        behavior = BehaviorModel(card_rate=0.40)
+        card_rate = 0.40
         n = 10_000
         hits = 0
         for _ in range(n):
-            profile = draw_profile(behavior, self.m, rng)
+            profile = draw_profile(card_rate, None, self.m, rng)
             ballot = draw_ballot(profile, self.m, rng)
             if ballot == self.m.cards[profile.party_leaning]:
                 hits += 1
@@ -172,9 +171,9 @@ class TestDrawBallot:
 
     def test_card_rate_within_three_sigma(self):
         rng = Random(4)
-        behavior = BehaviorModel(card_rate=0.40)
+        card_rate = 0.40
         n = 10_000
-        hits = sum(draw_profile(behavior, self.m, rng).follows_card
+        hits = sum(draw_profile(card_rate, None, self.m, rng).follows_card
                    for _ in range(n))
         sigma = math.sqrt(0.40 * 0.60 / n)
         assert abs(hits / n - 0.40) <= 3 * sigma
@@ -235,10 +234,10 @@ class TestTally:
 
     def test_permutation_invariance_and_additivity(self):
         rng = Random(11)
-        behavior = BehaviorModel(card_rate=0.4)
+        card_rate = 0.4
         ballots = []
         for _ in range(300):
-            profile = draw_profile(behavior, self.m, rng)
+            profile = draw_profile(card_rate, None, self.m, rng)
             ballots.append(draw_ballot(profile, self.m, rng))
         base = tally_first_preferences(ballots, self.m)
         shuffled = list(ballots)

@@ -6,7 +6,6 @@ import pytest
 
 from votesim import election
 from votesim.ballots import (
-    BehaviorModel,
     decode_ballot,
     draw_ballot,
     draw_profile,
@@ -221,19 +220,19 @@ class TestDedupAndCount:
     def test_hundred_voters_ten_revotes_vs_recount_oracle(self):
         fx = Fixture()
         rng = Random(99)
-        behavior = BehaviorModel(card_rate=0.4)
+        card_rate = 0.4
         expected = {}
         for i in range(100):
             voter = f"v{i}"
             creds = fx.register(voter, now=1)
-            profile = draw_profile(behavior, fx.manifest, rng)
+            profile = draw_profile(card_rate, None, fx.manifest, rng)
             ballot = draw_ballot(profile, fx.manifest, rng)
             fx.cast(creds, ballot, now=10 + i)
             expected[voter] = ballot
         for i in range(10):  # ten voters vote again
             voter = f"v{i}"
             creds = fx.register(voter, now=300)  # re-register, new id
-            profile = draw_profile(behavior, fx.manifest, rng)
+            profile = draw_profile(card_rate, None, fx.manifest, rng)
             ballot = draw_ballot(profile, fx.manifest, rng)
             fx.cast(creds, ballot, now=400 + i)
             expected[voter] = ballot

@@ -1,4 +1,4 @@
-"""Event ordering, tap composition, and channel policies."""
+"""Event ordering, endpoint families, tap composition, and the stripping tap."""
 
 from dataclasses import dataclass
 
@@ -9,14 +9,11 @@ from votesim.netsim import (
     Decision,
     Endpoint,
     Event,
-    Https,
     MitmTap,
-    PhoneIvr,
-    PlainHttp,
+    NetsimError,
     SchedulingAfterFinalize,
     Simulator,
     make_sslstrip_tap,
-    sslstrip_decision,
 )
 
 
@@ -34,14 +31,12 @@ def collector(sink):
     return handler
 
 
-def make_sim(policies=None):
+def make_sim():
     sim = Simulator()
     received = []
-    sim.add_endpoint(Endpoint("cvs", policies or {"voter*": Https(None)},
-                              handler=collector(received)))
-    sim.add_endpoint(Endpoint("piwik", {"voter*": Https(None)},
-                              handler=collector(received)))
-    sim.add_endpoint(Endpoint("voter*", {}))
+    sim.add_endpoint(Endpoint("cvs", handler=collector(received)))
+    sim.add_endpoint(Endpoint("piwik", handler=collector(received)))
+    sim.add_endpoint(Endpoint("voter*"))
     return sim, received
 
 
@@ -72,10 +67,20 @@ class TestOrdering:
             if event.payload.tag == "start":
                 s.schedule(event.time, "cvs", "cvs", Ping("chained"))
 
-        sim.add_endpoint(Endpoint("cvs", {}, handler=relay))
+        sim.add_endpoint(Endpoint("cvs", handler=relay))
         sim.schedule(0, "x", "cvs", Ping("start"))
         sim.run_all()
         assert log == ["start", "chained"]
+
+    def test_family_owner_serves_every_prefixed_name(self):
+        sim, _ = make_sim()
+        voters = sim.endpoints["voter*"]
+        assert sim.endpoint("voter00042") is voters
+        assert sim.endpoint("voter") is voters
+        assert sim.endpoint("cvs") is sim.endpoints["cvs"]
+        for name in ("fraud:voter1", "cvs2", "Voter1"):
+            with pytest.raises(NetsimError):
+                sim.endpoint(name)
 
     def test_scheduling_after_finalize(self):
         sim, _ = make_sim()
@@ -169,51 +174,34 @@ class TestDeterminism:
 
 
 class TestSslStrip:
-    def make(self, gateway_policy):
+    def make(self):
         sim = Simulator()
         reg_seen = []
         atk_seen = []
         sim.add_endpoint(Endpoint("registration-gateway",
-                                  {"voter*": gateway_policy},
                                   handler=collector(reg_seen)))
-        sim.add_endpoint(Endpoint("attacker-registration", {},
+        sim.add_endpoint(Endpoint("attacker-registration",
                                   handler=collector(atk_seen)))
-        sim.add_endpoint(Endpoint("voter*", {}))
+        sim.add_endpoint(Endpoint("voter*"))
         sim.install_tap(make_sslstrip_tap("attacker-registration"))
         return sim, reg_seen, atk_seen
 
     def test_plain_http_redirects_to_attacker(self):
-        sim, reg_seen, atk_seen = self.make(PlainHttp())
+        sim, reg_seen, atk_seen = self.make()
         sim.schedule(0, "voter1", "registration-gateway", Ping("register"))
         sim.run_all()
         assert reg_seen == []
         assert len(atk_seen) == 1
         assert atk_seen[0].dst == "attacker-registration"
 
-    def test_https_path_forwards_unchanged(self):
-        sim, reg_seen, atk_seen = self.make(Https(None))
-        sim.schedule(0, "voter1", "registration-gateway", Ping("register"))
+    def test_only_voter_registrations_are_redirected(self):
+        sim, reg_seen, atk_seen = self.make()
+        sim.schedule(0, "fraud:voter1", "registration-gateway", Ping("r"))
+        sim.schedule(1, "voter1", "attacker-registration", Ping("direct"))
         sim.run_all()
-        assert len(reg_seen) == 1
-        assert atk_seen == []
-
-    def test_post_fix_trace_has_zero_redirects(self):
-        sim, reg_seen, atk_seen = self.make(Https(None))
-        for i in range(20):
-            sim.schedule(i, f"voter{i}", "registration-gateway", Ping("r"))
-        sim.run_all()
-        assert atk_seen == []
-        assert not any("attacker-registration" in line for line in sim.trace)
-
-    def test_decision_api_directly(self):
-        sim, _, _ = self.make(PlainHttp())
-        ev = Event(time=0, src="voter1", dst="registration-gateway",
-                   payload=Ping("r"), seq=0)
-        d = sslstrip_decision(sim, ev, "attacker-registration")
-        assert d.kind == "modify" and d.dst == "attacker-registration"
-        sim2, _, _ = self.make(PhoneIvr())
-        d2 = sslstrip_decision(sim2, ev, "attacker-registration")
-        assert d2.kind == Decision.FORWARD
+        assert [e.payload.tag for e in reg_seen] == ["r"]
+        assert [e.payload.tag for e in atk_seen] == ["direct"]
+        assert not any("modified:sslstrip" in line for line in sim.trace)
 
 
 class TestEncryptedRecords:
@@ -231,9 +219,8 @@ class TestEncryptedRecords:
             except RecordTampered:
                 failures.append(event)
 
-        sim.add_endpoint(Endpoint("cvs", {"voter*": Https(None)},
-                                  handler=receiver))
-        sim.add_endpoint(Endpoint("voter*", {}))
+        sim.add_endpoint(Endpoint("cvs", handler=receiver))
+        sim.add_endpoint(Endpoint("voter*"))
         sim.install_tap(MitmTap(
             "bitflip", lambda s, d: d == "cvs",
             lambda e, s: Decision.modify(bytes([e.payload[0] ^ 1]) + e.payload[1:])))

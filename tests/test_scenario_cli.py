@@ -462,6 +462,12 @@ class TestCli:
          {"tls": {"enabled": True},
           "attacks": {"logjam": {"enabled": True, "window_start": 50000,
                                  "window_end": 60000}}}),
+        # inside the polls, but over before the first background fetch
+        ("attacks.freak.window_start",
+         {"voters": 60, "tls": {"enabled": True, "client_patch_rate": 0.0},
+          "attacks": {"vote_rewrite": {"enabled": True},
+                      "freak": {"enabled": True, "window_start": 0,
+                                "window_end": 1800}}}),
     ])
     def test_unrunnable_config_exits_2_with_key_path(self, key_path, over, tmp_path,
                                                      capsys):
