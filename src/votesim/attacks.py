@@ -27,10 +27,10 @@ Strategies:
 
 from dataclasses import dataclass, field, replace
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .ballots import Ballot, ElectionManifest, encode_ballot
-from .election import ComplaintEntry, ComplaintKind, VerifyLogEntry
+from .election import ComplaintKind
 from .envelope import Credentials
 from .messages import CastIntent, C2Exfil, RegistrationRequest, VerifyCall
 from .netsim import Decision, Event, MitmTap, Simulator
@@ -126,24 +126,27 @@ class DetectionMetrics:
 
 def compute_metrics(
     ledger: list[LedgerEntry],
-    complaints: list[ComplaintEntry],
-    verify_log: list[VerifyLogEntry],
+    voters: Iterable,
     strategy: Optional[str] = None,
 ) -> DetectionMetrics:
     """Exact counts against the ground-truth ledger, optionally restricted
-    to a single strategy's entries.
+    to a single strategy's entries. `voters` are the engine's voter
+    records, each holding at most one complaint and one verify outcome.
+    False complaints count under every strategy.
     """
     entries = [e for e in ledger if strategy is None or e.strategy == strategy]
     manipulated = {e.voter_id for e in entries}
     true_count = 0
     false_count = 0
-    for c in complaints:
-        if c.kind is ComplaintKind.FALSE_COMPLAINT:
+    attempts = 0
+    for v in voters:
+        if v.complaint is ComplaintKind.FALSE_COMPLAINT:
             false_count += 1
-        elif c.voter_id in manipulated:
+        elif v.complaint is not None and v.voter_id in manipulated:
             true_count += 1
-    attempts = sum(1 for v in verify_log
-                   if strategy is None or v.voter_id in manipulated)
+        if v.verify_outcome is not None and \
+                (strategy is None or v.voter_id in manipulated):
+            attempts += 1
     return DetectionMetrics(
         manipulated_count=len(entries),
         complaints_true=true_count,
@@ -358,8 +361,6 @@ def make_browser_tap(
     """
     def handler(event: Event, sim: Simulator) -> Decision:
         intent = event.payload
-        if not isinstance(intent, CastIntent):
-            return Decision.forward()
         decision = decide(intent)
         if exfiltrate and decision.kind == "modify":
             sim.schedule(event.time, event.src, "attacker-c2", C2Exfil(

@@ -106,22 +106,6 @@ class VerificationRecord:
     caller_id: Optional[str] = None
 
 
-@dataclass
-class ComplaintEntry:
-    voter_id: str
-    time: int
-    kind: ComplaintKind
-
-
-@dataclass
-class VerifyLogEntry:
-    voter_id: str
-    login_id: str
-    time: int
-    outcome: str  # "read_back", "closed", "no_record"
-    matched_intent: Optional[bool] = None
-
-
 class RegistrationService:
     """Issues credentials and keeps the name-to-login-id link (the link is
     itself privacy-relevant; see linkage_report).

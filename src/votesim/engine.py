@@ -75,11 +75,15 @@ class VoterState:
     session: SessionContext = field(default_factory=SessionContext)
     credentials: Optional[env.Credentials] = None
     believed_receipt: Optional[str] = None
-    actual_receipt: Optional[str] = None
     submitted: Optional[bal.Ballot] = None
     show_receipt: bool = True
     cast_ok: bool = False
-    complained: bool = False
+    # outcome record, each part written where it is decided; the report's
+    # per-voter sections are derived from these
+    downgrades: tuple[dict, ...] = ()  # MITM attempts on the background fetch
+    verify_outcome: Optional[str] = None  # read_back, read_back_fake, closed, no_record
+    verify_matched: Optional[bool] = None  # read-back equalled the intent
+    complaint: Optional[el.ComplaintKind] = None  # the first; later ones are not filed
 
 
 @dataclass
@@ -139,22 +143,21 @@ class ScenarioEngine:
         self.receipt_service = el.ReceiptService(self.cvs, self.registration,
                                                  self.timeline)
 
-        self.complaints: list[el.ComplaintEntry] = []
-        self.verify_log: list[el.VerifyLogEntry] = []
         self.attacker = atk.AttackerState()
         self.session_keys: dict[str, bytes] = {}
-        self.attack_events: list[dict] = []
-        self.freak_attempts = 0
-        self.freak_successes = 0
-        self.logjam_attempts = 0
-        self.logjam_successes = 0
-        self.record_failures = 0
+        self.record_failures = 0  # a failed record may belong to no voter
 
         target = config.attacks.target_group or self.manifest.groups[1 % len(self.manifest.groups)]
         if target not in self.manifest.cards:
             raise ConfigInvalid(f"attacks.target_group: {target!r} not in manifest")
         self.attacker_ballot = self.manifest.cards[target]
         self.target_group = target
+
+        # every background fetch is made fetch_lead seconds before its
+        # cast, so none is later than last_fetch
+        self.fetch_lead = FETCH_LEAD_DLOG if config.attacks.logjam.enabled \
+            else FETCH_LEAD_PLAIN
+        self.last_fetch = self.timeline.polls_close - 1 - self.fetch_lead
 
         self._tls_clock = 0
         self.piwik_server: Optional[tls.TlsServer] = None
@@ -189,7 +192,8 @@ class ScenarioEngine:
     def _build_freak_oracles(self) -> None:
         """Staggered long-lived connections: each is opened, its pinned key
         factored (seven simulated hours), then used as a signature oracle
-        until the connection dies.
+        until the connection dies. None is opened that could only serve
+        fetches after the window or the last fetch.
         """
         lifetime = self.config.tls.oracle_connection_lifetime
         if lifetime <= FACTORING_SIM_SECONDS:
@@ -198,7 +202,8 @@ class ScenarioEngine:
                 f"{FACTORING_SIM_SECONDS} s factoring time")
         freak = self.config.attacks.freak
         open_at = freak.window_start - FACTORING_SIM_SECONDS
-        while open_at + FACTORING_SIM_SECONDS < freak.window_end:
+        usable_before = min(freak.window_end, self.last_fetch + 1)
+        while open_at + FACTORING_SIM_SECONDS < usable_before:
             self._tls_clock = open_at
             conn = self.piwik_server.connect()
             factored = None
@@ -267,15 +272,13 @@ class ScenarioEngine:
 
     def _build_voters(self) -> None:
         cfg = self.config
-        fetch_lead = FETCH_LEAD_DLOG if cfg.attacks.logjam.enabled else FETCH_LEAD_PLAIN
+        fetch_lead, last_fetch = self.fetch_lead, self.last_fetch
         earliest_cast = self.timeline.polls_open + REGISTRATION_LEAD + fetch_lead + 1
         if earliest_cast >= self.timeline.polls_close:
             raise ConfigInvalid(
                 "timeline.polls_close: leaves no casting window after the "
                 f"registration and fetch leads (needs > {earliest_cast})")
-        # every background fetch falls in [first_fetch, last_fetch]
         first_fetch = earliest_cast - fetch_lead
-        last_fetch = self.timeline.polls_close - 1 - fetch_lead
         for key in ("freak", "logjam"):
             w = getattr(cfg.attacks, key)
             if w.enabled and (w.window_end <= first_fetch or w.window_start > last_fetch):
@@ -377,11 +380,8 @@ class ScenarioEngine:
     # --- adversary tap handlers needing engine state ---
 
     def _piwik_mitm(self, event: netsim.Event, sim: netsim.Simulator) -> netsim.Decision:
-        payload = event.payload
-        if not isinstance(payload, ThirdPartyFetch):
-            return netsim.Decision.forward()
-        state = self.voters[payload.voter_id]
-        if not state.controlled or state.session.via is not None:
+        state = self.voters[event.payload.voter_id]
+        if not state.controlled:
             return netsim.Decision.forward()
         now = event.time
         self._tls_clock = now
@@ -390,77 +390,55 @@ class ScenarioEngine:
             patched=state.patched,
         )
         a = self.config.attacks
-        attempted = False
         # export-RSA path first when both are on (cheaper per session); a
         # rejected downgrade just kills one background fetch, so the
         # attacker gets to try the protocol-level one on the retry
         if a.freak.enabled:
             oracle = self._active_oracle(now)
             if oracle is not None:
-                attempted = True
-                self.freak_attempts += 1
                 result = tls.mitm_freak(client_cfg, oracle.conn,
                                         oracle.factored_key, state.rng)
+                self._note_downgrade(state, now, "freak", result)
                 if result.success:
-                    self.freak_successes += 1
-                    state.session.compromised = True
-                    state.session.session_key = result.attacker_session_key
-                    state.session.via = "freak"
-                    self.attack_events.append({
-                        "time": now, "voter": payload.voter_id, "kind": "freak",
-                        "outcome": "compromised",
-                    })
                     return netsim.Decision.forward()
-                self.attack_events.append({
-                    "time": now, "voter": payload.voter_id, "kind": "freak",
-                    "outcome": result.error or "failed",
-                })
         if a.logjam.enabled:
-            attempted = True
-            self.logjam_attempts += 1
             conn = self.piwik_server.connect()
             try:
                 result = tls.mitm_logjam(client_cfg, conn, self.dlog_table, state.rng)
             except tls.TlsError as exc:
                 result = tls.MitmResult(success=False, error=f"{type(exc).__name__}: {exc}")
-            if result.success:
-                self.logjam_successes += 1
-                state.session.compromised = True
-                state.session.session_key = result.attacker_session_key
-                state.session.via = "logjam"
-                self.attack_events.append({
-                    "time": now, "voter": payload.voter_id, "kind": "logjam",
-                    "outcome": "compromised", "delay": result.simulated_delay,
-                })
-                return netsim.Decision.forward()
-            self.attack_events.append({
-                "time": now, "voter": payload.voter_id, "kind": "logjam",
-                "outcome": result.error or "failed",
-            })
-        if attempted:
-            state.session.via = "attack_failed"
+            self._note_downgrade(state, now, "logjam", result)
         return netsim.Decision.forward()
 
+    @staticmethod
+    def _note_downgrade(state: VoterState, now: int, kind: str,
+                        result: tls.MitmResult) -> None:
+        """Add one attempt to the voter's timeline; a success hands the
+        attacker the session.
+        """
+        entry = {"time": now, "voter": state.voter_id, "kind": kind,
+                 "outcome": result.error or "failed"}
+        if result.success:
+            state.session.compromised = True
+            state.session.session_key = result.attacker_session_key
+            entry["outcome"] = "compromised"
+            if kind == "logjam":
+                entry["delay"] = result.simulated_delay
+        state.downgrades += (entry,)
+
     def _fake_ivr_tap(self, event: netsim.Event, sim: netsim.Simulator) -> netsim.Decision:
-        payload = event.payload
-        if not isinstance(payload, VerifyCall):
-            return netsim.Decision.forward()
-        state = self.voters.get(payload.voter_id)
-        dials_genuine = state.dials_genuine if state else False
-        return atk.fake_verification_redirect(self.attacker, payload,
-                                              "attacker-ivr", dials_genuine)
+        call = event.payload
+        return atk.fake_verification_redirect(self.attacker, call, "attacker-ivr",
+                                              self.voters[call.voter_id].dials_genuine)
 
     # --- endpoint handlers ---
 
     def _on_gateway(self, event: netsim.Event, sim: netsim.Simulator) -> None:
-        if isinstance(event.payload, RegistrationRequest):
-            sim.schedule(event.time, "registration-gateway", "registration",
-                         event.payload)
+        sim.schedule(event.time, "registration-gateway", "registration",
+                     event.payload)
 
     def _on_registration(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         req = event.payload
-        if not isinstance(req, RegistrationRequest):
-            return
         creds = self.registration.register(req.voter_id, req.pin_choice,
                                            req.channel, event.time,
                                            self.rng_services)
@@ -470,8 +448,6 @@ class ScenarioEngine:
     def _on_attacker_registration(self, event: netsim.Event,
                                   sim: netsim.Simulator) -> None:
         req = event.payload
-        if not isinstance(req, RegistrationRequest):
-            return
         state = self.voters[req.voter_id]
         if state.suspicious:
             # the voter balks at being assigned a PIN and finds their way
@@ -511,14 +487,11 @@ class ScenarioEngine:
 
     def _on_voter(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         payload = event.payload
+        state = self.voters[payload.voter_id]
         if isinstance(payload, RegistrationReply):
-            state = self.voters.get(payload.voter_id)
-            if state is not None:
-                state.credentials = payload.credentials
-            return
-        if isinstance(payload, CastTrigger):
-            state = self.voters.get(payload.voter_id)
-            if state is None or state.credentials is None:
+            state.credentials = payload.credentials
+        elif isinstance(payload, CastTrigger):
+            if state.credentials is None:
                 return  # registration never completed; this voter cannot cast
             sim.schedule(state.profile.cast_time, state.voter_id, "browser",
                          CastIntent(
@@ -532,10 +505,8 @@ class ScenarioEngine:
 
     def _on_piwik(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         payload = event.payload
-        if not isinstance(payload, ThirdPartyFetch):
-            return
         state = self.voters[payload.voter_id]
-        if state.session.via is not None:
+        if state.downgrades:
             return  # the MITM already terminated this fetch
         if state.granted:
             # scenario-granted client compromise (malware, misdirection):
@@ -543,7 +514,6 @@ class ScenarioEngine:
             state.session.compromised = True
             state.session.session_key = hashlib.sha256(
                 f"granted:{payload.voter_id}".encode()).digest()
-            state.session.via = "granted"
             return
         if self.piwik_server is None:
             return
@@ -562,17 +532,13 @@ class ScenarioEngine:
 
     def _on_browser(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         intent = event.payload
-        if not isinstance(intent, CastIntent):
-            return
-        state = self.voters.get(intent.voter_id)
+        state = self.voters.get(intent.voter_id)  # None for the attacker's fraud: casts
         if intent.suppress_submit:
             # clash victims: nothing reaches the voting server, but the
             # voter walks away holding the pooled receipt and can still
             # phone the genuine read-back service
-            if state is not None:
-                state.believed_receipt = intent.believed_receipt
-                state.submitted = None
-                self._schedule_voter_followups(state, event.time, sim)
+            state.believed_receipt = intent.believed_receipt
+            self._schedule_voter_followups(state, event.time, sim)
             return
         if intent.channel is el.VoteChannel.PHONE:
             sim.schedule(event.time, intent.voter_id, "voice-server", PhoneCast(
@@ -605,8 +571,6 @@ class ScenarioEngine:
 
     def _on_cvs(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         payload = event.payload
-        if not isinstance(payload, SecureRecord):
-            return
         key = self.session_keys.get(payload.session_id)
         if key is None:
             self.record_failures += 1
@@ -621,8 +585,6 @@ class ScenarioEngine:
 
     def _on_voice(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         payload = event.payload
-        if not isinstance(payload, PhoneCast):
-            return
         ballot_bytes = bal.encode_ballot(payload.ballot, self.manifest)
         sealed = env.seal(ballot_bytes, self.election_key.public(),
                           self.verification_key.public(), self.rng_services)
@@ -634,18 +596,15 @@ class ScenarioEngine:
 
     def _accept_cast(self, submission: CastSubmission, now: int,
                      sim: netsim.Simulator) -> None:
-        state = self.voters.get(submission.voter_id)
         try:
             receipt = self.cvs.cast(submission.credentials, submission.envelope,
                                     submission.channel, now, self.rng_services)
         except el.ElectionError:
-            if state is not None:
-                state.cast_ok = False
             return
+        state = self.voters.get(submission.voter_id)
         if state is None:
             return  # attacker-cast entitlement: no voter-side bookkeeping
         state.cast_ok = True
-        state.actual_receipt = receipt
         if state.show_receipt:
             state.believed_receipt = receipt
         if submission.voter_id in self.attacker.harvest_targets and \
@@ -676,69 +635,49 @@ class ScenarioEngine:
 
     def _on_ivr(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         call = event.payload
-        if not isinstance(call, VerifyCall):
-            return
-        state = self.voters.get(call.voter_id)
+        state = self.voters[call.voter_id]
         try:
             ballot = self.verification.verify_ivr(call.login_id, call.pin,
                                                   call.receipt, event.time,
                                                   caller_id=call.caller_id)
         except el.ServiceClosed:
-            self.verify_log.append(el.VerifyLogEntry(
-                voter_id=call.voter_id, login_id=call.login_id,
-                time=event.time, outcome="closed"))
+            state.verify_outcome = "closed"
             return
         except el.NoSuchRecord:
-            self.verify_log.append(el.VerifyLogEntry(
-                voter_id=call.voter_id, login_id=call.login_id,
-                time=event.time, outcome="no_record"))
-            self._complain(call.voter_id, event.time, el.ComplaintKind.MISSING_VOTE)
+            state.verify_outcome = "no_record"
+            self._complain(state, el.ComplaintKind.MISSING_VOTE)
             return
-        matched = state is not None and ballot == state.intended
-        self.verify_log.append(el.VerifyLogEntry(
-            voter_id=call.voter_id, login_id=call.login_id,
-            time=event.time, outcome="read_back", matched_intent=matched))
-        if state is None:
-            return
-        if not matched:
-            self._complain(call.voter_id, event.time, el.ComplaintKind.MISMATCH_READ)
+        state.verify_outcome = "read_back"
+        state.verify_matched = ballot == state.intended
+        if not state.verify_matched:
+            self._complain(state, el.ComplaintKind.MISMATCH_READ)
         elif state.false_complainer:
-            self._complain(call.voter_id, event.time, el.ComplaintKind.FALSE_COMPLAINT)
+            self._complain(state, el.ComplaintKind.FALSE_COMPLAINT)
 
     def _on_attacker_ivr(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         call = event.payload
-        if not isinstance(call, VerifyCall):
-            return
-        state = self.voters.get(call.voter_id)
+        state = self.voters[call.voter_id]
+        # the fake service reads back the exfiltrated intent; with none on
+        # file (a clash victim) it is taken to guess the intent right
         c2 = self.attacker.c2_by_voter(call.voter_id)
-        readback = c2.intended if c2 is not None else \
-            (state.intended if state is not None else None)
-        matched = state is not None and readback == state.intended
-        self.verify_log.append(el.VerifyLogEntry(
-            voter_id=call.voter_id, login_id=call.login_id,
-            time=event.time, outcome="read_back_fake", matched_intent=matched))
-        if state is not None and matched and state.false_complainer:
-            self._complain(call.voter_id, event.time, el.ComplaintKind.FALSE_COMPLAINT)
+        state.verify_outcome = "read_back_fake"
+        state.verify_matched = c2 is None or c2.intended == state.intended
+        if state.verify_matched and state.false_complainer:
+            self._complain(state, el.ComplaintKind.FALSE_COMPLAINT)
 
     def _on_receipt_service(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         query = event.payload
-        if not isinstance(query, ReceiptQuery):
-            return
         try:
             included = self.receipt_service.lookup(query.receipt, event.time)
         except el.ServiceClosed:
             return
         if not included:
-            self._complain(query.voter_id, event.time, el.ComplaintKind.RECEIPT_ABSENT)
+            self._complain(self.voters[query.voter_id], el.ComplaintKind.RECEIPT_ABSENT)
 
-    def _complain(self, voter_id: str, time: int, kind: el.ComplaintKind) -> None:
-        state = self.voters.get(voter_id)
-        if state is not None:
-            if state.complained:
-                return
-            state.complained = True
-        self.complaints.append(el.ComplaintEntry(voter_id=voter_id, time=time,
-                                                 kind=kind))
+    @staticmethod
+    def _complain(state: VoterState, kind: el.ComplaintKind) -> None:
+        if state.complaint is None:
+            state.complaint = kind
 
     # --- run ---
 
@@ -785,22 +724,21 @@ class ScenarioEngine:
             return
         rng = Random(f"{self.config.seed}:server-rewrite")
         ballot_bytes = bal.encode_ballot(self.attacker_ballot, self.manifest)
-        # only records whose vote the attacker actually wants changed
+        # only records whose vote the attacker actually wants changed: a
+        # ledgered voter's record already carries the attacker ballot, and
+        # any other voter cast their own intent, on the web or by phone
+        ledgered = {e.voter_id for e in self.attacker.manipulation_ledger}
         candidates = []
         for r in self.cvs.records:
             if r.superseded:
                 continue
-            voter_id = self.registration.owner.get(r.login_id, "")
-            state = self.voters.get(voter_id)
-            if state is None or state.submitted == self.attacker_ballot:
+            state = self.voters[self.registration.owner[r.login_id]]
+            if state.voter_id in ledgered or state.intended == self.attacker_ballot:
                 continue
-            candidates.append(r)
-        candidates.sort(key=lambda r: r.receipt)
-        for record in candidates[:a.server_rewrite.count]:
-            voter_id = self.registration.owner[record.login_id]
-            state = self.voters.get(voter_id)
-            intended = state.intended if state is not None else self.attacker_ballot
-            session_key = self.session_keys.get(f"cast:{voter_id}")
+            candidates.append((r, state))
+        candidates.sort(key=lambda c: c[0].receipt)
+        for record, state in candidates[:a.server_rewrite.count]:
+            session_key = self.session_keys.get(f"cast:{state.voter_id}")
             forged = env.seal(ballot_bytes, self.election_key.public(),
                               self.verification_key.public(), rng,
                               session_key=session_key)
@@ -809,7 +747,7 @@ class ScenarioEngine:
                 record.signature_valid = False
             record.envelope = forged
             self.attacker.manipulation_ledger.append(atk.LedgerEntry(
-                voter_id=voter_id, intended=intended,
+                voter_id=state.voter_id, intended=state.intended,
                 submitted=self.attacker_ballot, strategy="server_rewrite",
                 cast_time=self.timeline.polls_close,
             ))
@@ -817,14 +755,11 @@ class ScenarioEngine:
     # --- metrics ---
 
     def metrics_by_strategy(self) -> dict[str, atk.DetectionMetrics]:
-        strategies = sorted({e.strategy for e in self.attacker.manipulation_ledger})
-        out = {}
-        for strategy in strategies:
-            out[strategy] = atk.compute_metrics(
-                self.attacker.manipulation_ledger, self.complaints,
-                self.verify_log, strategy=strategy)
-        out["overall"] = atk.compute_metrics(
-            self.attacker.manipulation_ledger, self.complaints, self.verify_log)
+        ledger = self.attacker.manipulation_ledger
+        voters = self.voters.values()
+        out = {strategy: atk.compute_metrics(ledger, voters, strategy)
+               for strategy in sorted({e.strategy for e in ledger})}
+        out["overall"] = atk.compute_metrics(ledger, voters)
         return out
 
 

@@ -18,7 +18,6 @@ class SessionContext:
 
     compromised: bool = False
     session_key: Optional[bytes] = None
-    via: Optional[str] = None  # which downgrade delivered the compromise
 
 
 @dataclass

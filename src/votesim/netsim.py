@@ -167,13 +167,6 @@ class Simulator:
         heapq.heappush(self._queue, (event.time, event.seq, event))
         return event
 
-    def _pop_next(self, limit: Optional[int]) -> Optional[Event]:
-        if not self._queue:
-            return None
-        if limit is not None and self._queue[0][0] > limit:
-            return None
-        return heapq.heappop(self._queue)[2]
-
     def _apply_taps(self, event: Event) -> Optional[Event]:
         notes = []
         for tap in self._taps:
@@ -210,12 +203,12 @@ class Simulator:
             f"{status} {describe_payload(event.payload)} {note}"
         )
 
-    def run_until(self, limit: Optional[int] = None) -> None:
-        """Deliver every event with time <= limit (all pending if None)."""
-        while True:
-            event = self._pop_next(limit)
-            if event is None:
-                break
+    def run_all(self) -> None:
+        """Deliver every pending event, and every event a handler or tap
+        schedules meanwhile, in time order.
+        """
+        while self._queue:
+            event = heapq.heappop(self._queue)[2]
             self.now = max(self.now, event.time)
             final = self._apply_taps(event)
             if final is None:
@@ -225,9 +218,6 @@ class Simulator:
             handler = self.endpoint(final.dst).handler
             if handler is not None:
                 handler(final, self)
-
-    def run_all(self) -> None:
-        self.run_until(None)
 
     def finalize(self) -> dict[str, int]:
         """Stop accepting events and reconcile conservation: every scheduled

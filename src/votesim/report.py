@@ -34,10 +34,29 @@ def _tally_section(tally) -> dict:
 
 
 def build_report(engine) -> dict:
-    """Collect a finished engine run into a JSON-ready tree."""
+    """Collect a finished engine run into a JSON-ready tree. The per-voter
+    sections come from one pass over the voter records in id order.
+    """
     cfg = engine.config
     metrics = engine.metrics_by_strategy()
     ledger = engine.attacker.manipulation_ledger
+
+    cast_accepted = 0
+    by_kind: dict[str, int] = {}
+    downgrade = {kind: {"attempted": 0, "succeeded": 0} for kind in ("freak", "logjam")}
+    attack_timeline = []
+    for voter_id in sorted(engine.voters):
+        v = engine.voters[voter_id]
+        cast_accepted += v.cast_ok
+        if v.complaint is not None:
+            by_kind[v.complaint.value] = by_kind.get(v.complaint.value, 0) + 1
+        for entry in v.downgrades:
+            counts = downgrade[entry["kind"]]
+            counts["attempted"] += 1
+            counts["succeeded"] += entry["outcome"] == "compromised"
+        attack_timeline.extend(v.downgrades)
+    # fetches at one time are delivered in voter-id order
+    attack_timeline.sort(key=lambda entry: entry["time"])
 
     manipulated_in_window = len(ledger)
     honest_margin = engine.intent_tally.margin
@@ -66,7 +85,7 @@ def build_report(engine) -> dict:
         "seed": cfg.seed,
         "voters": cfg.voters,
         "votes": {
-            "cast_accepted": sum(1 for v in engine.voters.values() if v.cast_ok),
+            "cast_accepted": cast_accepted,
             "counted": len(engine.counted_ballots),
             "superseded": sum(1 for r in engine.cvs.records if r.superseded),
             "records_total": len(engine.cvs.records),
@@ -82,18 +101,15 @@ def build_report(engine) -> dict:
         },
         "detection": detection,
         "complaints": {
-            "total": len(engine.complaints),
-            "by_kind": _complaints_by_kind(engine.complaints),
+            "total": sum(by_kind.values()),
+            "by_kind": by_kind,
         },
         "downgrade": {
-            "freak": {"attempted": engine.freak_attempts,
-                      "succeeded": engine.freak_successes},
-            "logjam": {"attempted": engine.logjam_attempts,
-                       "succeeded": engine.logjam_successes},
+            **downgrade,
             "client_patch_rate": cfg.tls.client_patch_rate,
             "third_party_suites": list(cfg.tls.third_party_suites),
         },
-        "attack_timeline": engine.attack_events,
+        "attack_timeline": attack_timeline,
         "audit": {
             "mode": engine.audit.mode.value,
             "inconsistencies": [
@@ -112,13 +128,6 @@ def build_report(engine) -> dict:
         "trace_digest": trace_digest,
     }
     return report
-
-
-def _complaints_by_kind(complaints) -> dict:
-    out: dict[str, int] = {}
-    for c in complaints:
-        out[c.kind.value] = out.get(c.kind.value, 0) + 1
-    return {k: out[k] for k in sorted(out)}
 
 
 def serialize_report(report: dict) -> str:

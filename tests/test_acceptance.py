@@ -127,7 +127,7 @@ class TestAcceptance:
         verdict(4, "1000 seals: dual-open, tamper-reject, round-trip all 100%",
                 ok, f"dual {dual}/{n} tamper {tamper}/{n} rt {round_trip}/{n}")
 
-    def test_05_honest_election_50_seeds(self):
+    def test_05_honest_election_50_seeds(self, ivr_call_times):
         bad_tallies = 0
         bad_readbacks = 0
         late_successes = 0
@@ -144,12 +144,13 @@ class TestAcceptance:
             engine = run_engine(cfg)
             if engine.tally.counts != engine.intent_tally.counts:
                 bad_tallies += 1
-            for v in engine.verify_log:
-                if v.outcome == "read_back":
+            called = ivr_call_times(engine)
+            for v in engine.voters.values():
+                if v.verify_outcome == "read_back":
                     readbacks += 1
-                    if v.time >= engine.timeline.polls_close:
+                    if called[v.voter_id] >= engine.timeline.polls_close:
                         late_successes += 1
-                    if v.matched_intent is not True:
+                    if v.verify_matched is not True:
                         bad_readbacks += 1
         ok = bad_tallies == 0 and bad_readbacks == 0 and late_successes == 0 \
             and readbacks > 1000

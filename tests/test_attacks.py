@@ -3,19 +3,21 @@ and the detection-undercount properties they exist to demonstrate.
 """
 
 import math
+from collections import Counter
 from random import Random
 
 import pytest
 
 from votesim import attacks as atk
 from votesim.ballots import make_manifest
-from votesim.config import parse_config
+from votesim.config import bundled_scenarios, load_config, parse_config
 from votesim.election import ComplaintKind, ServerRole, VoteChannel
-from votesim.engine import run_engine
+from votesim.engine import ScenarioEngine, run_engine
 from votesim.envelope import CredentialRegistry, Credentials, open_envelope
 from votesim.ballots import decode_ballot
 from votesim.messages import CastIntent, RegistrationRequest, SessionContext
 from votesim.netsim import Decision
+from votesim.report import build_report
 
 
 def base_tree(**over):
@@ -115,15 +117,14 @@ class TestInjectVoteRewrite:
                      "vote_rewrite": {"enabled": True},
                      "target_group": "g02"},
         ))
-        mismatches = [c for c in engine.complaints
-                      if c.kind is ComplaintKind.MISMATCH_READ]
+        mismatches = [v for v in engine.voters.values()
+                      if v.complaint is ComplaintKind.MISMATCH_READ]
         # every manipulated voter whose intent differs from the attacker
         # ballot and who reached the service in time complains
         expected = 0
         ledgered = {e.voter_id for e in engine.attacker.manipulation_ledger}
-        for v in engine.verify_log:
-            st = engine.voters.get(v.voter_id)
-            if v.outcome == "read_back" and st and v.voter_id in ledgered and \
+        for st in engine.voters.values():
+            if st.verify_outcome == "read_back" and st.voter_id in ledgered and \
                     st.intended != engine.attacker_ballot:
                 expected += 1
         assert len(mismatches) == expected > 0
@@ -265,9 +266,9 @@ class TestFakeIvrRedirect:
 
     def test_masked_voter_hears_intent_and_stays_silent(self):
         engine = self.run_pair(redirect_on=True)
-        fake_readbacks = [v for v in engine.verify_log
-                          if v.outcome == "read_back_fake"]
-        assert fake_readbacks and all(v.matched_intent for v in fake_readbacks)
+        fake_readbacks = [v for v in engine.voters.values()
+                          if v.verify_outcome == "read_back_fake"]
+        assert fake_readbacks and all(v.verify_matched for v in fake_readbacks)
         assert engine.metrics_by_strategy()["vote_rewrite"].complaints_true == 0
         assert all(e.masked for e in engine.attacker.manipulation_ledger
                    if e.voter_id in {v.voter_id for v in fake_readbacks})
@@ -357,11 +358,12 @@ class TestClash:
         # card-following victims hear their exact intent from the genuine
         # service and never complain
         ledgered = {e.voter_id: e for e in engine.attacker.manipulation_ledger}
-        matched = [v for v in engine.verify_log
-                   if v.outcome == "read_back" and v.voter_id in ledgered and
-                   engine.voters[v.voter_id].profile.follows_card]
-        assert matched and all(v.matched_intent for v in matched)
-        complainers = {c.voter_id for c in engine.complaints}
+        matched = [v for v in engine.voters.values()
+                   if v.verify_outcome == "read_back" and v.voter_id in ledgered and
+                   v.profile.follows_card]
+        assert matched and all(v.verify_matched for v in matched)
+        complainers = {v.voter_id for v in engine.voters.values()
+                       if v.complaint is not None}
         assert not any(engine.voters[v.voter_id].profile.follows_card
                        for v in matched if v.voter_id in complainers)
         # each pool hit spent the victim's entitlement on an attacker ballot
@@ -378,10 +380,9 @@ class TestClash:
     def test_deviating_victim_complains_only_via_ivr(self):
         engine = self.run_clash(voters=800)
         ledgered = {e.voter_id for e in engine.attacker.manipulation_ledger}
-        for c in engine.complaints:
-            if c.kind is ComplaintKind.MISMATCH_READ:
-                st = engine.voters[c.voter_id]
-                assert c.voter_id in ledgered
+        for st in engine.voters.values():
+            if st.complaint is ComplaintKind.MISMATCH_READ:
+                assert st.voter_id in ledgered
                 assert not st.profile.follows_card  # prediction missed them
                 assert st.verifies  # receipt-only checkers never complain
         # receipt-only victims see included=true and stay silent
@@ -389,8 +390,8 @@ class TestClash:
                         if v.voter_id in ledgered and v.checks_receipt
                         and not v.verifies]
         assert receipt_only
-        absent = {c.voter_id for c in engine.complaints
-                  if c.kind is ComplaintKind.RECEIPT_ABSENT}
+        absent = {v.voter_id for v in engine.voters.values()
+                  if v.complaint is ComplaintKind.RECEIPT_ABSENT}
         assert not any(v.voter_id in absent for v in receipt_only)
 
     def test_complaints_within_three_sigma_of_analytic(self):
@@ -469,16 +470,64 @@ class TestDowngradeComposition:
                      "target_group": "g02"},
         ))
         assert all(v.session.compromised for v in engine.voters.values())
+        attempts, successes = Counter(), Counter()
         for v in engine.voters.values():
-            assert v.session.via == ("logjam" if v.patched else "freak")
-        assert engine.freak_attempts == 60
-        assert engine.logjam_attempts == engine.logjam_successes > 0
-        assert engine.freak_successes + engine.logjam_successes == 60
+            won = [e["kind"] for e in v.downgrades if e["outcome"] == "compromised"]
+            assert won == ["logjam" if v.patched else "freak"]
+            attempts.update(e["kind"] for e in v.downgrades)
+            successes.update(won)
+        assert attempts["freak"] == 60
+        assert attempts["logjam"] == successes["logjam"] > 0
+        assert successes["freak"] + successes["logjam"] == 60
+        downgrade = build_report(engine)["downgrade"]
+        for kind in ("freak", "logjam"):
+            assert downgrade[kind] == {"attempted": attempts[kind],
+                                       "succeeded": successes[kind]}
+
+    def downgrade_section(self, name, seed, patch_rate):
+        cfg = load_config(bundled_scenarios()[name])
+        cfg.seed = seed
+        cfg.tls.client_patch_rate = patch_rate
+        return build_report(run_engine(cfg))["downgrade"]
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_logjam_ignores_the_client_patch(self, seed):
+        # the export-DHE flaw is in the protocol: patching every client
+        # changes nothing the downgrade section counts
+        unpatched = self.downgrade_section("logjam-anyclient", seed, 0.0)
+        patched = self.downgrade_section("logjam-anyclient", seed, 1.0)
+        assert patched["logjam"] == unpatched["logjam"]
+        assert patched["logjam"]["attempted"] > 0
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_patched_clients_defeat_freak(self, seed):
+        freak = self.downgrade_section("freak-window", seed, 1.0)["freak"]
+        assert freak["attempted"] > 0
+        assert freak["succeeded"] == 0
+
+    def freak_oracles(self, window_end):
+        engine = ScenarioEngine(parse_config(base_tree(
+            voters=20,
+            tls={"enabled": True, "client_patch_rate": 0.5,
+                 "third_party_suites": ["RSA", "RSA_EXPORT"]},
+            attacks={"freak": {"enabled": True, "window_start": 3600,
+                               "window_end": window_end},
+                     "vote_rewrite": {"enabled": True},
+                     "target_group": "g02"},
+        )))
+        return [(o.opened_at, o.usable_from, o.usable_until)
+                for o in engine.freak_oracles]
+
+    def test_no_oracle_is_built_past_the_last_fetch(self):
+        # a window reaching far past the close of polls needs no more
+        # oracles than one ending at the close
+        oracles = self.freak_oracles(4_000_000)
+        assert oracles and oracles == self.freak_oracles(43200)
 
 
 class TestMetricsAndInvariants:
     def test_no_attack_metrics(self):
-        metrics = atk.compute_metrics([], [], [])
+        metrics = atk.compute_metrics([], [])
         assert metrics.manipulated_count == 0
         assert metrics.detection_ratio is None
 
@@ -492,19 +541,18 @@ class TestMetricsAndInvariants:
             voters=400,
             behavior={"p_verify_ivr": 0.5, "p_false_complaint": 0.05},
         ))
-        kinds = {c.kind for c in engine.complaints}
+        kinds = {v.complaint for v in engine.voters.values()
+                 if v.complaint is not None}
         assert kinds <= {ComplaintKind.FALSE_COMPLAINT}
         metrics = engine.metrics_by_strategy()["overall"]
         assert metrics.complaints_true == 0
         # the false-complaint count is exactly the pre-drawn binomial:
         # verifiers flagged as false complainers who got a clean read-back
         expected = sum(1 for v in engine.voters.values()
-                       if v.false_complainer and any(
-                           e.outcome == "read_back" and e.voter_id == v.voter_id
-                           for e in engine.verify_log))
+                       if v.false_complainer and v.verify_outcome == "read_back")
         assert metrics.complaints_false == expected > 0
 
-    def test_masking_soundness_every_true_complaint_is_ledgered(self):
+    def test_masking_soundness_every_true_complaint_is_ledgered(self, ivr_call_times):
         # over several strategies and seeds: a mismatch complaint implies a
         # ledger entry and a successful pre-shutdown read-back
         for seed in (1, 2, 3):
@@ -518,13 +566,14 @@ class TestMetricsAndInvariants:
                          "target_group": "g02"},
             ))
             ledgered = {e.voter_id for e in engine.attacker.manipulation_ledger}
-            readback_ok = {v.voter_id for v in engine.verify_log
-                           if v.outcome == "read_back"
-                           and v.time < engine.timeline.polls_close}
-            for c in engine.complaints:
-                if c.kind is ComplaintKind.MISMATCH_READ:
-                    assert c.voter_id in ledgered
-                    assert c.voter_id in readback_ok
+            called = ivr_call_times(engine)
+            readback_ok = {v.voter_id for v in engine.voters.values()
+                           if v.verify_outcome == "read_back"
+                           and called[v.voter_id] < engine.timeline.polls_close}
+            for v in engine.voters.values():
+                if v.complaint is ComplaintKind.MISMATCH_READ:
+                    assert v.voter_id in ledgered
+                    assert v.voter_id in readback_ok
 
     def test_composed_strategies_claim_each_cast_once(self):
         # receipt-delay and vote-rewrite both on: first installed wins per
@@ -572,6 +621,27 @@ class TestMetricsAndInvariants:
         assert all(r.signature_valid for r in strong.cvs.records)
         # either way the honest audit still catches the ballot divergence
         assert len(weak.audit.inconsistencies) == len(rewritten)
+
+    def test_server_rewrite_leaves_clash_fraud_records_alone(self):
+        # a clash victim's record already carries the attacker ballot; the
+        # corrupt server must not rewrite it again and charge it twice
+        engine = run_tree(base_tree(
+            voters=400,
+            behavior={"card_rate": 0.4, "p_verify_ivr": 0.2,
+                      "p_check_receipt_only": 0.3},
+            attacks={"gateway_stripped": True,
+                     "clash": {"enabled": True, "prediction": "card"},
+                     "server_rewrite": {"enabled": True, "count": 400},
+                     "target_group": "g02"},
+        ))
+        ledger = engine.attacker.manipulation_ledger
+        voter_ids = [e.voter_id for e in ledger]
+        assert {e.strategy for e in ledger} == {"clash", "server_rewrite"}
+        assert len(voter_ids) == len(set(voter_ids))
+        report = build_report(engine)
+        assert report["winner_flip"]["manipulated"] <= report["voters"]
+        assert not [inc for inc in report["audit"]["inconsistencies"]
+                    if inc["kind"] == "bad_signature"]
 
     def test_last_minute_window_never_increases_detection(self):
         base = run_tree(base_tree(

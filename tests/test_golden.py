@@ -1,6 +1,8 @@
 """Golden behaviour oracle: every bundled scenario at seeds 42, 1 and 2
 must reproduce the sha256 of its serialized report and its trace_digest
-exactly as recorded in tests/golden/digests.json.
+exactly as recorded in tests/golden/digests.json. So must each entry of
+OVERRIDES: a bundled scenario with some keys changed, covering paths no
+bundled scenario reaches.
 
 The digests are recomputed in one child process whose PYTHONHASHSEED
 differs from this process's, through the same calls `votesim run` makes
@@ -11,6 +13,7 @@ regenerate the file:
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -20,22 +23,34 @@ import sys
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden", "digests.json")
 SEEDS = (42, 1, 2)
+# "<scenario>+<label>" -> {dotted config attribute: value}
+OVERRIDES = {
+    # the honest auditor's findings on server-rewritten records
+    "blind-auditor+honest-audit": {"audit.mode": "honest"},
+    # registrants who notice the assigned PIN escape the clash front
+    "clash+pin-suspicion": {"behavior.p_pin_suspicion": 0.3},
+}
 
 
 def compute_digests() -> dict[str, dict[str, str]]:
-    """"<scenario>@<seed>" -> {"report_sha256", "trace_digest"}."""
+    """"<scenario>[+<label>]@<seed>" -> {"report_sha256", "trace_digest"}."""
     from votesim.config import bundled_scenarios, load_config
     from votesim.engine import run_engine
     from votesim.report import build_report, serialize_report
 
+    paths = bundled_scenarios()
+    runs = [(name, {}) for name in sorted(paths)] + sorted(OVERRIDES.items())
     out = {}
-    for name, path in sorted(bundled_scenarios().items()):
+    for key, changes in runs:
         for seed in SEEDS:
-            config = load_config(path)
+            config = load_config(paths[key.split("+")[0]])
             config.seed = seed
+            for dotted, value in changes.items():
+                *parents, leaf = dotted.split(".")
+                setattr(functools.reduce(getattr, parents, config), leaf, value)
             report = build_report(run_engine(config))
             text = serialize_report(report)
-            out[f"{name}@{seed}"] = {
+            out[f"{key}@{seed}"] = {
                 "report_sha256": hashlib.sha256(text.encode()).hexdigest(),
                 "trace_digest": report["trace_digest"],
             }

@@ -49,14 +49,15 @@ class TestOrdering:
         sim.run_all()
         assert [e.payload.tag for e in received] == ["earlier", "first", "second"]
 
-    def test_run_until_limit(self):
+    def test_run_all_resumes_with_later_events(self):
         sim, received = make_sim()
         sim.schedule(1, "voter1", "cvs", Ping("a"))
         sim.schedule(100, "voter1", "cvs", Ping("b"))
-        sim.run_until(50)
-        assert [e.payload.tag for e in received] == ["a"]
         sim.run_all()
         assert [e.payload.tag for e in received] == ["a", "b"]
+        sim.schedule(150, "voter1", "cvs", Ping("c"))
+        sim.run_all()
+        assert [e.payload.tag for e in received] == ["a", "b", "c"]
 
     def test_handler_scheduled_events_delivered(self):
         sim = Simulator()
@@ -148,8 +149,8 @@ class TestTaps:
     def test_conservation_with_pending(self):
         sim, _ = make_sim()
         sim.schedule(0, "voter1", "cvs", Ping("now"))
+        sim.run_all()
         sim.schedule(100, "voter1", "cvs", Ping("later"))
-        sim.run_until(10)
         counts = sim.finalize()
         assert counts == {"scheduled": 2, "delivered": 1, "dropped": 0,
                           "replaced": 0, "pending": 1}
