@@ -91,7 +91,6 @@ class TimelineConfig:
 @dataclass
 class CryptoConfig:
     envelope_bits: int = _field(64, choices=(32, 64, 128))
-    signature_forgeable_by_server: bool = True
 
 
 @dataclass

@@ -93,7 +93,6 @@ class CoreVotingRecord:
     cast_time: int
     channel: VoteChannel
     superseded: bool = False
-    signature_valid: bool = True  # set false by a forging-incapable corrupt server
 
 
 @dataclass
@@ -280,7 +279,7 @@ class AuditMode(Enum):
 class Inconsistency:
     login_id: str
     receipt: str
-    kind: str  # "ballot_mismatch", "missing_verification", "missing_core", "bad_signature"
+    kind: str  # "ballot_mismatch", "missing_verification", "missing_core"
 
 
 @dataclass
@@ -314,9 +313,6 @@ def audit_reconcile(
         if ballot != vrec.ballot:
             found.append(Inconsistency(record.login_id, record.receipt,
                                        "ballot_mismatch"))
-        elif not record.signature_valid:
-            found.append(Inconsistency(record.login_id, record.receipt,
-                                       "bad_signature"))
     for key in verification.records:
         if key not in seen:
             found.append(Inconsistency(key[0], key[1], "missing_core"))

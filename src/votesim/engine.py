@@ -742,9 +742,6 @@ class ScenarioEngine:
             forged = env.seal(ballot_bytes, self.election_key.public(),
                               self.verification_key.public(), rng,
                               session_key=session_key)
-            if not self.config.crypto.signature_forgeable_by_server or \
-                    session_key is None:
-                record.signature_valid = False
             record.envelope = forged
             self.attacker.manipulation_ledger.append(atk.LedgerEntry(
                 voter_id=state.voter_id, intended=state.intended,

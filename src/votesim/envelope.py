@@ -168,14 +168,10 @@ def symmetric_open(key_int: int, nonce: bytes, ciphertext: bytes, tag: bytes) ->
 def client_signature(session_key: bytes, vote_ciphertext: bytes) -> bytes:
     """Keyed tag the client attaches over the vote ciphertext. The real
     derivation of this key is undocumented; here it is a per-session key
-    supplied by the casting context, and whether the collecting server can
-    recreate it is a scenario toggle.
+    supplied by the casting context. No check reads the tag: an honest
+    audit compares the two stores, not tags.
     """
     return hmac_mod.new(session_key, b"client-sig" + vote_ciphertext, hashlib.sha256).digest()[:TAG_LEN]
-
-
-def verify_client_signature(session_key: bytes, vote_ciphertext: bytes, sig: bytes) -> bool:
-    return hmac_mod.compare_digest(client_signature(session_key, vote_ciphertext), sig)
 
 
 class ServerRole(Enum):

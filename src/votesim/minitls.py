@@ -26,7 +26,7 @@ of the precompute, mirroring the real attack's cost structure).
 import hashlib
 import hmac as hmac_mod
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
 from typing import Callable, Optional
@@ -92,7 +92,6 @@ class CipherSuite(Enum):
     DHE_EXPORT = "DHE_EXPORT"
 
 
-EXPORT_SUITES = frozenset({CipherSuite.RSA_EXPORT, CipherSuite.DHE_EXPORT})
 NONCE_LEN = 16
 
 # Published costs of running these attacks against real 512-bit parameters,
@@ -230,9 +229,6 @@ class Finished:
     mac: bytes
 
 
-HandshakeMessage = object
-
-
 def signed_blob(client_nonce: bytes, server_nonce: bytes, kind: str,
                 params: tuple[int, ...]) -> bytes:
     """Exactly what the ServerKeyExchange signature covers. The negotiated
@@ -245,7 +241,7 @@ def signed_blob(client_nonce: bytes, server_nonce: bytes, kind: str,
     return b"|".join(parts)
 
 
-def message_bytes(msg: HandshakeMessage) -> bytes:
+def message_bytes(msg: object) -> bytes:
     if isinstance(msg, ClientHello):
         return b"ch|" + msg.nonce + b"|" + ",".join(s.value for s in msg.suites).encode()
     if isinstance(msg, ServerHello):
@@ -271,49 +267,6 @@ def finished_mac(session_key: bytes, side: str, transcript: list[bytes]) -> byte
     return hmac_mod.new(session_key, b"finished:" + side.encode() + h, hashlib.sha256).digest()
 
 
-# --- transcripts ---
-
-@dataclass
-class HandshakeTranscript:
-    """Ordered view of one handshake. Client- and server-side fields are
-    kept separately because an interposed handshake gives the two ends
-    different views.
-    """
-
-    messages: list[tuple[str, HandshakeMessage]] = field(default_factory=list)
-    client_suite: Optional[CipherSuite] = None
-    server_suite: Optional[CipherSuite] = None
-    client_session_key: Optional[bytes] = None
-    server_session_key: Optional[bytes] = None
-    renegotiation_index: int = 0
-    error: Optional[str] = None
-
-    @property
-    def negotiated_suite(self) -> Optional[CipherSuite]:
-        return self.client_suite
-
-    @property
-    def session_key(self) -> Optional[bytes]:
-        return self.client_session_key
-
-    def record(self, direction: str, msg: HandshakeMessage) -> None:
-        self.messages.append((direction, msg))
-
-    def find(self, cls) -> Optional[HandshakeMessage]:
-        for _, msg in self.messages:
-            if isinstance(msg, cls):
-                return msg
-        return None
-
-    def log_lines(self) -> list[str]:
-        """One message per line: direction, type, fields in hex/decimal."""
-        lines = []
-        for direction, msg in self.messages:
-            body = message_bytes(msg)
-            lines.append(f"{direction} {type(msg).__name__} {body.hex()}")
-        return lines
-
-
 # --- configs and server runtime ---
 
 @dataclass(frozen=True)
@@ -335,10 +288,6 @@ class ServerTlsConfig:
 class ClientTlsConfig:
     offered_suites: tuple[CipherSuite, ...]
     patched: bool = True
-
-    @property
-    def accepts_unsolicited_export_rsa_key(self) -> bool:
-        return not self.patched
 
 
 def make_server_config(
@@ -391,9 +340,7 @@ class TlsServer:
         return key
 
     def connect(self) -> "ServerConnection":
-        now = self.clock()
-        return ServerConnection(server=self, opened_at=now,
-                                pinned_temp_key=self.temp_rsa_key(now))
+        return ServerConnection(self.config, self.temp_rsa_key(self.clock()))
 
 
 class ServerConnection:
@@ -401,10 +348,8 @@ class ServerConnection:
     connect time and reused for every renegotiation on this connection.
     """
 
-    def __init__(self, server: TlsServer, opened_at: int, pinned_temp_key: RsaKey):
-        self.server = server
-        self.config = server.config
-        self.opened_at = opened_at
+    def __init__(self, config: ServerTlsConfig, pinned_temp_key: RsaKey):
+        self.config = config
         self.pinned_temp_key = pinned_temp_key
         self.renegotiation_count = 0
         self.closed = False
@@ -432,7 +377,6 @@ class ClientHandshake:
         self.suite: Optional[CipherSuite] = None
         self.server_nonce: Optional[bytes] = None
         self.key_material: Optional[tuple] = None
-        self.premaster: Optional[int] = None
         self.session_key: Optional[bytes] = None
         self.cert_key: Optional[RsaKey] = None
 
@@ -457,7 +401,7 @@ class ClientHandshake:
             # RSA key transport has no ServerKeyExchange. Accepting a
             # temporary export key here anyway is the client flaw behind
             # the export-RSA downgrade.
-            if not (msg.kind == "rsa_temp" and self.config.accepts_unsolicited_export_rsa_key):
+            if msg.kind != "rsa_temp" or self.config.patched:
                 raise ClientPatched("unsolicited ServerKeyExchange rejected")
         blob = signed_blob(self.nonce, self.server_nonce, msg.kind, msg.params)
         if not rsa_verify(self.cert_key, blob, msg.signature):
@@ -470,21 +414,21 @@ class ClientHandshake:
         if self.suite is CipherSuite.RSA and self.key_material is None:
             # key transport under the certificate key
             n = self.cert_key.n
-            self.premaster = self.rng.randrange(2, n - 1)
-            msg = ClientKeyExchange(kind="rsa", payload=rsa_encrypt_int(self.cert_key, self.premaster))
+            premaster = self.rng.randrange(2, n - 1)
+            msg = ClientKeyExchange(kind="rsa", payload=rsa_encrypt_int(self.cert_key, premaster))
         elif self.key_material is not None and self.key_material[0] == "rsa_temp":
             n, e = self.key_material[1]
-            self.premaster = self.rng.randrange(2, n - 1)
-            msg = ClientKeyExchange(kind="rsa", payload=rsa_encrypt_int(RsaKey(n=n, e=e), self.premaster))
+            premaster = self.rng.randrange(2, n - 1)
+            msg = ClientKeyExchange(kind="rsa", payload=rsa_encrypt_int(RsaKey(n=n, e=e), premaster))
         elif self.key_material is not None and self.key_material[0] == "dhe":
             p, g, server_pub = self.key_material[1]
             xc = self.rng.randrange(2, p - 1)
-            self.premaster = pow(server_pub, xc, p)
+            premaster = pow(server_pub, xc, p)
             msg = ClientKeyExchange(kind="dhe", payload=pow(g, xc, p))
         else:
             raise TlsError("no key material to respond to")
         self.transcript_view.append(message_bytes(msg))
-        self.session_key = derive_session_key(self.premaster, self.nonce, self.server_nonce)
+        self.session_key = derive_session_key(premaster, self.nonce, self.server_nonce)
         return msg
 
     def finished(self) -> Finished:
@@ -512,7 +456,6 @@ class ServerHandshake:
         self.client_nonce: Optional[bytes] = None
         self._dhe_secret: Optional[int] = None
         self._dhe_params: Optional[ElGamalParams] = None
-        self.premaster: Optional[int] = None
         self.session_key: Optional[bytes] = None
 
     def on_client_hello(self, msg: ClientHello) -> ServerHello:
@@ -556,17 +499,17 @@ class ServerHandshake:
                    else self.config.cert_key)
             if not 0 < msg.payload < key.n:
                 raise FinishedMismatch("ClientKeyExchange payload out of range")
-            self.premaster = rsa_decrypt_int(key, msg.payload)
+            premaster = rsa_decrypt_int(key, msg.payload)
         elif msg.kind == "dhe" and self._dhe_secret is not None:
             if not 0 < msg.payload < self._dhe_params.p:
                 raise FinishedMismatch("ClientKeyExchange payload out of range")
-            self.premaster = pow(msg.payload, self._dhe_secret, self._dhe_params.p)
+            premaster = pow(msg.payload, self._dhe_secret, self._dhe_params.p)
         else:
             raise FinishedMismatch(
                 f"ClientKeyExchange kind {msg.kind} does not fit suite "
                 f"{self.suite.value}")
         self.transcript_view.append(message_bytes(msg))
-        self.session_key = derive_session_key(self.premaster, self.client_nonce, self.nonce)
+        self.session_key = derive_session_key(premaster, self.client_nonce, self.nonce)
 
     def on_client_finished(self, msg: Finished) -> Finished:
         expect = finished_mac(self.session_key, "client", self.transcript_view)
@@ -576,12 +519,12 @@ class ServerHandshake:
                                                         self.transcript_view))
 
 
-# --- honest (possibly tapped) handshake driver ---
+# --- handshake driver ---
 
-Channel = Callable[[str, HandshakeMessage], HandshakeMessage]
+Channel = Callable[[str, object], object]
 
 
-def _identity_channel(direction: str, msg: HandshakeMessage) -> HandshakeMessage:
+def _identity_channel(direction: str, msg: object) -> object:
     return msg
 
 
@@ -590,60 +533,30 @@ def handshake(
     conn: ServerConnection,
     rng: Random,
     channel: Channel = _identity_channel,
-) -> HandshakeTranscript:
+) -> tuple[ClientHandshake, ServerHandshake]:
     """Run one full negotiation over `channel`, which sees every message in
     order and may return a substitute (a man-in-the-middle tap point).
     Raises the handshake errors; on success both sides hold equal keys.
+    Returns the (client, server) state machines.
     """
     conn.ensure_open()
-    t = HandshakeTranscript(renegotiation_index=conn.renegotiation_count)
     client = ClientHandshake(client_config, rng)
     server = ServerHandshake(conn, rng)
     try:
         ch = channel("c->s", client.hello())
-        t.record("c->s", ch)
         sh = channel("s->c", server.on_client_hello(ch))
-        t.record("s->c", sh)
         client.on_server_hello(sh, conn.config.cert_key)
         ske = server.server_key_exchange()
         if ske is not None:
-            ske = channel("s->c", ske)
-            t.record("s->c", ske)
-            client.on_server_key_exchange(ske)
+            client.on_server_key_exchange(channel("s->c", ske))
         cke = channel("c->s", client.client_key_exchange())
-        t.record("c->s", cke)
         server.on_client_key_exchange(cke)
         cfin = channel("c->s", client.finished())
-        t.record("c->s", cfin)
         sfin = channel("s->c", server.on_client_finished(cfin))
-        t.record("s->c", sfin)
         client.on_server_finished(sfin)
-    except TlsError as exc:
-        t.error = f"{type(exc).__name__}: {exc}"
-        raise
     finally:
-        t.client_suite = client.suite
-        t.server_suite = server.suite
-        t.client_session_key = client.session_key
-        t.server_session_key = server.session_key
         conn.renegotiation_count += 1
-    return t
-
-
-def renegotiate(
-    conn: ServerConnection,
-    rng: Random,
-    client_config: Optional[ClientTlsConfig] = None,
-    channel: Channel = _identity_channel,
-) -> HandshakeTranscript:
-    """Fresh client-initiated negotiation on a live connection. The server
-    signs again but keeps the pinned temporary RSA key.
-    """
-    conn.ensure_open()
-    if client_config is None:
-        client_config = ClientTlsConfig(offered_suites=(CipherSuite.RSA_EXPORT,),
-                                        patched=True)
-    return handshake(client_config, conn, rng, channel)
+    return client, server
 
 
 def signature_oracle(conn: ServerConnection, victim_nonce: bytes,
@@ -692,7 +605,6 @@ class PrecompTable:
     table: dict[int, int]
     table_size: int
     stride_inv: int  # g^(-table_size) mod p
-    metadata: dict = field(default_factory=lambda: dict(REAL_WORLD_COSTS["dlog_512_dhe"]))
 
 
 def dlog_precompute(params: ElGamalParams) -> PrecompTable:
@@ -734,7 +646,7 @@ class MitmResult:
     attacker_session_key: Optional[bytes] = None
     client_session_key: Optional[bytes] = None
     server_session_key: Optional[bytes] = None
-    client_transcript: Optional[HandshakeTranscript] = None
+    client_suite: Optional[CipherSuite] = None  # what the victim believes
     simulated_delay: int = 0
 
 
@@ -752,52 +664,80 @@ def mitm_freak(
     signature, decrypts the victim's key exchange, and forges the server
     Finished. Needs an unpatched victim and the factored pinned key.
     """
-    t = HandshakeTranscript()
     client = ClientHandshake(client_config, rng)
     hello = client.hello()
-    t.record("c->a", hello)
-
     preferred = next((s for s in client_config.offered_suites
                       if s in (CipherSuite.RSA, CipherSuite.RSA_EXPORT)), None)
     if preferred is None:
-        return MitmResult(success=False, error="victim offers no RSA-family suite",
-                          client_transcript=t)
+        return MitmResult(success=False, error="victim offers no RSA-family suite")
     try:
         server_nonce, ske = signature_oracle(oracle_conn, hello.nonce, rng)
     except TlsError as exc:
-        return MitmResult(success=False, error=f"{type(exc).__name__}: {exc}",
-                          client_transcript=t)
+        return MitmResult(success=False, error=f"{type(exc).__name__}: {exc}")
 
-    fake_hello = ServerHello(nonce=server_nonce, suite=preferred)
-    t.record("a->c", fake_hello)
-    client.on_server_hello(fake_hello, oracle_conn.config.cert_key)
+    client.on_server_hello(ServerHello(nonce=server_nonce, suite=preferred),
+                           oracle_conn.config.cert_key)
     try:
-        t.record("a->c", ske)
         client.on_server_key_exchange(ske)
     except ClientPatched as exc:
-        t.error = str(exc)
-        return MitmResult(success=False, error=f"ClientPatched: {exc}", client_transcript=t)
+        return MitmResult(success=False, error=f"ClientPatched: {exc}")
 
     cke = client.client_key_exchange()
-    t.record("c->a", cke)
     if factored_temp_key is None or factored_temp_key.p is None \
             or factored_temp_key.n != ske.params[0]:
-        return MitmResult(success=False, error="temp key not factored; cannot decrypt",
-                          client_transcript=t, client_session_key=None)
+        return MitmResult(success=False, error="temp key not factored; cannot decrypt")
     premaster = rsa_decrypt_int(factored_temp_key, cke.payload)
     attacker_key = derive_session_key(premaster, hello.nonce, server_nonce)
 
-    cfin = client.finished()
-    t.record("c->a", cfin)
     forged = Finished(side="server",
                       mac=finished_mac(attacker_key, "server", client.transcript_view))
-    t.record("a->c", forged)
     client.on_server_finished(forged)  # completes with no client-visible error
-
-    t.client_suite = client.suite
-    t.client_session_key = client.session_key
     return MitmResult(success=True, attacker_session_key=attacker_key,
-                      client_session_key=client.session_key, client_transcript=t)
+                      client_session_key=client.session_key, client_suite=client.suite)
+
+
+class _LogjamInterposer:
+    """The `handshake` channel of an export-DHE man in the middle.
+
+    The two ends hash different hellos into their Finished, so it keeps
+    each end's view from the messages it relays and forges every Finished
+    over the view of the end that receives it.
+    """
+
+    def __init__(self, preferred: CipherSuite, table: PrecompTable):
+        self.preferred = preferred
+        self.table = table
+        self.views: dict[str, list[bytes]] = {"client": [], "server": []}
+        self.nonces: dict[str, bytes] = {}
+        self.server_pub: Optional[int] = None
+        self.attacker_key: Optional[bytes] = None
+
+    def __call__(self, direction: str, msg: object) -> object:
+        sender, receiver = ("client", "server") if direction == "c->s" \
+            else ("server", "client")
+        if isinstance(msg, Finished):
+            return Finished(side=msg.side, mac=finished_mac(
+                self.attacker_key, msg.side, self.views[receiver]))
+        relayed = msg
+        if isinstance(msg, ClientHello):
+            self.nonces[sender] = msg.nonce
+            relayed = ClientHello(nonce=msg.nonce, suites=(CipherSuite.DHE_EXPORT,))
+        elif isinstance(msg, ServerHello):
+            self.nonces[sender] = msg.nonce
+            relayed = ServerHello(nonce=msg.nonce, suite=self.preferred)
+        elif isinstance(msg, ServerKeyExchange):
+            # relayed untouched: the signature does not cover the suite
+            if self.table.params.p != msg.params[0]:
+                raise DlogBudgetExceeded("precompute table bound to a different modulus")
+            self.server_pub = msg.params[2]
+        elif isinstance(msg, ClientKeyExchange):
+            server_secret = dlog_individual(self.server_pub, self.table)
+            premaster = pow(msg.payload, server_secret, self.table.params.p)
+            self.attacker_key = derive_session_key(
+                premaster, self.nonces["client"], self.nonces["server"])
+        self.views[sender].append(message_bytes(msg))
+        self.views[receiver].append(message_bytes(relayed))
+        return relayed
 
 
 def mitm_logjam(
@@ -808,74 +748,28 @@ def mitm_logjam(
 ) -> MitmResult:
     """Export-DHE downgrade against any client, patched or not.
 
-    The attacker rewrites the hello to offer only export DHE, lets the
-    server's signed key exchange through untouched (the signature does not
-    cover the suite), rewrites the server hello back to the suite the
-    victim asked for, descends the server's ephemeral secret with the
-    precomputed table, and forges both Finished messages.
+    The attacker sits on the channel of an ordinary handshake: he rewrites
+    the hello to offer only export DHE, lets the server's signed key
+    exchange through untouched (the signature does not cover the suite),
+    rewrites the server hello back to the suite the victim asked for,
+    descends the server's ephemeral secret with the precomputed table, and
+    forges both Finished messages.
     """
     if table is None:
         raise PrecomputeMissing("no discrete-log table for the server's group")
-    t = HandshakeTranscript()
-    client = ClientHandshake(client_config, rng)
-    server = ServerHandshake(conn, rng)
-
-    hello = client.hello()
-    t.record("c->a", hello)
     preferred = next((s for s in client_config.offered_suites
                       if s in (CipherSuite.DHE, CipherSuite.DHE_EXPORT)), None)
     if preferred is None:
-        return MitmResult(success=False, error="victim offers no DHE-family suite",
-                          client_transcript=t)
-    rewritten = ClientHello(nonce=hello.nonce, suites=(CipherSuite.DHE_EXPORT,))
-    t.record("a->s", rewritten)
+        return MitmResult(success=False, error="victim offers no DHE-family suite")
+    interposer = _LogjamInterposer(preferred, table)
     try:
-        sh = server.on_client_hello(rewritten)
+        client, server = handshake(client_config, conn, rng, interposer)
     except NoCommonSuite as exc:
-        conn.renegotiation_count += 1
-        return MitmResult(success=False, error=f"NoCommonSuite: {exc}", client_transcript=t)
-    t.record("s->a", sh)
-    sh_for_client = ServerHello(nonce=sh.nonce, suite=preferred)
-    t.record("a->c", sh_for_client)
-    client.on_server_hello(sh_for_client, conn.config.cert_key)
-
-    ske = server.server_key_exchange()
-    t.record("s->c", ske)
-    if table.params.p != ske.params[0]:
-        conn.renegotiation_count += 1
-        raise DlogBudgetExceeded("precompute table bound to a different modulus")
-    client.on_server_key_exchange(ske)  # signature verifies: suite not covered
-
-    cke = client.client_key_exchange()
-    t.record("c->s", cke)
-    server.on_client_key_exchange(cke)
-
-    server_pub = ske.params[2]
-    server_secret = dlog_individual(server_pub, table)
-    premaster = pow(cke.payload, server_secret, table.params.p)
-    attacker_key = derive_session_key(premaster, hello.nonce, sh.nonce)
-
-    cfin = client.finished()
-    t.record("c->a", cfin)
-    forged_cfin = Finished(side="client",
-                           mac=finished_mac(attacker_key, "client", server.transcript_view))
-    t.record("a->s", forged_cfin)
-    sfin = server.on_client_finished(forged_cfin)
-    t.record("s->a", sfin)
-    forged_sfin = Finished(side="server",
-                           mac=finished_mac(attacker_key, "server", client.transcript_view))
-    t.record("a->c", forged_sfin)
-    client.on_server_finished(forged_sfin)
-    conn.renegotiation_count += 1
-
-    t.client_suite = client.suite  # victim believes the strong suite
-    t.server_suite = server.suite
-    t.client_session_key = client.session_key
-    t.server_session_key = server.session_key
-    return MitmResult(success=True, attacker_session_key=attacker_key,
+        return MitmResult(success=False, error=f"NoCommonSuite: {exc}")
+    return MitmResult(success=True, attacker_session_key=interposer.attacker_key,
                       client_session_key=client.session_key,
                       server_session_key=server.session_key,
-                      client_transcript=t,
+                      client_suite=client.suite,  # the strong suite, as the victim believes
                       simulated_delay=DLOG_INDIVIDUAL_DELAY)
 
 
@@ -933,8 +827,7 @@ def run_downgrade_matrix(rng: Random) -> list[MatrixCell]:
                 cfg = make_server_config("matrix", frozenset(suites), rng)
                 if export_dhe:
                     cfg = replace(cfg, export_dhe_params=export_dhe_params)
-                clock_now = [0]
-                server = TlsServer(cfg, clock=lambda: clock_now[0])
+                server = TlsServer(cfg, clock=lambda: 0)
 
                 # export-RSA attack: oracle connection, factor pinned key
                 freak_ok = False
@@ -942,7 +835,6 @@ def run_downgrade_matrix(rng: Random) -> list[MatrixCell]:
                 client_cfg = ClientTlsConfig(offered_suites=(CipherSuite.RSA, CipherSuite.DHE),
                                              patched=patched)
                 try:
-                    pinned = oracle.pinned_temp_key
                     if export_rsa:
                         _, probe = signature_oracle(oracle, b"\x00" * NONCE_LEN, rng)
                         fp, fq = factor_export_modulus(probe.params[0], rng)

@@ -92,29 +92,15 @@ class MitmTap:
 
 
 def describe_payload(payload: Any) -> str:
-    """Stable single-token description for trace lines. Payload objects may
-    provide trace_fields() -> dict; bytes are hexed; everything else falls
-    back to its class name (never repr, which can leak object ids).
+    """Stable single-token description for trace lines: the class name,
+    with the payload's trace_fields() when it has them (never repr, which
+    can leak object ids). Field values are str, int or bool; a payload
+    hexes its own bytes.
     """
-    fields = None
-    if hasattr(payload, "trace_fields"):
-        fields = payload.trace_fields()
-    elif isinstance(payload, bytes):
-        return f"bytes[{len(payload)}]:{payload[:8].hex()}"
-    elif isinstance(payload, (str, int, float, bool)):
-        return repr(payload)
-    if fields is not None:
-        inner = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(fields.items()))
-        return f"{type(payload).__name__}({inner})"
-    return type(payload).__name__
-
-
-def _fmt(v: Any) -> str:
-    if isinstance(v, bytes):
-        return v[:8].hex()
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
+    if not hasattr(payload, "trace_fields"):
+        return type(payload).__name__
+    inner = ",".join(f"{k}={v}" for k, v in sorted(payload.trace_fields().items()))
+    return f"{type(payload).__name__}({inner})"
 
 
 class Simulator:
@@ -167,7 +153,10 @@ class Simulator:
         heapq.heappush(self._queue, (event.time, event.seq, event))
         return event
 
-    def _apply_taps(self, event: Event) -> Optional[Event]:
+    def _apply_taps(self, event: Event) -> tuple[Optional[Event], list[str]]:
+        """Run the matching taps in order; returns the event to deliver
+        (None when a tap dropped or replaced it) and the taps' trace notes.
+        """
         notes = []
         for tap in self._taps:
             if not tap.matcher(event.src, event.dst):
@@ -184,17 +173,16 @@ class Simulator:
             if decision.kind == Decision.DROP:
                 self.counters["dropped"] += 1
                 self._trace(event, "drop", notes + [f"dropped:{tap.name}"])
-                return None
+                return None, notes
             if decision.kind == "inject":
                 self.counters["replaced"] += 1
                 self._trace(event, "replace", notes + [f"replaced:{tap.name}"])
                 for injected in decision.events:
                     self.schedule(injected.time, injected.src, injected.dst,
                                   injected.payload)
-                return None
+                return None, notes
             raise NetsimError(f"unknown decision {decision.kind}")
-        event._notes = notes  # type: ignore[attr-defined]
-        return event
+        return event, notes
 
     def _trace(self, event: Event, status: str, notes: list[str]) -> None:
         note = ";".join(notes) if notes else "-"
@@ -210,11 +198,11 @@ class Simulator:
         while self._queue:
             event = heapq.heappop(self._queue)[2]
             self.now = max(self.now, event.time)
-            final = self._apply_taps(event)
+            final, notes = self._apply_taps(event)
             if final is None:
                 continue
             self.counters["delivered"] += 1
-            self._trace(final, "deliver", getattr(final, "_notes", []))
+            self._trace(final, "deliver", notes)
             handler = self.endpoint(final.dst).handler
             if handler is not None:
                 handler(final, self)

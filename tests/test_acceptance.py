@@ -56,10 +56,11 @@ class TestAcceptance:
         server = tls.TlsServer(cfg, clock=lambda: clock[0])
         conn = server.connect()
         rng = Random(3)
+        export_only = tls.ClientTlsConfig(offered_suites=(tls.CipherSuite.RSA_EXPORT,))
         moduli = set()
         for _ in range(100):
-            t = tls.renegotiate(conn, rng)
-            moduli.add(t.find(tls.ServerKeyExchange).params[0])
+            client, _ = tls.handshake(export_only, conn, rng)
+            moduli.add(client.key_material[1][0])
         one_key = len(moduli) == 1
         hourly = set()
         for hour in range(5):

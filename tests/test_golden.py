@@ -29,6 +29,10 @@ OVERRIDES = {
     "blind-auditor+honest-audit": {"audit.mode": "honest"},
     # registrants who notice the assigned PIN escape the clash front
     "clash+pin-suspicion": {"behavior.p_pin_suspicion": 0.3},
+    # both downgrades: a rejected FREAK attempt, then Logjam on the retry
+    "freak-window+logjam": {
+        "attacks.logjam.enabled": True,
+        "tls.third_party_suites": ("RSA", "RSA_EXPORT", "DHE", "DHE_EXPORT")},
 }
 
 

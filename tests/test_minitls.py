@@ -32,7 +32,6 @@ from votesim.minitls import (
     make_server_config,
     mitm_freak,
     mitm_logjam,
-    renegotiate,
     rsa_decrypt_int,
     rsa_sign,
     rsa_verify,
@@ -56,27 +55,28 @@ class TestHonestHandshake:
     def test_success_picks_client_top_preference(self):
         server, _ = make_server()
         conn = server.connect()
-        client = ClientTlsConfig(offered_suites=(CipherSuite.RSA, CipherSuite.DHE))
-        t = handshake(client, conn, Random(1))
-        assert t.negotiated_suite is CipherSuite.RSA
-        assert t.client_session_key == t.server_session_key
-        assert t.error is None
+        config = ClientTlsConfig(offered_suites=(CipherSuite.RSA, CipherSuite.DHE))
+        client, srv = handshake(config, conn, Random(1))
+        assert client.suite is srv.suite is CipherSuite.RSA
+        assert client.session_key == srv.session_key
+        assert client.session_key is not None
 
     def test_dhe_top_preference(self):
         server, _ = make_server()
         conn = server.connect()
-        client = ClientTlsConfig(offered_suites=(CipherSuite.DHE, CipherSuite.RSA))
-        t = handshake(client, conn, Random(2))
-        assert t.negotiated_suite is CipherSuite.DHE
-        assert t.client_session_key == t.server_session_key
+        config = ClientTlsConfig(offered_suites=(CipherSuite.DHE, CipherSuite.RSA))
+        client, srv = handshake(config, conn, Random(2))
+        assert client.suite is CipherSuite.DHE
+        assert client.session_key == srv.session_key
 
     def test_export_suites_also_work_honestly(self):
         server, _ = make_server()
         for suite in (CipherSuite.RSA_EXPORT, CipherSuite.DHE_EXPORT):
             conn = server.connect()
-            t = handshake(ClientTlsConfig(offered_suites=(suite,)), conn, Random(3))
-            assert t.negotiated_suite is suite
-            assert t.client_session_key == t.server_session_key
+            client, srv = handshake(ClientTlsConfig(offered_suites=(suite,)),
+                                    conn, Random(3))
+            assert client.suite is suite
+            assert client.session_key == srv.session_key
 
     def test_no_common_suite(self):
         server, _ = make_server(suites=frozenset({CipherSuite.DHE}))
@@ -126,11 +126,13 @@ class TestRenegotiationAndRotation:
         server, _ = make_server()
         conn = server.connect()
         rng = Random(6)
+        export_only = ClientTlsConfig(offered_suites=(CipherSuite.RSA_EXPORT,))
         moduli = set()
         for _ in range(100):
-            t = renegotiate(conn, rng)
-            ske = t.find(ServerKeyExchange)
-            moduli.add(ske.params[0])
+            client, _ = handshake(export_only, conn, rng)
+            kind, (n, _e) = client.key_material
+            assert kind == "rsa_temp"
+            moduli.add(n)
         assert len(moduli) == 1
         assert conn.renegotiation_count == 100
 
@@ -155,7 +157,8 @@ class TestRenegotiationAndRotation:
         conn = server.connect()
         conn.close()
         with pytest.raises(ConnectionClosed):
-            renegotiate(conn, Random(7))
+            handshake(ClientTlsConfig(offered_suites=(CipherSuite.RSA_EXPORT,)),
+                      conn, Random(7))
 
 
 class TestSignatureOracle:
@@ -278,7 +281,8 @@ class TestFreak:
         result = mitm_freak(client, self.oracle_conn, self.factored, Random(42))
         assert result.success
         assert result.attacker_session_key == result.client_session_key
-        assert result.client_transcript.error is None
+        assert result.error is None
+        assert result.client_suite is CipherSuite.RSA
 
     def test_patched_client_aborts(self):
         client = ClientTlsConfig(offered_suites=(CipherSuite.RSA,), patched=True)
@@ -317,7 +321,7 @@ class TestLogjam:
         assert (result.attacker_session_key == result.client_session_key
                 == result.server_session_key)
         # the victim believes it negotiated the strong suite
-        assert result.client_transcript.client_suite is CipherSuite.DHE
+        assert result.client_suite is CipherSuite.DHE
 
     def test_disabled_export_dhe_fails_at_hello(self):
         server, _ = make_server(Random(52),
@@ -335,6 +339,24 @@ class TestLogjam:
         with pytest.raises(DlogBudgetExceeded):
             mitm_logjam(client, self.server.connect(), other, Random(56))
 
+    def test_one_renegotiation_per_call(self):
+        # success, a refused hello and the wrong table each count once on
+        # the connection, like any other handshake on it
+        client = ClientTlsConfig(offered_suites=(CipherSuite.DHE,), patched=True)
+        conn = self.server.connect()
+        assert mitm_logjam(client, conn, self.table, Random(57)).success
+        assert conn.renegotiation_count == 1
+        other = dlog_precompute(gen_export_dhe_params(64, Random(55)))
+        with pytest.raises(DlogBudgetExceeded):
+            mitm_logjam(client, conn, other, Random(58))
+        assert conn.renegotiation_count == 2
+        no_export, _ = make_server(Random(52),
+                                   suites=frozenset({CipherSuite.RSA, CipherSuite.DHE}))
+        conn = no_export.connect()
+        result = mitm_logjam(client, conn, self.table, Random(59))
+        assert "NoCommonSuite" in result.error
+        assert conn.renegotiation_count == 1
+
 
 class TestSignatureCoverage:
     def test_suite_not_covered_nonce_and_params_are(self):
@@ -342,49 +364,66 @@ class TestSignatureCoverage:
         # directly on a signed ServerKeyExchange
         server, _ = make_server(Random(60))
         conn = server.connect()
-        client = ClientTlsConfig(offered_suites=(CipherSuite.DHE,))
-        t = handshake(client, conn, Random(61))
-        hello = t.messages[0][1]
-        server_hello = t.messages[1][1]
-        ske = t.find(ServerKeyExchange)
+        client_nonce = Random(61).randbytes(16)
+        server_nonce, ske = signature_oracle(conn, client_nonce, Random(62))
         pub = server.config.cert_key.public()
 
-        good = signed_blob(hello.nonce, server_hello.nonce, ske.kind, ske.params)
+        good = signed_blob(client_nonce, server_nonce, ske.kind, ske.params)
         assert rsa_verify(pub, good, ske.signature)
-        # the blob simply has no suite field: recomputing it after changing
-        # the negotiated suite in the transcript yields the same bytes
-        assert good == signed_blob(hello.nonce, server_hello.nonce, ske.kind,
+        # the blob simply has no suite field: recomputing it for another
+        # negotiated suite yields the same bytes
+        assert good == signed_blob(client_nonce, server_nonce, ske.kind,
                                    ske.params)
         # mutated nonce -> signature no longer verifies
-        bad_nonce = signed_blob(bytes([hello.nonce[0] ^ 1]) + hello.nonce[1:],
-                                server_hello.nonce, ske.kind, ske.params)
+        bad_nonce = signed_blob(bytes([client_nonce[0] ^ 1]) + client_nonce[1:],
+                                server_nonce, ske.kind, ske.params)
         assert not rsa_verify(pub, bad_nonce, ske.signature)
         # mutated key material -> signature no longer verifies
         mutated = (ske.params[0] + 1, *ske.params[1:])
-        bad_params = signed_blob(hello.nonce, server_hello.nonce, ske.kind, mutated)
+        bad_params = signed_blob(client_nonce, server_nonce, ske.kind, mutated)
         assert not rsa_verify(pub, bad_params, ske.signature)
 
 
-class TestTranscriptLog:
-    def test_line_format_and_golden_stability(self):
-        # golden-file style: two identically seeded runs dump identical
-        # line-oriented transcripts; each line is direction, type, hex body
-        def run():
-            server, _ = make_server(Random(80))
-            conn = server.connect()
-            client = ClientTlsConfig(offered_suites=(CipherSuite.DHE,))
-            return handshake(client, conn, Random(81)).log_lines()
+class TestKnownAnswers:
+    # sha256 of the session keys at fixed seeds, pinned so that a change to
+    # the draw order (client nonce, server nonce, server DHE secret, client
+    # exponent) or to the key schedule fails here first
 
-        lines = run()
-        assert lines == run()
-        assert len(lines) == 6  # hello x2, key exchanges x2, finished x2
-        for line in lines:
-            direction, msg_type, body = line.split(" ")
-            assert direction in ("c->s", "s->c")
-            assert msg_type in ("ClientHello", "ServerHello",
-                                "ServerKeyExchange", "ClientKeyExchange",
-                                "Finished")
-            bytes.fromhex(body)  # hex payload
+    SESSION_KEYS = {
+        "RSA": "347a4731b95c7bd11a80d014ebb2b21b6d5723843b8d96c8666a19b1c52d8173",
+        "RSA_EXPORT": "2d078fb6b1cebc746b0f5418eac4b670803c54932805f8516e2129d2e4e3ef76",
+        "DHE": "ff994dd1415f591ef143c75a2c3e5e02e9e3bf032f876a3adbc2845b67ec98c6",
+        "DHE_EXPORT": "8eb887977744d3c4268d9505b9f15e7c947992c2a4c61eac3083981aaf92f288",
+    }
+
+    @pytest.mark.parametrize("suite", list(SESSION_KEYS))
+    def test_handshake_session_keys(self, suite):
+        server, _ = make_server(Random(90))
+        config = ClientTlsConfig(offered_suites=(CipherSuite(suite),))
+        client, srv = handshake(config, server.connect(), Random(91))
+        assert client.suite is srv.suite is CipherSuite(suite)
+        assert hashlib.sha256(client.session_key + srv.session_key).hexdigest() == \
+            self.SESSION_KEYS[suite]
+
+    def test_mitm_logjam_keys(self):
+        server, _ = make_server(Random(50))
+        table = dlog_precompute(server.config.export_dhe_params)
+        client = ClientTlsConfig(offered_suites=(CipherSuite.DHE,))
+        r = mitm_logjam(client, server.connect(), table, Random(51))
+        keys = r.attacker_session_key + r.client_session_key + r.server_session_key
+        assert hashlib.sha256(keys).hexdigest() == \
+            "265bb6f3a781dc180013d357e63202930297598ececf640683588f1df806bad1"
+
+    def test_mitm_freak_keys(self):
+        server, _ = make_server(Random(40))
+        oracle_conn = server.connect()
+        temp = oracle_conn.pinned_temp_key
+        p, q = factor_export_modulus(temp.n, Random(41))
+        client = ClientTlsConfig(offered_suites=(CipherSuite.RSA,), patched=False)
+        r = mitm_freak(client, oracle_conn, RsaKey.from_primes(p, q, temp.e), Random(42))
+        keys = r.attacker_session_key + r.client_session_key
+        assert hashlib.sha256(keys).hexdigest() == \
+            "d1178722f3765a1d4a8eb8be0cc9eb41f18f442b48716bd30de44272ac10d1d9"
 
 
 class TestRecords:

@@ -381,8 +381,7 @@ class TestCli:
         return rc, capsys.readouterr().err
 
     @pytest.mark.parametrize("key_path", [
-        "tls.enabled", "crypto.signature_forgeable_by_server",
-        "attacks.freak.enabled", "attacks.logjam.enabled",
+        "tls.enabled", "attacks.freak.enabled", "attacks.logjam.enabled",
         "attacks.vote_rewrite.enabled", "attacks.last_minute.enabled",
         "attacks.receipt_delay.enabled", "attacks.fake_ivr.enabled",
         "attacks.clash.enabled", "attacks.server_rewrite.enabled",
@@ -468,6 +467,9 @@ class TestCli:
           "attacks": {"vote_rewrite": {"enabled": True},
                       "freak": {"enabled": True, "window_start": 0,
                                 "window_end": 1800}}}),
+        # a deleted key: no check ever read the tag it toggled
+        ("crypto.signature_forgeable_by_server",
+         {"crypto": {"signature_forgeable_by_server": True}}),
     ])
     def test_unrunnable_config_exits_2_with_key_path(self, key_path, over, tmp_path,
                                                      capsys):
