@@ -1,9 +1,10 @@
 """Adversary strategies, composed as tap handlers over the event network.
 
-Every strategy writes to a shared manipulation ledger, which is the
-ground truth all detection metrics are computed against. The point the
-metrics make: complaints reaching the authorities understate manipulated
-votes, by construction, for each of these strategies.
+Every strategy writes to a shared manipulation ledger, keyed by voter,
+which is the ground truth the report's `detection` section joins each
+voter record against. The point those numbers make: complaints reaching
+the authorities understate manipulated votes, by construction, for each
+of these strategies.
 
 Strategies:
 
@@ -18,7 +19,8 @@ Strategies:
                        genuine vote.
 * fake verification  — redirect a manipulated voter's verify call to an
                        attacker IVR that reads back the intent.
-* clash              — misdirect registrations on the plain-HTTP gateway,
+* clash              — strip the registration gateway to plain HTTP,
+                       misdirect registrations to a look-alike site,
                        hand victims the credentials of a like-minded voter
                        who already cast an identical-by-prediction vote,
                        and spend each victim's real entitlement on an
@@ -27,10 +29,9 @@ Strategies:
 
 from dataclasses import dataclass, field, replace
 from random import Random
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .ballots import Ballot, ElectionManifest, encode_ballot
-from .election import ComplaintKind
 from .envelope import Credentials
 from .messages import CastIntent, C2Exfil, RegistrationRequest, VerifyCall
 from .netsim import Decision, Event, MitmTap, Simulator
@@ -38,18 +39,6 @@ from .netsim import Decision, Event, MitmTap, Simulator
 
 class AttackError(Exception):
     pass
-
-
-class GatewayNotStripped(AttackError):
-    pass
-
-
-@dataclass
-class C2Entry:
-    voter_id: str
-    credentials: Credentials
-    intended: Ballot
-    time: int
 
 
 @dataclass
@@ -80,79 +69,21 @@ class ClashVictim:
 
 @dataclass
 class AttackerState:
-    """Shared adversary memory. The manipulation ledger is authoritative
-    ground truth for every detection metric.
+    """Shared adversary memory. The manipulation ledger, one entry per
+    voter in the order the votes were manipulated, is authoritative
+    ground truth for every detection number.
     """
 
-    c2_log: list[C2Entry] = field(default_factory=list)
     clash_pool: dict[bytes, list[PoolEntry]] = field(default_factory=dict)
-    manipulation_ledger: list[LedgerEntry] = field(default_factory=list)
+    manipulation_ledger: dict[str, LedgerEntry] = field(default_factory=dict)
     clash_victims: dict[str, ClashVictim] = field(default_factory=dict)
     harvest_targets: dict[str, Credentials] = field(default_factory=dict)
 
-    def c2_by_voter(self, voter_id: str) -> Optional[C2Entry]:
-        for entry in reversed(self.c2_log):
-            if entry.voter_id == voter_id:
-                return entry
-        return None
-
-    def ledger_by_voter(self, voter_id: str) -> Optional[LedgerEntry]:
-        for entry in reversed(self.manipulation_ledger):
-            if entry.voter_id == voter_id:
-                return entry
-        return None
-
-
-@dataclass
-class DetectionMetrics:
-    manipulated_count: int
-    complaints_true: int
-    complaints_false: int
-    verify_attempts: int
-
-    def __post_init__(self):
-        if min(self.manipulated_count, self.complaints_true,
-               self.complaints_false, self.verify_attempts) < 0:
-            raise AttackError("counts must be nonnegative")
-        if self.complaints_true > self.manipulated_count:
-            raise AttackError("true complaints cannot exceed manipulated votes")
-
-    @property
-    def detection_ratio(self) -> Optional[float]:
-        if self.manipulated_count == 0:
-            return None
-        return self.complaints_true / self.manipulated_count
-
-
-def compute_metrics(
-    ledger: list[LedgerEntry],
-    voters: Iterable,
-    strategy: Optional[str] = None,
-) -> DetectionMetrics:
-    """Exact counts against the ground-truth ledger, optionally restricted
-    to a single strategy's entries. `voters` are the engine's voter
-    records, each holding at most one complaint and one verify outcome.
-    False complaints count under every strategy.
-    """
-    entries = [e for e in ledger if strategy is None or e.strategy == strategy]
-    manipulated = {e.voter_id for e in entries}
-    true_count = 0
-    false_count = 0
-    attempts = 0
-    for v in voters:
-        if v.complaint is ComplaintKind.FALSE_COMPLAINT:
-            false_count += 1
-        elif v.complaint is not None and v.voter_id in manipulated:
-            true_count += 1
-        if v.verify_outcome is not None and \
-                (strategy is None or v.voter_id in manipulated):
-            attempts += 1
-    return DetectionMetrics(
-        manipulated_count=len(entries),
-        complaints_true=true_count,
-        complaints_false=false_count,
-        verify_attempts=attempts,
-    )
+    def charge(self, entry: LedgerEntry) -> None:
+        """Charge one manipulated vote; a voter is charged at most once."""
+        if entry.voter_id in self.manipulation_ledger:
+            raise AttackError(f"{entry.voter_id} is already ledgered")
+        self.manipulation_ledger[entry.voter_id] = entry
 
 
 # --- in-browser rewrite strategies (hooks on the client casting step) ---
@@ -167,14 +98,10 @@ def _claimable(intent: CastIntent) -> bool:
 
 def _claim(state: AttackerState, intent: CastIntent, attacker_ballot: Ballot,
            strategy: str, **changes) -> Decision:
-    """Exfiltrate intent plus credentials, ledger the swap, and submit the
-    attacker ballot in place of the voter's.
+    """Ledger the swap and submit the attacker ballot in place of the
+    voter's.
     """
-    state.c2_log.append(C2Entry(
-        voter_id=intent.voter_id, credentials=intent.credentials,
-        intended=intent.ballot, time=intent.cast_time,
-    ))
-    state.manipulation_ledger.append(LedgerEntry(
+    state.charge(LedgerEntry(
         voter_id=intent.voter_id, intended=intent.ballot,
         submitted=attacker_ballot, strategy=strategy,
         cast_time=intent.cast_time,
@@ -244,10 +171,10 @@ def fake_verification_redirect(
     dials_genuine: bool,
 ) -> Decision:
     """Send a manipulated voter's verify call to the attacker's IVR, which
-    will read back the intent it exfiltrated earlier. Voters who dial the
+    reads back the intent on the voter's ledger entry. Voters who dial the
     genuine number anyway stay on the honest path.
     """
-    entry = state.ledger_by_voter(call.voter_id)
+    entry = state.manipulation_ledger.get(call.voter_id)
     if entry is None or dials_genuine:
         return Decision.forward()
     entry.masked = True
@@ -271,7 +198,6 @@ def clash_register(
     manifest: ElectionManifest,
     register_entitlement,
     attacker_pin: str,
-    gateway_stripped: bool,
     now: int,
 ) -> ClashOutcome:
     """Registration handler on the attacker's look-alike site.
@@ -286,8 +212,6 @@ def clash_register(
     `register_entitlement(voter_id, pin, now) -> Credentials` performs the
     real registration.
     """
-    if not gateway_stripped:
-        raise GatewayNotStripped("registration gateway no longer serves plain HTTP")
     key = encode_ballot(predicted, manifest)
     pool = state.clash_pool.get(key, [])
     if pool:
@@ -337,7 +261,7 @@ def clash_suppress_cast(state: AttackerState, intent: CastIntent,
     victim = state.clash_victims.get(intent.voter_id)
     if victim is None or intent.handled_by is not None:
         return Decision.forward()
-    state.manipulation_ledger.append(LedgerEntry(
+    state.charge(LedgerEntry(
         voter_id=intent.voter_id, intended=intent.ballot,
         submitted=attacker_ballot, strategy="clash",
         cast_time=intent.cast_time,

@@ -148,7 +148,6 @@ class AttacksConfig:
     clash: ClashAttack = field(default_factory=ClashAttack)
     server_rewrite: ServerRewriteAttack = field(default_factory=ServerRewriteAttack)
     granted_compromise_rate: float = 0.0
-    gateway_stripped: bool = False
     target_group: Optional[str] = None
 
 
@@ -162,7 +161,6 @@ class LinkageConfig:
     compromised: tuple[str, ...] = _field((), choices=(
         "registration", "verification_server", "voice_server", "auditor",
         "polling_place_machine", "phone_tap_caller_id"))
-    phone_tap: bool = True
 
 
 @dataclass

@@ -348,7 +348,6 @@ def collect_holdings(
     verification: VerificationService,
     cvs: CoreVotingSystem,
     core_ballots: list[Ballot],
-    phone_tap_enabled: bool = True,
 ) -> DataHoldings:
     h = DataHoldings()
     h.identity_to_login[Component.REGISTRATION] = {
@@ -381,12 +380,10 @@ def collect_holdings(
     h.identity_to_ballot[Component.POLLING_PLACE_MACHINE] = polling_direct
     # a tap on the phone network hears ballots read back, and learns who is
     # calling exactly when the line carries a caller id
-    tapped = set()
-    if phone_tap_enabled:
-        for rec in verification.records.values():
-            if rec.caller_id is not None:
-                tapped.add((rec.caller_id, rec.ballot))
-    h.identity_to_ballot[Component.PHONE_TAP_CALLER_ID] = tapped
+    h.identity_to_ballot[Component.PHONE_TAP_CALLER_ID] = {
+        (rec.caller_id, rec.ballot)
+        for rec in verification.records.values() if rec.caller_id is not None
+    }
     return h
 
 

@@ -14,8 +14,8 @@ Endpoint map:
 
 The "browser" hop is the in-device casting step: taps matching it play
 the role of injected client-side code and see the ballot before it is
-sealed. A registration gateway that still serves plain HTTP
-(`attacks.gateway_stripped`) is the one path the clash attack can strip.
+sealed. The clash attack strips the registration gateway to plain HTTP
+and misdirects registrations to attacker-registration.
 """
 
 import hashlib
@@ -144,7 +144,6 @@ class ScenarioEngine:
                                                  self.timeline)
 
         self.attacker = atk.AttackerState()
-        self.session_keys: dict[str, bytes] = {}
         self.record_failures = 0  # a failed record may belong to no voter
 
         target = config.attacks.target_group or self.manifest.groups[1 % len(self.manifest.groups)]
@@ -338,9 +337,8 @@ class ScenarioEngine:
     def _install_attack_taps(self) -> None:
         a = self.config.attacks
         attacker, ballot = self.attacker, self.attacker_ballot
-        if a.clash.enabled and a.gateway_stripped:
-            self.sim.install_tap(netsim.make_sslstrip_tap("attacker-registration"))
         if a.clash.enabled:
+            self.sim.install_tap(netsim.make_sslstrip_tap("attacker-registration"))
             self.sim.install_tap(atk.make_browser_tap(
                 "clash-cast",
                 lambda intent: atk.clash_suppress_cast(attacker, intent, ballot),
@@ -466,9 +464,7 @@ class ScenarioEngine:
         attacker_pin = f"{self.rng_attacker.randrange(10 ** env.PIN_DIGITS):06d}"
         outcome = atk.clash_register(
             self.attacker, req, predicted, self.manifest,
-            register_entitlement, attacker_pin,
-            gateway_stripped=self.config.attacks.gateway_stripped,
-            now=event.time,
+            register_entitlement, attacker_pin, now=event.time,
         )
         if outcome.reused:
             # spend the victim's entitlement on the attacker's ballot
@@ -550,9 +546,7 @@ class ScenarioEngine:
         rng = state.rng if state is not None else self.rng_services
         ballot_bytes = bal.encode_ballot(intent.ballot, self.manifest)
         session_id = f"cast:{intent.voter_id}"
-        session_key = hashlib.sha256(
-            f"{self.config.seed}:tls-session:{intent.voter_id}".encode()).digest()
-        self.session_keys[session_id] = session_key
+        session_key = self._session_key(session_id)
         sealed = env.seal(ballot_bytes, self.election_key.public(),
                           self.verification_key.public(), rng,
                           session_key=session_key)
@@ -569,14 +563,19 @@ class ScenarioEngine:
         )
         sim.schedule(event.time, intent.voter_id, "cvs", record)
 
+    def _session_key(self, session_id: str) -> bytes:
+        """A cast session's record key, derived from its id; a record sent
+        on a session no voter opened fails the MAC.
+        """
+        voter_id = session_id.removeprefix("cast:")
+        return hashlib.sha256(
+            f"{self.config.seed}:tls-session:{voter_id}".encode()).digest()
+
     def _on_cvs(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         payload = event.payload
-        key = self.session_keys.get(payload.session_id)
-        if key is None:
-            self.record_failures += 1
-            return
         try:
-            plain = tls.decrypt_record(key, payload.seq, payload.blob)
+            plain = tls.decrypt_record(self._session_key(payload.session_id),
+                                       payload.seq, payload.blob)
         except tls.RecordTampered:
             self.record_failures += 1
             return
@@ -657,11 +656,11 @@ class ScenarioEngine:
     def _on_attacker_ivr(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         call = event.payload
         state = self.voters[call.voter_id]
-        # the fake service reads back the exfiltrated intent; with none on
-        # file (a clash victim) it is taken to guess the intent right
-        c2 = self.attacker.c2_by_voter(call.voter_id)
+        # only ledgered voters are redirected here, and the fake service
+        # reads back the intent on their ledger entry
+        entry = self.attacker.manipulation_ledger[call.voter_id]
         state.verify_outcome = "read_back_fake"
-        state.verify_matched = c2 is None or c2.intended == state.intended
+        state.verify_matched = entry.intended == state.intended
         if state.verify_matched and state.false_complainer:
             self._complain(state, el.ComplaintKind.FALSE_COMPLAINT)
 
@@ -708,8 +707,7 @@ class ScenarioEngine:
             el.AuditMode(self.config.audit.mode), self.cvs, self.verification,
             core_ballots)
         holdings = el.collect_holdings(
-            self.registration, self.verification, self.cvs, core_ballots,
-            phone_tap_enabled=self.config.linkage.phone_tap)
+            self.registration, self.verification, self.cvs, core_ballots)
         compromised = {el.Component(c) for c in self.config.linkage.compromised}
         self.linked = el.linkage_report(compromised, holdings)
         self.conservation = self.sim.finalize()
@@ -727,37 +725,29 @@ class ScenarioEngine:
         # only records whose vote the attacker actually wants changed: a
         # ledgered voter's record already carries the attacker ballot, and
         # any other voter cast their own intent, on the web or by phone
-        ledgered = {e.voter_id for e in self.attacker.manipulation_ledger}
+        ledger = self.attacker.manipulation_ledger
         candidates = []
         for r in self.cvs.records:
             if r.superseded:
                 continue
             state = self.voters[self.registration.owner[r.login_id]]
-            if state.voter_id in ledgered or state.intended == self.attacker_ballot:
+            if state.voter_id in ledger or state.intended == self.attacker_ballot:
                 continue
             candidates.append((r, state))
         candidates.sort(key=lambda c: c[0].receipt)
         for record, state in candidates[:a.server_rewrite.count]:
-            session_key = self.session_keys.get(f"cast:{state.voter_id}")
+            # phone casts are sealed at the voice server, on no session
+            session_key = None if record.channel is el.VoteChannel.PHONE \
+                else self._session_key(f"cast:{state.voter_id}")
             forged = env.seal(ballot_bytes, self.election_key.public(),
                               self.verification_key.public(), rng,
                               session_key=session_key)
             record.envelope = forged
-            self.attacker.manipulation_ledger.append(atk.LedgerEntry(
+            self.attacker.charge(atk.LedgerEntry(
                 voter_id=state.voter_id, intended=state.intended,
                 submitted=self.attacker_ballot, strategy="server_rewrite",
                 cast_time=self.timeline.polls_close,
             ))
-
-    # --- metrics ---
-
-    def metrics_by_strategy(self) -> dict[str, atk.DetectionMetrics]:
-        ledger = self.attacker.manipulation_ledger
-        voters = self.voters.values()
-        out = {strategy: atk.compute_metrics(ledger, voters, strategy)
-               for strategy in sorted({e.strategy for e in ledger})}
-        out["overall"] = atk.compute_metrics(ledger, voters)
-        return out
 
 
 def run_engine(config: ScenarioConfig) -> ScenarioEngine:

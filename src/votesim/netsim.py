@@ -13,9 +13,8 @@ Taps compose in installation order; later taps see earlier modifications.
 Channel security is not a netsim concept. Encrypted records are payloads
 like any other, so a tap that flips their bits without the session key
 produces a record failure at the receiver rather than a silent change.
-Whether the registration gateway still serves plain HTTP is the
-scenario's `attacks.gateway_stripped`; it decides whether the engine
-installs the stripping tap at all.
+The stripping tap that redirects plain-HTTP registrations is installed
+by the engine with the clash attack (`attacks.clash.enabled`).
 """
 
 import heapq

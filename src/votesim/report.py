@@ -10,6 +10,7 @@ import hashlib
 import json
 from typing import Any
 
+from .election import ComplaintKind
 from .minitls import REAL_WORLD_COSTS
 
 def model_assumptions(config) -> list[str]:
@@ -33,16 +34,25 @@ def _tally_section(tally) -> dict:
     }
 
 
+def _detection_counts() -> dict:
+    return {"manipulated": 0, "complaints_true": 0, "verify_attempts": 0}
+
+
 def build_report(engine) -> dict:
     """Collect a finished engine run into a JSON-ready tree. The per-voter
-    sections come from one pass over the voter records in id order.
+    sections come from one pass over the voter records in id order;
+    `detection` joins each record with the voter's ledger entry, if any.
     """
     cfg = engine.config
-    metrics = engine.metrics_by_strategy()
     ledger = engine.attacker.manipulation_ledger
 
     cast_accepted = 0
     by_kind: dict[str, int] = {}
+    complaints_false = 0
+    # per strategy, over that strategy's voters; "overall" is every ledgered
+    # voter, except that it counts every voter's verify attempt
+    overall = _detection_counts()
+    detection = {"overall": overall}
     downgrade = {kind: {"attempted": 0, "succeeded": 0} for kind in ("freak", "logjam")}
     attack_timeline = []
     for voter_id in sorted(engine.voters):
@@ -50,6 +60,17 @@ def build_report(engine) -> dict:
         cast_accepted += v.cast_ok
         if v.complaint is not None:
             by_kind[v.complaint.value] = by_kind.get(v.complaint.value, 0) + 1
+        complaints_false += v.complaint is ComplaintKind.FALSE_COMPLAINT
+        verified = v.verify_outcome is not None
+        overall["verify_attempts"] += verified
+        charged = ledger.get(voter_id)
+        if charged is not None:
+            true_complaint = v.complaint not in (None, ComplaintKind.FALSE_COMPLAINT)
+            strategy = detection.setdefault(charged.strategy, _detection_counts())
+            strategy["verify_attempts"] += verified
+            for counts in (strategy, overall):
+                counts["manipulated"] += 1
+                counts["complaints_true"] += true_complaint
         for entry in v.downgrades:
             counts = downgrade[entry["kind"]]
             counts["attempted"] += 1
@@ -64,15 +85,12 @@ def build_report(engine) -> dict:
                      manipulated_in_window >= honest_margin)
     flip_occurred = (engine.tally.winner != engine.intent_tally.winner)
 
-    detection = {}
-    for name, m in metrics.items():
-        detection[name] = {
-            "manipulated": m.manipulated_count,
-            "complaints_true": m.complaints_true,
-            "complaints_false": m.complaints_false,
-            "verify_attempts": m.verify_attempts,
-            "detection_ratio": m.detection_ratio,
-        }
+    for counts in detection.values():
+        # a false complaint names no manipulated vote, so every strategy
+        # carries them all
+        counts["complaints_false"] = complaints_false
+        counts["detection_ratio"] = (counts["complaints_true"] / counts["manipulated"]
+                                     if counts["manipulated"] else None)
 
     trace_text = "\n".join(engine.sim.trace) + "\n"
     trace_digest = hashlib.sha256(trace_text.encode()).hexdigest()

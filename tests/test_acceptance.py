@@ -175,11 +175,10 @@ class TestAcceptance:
                                             "safety_window": 600},
                             "target_group": "g02"},
             })
-            engine = run_engine(cfg)
-            m = engine.metrics_by_strategy().get("last_minute")
-            assert m is not None and m.manipulated_count > 0
-            total_manipulated += m.manipulated_count
-            if m.detection_ratio != 0.0:
+            m = build_report(run_engine(cfg))["detection"].get("last_minute")
+            assert m is not None and m["manipulated"] > 0
+            total_manipulated += m["manipulated"]
+            if m["detection_ratio"] != 0.0:
                 nonzero += 1
         verdict(6, "last-minute window detection ratio exactly 0 over 20 seeds",
                 nonzero == 0, f"{total_manipulated} manipulated, "
@@ -194,16 +193,14 @@ class TestAcceptance:
             "behavior": {"card_rate": card_rate, "p_verify_ivr": p_verify,
                          "p_check_receipt_only": 0.3},
             "tls": {"enabled": False},
-            "attacks": {"gateway_stripped": True,
-                        "clash": {"enabled": True, "prediction": "card"},
+            "attacks": {"clash": {"enabled": True, "prediction": "card"},
                         "target_group": "g02"},
         })
-        engine = run_engine(cfg)
-        m = engine.metrics_by_strategy()["clash"]
+        m = build_report(run_engine(cfg))["detection"]["clash"]
         p = (1 - card_rate) * p_verify
-        expect = m.manipulated_count * p
-        sigma = math.sqrt(m.manipulated_count * p * (1 - p))
-        within = abs(m.complaints_true - expect) <= 3 * sigma
+        expect = m["manipulated"] * p
+        sigma = math.sqrt(m["manipulated"] * p * (1 - p))
+        within = abs(m["complaints_true"] - expect) <= 3 * sigma
 
         perfect_cfg = parse_config({
             "schema_version": 1, "name": "clash-perfect", "seed": 12,
@@ -212,17 +209,16 @@ class TestAcceptance:
             "behavior": {"card_rate": card_rate, "p_verify_ivr": p_verify,
                          "p_check_receipt_only": 0.3},
             "tls": {"enabled": False},
-            "attacks": {"gateway_stripped": True,
-                        "clash": {"enabled": True, "prediction": "perfect"},
+            "attacks": {"clash": {"enabled": True, "prediction": "perfect"},
                         "target_group": "g02"},
         })
-        perfect = run_engine(perfect_cfg).metrics_by_strategy()["clash"]
-        silent = perfect.complaints_true == 0 and perfect.manipulated_count > 0
+        perfect = build_report(run_engine(perfect_cfg))["detection"]["clash"]
+        silent = perfect["complaints_true"] == 0 and perfect["manipulated"] > 0
         verdict(7, "clash complaints match analytic; perfect prediction silent",
                 within and silent,
-                f"true {m.complaints_true} vs analytic {expect:.0f} "
+                f"true {m['complaints_true']} vs analytic {expect:.0f} "
                 f"(3 sigma {3 * sigma:.0f}); perfect: "
-                f"{perfect.complaints_true}/{perfect.manipulated_count}")
+                f"{perfect['complaints_true']}/{perfect['manipulated']}")
 
     def test_08_margin_flip_100_seeds(self):
         path = bundled_scenarios()["freak-window"]
@@ -248,8 +244,8 @@ class TestAcceptance:
         honest_cfg.audit.mode = "honest"
         honest = run_engine(honest_cfg)
         ledger_ids = sorted({
-            honest.registration.links[e.voter_id][-1]
-            for e in honest.attacker.manipulation_ledger})
+            honest.registration.links[voter_id][-1]
+            for voter_id in honest.attacker.manipulation_ledger})
         audit_ids = sorted({i.login_id for i in honest.audit.inconsistencies})
         exact = audit_ids == ledger_ids and len(ledger_ids) > 0
 

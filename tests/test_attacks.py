@@ -2,11 +2,14 @@
 and the detection-undercount properties they exist to demonstrate.
 """
 
+import hashlib
 import math
 from collections import Counter
+from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from votesim import attacks as atk
 from votesim.ballots import make_manifest
@@ -16,7 +19,7 @@ from votesim.engine import ScenarioEngine, run_engine
 from votesim.envelope import CredentialRegistry, Credentials, open_envelope
 from votesim.ballots import decode_ballot
 from votesim.messages import CastIntent, RegistrationRequest, SessionContext
-from votesim.netsim import Decision
+from votesim.netsim import Decision, Endpoint, MitmTap, Simulator
 from votesim.report import build_report
 
 
@@ -43,6 +46,10 @@ def run_tree(tree):
     return run_engine(parse_config(tree))
 
 
+def detection(engine):
+    return build_report(engine)["detection"]
+
+
 def compromised_intent(manifest, voter="voterX", ballot=None):
     return CastIntent(
         voter_id=voter,
@@ -65,8 +72,7 @@ class TestInjectVoteRewrite:
         intent.session = SessionContext()  # no compromise
         decision = atk.inject_vote_rewrite(state, intent, self.manifest.cards["g02"])
         assert decision.kind == Decision.FORWARD
-        assert state.manipulation_ledger == []
-        assert state.c2_log == []
+        assert state.manipulation_ledger == {}
 
     def test_rewrite_swaps_ballot_and_exfiltrates(self):
         state = atk.AttackerState()
@@ -74,12 +80,35 @@ class TestInjectVoteRewrite:
         decision = atk.inject_vote_rewrite(state, intent, self.manifest.cards["g02"])
         assert decision.kind == "modify"
         assert decision.payload.ballot == self.manifest.cards["g02"]
-        entry = state.manipulation_ledger[0]
+        entry = state.manipulation_ledger["voterX"]
         assert entry.intended == self.manifest.cards["g01"]
         assert entry.submitted == self.manifest.cards["g02"]
-        c2 = state.c2_log[0]
+        # the browser tap phones the intent and credentials home
+        sim = Simulator()
+        phoned = []
+        sim.add_endpoint(Endpoint("browser"))
+        sim.add_endpoint(Endpoint("attacker-c2", lambda e, _: phoned.append(e.payload)))
+        sim.install_tap(atk.make_browser_tap(
+            "vote-rewrite",
+            lambda i: atk.inject_vote_rewrite(atk.AttackerState(), i,
+                                              self.manifest.cards["g02"]),
+            exfiltrate=True))
+        sim.schedule(100, "voterX", "browser", intent)
+        sim.run_all()
+        [c2] = phoned
         assert c2.intended == self.manifest.cards["g01"]
         assert c2.credentials.login_id == "12345678"
+
+    def test_a_voter_is_charged_at_most_once(self):
+        state = atk.AttackerState()
+        first = compromised_intent(self.manifest)
+        atk.inject_vote_rewrite(state, first, self.manifest.cards["g02"])
+        with pytest.raises(atk.AttackError, match="voterX"):
+            state.charge(atk.LedgerEntry(
+                voter_id="voterX", intended=first.ballot,
+                submitted=self.manifest.cards["g02"], strategy="server_rewrite",
+                cast_time=43200))
+        assert len(state.manipulation_ledger) == 1
 
     def test_engine_ledger_vs_cvs_diff_oracle(self):
         # ground-truth oracle: decrypt every stored envelope and compare
@@ -90,7 +119,7 @@ class TestInjectVoteRewrite:
                      "vote_rewrite": {"enabled": True},
                      "target_group": "g02"},
         ))
-        ledgered = {e.voter_id: e for e in engine.attacker.manipulation_ledger}
+        ledgered = engine.attacker.manipulation_ledger
         checked_manipulated = checked_honest = 0
         for record in engine.cvs.records:
             voter = engine.registration.owner[record.login_id]
@@ -122,7 +151,7 @@ class TestInjectVoteRewrite:
         # every manipulated voter whose intent differs from the attacker
         # ballot and who reached the service in time complains
         expected = 0
-        ledgered = {e.voter_id for e in engine.attacker.manipulation_ledger}
+        ledgered = engine.attacker.manipulation_ledger
         for st in engine.voters.values():
             if st.verify_outcome == "read_back" and st.voter_id in ledgered and \
                     st.intended != engine.attacker_ballot:
@@ -144,7 +173,7 @@ class TestLastMinute:
         assert atk.last_minute_rewrite(state, inside, manifest.cards["g02"],
                                        polls_close=43200,
                                        safety_window=600).kind == "modify"
-        assert state.manipulation_ledger[0].strategy == "last_minute"
+        assert state.manipulation_ledger["voterX"].strategy == "last_minute"
 
     def test_window_votes_unverifiable_detection_zero(self):
         # 1000 voters, ~5% in-window (safety window sized to the minimum
@@ -157,12 +186,12 @@ class TestLastMinute:
                      "last_minute": {"enabled": True, "safety_window": 2100},
                      "target_group": "g02"},
         ))
-        metrics = engine.metrics_by_strategy()["last_minute"]
-        assert metrics.manipulated_count > 20
-        assert metrics.complaints_true == 0
-        assert metrics.detection_ratio == 0.0
+        metrics = detection(engine)["last_minute"]
+        assert metrics["manipulated"] > 20
+        assert metrics["complaints_true"] == 0
+        assert metrics["detection_ratio"] == 0.0
         # ledger oracle: every manipulated cast sits inside the window
-        for entry in engine.attacker.manipulation_ledger:
+        for entry in engine.attacker.manipulation_ledger.values():
             assert entry.cast_time >= 43200 - 2100
 
     def test_outside_window_untouched(self):
@@ -196,7 +225,7 @@ class TestReceiptDelayGambit:
                                      p_leave_without_receipt=1.0, rng=always_leave)
         assert d.kind == "modify"
         assert d.payload.show_receipt is False
-        assert state.manipulation_ledger[0].strategy == "receipt_delay"
+        assert state.manipulation_ledger["voterX"].strategy == "receipt_delay"
 
         state2 = atk.AttackerState()
         waiter = compromised_intent(self.manifest)
@@ -208,7 +237,7 @@ class TestReceiptDelayGambit:
         assert d2.payload.ballot == waiter.ballot
         assert d2.payload.show_receipt is True
         assert d2.payload.handled_by == "receipt_delay"
-        assert state2.manipulation_ledger == []
+        assert state2.manipulation_ledger == {}
 
     def test_binomial_monte_carlo(self):
         # 10,000 compromised sessions at leave probability 0.3
@@ -234,14 +263,14 @@ class TestReceiptDelayGambit:
                      "receipt_delay": {"enabled": True},
                      "target_group": "g02"},
         ))
-        metrics = engine.metrics_by_strategy()["receipt_delay"]
-        assert metrics.manipulated_count > 50
-        assert metrics.complaints_true == 0
+        metrics = detection(engine)["receipt_delay"]
+        assert metrics["manipulated"] > 50
+        assert metrics["complaints_true"] == 0
         # leavers hold no receipt at all
-        for entry in engine.attacker.manipulation_ledger:
-            assert engine.voters[entry.voter_id].believed_receipt is None
+        ledgered = engine.attacker.manipulation_ledger
+        for voter_id in ledgered:
+            assert engine.voters[voter_id].believed_receipt is None
         # waiters' votes are genuine: CVS matches intent
-        ledgered = {e.voter_id for e in engine.attacker.manipulation_ledger}
         for record in engine.cvs.records:
             voter = engine.registration.owner[record.login_id]
             if voter not in ledgered:
@@ -269,9 +298,9 @@ class TestFakeIvrRedirect:
         fake_readbacks = [v for v in engine.voters.values()
                           if v.verify_outcome == "read_back_fake"]
         assert fake_readbacks and all(v.verify_matched for v in fake_readbacks)
-        assert engine.metrics_by_strategy()["vote_rewrite"].complaints_true == 0
-        assert all(e.masked for e in engine.attacker.manipulation_ledger
-                   if e.voter_id in {v.voter_id for v in fake_readbacks})
+        assert detection(engine)["vote_rewrite"]["complaints_true"] == 0
+        ledger = engine.attacker.manipulation_ledger
+        assert all(ledger[v.voter_id].masked for v in fake_readbacks)
 
     def test_dial_genuine_unmasks(self):
         engine = run_tree(base_tree(
@@ -282,32 +311,21 @@ class TestFakeIvrRedirect:
                      "fake_ivr": {"enabled": True, "dial_genuine_rate": 1.0},
                      "target_group": "g02"},
         ))
-        assert engine.metrics_by_strategy()["vote_rewrite"].complaints_true > 0
+        assert detection(engine)["vote_rewrite"]["complaints_true"] > 0
 
     def test_paired_runs_redirect_strictly_lowers_detection(self):
         off = self.run_pair(redirect_on=False)
         on = self.run_pair(redirect_on=True)
-        m_off = off.metrics_by_strategy()["vote_rewrite"]
-        m_on = on.metrics_by_strategy()["vote_rewrite"]
-        assert m_on.manipulated_count == m_off.manipulated_count
-        assert m_off.detection_ratio > 0
-        assert m_on.detection_ratio < m_off.detection_ratio
+        m_off = detection(off)["vote_rewrite"]
+        m_on = detection(on)["vote_rewrite"]
+        assert m_on["manipulated"] == m_off["manipulated"]
+        assert m_off["detection_ratio"] > 0
+        assert m_on["detection_ratio"] < m_off["detection_ratio"]
 
 
 class TestClash:
     def manifest(self):
         return make_manifest(num_groups=6, num_candidates=12, num_assembly=3)
-
-    def test_front_requires_stripped_gateway(self):
-        m = self.manifest()
-        state = atk.AttackerState()
-        req = RegistrationRequest(voter_id="victim", pin_choice=None,
-                                  channel=VoteChannel.WEB)
-        with pytest.raises(atk.GatewayNotStripped):
-            atk.clash_register(state, req, m.cards["g01"], m,
-                               register_entitlement=lambda v, p, t: None,
-                               attacker_pin="111111", gateway_stripped=False,
-                               now=10)
 
     def test_pool_miss_registers_honestly_then_harvests(self):
         m = self.manifest()
@@ -321,7 +339,7 @@ class TestClash:
         req = RegistrationRequest(voter_id="first", pin_choice=None,
                                   channel=VoteChannel.WEB)
         outcome = atk.clash_register(state, req, m.cards["g01"], m, entitle,
-                                     "111111", True, 10)
+                                     "111111", 10)
         assert outcome.reused is False
         assert outcome.handed_out.pin == "111111"  # attacker-assigned
         assert "first" in state.harvest_targets
@@ -334,7 +352,7 @@ class TestClash:
         req2 = RegistrationRequest(voter_id="second", pin_choice=None,
                                    channel=VoteChannel.WEB)
         outcome2 = atk.clash_register(state, req2, m.cards["g01"], m, entitle,
-                                      "222222", True, 20)
+                                      "222222", 20)
         assert outcome2.reused is True
         assert outcome2.handed_out.login_id == outcome.handed_out.login_id
         assert outcome2.handed_out.pin == "111111"
@@ -348,8 +366,7 @@ class TestClash:
             voters=voters, seed=seed,
             behavior={"card_rate": card_rate, "p_verify_ivr": p_verify,
                       "p_check_receipt_only": 0.3},
-            attacks={"gateway_stripped": True,
-                     "clash": {"enabled": True, "prediction": prediction},
+            attacks={"clash": {"enabled": True, "prediction": prediction},
                      "target_group": "g02"},
         ))
 
@@ -357,7 +374,7 @@ class TestClash:
         engine = self.run_clash(voters=600)
         # card-following victims hear their exact intent from the genuine
         # service and never complain
-        ledgered = {e.voter_id: e for e in engine.attacker.manipulation_ledger}
+        ledgered = engine.attacker.manipulation_ledger
         matched = [v for v in engine.voters.values()
                    if v.verify_outcome == "read_back" and v.voter_id in ledgered and
                    v.profile.follows_card]
@@ -379,7 +396,7 @@ class TestClash:
 
     def test_deviating_victim_complains_only_via_ivr(self):
         engine = self.run_clash(voters=800)
-        ledgered = {e.voter_id for e in engine.attacker.manipulation_ledger}
+        ledgered = engine.attacker.manipulation_ledger
         for st in engine.voters.values():
             if st.complaint is ComplaintKind.MISMATCH_READ:
                 assert st.voter_id in ledgered
@@ -398,27 +415,46 @@ class TestClash:
         card_rate, p_verify = 0.40, 0.2
         engine = self.run_clash(voters=2000, card_rate=card_rate,
                                 p_verify=p_verify)
-        m = engine.metrics_by_strategy()["clash"]
-        expect = m.manipulated_count * (1 - card_rate) * p_verify
-        sigma = math.sqrt(m.manipulated_count * (1 - card_rate) * p_verify *
+        m = detection(engine)["clash"]
+        expect = m["manipulated"] * (1 - card_rate) * p_verify
+        sigma = math.sqrt(m["manipulated"] * (1 - card_rate) * p_verify *
                           (1 - (1 - card_rate) * p_verify))
-        assert abs(m.complaints_true - expect) <= 3 * sigma
+        assert abs(m["complaints_true"] - expect) <= 3 * sigma
         # coarse analytic bound: detection can never reach the miss rate
-        assert m.detection_ratio < (1 - card_rate)
+        assert m["detection_ratio"] < (1 - card_rate)
 
     def test_perfect_prediction_raises_no_alarm(self):
         engine = self.run_clash(voters=1200, prediction="perfect")
-        m = engine.metrics_by_strategy()["clash"]
-        assert m.manipulated_count > 0
-        assert m.complaints_true == 0
+        m = detection(engine)["clash"]
+        assert m["manipulated"] > 0
+        assert m["complaints_true"] == 0
 
-    def test_https_gateway_leaves_every_registration_alone(self):
-        # with the gateway on HTTPS there is nothing to strip: no request
-        # reaches the look-alike site, so the clash attack collects nothing
+    def test_victims_at_the_fake_ivr_hear_their_intent(self):
+        # a clash victim's ledger entry holds the intent, which the
+        # attacker IVR reads back; a false complainer then complains
+        engine = run_tree(base_tree(
+            voters=600,
+            behavior={"card_rate": 0.4, "p_verify_ivr": 0.5,
+                      "p_false_complaint": 0.5},
+            attacks={"clash": {"enabled": True, "prediction": "card"},
+                     "fake_ivr": {"enabled": True},
+                     "target_group": "g02"},
+        ))
+        fake = [v for v in engine.voters.values()
+                if v.verify_outcome == "read_back_fake"]
+        ledger = engine.attacker.manipulation_ledger
+        assert fake and all(ledger[v.voter_id].strategy == "clash" for v in fake)
+        assert all(v.verify_matched for v in fake)
+        assert all(v.complaint is ComplaintKind.FALSE_COMPLAINT
+                   for v in fake if v.false_complainer)
+        assert any(v.false_complainer for v in fake)
+
+    def test_clash_off_leaves_every_registration_alone(self):
+        # without the clash attack nothing strips the gateway: no request
+        # reaches the look-alike site, so nothing is collected
         engine = run_tree(base_tree(
             voters=300,
-            attacks={"gateway_stripped": False,
-                     "clash": {"enabled": True, "prediction": "card"},
+            attacks={"clash": {"enabled": False, "prediction": "card"},
                      "target_group": "g02"},
         ))
         assert not any("attacker-registration" in line for line in engine.sim.trace)
@@ -432,11 +468,10 @@ class TestClash:
             voters=400,
             behavior={"card_rate": 0.4, "p_verify_ivr": 0.2,
                       "p_pin_suspicion": 1.0},
-            attacks={"gateway_stripped": True,
-                     "clash": {"enabled": True, "prediction": "card"},
+            attacks={"clash": {"enabled": True, "prediction": "card"},
                      "target_group": "g02"},
         ))
-        assert wary.metrics_by_strategy()["overall"].manipulated_count == 0
+        assert detection(wary)["overall"]["manipulated"] == 0
         assert wary.attacker.clash_victims == {}
         assert wary.attacker.harvest_targets == {}
         assert wary.tally.counts == wary.intent_tally.counts
@@ -446,12 +481,11 @@ class TestClash:
             voters=400,
             behavior={"card_rate": 0.4, "p_verify_ivr": 0.2,
                       "p_pin_suspicion": 0.5},
-            attacks={"gateway_stripped": True,
-                     "clash": {"enabled": True, "prediction": "card"},
+            attacks={"clash": {"enabled": True, "prediction": "card"},
                      "target_group": "g02"},
         ))
-        full_m = partial.metrics_by_strategy()["clash"].manipulated_count
-        half_m = half.metrics_by_strategy()["clash"].manipulated_count
+        full_m = detection(partial)["clash"]["manipulated"]
+        half_m = detection(half)["clash"]["manipulated"]
         assert 0 < half_m < full_m
 
 
@@ -527,14 +561,12 @@ class TestDowngradeComposition:
 
 class TestMetricsAndInvariants:
     def test_no_attack_metrics(self):
-        metrics = atk.compute_metrics([], [])
-        assert metrics.manipulated_count == 0
-        assert metrics.detection_ratio is None
-
-    def test_counts_validated(self):
-        with pytest.raises(atk.AttackError):
-            atk.DetectionMetrics(manipulated_count=1, complaints_true=2,
-                                 complaints_false=0, verify_attempts=0)
+        engine = run_tree(base_tree(voters=40))
+        assert detection(engine) == {"overall": {
+            "manipulated": 0, "complaints_true": 0, "complaints_false": 0,
+            "verify_attempts": sum(v.verify_outcome is not None
+                                   for v in engine.voters.values()),
+            "detection_ratio": None}}
 
     def test_no_attack_baseline_false_complaints_only(self):
         engine = run_tree(base_tree(
@@ -544,13 +576,13 @@ class TestMetricsAndInvariants:
         kinds = {v.complaint for v in engine.voters.values()
                  if v.complaint is not None}
         assert kinds <= {ComplaintKind.FALSE_COMPLAINT}
-        metrics = engine.metrics_by_strategy()["overall"]
-        assert metrics.complaints_true == 0
+        metrics = detection(engine)["overall"]
+        assert metrics["complaints_true"] == 0
         # the false-complaint count is exactly the pre-drawn binomial:
         # verifiers flagged as false complainers who got a clean read-back
         expected = sum(1 for v in engine.voters.values()
                        if v.false_complainer and v.verify_outcome == "read_back")
-        assert metrics.complaints_false == expected > 0
+        assert metrics["complaints_false"] == expected > 0
 
     def test_masking_soundness_every_true_complaint_is_ledgered(self, ivr_call_times):
         # over several strategies and seeds: a mismatch complaint implies a
@@ -565,7 +597,7 @@ class TestMetricsAndInvariants:
                          "receipt_delay": {"enabled": True},
                          "target_group": "g02"},
             ))
-            ledgered = {e.voter_id for e in engine.attacker.manipulation_ledger}
+            ledgered = engine.attacker.manipulation_ledger
             called = ivr_call_times(engine)
             readback_ok = {v.voter_id for v in engine.voters.values()
                            if v.verify_outcome == "read_back"
@@ -586,12 +618,12 @@ class TestMetricsAndInvariants:
                      "vote_rewrite": {"enabled": True},
                      "target_group": "g02"},
         ))
-        voters_ledgered = [e.voter_id for e in engine.attacker.manipulation_ledger]
-        assert len(voters_ledgered) == len(set(voters_ledgered))
+        # a second charge for one voter raises, so finishing the run shows
+        # no voter was ledgered twice
+        ledgered = engine.attacker.manipulation_ledger
+        assert ledgered
         # gambit owns every compromised cast; the rewrite tap got none
-        assert all(e.strategy == "receipt_delay"
-                   for e in engine.attacker.manipulation_ledger)
-        ledgered = set(voters_ledgered)
+        assert all(e.strategy == "receipt_delay" for e in ledgered.values())
         for record in engine.cvs.records:
             voter = engine.registration.owner[record.login_id]
             if voter not in ledgered:
@@ -607,23 +639,62 @@ class TestMetricsAndInvariants:
             voters=400,
             behavior={"card_rate": 0.4, "p_verify_ivr": 0.2,
                       "p_check_receipt_only": 0.3},
-            attacks={"gateway_stripped": True,
-                     "clash": {"enabled": True, "prediction": "card"},
+            attacks={"clash": {"enabled": True, "prediction": "card"},
                      "server_rewrite": {"enabled": True, "count": 400},
                      "target_group": "g02"},
         ))
         ledger = engine.attacker.manipulation_ledger
-        voter_ids = [e.voter_id for e in ledger]
-        assert {e.strategy for e in ledger} == {"clash", "server_rewrite"}
-        assert len(voter_ids) == len(set(voter_ids))
+        assert {e.strategy for e in ledger.values()} == {"clash", "server_rewrite"}
         report = build_report(engine)
         assert report["winner_flip"]["manipulated"] <= report["voters"]
         # the honest audit flags exactly the rewritten records, as mismatches
-        rewritten = {e.voter_id for e in ledger if e.strategy == "server_rewrite"}
+        rewritten = {v for v, e in ledger.items() if e.strategy == "server_rewrite"}
         assert {inc["kind"] for inc in report["audit"]["inconsistencies"]} == \
             {"ballot_mismatch"}
         assert {engine.registration.owner[inc.login_id]
                 for inc in engine.audit.inconsistencies} == rewritten
+
+    def test_server_rewrite_envelopes_known_answer(self):
+        # sha256 over every stored envelope after the run, with phone casts
+        # among the rewritten records: web records are forged on the voter's
+        # cast session, phone records on none
+        cfg = load_config(bundled_scenarios()["linkage-matrix"])
+        cfg.attacks.server_rewrite.enabled = True
+        cfg.attacks.server_rewrite.count = 100
+        engine = run_engine(cfg)
+        ledger = engine.attacker.manipulation_ledger
+        assert len(ledger) == 100
+        assert any(r.channel is VoteChannel.PHONE and
+                   engine.registration.owner[r.login_id] in ledger
+                   for r in engine.cvs.records)
+        digest = hashlib.sha256()
+        for record in engine.cvs.records:
+            digest.update(record.envelope.to_bytes())
+        assert digest.hexdigest() == \
+            "d4c85ae79a940367d249ff9fceb66afa909328dbbb7727ac3c0b682bf6534589"
+
+    def test_unknown_or_foreign_session_is_a_record_failure(self):
+        # the collecting server derives each session's key from its id: a
+        # record on a session nobody opened, or on another voter's, fails
+        # the MAC and is counted, never accepted
+        engine = ScenarioEngine(parse_config(base_tree(voters=60)))
+        moved = {"cast:voter00001": "cast:nobody",
+                 "cast:voter00002": "cast:voter00003"}
+
+        def misroute(event, sim):
+            record = event.payload
+            if record.session_id in moved:
+                return Decision.modify(replace(record,
+                                               session_id=moved[record.session_id]))
+            return Decision.forward()
+
+        engine.sim.install_tap(MitmTap("misroute", lambda s, d: d == "cvs", misroute))
+        engine.run()
+        report = build_report(engine)
+        assert engine.record_failures == report["votes"]["record_failures"] == 2
+        assert not engine.voters["voter00001"].cast_ok
+        assert not engine.voters["voter00002"].cast_ok
+        assert report["votes"]["records_total"] == 58
 
     def test_last_minute_window_never_increases_detection(self):
         base = run_tree(base_tree(
@@ -642,7 +713,122 @@ class TestMetricsAndInvariants:
                      "last_minute": {"enabled": True, "safety_window": 600},
                      "target_group": "g02"},
         ))
-        m_base = base.metrics_by_strategy()["overall"]
-        m_win = windowed.metrics_by_strategy()["overall"]
-        assert m_base.detection_ratio is not None
-        assert (m_win.detection_ratio or 0.0) <= m_base.detection_ratio
+        m_base = detection(base)["overall"]
+        m_win = detection(windowed)["overall"]
+        assert m_base["detection_ratio"] is not None
+        assert (m_win["detection_ratio"] or 0.0) <= m_base["detection_ratio"]
+
+
+STRATEGIES = ("vote_rewrite", "last_minute", "receipt_delay", "fake_ivr",
+              "clash", "server_rewrite")
+
+
+@st.composite
+def attack_trees(draw):
+    """A small run with a nonempty set of strategies on and either audit."""
+    on = draw(st.sets(st.sampled_from(STRATEGIES), min_size=1), label="strategies")
+    rate = st.sampled_from((0.0, 0.2, 0.5, 1.0))
+    verify_delay_min = draw(st.sampled_from((300, 600, 2100)))
+    attacks = {"granted_compromise_rate": draw(st.sampled_from((0.3, 0.7, 1.0))),
+               "target_group": "g02"}
+    for name in on:
+        attacks[name] = {"enabled": True}
+    if "last_minute" in on:
+        attacks["last_minute"]["safety_window"] = draw(st.sampled_from((300, 2100, 3600)))
+    if "fake_ivr" in on:
+        attacks["fake_ivr"]["dial_genuine_rate"] = draw(rate)
+    if "clash" in on:
+        attacks["clash"]["prediction"] = draw(st.sampled_from(("card", "perfect")))
+    if "server_rewrite" in on:
+        attacks["server_rewrite"]["count"] = draw(st.integers(0, 40))
+    p_verify = draw(rate)
+    return base_tree(
+        seed=draw(st.integers(0, 2 ** 16)), voters=draw(st.integers(40, 120)),
+        behavior={"card_rate": draw(rate), "p_verify_ivr": p_verify,
+                  "p_check_receipt_only": draw(rate.filter(lambda p: p + p_verify <= 1)),
+                  "p_false_complaint": draw(st.sampled_from((0.0, 0.1))),
+                  "p_leave_without_receipt": draw(rate),
+                  "p_pin_suspicion": draw(st.sampled_from((0.0, 0.3))),
+                  "phone_fraction": draw(st.sampled_from((0.0, 0.2))),
+                  "verify_delay_min": verify_delay_min,
+                  "verify_delay_max": verify_delay_min + 1500},
+        attacks=attacks,
+        audit={"mode": draw(st.sampled_from(("honest", "blind_eye")))},
+    )
+
+
+class TestDetectionProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=140)
+    @given(tree=attack_trees())
+    def test_detection_joins_the_ledger_exactly(self, tree):
+        engine = run_tree(tree)
+        report = build_report(engine)
+        ledger = engine.attacker.manipulation_ledger
+        det = report["detection"]
+        overall = det.pop("overall")
+        assert set(det) == {e.strategy for e in ledger.values()}
+        for key in ("manipulated", "complaints_true"):
+            assert sum(m[key] for m in det.values()) == overall[key]
+        for m in (*det.values(), overall):
+            assert 0 <= m["complaints_true"] <= m["manipulated"]
+            assert m["complaints_false"] == overall["complaints_false"]
+        assert overall["manipulated"] == report["winner_flip"]["manipulated"]
+        # every complaint is either false or made by a ledgered voter
+        assert overall["complaints_true"] + overall["complaints_false"] == \
+            report["complaints"]["total"]
+        flagged = {engine.registration.owner[inc.login_id]
+                   for inc in engine.audit.inconsistencies}
+        if tree["audit"]["mode"] == "honest":
+            assert flagged == {v for v, e in ledger.items()
+                               if e.strategy == "server_rewrite"}
+        else:
+            assert flagged == set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=15)
+    @given(seed=st.integers(0, 2 ** 16),
+           verify_delay_min=st.sampled_from((300, 600, 2100)),
+           narrower_by=st.sampled_from((0, 1, 300)))
+    def test_last_minute_inside_the_verify_delay_is_never_detected(
+            self, seed, verify_delay_min, narrower_by):
+        engine = run_tree(base_tree(
+            seed=seed, voters=300,
+            behavior={"p_verify_ivr": 0.6, "p_check_receipt_only": 0.3,
+                      "verify_delay_min": verify_delay_min,
+                      "verify_delay_max": verify_delay_min + 1500},
+            attacks={"granted_compromise_rate": 1.0,
+                     "last_minute": {"enabled": True,
+                                     "safety_window": verify_delay_min - narrower_by},
+                     "target_group": "g02"},
+        ))
+        m = detection(engine)["overall"]
+        assert m["complaints_true"] == 0
+
+    def test_a_wider_window_leaves_time_to_complain(self):
+        cfg = load_config(bundled_scenarios()["fake-ivr"])
+        cfg.attacks.last_minute.enabled = True
+        cfg.attacks.last_minute.safety_window = 3600
+        cfg.attacks.fake_ivr.dial_genuine_rate = 0.5
+        det = detection(run_engine(cfg))
+        assert cfg.behavior.verify_delay_min < 3600
+        assert (det["last_minute"]["manipulated"],
+                det["last_minute"]["complaints_true"]) == (49, 6)
+        assert (det["vote_rewrite"]["manipulated"],
+                det["vote_rewrite"]["complaints_true"]) == (551, 64)
+
+    @pytest.mark.parametrize("name, kind", [("freak-window", "freak"),
+                                            ("logjam-anyclient", "logjam")])
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_downgrades_do_not_depend_on_the_rewrite(self, name, kind, seed):
+        # the downgrade only opens sessions; with nothing riding on them the
+        # same sessions fall and every vote is counted as meant
+        cfg = load_config(bundled_scenarios()[name])
+        cfg.seed = seed
+        on = run_engine(cfg)
+        cfg.attacks.vote_rewrite.enabled = False
+        off = run_engine(cfg)
+        downgrade = build_report(on)["downgrade"]
+        assert build_report(off)["downgrade"] == downgrade
+        assert downgrade[kind]["succeeded"] > 0
+        assert off.tally.counts == off.intent_tally.counts
+        assert off.attacker.manipulation_ledger == {}
+

@@ -304,9 +304,9 @@ class TestLinkage:
                                            now=50, caller_id=f"v{i}")
         return fx
 
-    def holdings(self, fx, phone_tap=True):
+    def holdings(self, fx):
         return collect_holdings(fx.registration, fx.verification, fx.cvs,
-                                fx.core_ballots(), phone_tap_enabled=phone_tap)
+                                fx.core_ballots())
 
     def test_empty_set_links_nothing(self):
         fx = self.seeded_run()
@@ -342,11 +342,11 @@ class TestLinkage:
         assert {v for v, _ in linked} == {"v0", "v1"}
 
     def test_phone_tap_disabled_drops_that_channel(self):
+        # a phone network nobody taps is a tap left out of the compromised set
         fx = self.seeded_run()
         with_tap = linkage_report({Component.PHONE_TAP_CALLER_ID},
-                                  self.holdings(fx, phone_tap=True))
-        without = linkage_report({Component.PHONE_TAP_CALLER_ID},
-                                 self.holdings(fx, phone_tap=False))
+                                  self.holdings(fx))
+        without = linkage_report(set(), self.holdings(fx))
         assert {v for v, _ in with_tap} == {"v0", "v5"}
         assert without == set()
 

@@ -33,6 +33,14 @@ OVERRIDES = {
     "freak-window+logjam": {
         "attacks.logjam.enabled": True,
         "tls.third_party_suites": ("RSA", "RSA_EXPORT", "DHE", "DHE_EXPORT")},
+    # clash victims reach the attacker IVR, which reads back their intent
+    "clash+fake-ivr": {"attacks.fake_ivr.enabled": True},
+    # true complaints under two strategies: a window wider than the verify
+    # delay leaves some last-minute voters time to call the genuine IVR
+    "fake-ivr+last-minute": {
+        "attacks.last_minute.enabled": True,
+        "attacks.last_minute.safety_window": 3600,
+        "attacks.fake_ivr.dial_genuine_rate": 0.5},
 }
 
 

@@ -385,7 +385,6 @@ class TestCli:
         "attacks.vote_rewrite.enabled", "attacks.last_minute.enabled",
         "attacks.receipt_delay.enabled", "attacks.fake_ivr.enabled",
         "attacks.clash.enabled", "attacks.server_rewrite.enabled",
-        "attacks.gateway_stripped", "linkage.phone_tap",
     ])
     def test_quoted_boolean_exits_2_with_key_path(self, key_path, tmp_path, capsys):
         tree = minimal_tree()
@@ -467,9 +466,13 @@ class TestCli:
           "attacks": {"vote_rewrite": {"enabled": True},
                       "freak": {"enabled": True, "window_start": 0,
                                 "window_end": 1800}}}),
-        # a deleted key: no check ever read the tag it toggled
+        # deleted keys: no check ever read the tag it toggled; the clash
+        # attack strips the gateway itself; an untapped phone network is
+        # phone_tap_caller_id left out of linkage.compromised
         ("crypto.signature_forgeable_by_server",
          {"crypto": {"signature_forgeable_by_server": True}}),
+        ("attacks.gateway_stripped", {"attacks": {"gateway_stripped": True}}),
+        ("linkage.phone_tap", {"linkage": {"phone_tap": False}}),
     ])
     def test_unrunnable_config_exits_2_with_key_path(self, key_path, over, tmp_path,
                                                      capsys):
