@@ -171,8 +171,8 @@ def fake_verification_redirect(
     dials_genuine: bool,
 ) -> Decision:
     """Send a manipulated voter's verify call to the attacker's IVR, which
-    reads back the intent on the voter's ledger entry. Voters who dial the
-    genuine number anyway stay on the honest path.
+    reads back the voter's own intent. Voters who dial the genuine number
+    anyway stay on the honest path.
     """
     entry = state.manipulation_ledger.get(call.voter_id)
     if entry is None or dials_genuine:

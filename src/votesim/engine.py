@@ -656,12 +656,11 @@ class ScenarioEngine:
     def _on_attacker_ivr(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         call = event.payload
         state = self.voters[call.voter_id]
-        # only ledgered voters are redirected here, and the fake service
-        # reads back the intent on their ledger entry
-        entry = self.attacker.manipulation_ledger[call.voter_id]
+        # the fake service reads back the voter's own intent, so it
+        # always matches
         state.verify_outcome = "read_back_fake"
-        state.verify_matched = entry.intended == state.intended
-        if state.verify_matched and state.false_complainer:
+        state.verify_matched = True
+        if state.false_complainer:
             self._complain(state, el.ComplaintKind.FALSE_COMPLAINT)
 
     def _on_receipt_service(self, event: netsim.Event, sim: netsim.Simulator) -> None:

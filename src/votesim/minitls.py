@@ -36,9 +36,9 @@ from .numth import (
     find_subgroup_generator,
     gen_prime,
     gen_subgroup_prime,
+    is_prime,
     pollard_rho,
 )
-from sympy import isprime
 
 
 class TlsError(Exception):
@@ -589,7 +589,7 @@ def factor_export_modulus(n: int, rng: Optional[Random] = None,
     if d is None:
         raise NotFactorable(f"budget of {max_iters} iterations exhausted for {n.bit_length()}-bit modulus")
     p, q = sorted((d, n // d))
-    if p * q != n or not (isprime(p) and isprime(q)):
+    if p * q != n or not (is_prime(p) and is_prime(q)):
         raise NotFactorable(f"{n} is not a product of two primes")
     return p, q
 

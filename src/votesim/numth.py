@@ -1,14 +1,102 @@
 """Number-theory plumbing shared by the envelope and handshake layers.
 
-Primality testing is delegated to sympy; everything here must stay
-deterministic for a fixed random.Random instance so whole runs replay
-bit-for-bit from a seed.
+`is_prime` is exact below 3317044064679887385961981: there it runs
+Miller-Rabin on the first 13 prime bases, which no composite below that
+bound passes (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+bases", Math. Comp. 86, 2017). Above it runs the strong Baillie-PSW test,
+a strong base-2 Miller-Rabin round plus a strong Lucas test with
+Selfridge's parameters (Baillie and Wagstaff, "Lucas pseudoprimes",
+Math. Comp. 35, 1980), for which no counterexample is known.
+
+Everything here must stay deterministic for a fixed random.Random
+instance so whole runs replay bit-for-bit from a seed.
 """
 
 import math
 from random import Random
 
-from sympy import isprime
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """True iff n is prime (see the module docstring for the tests used)."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 53 * 53:
+        return True
+    if n < _MR_EXACT_BELOW:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    if math.isqrt(n) ** 2 == n:
+        return False  # no Selfridge D exists for a square
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """One Miller-Rabin round: False proves the odd n > a composite."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas round with Selfridge's parameters: P = 1 and
+    Q = (1 - D) / 4 for the first D in 5, -7, 9, -11, ... with (D/n) = -1.
+    n is odd, not a square and larger than every |D| tried. False proves
+    n composite.
+    """
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:
+            return False  # gcd(d, n) > 1 and |d| < n
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    # U_k, V_k and Q^k mod n, doubling k from 1 up to (n + 1) >> s
+    u, v, qk = 1, 1, q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = u + v, d * u + v
+            if u & 1:
+                u += n
+            if v & 1:
+                v += n
+            u, v, qk = (u >> 1) % n, (v >> 1) % n, qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
 
 
 def gen_prime(bits: int, rng: Random) -> int:
@@ -17,7 +105,7 @@ def gen_prime(bits: int, rng: Random) -> int:
         raise ValueError("need at least 2 bits")
     while True:
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if isprime(candidate):
+        if is_prime(candidate):
             return candidate
 
 
@@ -26,7 +114,7 @@ def gen_safe_prime(bits: int, rng: Random) -> tuple[int, int]:
     while True:
         q = gen_prime(bits - 1, rng)
         p = 2 * q + 1
-        if p.bit_length() == bits and isprime(p):
+        if p.bit_length() == bits and is_prime(p):
             return p, q
 
 
@@ -43,7 +131,7 @@ def gen_subgroup_prime(p_bits: int, q_bits: int, rng: Random) -> tuple[int, int]
             cofactor = rng.getrandbits(p_bits - q_bits) | (1 << (p_bits - q_bits - 1))
             cofactor &= ~1  # even cofactor keeps p odd
             p = q * cofactor + 1
-            if p.bit_length() == p_bits and isprime(p):
+            if p.bit_length() == p_bits and is_prime(p):
                 return p, q
 
 

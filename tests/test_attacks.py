@@ -15,7 +15,8 @@ from votesim import attacks as atk
 from votesim.ballots import make_manifest
 from votesim.config import bundled_scenarios, load_config, parse_config
 from votesim.election import ComplaintKind, ServerRole, VoteChannel
-from votesim.engine import ScenarioEngine, run_engine
+from votesim.engine import (FETCH_LEAD_DLOG, FETCH_LEAD_PLAIN, REGISTRATION_LEAD,
+                            ScenarioEngine, run_engine)
 from votesim.envelope import CredentialRegistry, Credentials, open_envelope
 from votesim.ballots import decode_ballot
 from votesim.messages import CastIntent, RegistrationRequest, SessionContext
@@ -773,6 +774,9 @@ class TestDetectionProperties:
             assert 0 <= m["complaints_true"] <= m["manipulated"]
             assert m["complaints_false"] == overall["complaints_false"]
         assert overall["manipulated"] == report["winner_flip"]["manipulated"]
+        # the ledger holds each voter's own intent, which is what a fake
+        # read-back tells the voter
+        assert all(e.intended == engine.voters[v].intended for v, e in ledger.items())
         # every complaint is either false or made by a ledgered voter
         assert overall["complaints_true"] + overall["complaints_false"] == \
             report["complaints"]["total"]
@@ -832,3 +836,63 @@ class TestDetectionProperties:
         assert off.tally.counts == off.intent_tally.counts
         assert off.attacker.manipulation_ledger == {}
 
+
+@st.composite
+def downgrade_trees(draw, logjam):
+    """A small TLS run with FREAK, Logjam or both on, each window inside
+    the background-fetch range, and the vote rewrite riding on them.
+    """
+    kinds = ("freak",)
+    if logjam:
+        kinds = ("logjam",) + draw(st.sampled_from(((), ("freak",))), label="freak too")
+    first_fetch = REGISTRATION_LEAD + 1
+    last_fetch = 43200 - 1 - (FETCH_LEAD_DLOG if logjam else FETCH_LEAD_PLAIN)
+    patch_rate = st.one_of(st.just(1.0), st.floats(0, 1))
+    attacks = {"vote_rewrite": {"enabled": True}, "target_group": "g02"}
+    for kind in kinds:
+        start, last = sorted(draw(st.integers(first_fetch, last_fetch)) for _ in "ab")
+        attacks[kind] = {"enabled": True, "control_rate": draw(st.floats(0, 1)),
+                         "window_start": start, "window_end": last + 1}
+    suites = {"freak": "RSA_EXPORT", "logjam": "DHE_EXPORT"}
+    return base_tree(
+        seed=draw(st.integers(0, 2 ** 16)), voters=draw(st.integers(20, 60)),
+        behavior={"p_verify_ivr": draw(st.sampled_from((0.0, 0.5, 1.0))),
+                  "p_check_receipt_only": 0.0},
+        tls={"enabled": True, "client_patch_rate": draw(patch_rate),
+             "third_party_suites": sorted({suites[k] for k in kinds} | draw(
+                 st.sets(st.sampled_from(("RSA", "DHE"))), label="full-strength suites"))},
+        attacks=attacks,
+    )
+
+
+class TestDowngradeProperties:
+    """Generated FREAK and Logjam configs. Each example draws fresh RSA
+    and DHE keys at its own seed.
+    """
+
+    def check(self, tree):
+        engine = run_tree(tree)
+        report = build_report(engine)
+        c = report["event_conservation"]
+        assert c["delivered"] + c["dropped"] + c["replaced"] + c["pending"] \
+            == c["scheduled"]
+        for m in report["detection"].values():
+            assert 0 <= m["complaints_true"] <= m["manipulated"]
+        for kind in ("freak", "logjam"):
+            d = report["downgrade"][kind]
+            assert 0 <= d["succeeded"] <= d["attempted"]
+            if not tree["attacks"].get(kind, {}).get("enabled"):
+                assert d["attempted"] == 0
+        return report
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(tree=downgrade_trees(logjam=False))
+    def test_freak_alone(self, tree):
+        report = self.check(tree)
+        if tree["tls"]["client_patch_rate"] == 1.0:
+            assert report["downgrade"]["freak"]["succeeded"] == 0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=15)
+    @given(tree=downgrade_trees(logjam=True))
+    def test_logjam_with_or_without_freak(self, tree):
+        self.check(tree)

@@ -1,5 +1,8 @@
 """Config validation, scenario runner determinism, report diffs, CLI."""
 
+import os
+import subprocess
+import sys
 import time
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import votesim
 from votesim.cli import main
 from votesim.config import (
     ConfigInvalid,
@@ -352,6 +356,20 @@ class TestCli:
         assert (tmp_path / "honest-baseline-seed42.trace.log").exists()
         report = parse_report(report_path.read_text())
         assert report["scenario"] == "honest-baseline"
+
+    def test_import_loads_no_sympy(self):
+        # primality is numth's own: importing sympy loads the whole package,
+        # the largest fixed time and memory cost of a run's setup
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(votesim.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, votesim.cli, votesim.engine; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"],
+            env=env, capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_run_seed_override(self, tmp_path):
         rc = main(["run", "linkage-matrix", "--seed", "99", "--out", str(tmp_path)])
