@@ -41,7 +41,7 @@ class AttackError(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class PoolEntry:
     login_id: str
     pin: str
@@ -49,17 +49,16 @@ class PoolEntry:
     ballot: Ballot
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerEntry:
     voter_id: str
-    intended: Ballot
     submitted: Optional[Ballot]  # None when the vote was suppressed outright
     strategy: str
     cast_time: int
     masked: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ClashVictim:
     voter_id: str
     handed_out: PoolEntry  # credentials the victim believes are his
@@ -102,8 +101,7 @@ def _claim(state: AttackerState, intent: CastIntent, attacker_ballot: Ballot,
     voter's.
     """
     state.charge(LedgerEntry(
-        voter_id=intent.voter_id, intended=intent.ballot,
-        submitted=attacker_ballot, strategy=strategy,
+        voter_id=intent.voter_id, submitted=attacker_ballot, strategy=strategy,
         cast_time=intent.cast_time,
     ))
     return Decision.modify(replace(intent, ballot=attacker_ballot,
@@ -262,8 +260,7 @@ def clash_suppress_cast(state: AttackerState, intent: CastIntent,
     if victim is None or intent.handled_by is not None:
         return Decision.forward()
     state.charge(LedgerEntry(
-        voter_id=intent.voter_id, intended=intent.ballot,
-        submitted=attacker_ballot, strategy="clash",
+        voter_id=intent.voter_id, submitted=attacker_ballot, strategy="clash",
         cast_time=intent.cast_time,
         masked=(intent.ballot == victim.handed_out.ballot),
     ))

@@ -40,7 +40,7 @@ class CouncilMode(Enum):
     BELOW_THE_LINE = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ballot:
     assembly_prefs: tuple[str, ...]
     council_mode: CouncilMode
@@ -86,7 +86,7 @@ class ElectionManifest:
         return self.candidates[candidate_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoterProfile:
     """Behavioural parameters for one simulated voter."""
 

@@ -15,7 +15,8 @@ import sys
 
 from .config import ConfigInvalid, bundled_scenarios, load_config
 from .engine import run_engine
-from .report import build_report, diff_reports, metrics_rows, parse_report, serialize_report
+from .report import (build_report, diff_reports, metrics_rows, parse_report,
+                     serialize_report, trace_chunks)
 
 
 def _resolve_config(name_or_path: str) -> str:
@@ -50,7 +51,7 @@ def cmd_run(args) -> int:
         f.write(metrics_rows(report))
     if args.trace:
         with open(f"{base}.trace.log", "w") as f:
-            f.write("\n".join(engine.sim.trace) + "\n")
+            f.writelines(trace_chunks(engine.sim.trace))
     tally = report["tally"]
     print(f"scenario={config.name} seed={config.seed} "
           f"counted={report['votes']['counted']} "

@@ -85,7 +85,7 @@ class ElectionTimeline:
         return self.polls_close
 
 
-@dataclass
+@dataclass(slots=True)
 class CoreVotingRecord:
     login_id: str
     envelope: DigitalEnvelope
@@ -95,7 +95,7 @@ class CoreVotingRecord:
     superseded: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationRecord:
     login_id: str
     pin_hash: bytes

@@ -50,10 +50,9 @@ FETCH_LEAD_PLAIN = 10
 FETCH_LEAD_DLOG = tls.DLOG_INDIVIDUAL_DELAY + 30
 
 
-@dataclass
+@dataclass(slots=True)
 class VoterState:
     voter_id: str
-    rng: Random
     profile: bal.VoterProfile
     intended: bal.Ballot
     channel: el.VoteChannel
@@ -71,7 +70,9 @@ class VoterState:
     suspicious: bool = False  # would notice an assigned-not-chosen PIN
     verify_delay: int = 600
     # evolving state (the session object is mutated in place so events
-    # holding a reference observe attack outcomes)
+    # holding a reference observe attack outcomes); `rng` is held only
+    # from the stream's first reader to the cast, see ScenarioEngine._voter_rng
+    rng: Optional[Random] = None
     session: SessionContext = field(default_factory=SessionContext)
     credentials: Optional[env.Credentials] = None
     believed_receipt: Optional[str] = None
@@ -157,6 +158,8 @@ class ScenarioEngine:
         self.fetch_lead = FETCH_LEAD_DLOG if config.attacks.logjam.enabled \
             else FETCH_LEAD_PLAIN
         self.last_fetch = self.timeline.polls_close - 1 - self.fetch_lead
+        self.earliest_cast = self.timeline.polls_open + REGISTRATION_LEAD + \
+            self.fetch_lead + 1
 
         self._tls_clock = 0
         self.piwik_server: Optional[tls.TlsServer] = None
@@ -272,7 +275,7 @@ class ScenarioEngine:
     def _build_voters(self) -> None:
         cfg = self.config
         fetch_lead, last_fetch = self.fetch_lead, self.last_fetch
-        earliest_cast = self.timeline.polls_open + REGISTRATION_LEAD + fetch_lead + 1
+        earliest_cast = self.earliest_cast
         if earliest_cast >= self.timeline.polls_close:
             raise ConfigInvalid(
                 "timeline.polls_close: leaves no casting window after the "
@@ -289,50 +292,66 @@ class ScenarioEngine:
             if group not in self.manifest.groups:
                 raise ConfigInvalid(
                     f"behavior.leaning_weights.{group}: group not in manifest")
-        leanings = self._draw_leanings()
-        freak, logjam = cfg.attacks.freak, cfg.attacks.logjam
+        self.leanings = self._draw_leanings()
         for i in range(cfg.voters):
-            voter_id = f"voter{i:05d}"
-            rng = Random(f"{cfg.seed}:voter:{i}")
-            cast_time = rng.randint(earliest_cast, self.timeline.polls_close - 1)
-            profile = bal.draw_profile(cfg.behavior.card_rate,
-                                       cfg.behavior.leaning_weights, self.manifest, rng,
-                                       cast_time=cast_time, leaning=leanings[i])
-            intended = bal.draw_ballot(profile, self.manifest, rng)
-            chan_draw = rng.random()
-            if chan_draw < cfg.behavior.phone_fraction:
-                channel = el.VoteChannel.PHONE
-            elif chan_draw < cfg.behavior.phone_fraction + cfg.behavior.polling_fraction:
-                channel = el.VoteChannel.POLLING_PLACE
-            else:
-                channel = el.VoteChannel.WEB
-            state = VoterState(
-                voter_id=voter_id,
-                rng=rng,
-                profile=profile,
-                intended=intended,
-                channel=channel,
-                reg_time=cast_time - REGISTRATION_LEAD,
-                fetch_time=cast_time - fetch_lead,
-                patched=rng.random() < cfg.tls.client_patch_rate,
-                verifies=rng.random() < cfg.behavior.p_verify_ivr,
-                checks_receipt=rng.random() < cfg.behavior.p_check_receipt_only,
-                false_complainer=rng.random() < cfg.behavior.p_false_complaint,
-                dials_genuine=rng.random() < cfg.attacks.fake_ivr.dial_genuine_rate,
-                reveals_caller_id=rng.random() < cfg.behavior.caller_id_fraction,
-                suspicious=rng.random() < cfg.behavior.p_pin_suspicion,
-                verify_delay=rng.randint(cfg.behavior.verify_delay_min,
-                                         cfg.behavior.verify_delay_max),
-                granted=rng.random() < cfg.attacks.granted_compromise_rate,
-            )
-            in_freak = freak.enabled and \
-                freak.window_start <= state.fetch_time < freak.window_end and \
-                rng.random() < freak.control_rate
-            in_logjam = logjam.enabled and \
-                logjam.window_start <= state.fetch_time < logjam.window_end and \
-                rng.random() < logjam.control_rate
-            state.controlled = in_freak or in_logjam
-            self.voters[voter_id] = state
+            state, _ = self._draw_voter(i)
+            self.voters[state.voter_id] = state
+
+    def _draw_voter(self, i: int) -> tuple[VoterState, Random]:
+        """Voter i's record, drawn from the voter's own stream, and that
+        stream as the draws leave it. The record does not keep the stream:
+        its first reader rebuilds it by calling this again (`_voter_rng`).
+        """
+        cfg = self.config
+        freak, logjam = cfg.attacks.freak, cfg.attacks.logjam
+        rng = Random(f"{cfg.seed}:voter:{i}")
+        cast_time = rng.randint(self.earliest_cast, self.timeline.polls_close - 1)
+        profile = bal.draw_profile(cfg.behavior.card_rate,
+                                   cfg.behavior.leaning_weights, self.manifest, rng,
+                                   cast_time=cast_time, leaning=self.leanings[i])
+        intended = bal.draw_ballot(profile, self.manifest, rng)
+        chan_draw = rng.random()
+        if chan_draw < cfg.behavior.phone_fraction:
+            channel = el.VoteChannel.PHONE
+        elif chan_draw < cfg.behavior.phone_fraction + cfg.behavior.polling_fraction:
+            channel = el.VoteChannel.POLLING_PLACE
+        else:
+            channel = el.VoteChannel.WEB
+        state = VoterState(
+            voter_id=f"voter{i:05d}",
+            profile=profile,
+            intended=intended,
+            channel=channel,
+            reg_time=cast_time - REGISTRATION_LEAD,
+            fetch_time=cast_time - self.fetch_lead,
+            patched=rng.random() < cfg.tls.client_patch_rate,
+            verifies=rng.random() < cfg.behavior.p_verify_ivr,
+            checks_receipt=rng.random() < cfg.behavior.p_check_receipt_only,
+            false_complainer=rng.random() < cfg.behavior.p_false_complaint,
+            dials_genuine=rng.random() < cfg.attacks.fake_ivr.dial_genuine_rate,
+            reveals_caller_id=rng.random() < cfg.behavior.caller_id_fraction,
+            suspicious=rng.random() < cfg.behavior.p_pin_suspicion,
+            verify_delay=rng.randint(cfg.behavior.verify_delay_min,
+                                     cfg.behavior.verify_delay_max),
+            granted=rng.random() < cfg.attacks.granted_compromise_rate,
+        )
+        in_freak = freak.enabled and \
+            freak.window_start <= state.fetch_time < freak.window_end and \
+            rng.random() < freak.control_rate
+        in_logjam = logjam.enabled and \
+            logjam.window_start <= state.fetch_time < logjam.window_end and \
+            rng.random() < logjam.control_rate
+        state.controlled = in_freak or in_logjam
+        return state, rng
+
+    def _voter_rng(self, state: VoterState) -> Random:
+        """The voter's stream for the fetch and cast draws. The first
+        reader rebuilds it by replaying the set-up draws; the record then
+        holds it until the cast lets it go.
+        """
+        if state.rng is None:
+            _, state.rng = self._draw_voter(int(state.voter_id.removeprefix("voter")))
+        return state.rng
 
     def _install_attack_taps(self) -> None:
         a = self.config.attacks
@@ -395,14 +414,15 @@ class ScenarioEngine:
             oracle = self._active_oracle(now)
             if oracle is not None:
                 result = tls.mitm_freak(client_cfg, oracle.conn,
-                                        oracle.factored_key, state.rng)
+                                        oracle.factored_key, self._voter_rng(state))
                 self._note_downgrade(state, now, "freak", result)
                 if result.success:
                     return netsim.Decision.forward()
         if a.logjam.enabled:
             conn = self.piwik_server.connect()
             try:
-                result = tls.mitm_logjam(client_cfg, conn, self.dlog_table, state.rng)
+                result = tls.mitm_logjam(client_cfg, conn, self.dlog_table,
+                                         self._voter_rng(state))
             except tls.TlsError as exc:
                 result = tls.MitmResult(success=False, error=f"{type(exc).__name__}: {exc}")
             self._note_downgrade(state, now, "logjam", result)
@@ -520,7 +540,7 @@ class ScenarioEngine:
         )
         conn = self.piwik_server.connect()
         try:
-            tls.handshake(client_cfg, conn, state.rng)
+            tls.handshake(client_cfg, conn, self._voter_rng(state))
         except tls.TlsError:
             pass  # a failed analytics fetch does not block voting
         finally:
@@ -529,21 +549,25 @@ class ScenarioEngine:
     def _on_browser(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         intent = event.payload
         state = self.voters.get(intent.voter_id)  # None for the attacker's fraud: casts
+        # the cast is the last reader of a voter's stream: every branch
+        # below lets it go
         if intent.suppress_submit:
             # clash victims: nothing reaches the voting server, but the
             # voter walks away holding the pooled receipt and can still
             # phone the genuine read-back service
+            state.rng = None
             state.believed_receipt = intent.believed_receipt
             self._schedule_voter_followups(state, event.time, sim)
             return
         if intent.channel is el.VoteChannel.PHONE:
+            state.rng = None
             sim.schedule(event.time, intent.voter_id, "voice-server", PhoneCast(
                 voter_id=intent.voter_id,
                 credentials=intent.credentials,
                 ballot=intent.ballot,
             ))
             return
-        rng = state.rng if state is not None else self.rng_services
+        rng = self._voter_rng(state) if state is not None else self.rng_services
         ballot_bytes = bal.encode_ballot(intent.ballot, self.manifest)
         session_id = f"cast:{intent.voter_id}"
         session_key = self._session_key(session_id)
@@ -555,6 +579,7 @@ class ScenarioEngine:
             envelope=sealed, channel=intent.channel,
         )
         if state is not None:
+            state.rng = None
             state.submitted = intent.ballot
             state.show_receipt = intent.show_receipt
         record = SecureRecord(
@@ -743,8 +768,8 @@ class ScenarioEngine:
                               session_key=session_key)
             record.envelope = forged
             self.attacker.charge(atk.LedgerEntry(
-                voter_id=state.voter_id, intended=state.intended,
-                submitted=self.attacker_ballot, strategy="server_rewrite",
+                voter_id=state.voter_id, submitted=self.attacker_ballot,
+                strategy="server_rewrite",
                 cast_time=self.timeline.polls_close,
             ))
 

@@ -179,7 +179,7 @@ class ServerRole(Enum):
     VERIFICATION = "verification"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DigitalEnvelope:
     wrapped_key_election: tuple[int, int]
     wrapped_key_verification: tuple[int, int]
@@ -276,7 +276,7 @@ PIN_DIGITS = 6
 RECEIPT_DIGITS = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Credentials:
     login_id: str
     pin: str

@@ -12,7 +12,7 @@ from .election import VoteChannel
 from .envelope import Credentials, DigitalEnvelope
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionContext:
     """What the adversary ended up with for one voter's browsing session."""
 
@@ -20,7 +20,7 @@ class SessionContext:
     session_key: Optional[bytes] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RegistrationRequest:
     voter_id: str
     pin_choice: Optional[str]
@@ -30,7 +30,7 @@ class RegistrationRequest:
         return {"voter": self.voter_id, "channel": self.channel.value}
 
 
-@dataclass
+@dataclass(slots=True)
 class RegistrationReply:
     voter_id: str
     credentials: Credentials
@@ -39,7 +39,7 @@ class RegistrationReply:
         return {"voter": self.voter_id, "login": self.credentials.login_id}
 
 
-@dataclass
+@dataclass(slots=True)
 class CastIntent:
     """Client-side casting step, before the envelope is sealed. Taps that
     match it model injected in-browser code: they see and may replace the
@@ -65,7 +65,7 @@ class CastIntent:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class CastTrigger:
     """Self-addressed wake-up that starts a voter's casting flow once
     credentials and session state are current.
@@ -77,7 +77,7 @@ class CastTrigger:
         return {"voter": self.voter_id}
 
 
-@dataclass
+@dataclass(slots=True)
 class CastSubmission:
     voter_id: str
     credentials: Credentials
@@ -104,7 +104,7 @@ class CastSubmission:
         return {"voter": self.voter_id, "login": self.credentials.login_id}
 
 
-@dataclass
+@dataclass(slots=True)
 class SecureRecord:
     """Ciphertext record on an HTTPS path. Taps see only this; flipping
     bits without the session key trips the record MAC at the receiver.
@@ -119,7 +119,7 @@ class SecureRecord:
                 "blob": self.blob[:8].hex()}
 
 
-@dataclass
+@dataclass(slots=True)
 class PhoneCast:
     """Phone-channel vote: choices travel in the clear over the voice line
     and the voice server builds the envelope itself.
@@ -133,7 +133,7 @@ class PhoneCast:
         return {"voter": self.voter_id, "login": self.credentials.login_id}
 
 
-@dataclass
+@dataclass(slots=True)
 class VerifyCall:
     voter_id: str
     login_id: str
@@ -145,7 +145,7 @@ class VerifyCall:
         return {"voter": self.voter_id, "login": self.login_id}
 
 
-@dataclass
+@dataclass(slots=True)
 class ReceiptQuery:
     voter_id: str
     receipt: str
@@ -154,7 +154,7 @@ class ReceiptQuery:
         return {"voter": self.voter_id, "receipt": self.receipt}
 
 
-@dataclass
+@dataclass(slots=True)
 class C2Exfil:
     """Stolen credentials plus the intended vote, phoning home."""
 
@@ -166,7 +166,7 @@ class C2Exfil:
         return {"voter": self.voter_id, "login": self.credentials.login_id}
 
 
-@dataclass
+@dataclass(slots=True)
 class ThirdPartyFetch:
     """The background resource load that drags a weak third-party TLS
     endpoint into every voting session.

@@ -40,7 +40,7 @@ class Endpoint:
 
 # --- events and decisions ---
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     time: int
     src: str

@@ -25,6 +25,18 @@ def model_assumptions(config) -> list[str]:
     ]
 
 
+TRACE_CHUNK_LINES = 4096
+
+
+def trace_chunks(trace: list[str]):
+    """The trace file's text, every line ended by a newline, in pieces of
+    a few thousand lines, so hashing or writing it never holds a second
+    copy of the whole trace.
+    """
+    for start in range(0, len(trace), TRACE_CHUNK_LINES):
+        yield "\n".join(trace[start:start + TRACE_CHUNK_LINES]) + "\n"
+
+
 def _tally_section(tally) -> dict:
     return {
         "counts": {k: tally.counts[k] for k in sorted(tally.counts)},
@@ -92,8 +104,9 @@ def build_report(engine) -> dict:
         counts["detection_ratio"] = (counts["complaints_true"] / counts["manipulated"]
                                      if counts["manipulated"] else None)
 
-    trace_text = "\n".join(engine.sim.trace) + "\n"
-    trace_digest = hashlib.sha256(trace_text.encode()).hexdigest()
+    trace_hash = hashlib.sha256()
+    for chunk in trace_chunks(engine.sim.trace):
+        trace_hash.update(chunk.encode())
 
     linked_voters = sorted({voter for voter, _ in engine.linked})
 
@@ -143,7 +156,7 @@ def build_report(engine) -> dict:
         "real_world_cost_metadata": REAL_WORLD_COSTS,
         "event_conservation": engine.conservation,
         "assumptions": model_assumptions(cfg),
-        "trace_digest": trace_digest,
+        "trace_digest": trace_hash.hexdigest(),
     }
     return report
 

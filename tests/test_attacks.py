@@ -5,7 +5,7 @@ and the detection-undercount properties they exist to demonstrate.
 import hashlib
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 from random import Random
 
 import pytest
@@ -82,8 +82,9 @@ class TestInjectVoteRewrite:
         assert decision.kind == "modify"
         assert decision.payload.ballot == self.manifest.cards["g02"]
         entry = state.manipulation_ledger["voterX"]
-        assert entry.intended == self.manifest.cards["g01"]
         assert entry.submitted == self.manifest.cards["g02"]
+        # the swap replaces the cast intent; the voter's own is untouched
+        assert intent.ballot == self.manifest.cards["g01"]
         # the browser tap phones the intent and credentials home
         sim = Simulator()
         phoned = []
@@ -106,8 +107,8 @@ class TestInjectVoteRewrite:
         atk.inject_vote_rewrite(state, first, self.manifest.cards["g02"])
         with pytest.raises(atk.AttackError, match="voterX"):
             state.charge(atk.LedgerEntry(
-                voter_id="voterX", intended=first.ballot,
-                submitted=self.manifest.cards["g02"], strategy="server_rewrite",
+                voter_id="voterX", submitted=self.manifest.cards["g02"],
+                strategy="server_rewrite",
                 cast_time=43200))
         assert len(state.manipulation_ledger) == 1
 
@@ -130,7 +131,6 @@ class TestInjectVoteRewrite:
             state = engine.voters[voter]
             if voter in ledgered:
                 assert stored == ledgered[voter].submitted
-                assert ledgered[voter].intended == state.intended
                 assert stored != state.intended or \
                     state.intended == engine.attacker_ballot
                 checked_manipulated += 1
@@ -431,8 +431,8 @@ class TestClash:
         assert m["complaints_true"] == 0
 
     def test_victims_at_the_fake_ivr_hear_their_intent(self):
-        # a clash victim's ledger entry holds the intent, which the
-        # attacker IVR reads back; a false complainer then complains
+        # the attacker IVR reads back a clash victim's own intent; a
+        # false complainer then complains
         engine = run_tree(base_tree(
             voters=600,
             behavior={"card_rate": 0.4, "p_verify_ivr": 0.5,
@@ -774,9 +774,8 @@ class TestDetectionProperties:
             assert 0 <= m["complaints_true"] <= m["manipulated"]
             assert m["complaints_false"] == overall["complaints_false"]
         assert overall["manipulated"] == report["winner_flip"]["manipulated"]
-        # the ledger holds each voter's own intent, which is what a fake
-        # read-back tells the voter
-        assert all(e.intended == engine.voters[v].intended for v, e in ledger.items())
+        # the ledger charges voters, never the attacker's fraud: casts
+        assert set(ledger) <= set(engine.voters)
         # every complaint is either false or made by a ledgered voter
         assert overall["complaints_true"] + overall["complaints_false"] == \
             report["complaints"]["total"]
@@ -896,3 +895,77 @@ class TestDowngradeProperties:
     @given(tree=downgrade_trees(logjam=True))
     def test_logjam_with_or_without_freak(self, tree):
         self.check(tree)
+
+
+@st.composite
+def replay_trees(draw):
+    """Configs reaching every draw a voter's set-up makes: the clash
+    front and granted compromise with TLS on or off, or the FREAK and
+    Logjam trees above, each with uniform, weighted or quota leanings and
+    every channel.
+    """
+    kind = draw(st.sampled_from(("plain", "freak", "logjam")))
+    if kind == "plain":
+        tree = base_tree(
+            seed=draw(st.integers(0, 2 ** 16)), voters=draw(st.integers(20, 60)),
+            tls={"enabled": draw(st.booleans())},
+            attacks={"clash": {"enabled": draw(st.booleans())},
+                     "granted_compromise_rate": draw(st.sampled_from((0.0, 0.5))),
+                     "vote_rewrite": {"enabled": True}, "target_group": "g02"})
+    else:
+        tree = draw(downgrade_trees(logjam=kind == "logjam"))
+    behavior = tree["behavior"]
+    behavior["phone_fraction"] = draw(st.sampled_from((0.0, 0.3)))
+    behavior["polling_fraction"] = draw(st.sampled_from((0.0, 0.3)))
+    leaning = draw(st.sampled_from(("uniform", "weights", "quota")))
+    if leaning == "weights":
+        behavior["leaning_weights"] = {"g01": 3.0, "g04": 1.0}
+    elif leaning == "quota":
+        first = draw(st.integers(0, tree["voters"]))
+        behavior["leaning_counts"] = {
+            "g02": first, "g05": draw(st.integers(0, tree["voters"] - first))}
+    return tree
+
+
+class ReplayRecorder(ScenarioEngine):
+    """Keeps each voter's set-up draws and every rebuild of its stream."""
+
+    def __init__(self, config):
+        self.setup_draws, self.rebuilds = {}, {}
+        super().__init__(config)
+
+    def _draw_voter(self, i):
+        state, rng = super()._draw_voter(i)
+        self.setup_draws.setdefault(i, (astuple(state), rng.getstate()))
+        return state, rng
+
+    def _voter_rng(self, state):
+        rebuilt = state.rng is None
+        rng = super()._voter_rng(state)
+        if rebuilt:
+            self.rebuilds.setdefault(state.voter_id, []).append(rng.getstate())
+        return rng
+
+
+class TestVoterStreamReplay:
+    """A voter's Random is not kept from set-up: its first reader (the
+    background fetch, else the cast) replays the set-up draws.
+    """
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(tree=replay_trees())
+    def test_first_reader_rebuilds_the_setup_stream(self, tree):
+        engine = ReplayRecorder(parse_config(tree))
+        engine.run()
+        assert engine.rebuilds
+        # a voter holding credentials went through the cast, on the web,
+        # by phone or suppressed, and every branch let the stream go
+        assert all(v.rng is None for v in engine.voters.values()
+                   if v.credentials is not None)
+        for i, voter_id in enumerate(sorted(engine.voters)):
+            record, stream = engine.setup_draws[i]
+            # rebuilt at most once, exactly as the set-up draws left it
+            assert engine.rebuilds.get(voter_id, [stream]) == [stream]
+            again, rng = engine._draw_voter(i)
+            assert astuple(again) == record
+            assert rng.getstate() == stream

@@ -1,5 +1,6 @@
 """Config validation, scenario runner determinism, report diffs, CLI."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -23,6 +24,9 @@ from votesim.config import (
     parse_config,
 )
 from votesim.engine import run_engine
+from votesim.envelope import Credentials
+from votesim.messages import CastSubmission
+from votesim.netsim import Event
 from votesim.report import build_report, diff_reports, parse_report, serialize_report
 
 
@@ -295,6 +299,27 @@ class TestBundledScenarios:
         assert report["winner_flip"]["feasible"] is True
         assert report["winner_flip"]["occurred"] is True
 
+    @pytest.mark.parametrize("name", ["honest-baseline", "clash", "freak-window"])
+    def test_voters_hold_no_stream_after_the_cast(self, name):
+        # memory guard: a voter's Random lives from its first reader to the
+        # cast, and the per-voter and per-event records carry no __dict__
+        engine = run_engine(load_config(bundled_scenarios()[name]))
+        cast = set()
+        for line in engine.sim.trace:
+            route, status = line.split(" ", 4)[2:4]
+            src, dst = route.split("->")
+            if dst == "browser" and status == "deliver" and src in engine.voters:
+                cast.add(src)
+        assert cast
+        assert [v for v in sorted(cast) if engine.voters[v].rng is not None] == []
+        record = engine.cvs.records[0]
+        submission = CastSubmission(
+            voter_id=min(cast), credentials=Credentials(record.login_id, "000000"),
+            envelope=record.envelope, channel=record.channel)
+        for obj in (engine.voters[min(cast)], Event(0, "voter00000", "browser", None),
+                    submission):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+
     def test_every_bundled_scenario_runs_quickly(self):
         for name, path in bundled_scenarios().items():
             start = time.perf_counter()
@@ -353,9 +378,12 @@ class TestCli:
         report_path = tmp_path / "honest-baseline-seed42.report.json"
         assert report_path.exists()
         assert (tmp_path / "honest-baseline-seed42.metrics.tsv").exists()
-        assert (tmp_path / "honest-baseline-seed42.trace.log").exists()
         report = parse_report(report_path.read_text())
         assert report["scenario"] == "honest-baseline"
+        # the trace file is written in chunks; its bytes are what the
+        # report's digest hashed
+        trace = (tmp_path / "honest-baseline-seed42.trace.log").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == report["trace_digest"]
 
     def test_import_loads_no_sympy(self):
         # primality is numth's own: importing sympy loads the whole package,
