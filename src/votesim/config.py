@@ -272,7 +272,14 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
     tree["name"] = str(tree.get("name", name_hint))
     cfg = _build(ScenarioConfig, tree, "")
 
-    b, t, tls = cfg.behavior, cfg.timeline, cfg.tls
+    m, b, t, tls = cfg.manifest, cfg.behavior, cfg.timeline, cfg.tls
+    if m.candidates < m.groups:
+        _fail("manifest.candidates",
+              f"{m.candidates} candidates leave some of the {m.groups} groups "
+              "without one")
+    if tls.enabled and not tls.third_party_suites:
+        _fail("tls.third_party_suites",
+              "tls.enabled needs at least one suite, or every handshake fails")
     if b.p_verify_ivr + b.p_check_receipt_only > 1.0:
         _fail("behavior.p_check_receipt_only",
               "p_verify_ivr + p_check_receipt_only must be <= 1")

@@ -135,6 +135,9 @@ class ScenarioEngine:
         self.params = env.gen_params(config.crypto.envelope_bits, self.rng_setup)
         self.election_key = env.gen_keypair(self.params, self.rng_setup)
         self.verification_key = env.gen_keypair(self.params, self.rng_setup)
+        # built once: each public key keeps its fixed-base table for every seal
+        self.election_pub = self.election_key.public()
+        self.verification_pub = self.verification_key.public()
 
         self.registry = env.CredentialRegistry()
         self.registration = el.RegistrationService(self.registry, self.timeline)
@@ -571,9 +574,8 @@ class ScenarioEngine:
         ballot_bytes = bal.encode_ballot(intent.ballot, self.manifest)
         session_id = f"cast:{intent.voter_id}"
         session_key = self._session_key(session_id)
-        sealed = env.seal(ballot_bytes, self.election_key.public(),
-                          self.verification_key.public(), rng,
-                          session_key=session_key)
+        sealed = env.seal(ballot_bytes, self.election_pub, self.verification_pub,
+                          rng, session_key=session_key)
         submission = CastSubmission(
             voter_id=intent.voter_id, credentials=intent.credentials,
             envelope=sealed, channel=intent.channel,
@@ -610,8 +612,8 @@ class ScenarioEngine:
     def _on_voice(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         payload = event.payload
         ballot_bytes = bal.encode_ballot(payload.ballot, self.manifest)
-        sealed = env.seal(ballot_bytes, self.election_key.public(),
-                          self.verification_key.public(), self.rng_services)
+        sealed = env.seal(ballot_bytes, self.election_pub, self.verification_pub,
+                          self.rng_services)
         submission = CastSubmission(
             voter_id=payload.voter_id, credentials=payload.credentials,
             envelope=sealed, channel=el.VoteChannel.PHONE,
@@ -763,9 +765,8 @@ class ScenarioEngine:
             # phone casts are sealed at the voice server, on no session
             session_key = None if record.channel is el.VoteChannel.PHONE \
                 else self._session_key(f"cast:{state.voter_id}")
-            forged = env.seal(ballot_bytes, self.election_key.public(),
-                              self.verification_key.public(), rng,
-                              session_key=session_key)
+            forged = env.seal(ballot_bytes, self.election_pub,
+                              self.verification_pub, rng, session_key=session_key)
             record.envelope = forged
             self.attacker.charge(atk.LedgerEntry(
                 voter_id=state.voter_id, submitted=self.attacker_ballot,

@@ -14,10 +14,11 @@ import hashlib
 import hmac as hmac_mod
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from random import Random
 from typing import Optional
 
-from .numth import gen_safe_prime, find_subgroup_generator, sqrt_mod_3mod4
+from .numth import FixedBase, gen_safe_prime, find_subgroup_generator, sqrt_mod_3mod4
 
 
 class EnvelopeError(Exception):
@@ -64,11 +65,23 @@ class ElGamalParams:
         if pow(self.g, self.q, self.p) != 1:
             raise EnvelopeError("generator does not have order q")
 
+    @cached_property
+    def g_table(self) -> FixedBase:
+        """g^e mod p for e in [0, q); built at first use, kept with the
+        parameters.
+        """
+        return FixedBase(self.g, self.p, self.q)
+
 
 @dataclass(frozen=True)
 class PublicKey:
     params: ElGamalParams
     y: int
+
+    @cached_property
+    def y_table(self) -> FixedBase:
+        """y^e mod p for e in [0, q); built at first use, kept with the key."""
+        return FixedBase(self.y, self.params.p, self.params.q)
 
 
 @dataclass(frozen=True)
@@ -110,10 +123,11 @@ def _decode_message(params: ElGamalParams, s: int) -> int:
     return min(r, params.p - r)
 
 
-def elgamal_encrypt(params: ElGamalParams, y: int, msg: int, rng: Random) -> tuple[int, int]:
+def elgamal_encrypt(pub: PublicKey, msg: int, rng: Random) -> tuple[int, int]:
+    params = pub.params
     s = _encode_message(params, msg)
     r = rng.randrange(1, params.q)
-    return pow(params.g, r, params.p), (s * pow(y, r, params.p)) % params.p
+    return params.g_table(r), (s * pub.y_table(r)) % params.p
 
 
 def elgamal_decrypt(params: ElGamalParams, x: int, ciphertext: tuple[int, int]) -> int:
@@ -239,8 +253,8 @@ def seal(
         raise EnvelopeError("server keys must share parameters")
     params = election_pub.params
     k = rng.randrange(1, params.q)
-    wrapped_e = elgamal_encrypt(params, election_pub.y, k, rng)
-    wrapped_v = elgamal_encrypt(params, verification_pub.y, k, rng)
+    wrapped_e = elgamal_encrypt(election_pub, k, rng)
+    wrapped_v = elgamal_encrypt(verification_pub, k, rng)
     nonce, ciphertext, tag = symmetric_seal(k, ballot_bytes, rng)
     if session_key is None:
         session_key = rng.getrandbits(256).to_bytes(32, "big")

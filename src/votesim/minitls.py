@@ -484,7 +484,7 @@ class ServerHandshake:
                 raise TlsError(f"no DHE parameters configured for {self.suite.value}")
             self._dhe_params = dhe
             self._dhe_secret = self.rng.randrange(2, dhe.q)
-            server_pub = pow(dhe.g, self._dhe_secret, dhe.p)
+            server_pub = dhe.g_table(self._dhe_secret)
             kind, params = "dhe", (dhe.p, dhe.g, server_pub)
         blob = signed_blob(self.client_nonce, self.nonce, kind, params)
         msg = ServerKeyExchange(kind=kind, params=params,

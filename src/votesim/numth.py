@@ -145,6 +145,44 @@ def find_subgroup_generator(p: int, q: int, rng: Random) -> int:
             return g
 
 
+class FixedBase:
+    """`base^e mod p` for every e in [0, bound), by table lookup.
+
+    Row i of the table holds base^(j * 256^i) mod p for j in 0..255, so
+    base^e is the product of one entry per byte of e: at most
+    ceil(bits(bound - 1) / 8) multiplications, against a square and a
+    multiply per bit for `pow` (Brickell, Gordon, McCurley and Wilson,
+    EUROCRYPT 1992; Handbook of Applied Cryptography, 14.6.3). Worth
+    building only for a base that serves many exponents.
+    """
+
+    __slots__ = ("p", "bound", "_width", "_rows")
+
+    def __init__(self, base: int, p: int, bound: int):
+        self.p = p
+        self.bound = bound
+        self._width = ((bound - 1).bit_length() + 7) // 8
+        rows = []
+        step = base  # base^(256^i)
+        for _ in range(self._width):
+            row = [1] * 256
+            for j in range(1, 256):
+                row[j] = row[j - 1] * step % p
+            rows.append(row)
+            step = row[255] * step % p
+        self._rows = rows
+
+    def __call__(self, e: int) -> int:
+        if not 0 <= e < self.bound:
+            raise ValueError(f"exponent {e} outside [0, {self.bound})")
+        p = self.p
+        acc = 1
+        for row, byte in zip(self._rows, e.to_bytes(self._width, "little")):
+            if byte:
+                acc = acc * row[byte] % p
+        return acc
+
+
 def sqrt_mod_3mod4(a: int, p: int) -> int:
     """Square root of a modulo a prime p with p % 4 == 3."""
     if p % 4 != 3:

@@ -2,11 +2,16 @@
 
 import hashlib
 import re
+from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from votesim import envelope as envelope_mod
 from votesim.ballots import encode_ballot, make_manifest, Ballot, CouncilMode
+from votesim.config import parse_config
+from votesim.engine import run_engine
 from votesim.envelope import (
     AuthFailure,
     CredentialRegistry,
@@ -23,7 +28,8 @@ from votesim.envelope import (
     symmetric_open,
     symmetric_seal,
 )
-from votesim.numth import sqrt_mod_3mod4
+from votesim.minitls import gen_export_dhe_params
+from votesim.numth import FixedBase, sqrt_mod_3mod4
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -74,16 +80,17 @@ class TestElGamal:
     def setup_method(self):
         self.params = gen_params(64, Random(10))
         self.key = gen_keypair(self.params, Random(11))
+        self.pub = self.key.public()
 
     def test_identity_element_round_trips(self):
-        ct = elgamal_encrypt(self.params, self.key.y, 1, Random(3))
+        ct = elgamal_encrypt(self.pub, 1, Random(3))
         assert elgamal_decrypt(self.params, self.key.x, ct) == 1
 
     def test_random_round_trips(self):
         rng = Random(12)
         for _ in range(1000):
             m = rng.randrange(1, self.params.q)
-            ct = elgamal_encrypt(self.params, self.key.y, m, rng)
+            ct = elgamal_encrypt(self.pub, m, rng)
             assert elgamal_decrypt(self.params, self.key.x, ct) == m
 
     def test_wrong_key_decrypts_wrong(self):
@@ -92,20 +99,20 @@ class TestElGamal:
         hits = 0
         for _ in range(50):
             m = rng.randrange(2, self.params.q)
-            ct = elgamal_encrypt(self.params, self.key.y, m, rng)
+            ct = elgamal_encrypt(self.pub, m, rng)
             if elgamal_decrypt(self.params, other.x, ct) == m:
                 hits += 1
         assert hits == 0
 
     def test_message_out_of_range(self):
         with pytest.raises(MessageOutOfRange):
-            elgamal_encrypt(self.params, self.key.y, 0, Random(1))
+            elgamal_encrypt(self.pub, 0, Random(1))
         with pytest.raises(MessageOutOfRange):
-            elgamal_encrypt(self.params, self.key.y, self.params.q + 1, Random(1))
+            elgamal_encrypt(self.pub, self.params.q + 1, Random(1))
 
     def test_ciphertexts_randomized(self):
-        ct1 = elgamal_encrypt(self.params, self.key.y, 7, Random(1))
-        ct2 = elgamal_encrypt(self.params, self.key.y, 7, Random(2))
+        ct1 = elgamal_encrypt(self.pub, 7, Random(1))
+        ct2 = elgamal_encrypt(self.pub, 7, Random(2))
         assert ct1 != ct2
 
     @pytest.mark.parametrize("bits", [32, 64, 128])
@@ -124,10 +131,87 @@ class TestElGamal:
 
         cts = [(rng.randrange(p), rng.randrange(p)) for _ in range(200)]
         cts += [(0, rng.randrange(p)), (p, rng.randrange(p)), (0, 0), (p, 1)]
-        cts += [elgamal_encrypt(params, key.y, rng.randrange(1, params.q), rng)
+        pub = key.public()
+        cts += [elgamal_encrypt(pub, rng.randrange(1, params.q), rng)
                 for _ in range(50)]
         for c1, c2 in cts:
             assert elgamal_decrypt(params, key.x, (c1, c2)) == fermat(c1, c2)
+
+
+# the groups whose bases get tables: envelope keys at each size, and an
+# export-strength DHE group with its short subgroup
+FIXED_BASE_GROUPS = {
+    "envelope-32": lambda: gen_params(32, Random(32)),
+    "envelope-64": lambda: gen_params(64, Random(64)),
+    "envelope-128": lambda: gen_params(128, Random(128)),
+    "export-dhe-64": lambda: gen_export_dhe_params(64, Random(7)),
+}
+
+
+class TestFixedBase:
+    @pytest.fixture(scope="class", params=sorted(FIXED_BASE_GROUPS))
+    def group(self, request):
+        params = FIXED_BASE_GROUPS[request.param]()
+        return params, gen_keypair(params, Random(1)).public()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(data=st.data())
+    def test_table_power_equals_builtin_pow(self, group, data):
+        params, pub = group
+        e = data.draw(st.integers(0, params.q - 1), label="exponent")
+        assert params.g_table(e) == pow(params.g, e, params.p)
+        assert pub.y_table(e) == pow(pub.y, e, params.p)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(p=st.integers(2, 2**70), base=st.integers(0, 2**70),
+           bits=st.integers(0, 40), data=st.data())
+    def test_any_modulus_and_bound_equal_builtin_pow(self, p, base, bits, data):
+        bound = data.draw(st.integers(1, 2 ** bits), label="bound")
+        e = data.draw(st.integers(0, bound - 1), label="exponent")
+        table = FixedBase(base, p, bound)
+        assert table(e) == pow(base, e, p)
+        assert table(bound - 1) == pow(base, bound - 1, p)
+
+    def test_range_ends_equal_builtin_pow(self, group):
+        params, pub = group
+        for e in (0, 1, 2, 255, 256, params.q - 2, params.q - 1):
+            assert params.g_table(e) == pow(params.g, e, params.p)
+            assert pub.y_table(e) == pow(pub.y, e, params.p)
+
+    def test_exponent_outside_range_raises(self, group):
+        params, pub = group
+        for table in (params.g_table, pub.y_table):
+            for e in (-1, params.q, params.q + 1, -params.q):
+                with pytest.raises(ValueError):
+                    table(e)
+
+    def test_table_lives_on_its_key_and_leaves_equality_alone(self, group):
+        params, pub = group
+        assert params.g_table is params.g_table
+        assert pub.y_table is pub.y_table
+        twin = replace(params)
+        assert "g_table" not in vars(twin)
+        assert twin == params and hash(twin) == hash(params)
+        assert replace(pub) == pub and hash(replace(pub)) == hash(pub)
+
+    def test_engine_builds_one_table_per_base(self, monkeypatch):
+        built = []
+
+        class Counting(FixedBase):
+            __slots__ = ()
+
+            def __init__(self, base, p, bound):
+                built.append(base)
+                super().__init__(base, p, bound)
+
+        monkeypatch.setattr(envelope_mod, "FixedBase", Counting)
+        engine = run_engine(parse_config({
+            "schema_version": 1, "name": "t", "seed": 3, "voters": 30,
+            "manifest": {"groups": 4, "candidates": 8, "assembly": 4},
+            "tls": {"enabled": False}}))
+        assert len(engine.cvs.records) > 1
+        assert sorted(built) == sorted([engine.params.g, engine.election_key.y,
+                                        engine.verification_key.y])
 
 
 class TestEnvelope:

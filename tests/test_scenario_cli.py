@@ -170,6 +170,49 @@ def invalid_leaf(tp, meta):
     return st.one_of(wrong, st.floats().filter(lambda v: not 0 <= v <= 1))
 
 
+def draw_no_adversary_tree(data, candidates_ok=True, suites_ok=True):
+    """A config tree with no adversary that the grammar accepts. With
+    `candidates_ok` false, some group has no candidate; with `suites_ok`
+    false, TLS is on with no suite. Both are impossible elections.
+    """
+    prob = st.floats(0, 1)
+    p_verify = data.draw(prob)
+    groups = data.draw(st.integers(1 if candidates_ok else 2, 6))
+    candidates = data.draw(st.integers(groups, 3 * groups) if candidates_ok
+                           else st.integers(1, groups - 1))
+    delay_min = data.draw(st.integers(0, 3600))
+    polls_open = data.draw(st.integers(0, 3600))
+    polls_close = polls_open + data.draw(st.integers(1812, 86400))
+    tls_enabled = data.draw(st.booleans()) if suites_ok else True
+    suites = data.draw(st.lists(
+        st.sampled_from(["RSA", "RSA_EXPORT", "DHE", "DHE_EXPORT"]),
+        unique=True, min_size=int(tls_enabled))) if suites_ok else []
+    return {
+        "schema_version": 1, "seed": data.draw(st.integers(0, 2**32)),
+        "voters": data.draw(st.integers(1, 40)),
+        "manifest": {"groups": groups, "candidates": candidates,
+                     "assembly": data.draw(st.integers(1, 6)),
+                     "min_below_line_prefs": data.draw(st.integers(1, 3))},
+        "behavior": {"card_rate": data.draw(prob), "p_verify_ivr": p_verify,
+                     "p_check_receipt_only": data.draw(st.floats(0, 1 - p_verify)),
+                     "p_false_complaint": data.draw(prob),
+                     "phone_fraction": data.draw(prob),
+                     "polling_fraction": data.draw(prob),
+                     "caller_id_fraction": data.draw(prob),
+                     "verify_delay_min": delay_min,
+                     "verify_delay_max": delay_min + data.draw(st.integers(0, 7200))},
+        "timeline": {"polls_open": polls_open, "polls_close": polls_close,
+                     "receipt_service_end": polls_close
+                     + data.draw(st.integers(1, 86400))},
+        "crypto": {"envelope_bits": data.draw(st.sampled_from([32, 64, 128]))},
+        "tls": {"enabled": tls_enabled, "client_patch_rate": data.draw(prob),
+                "third_party_suites": suites},
+        "linkage": {"compromised": data.draw(st.lists(st.sampled_from(
+            LinkageConfig.__dataclass_fields__["compromised"].metadata["choices"]),
+            unique=True))},
+    }
+
+
 def valid_grammar_tree():
     tree = minimal_tree()
     tree["manifest"]["cards"] = {"g01": {"assembly": ["a01"], "council": ["g01"]}}
@@ -225,40 +268,7 @@ class TestGrammar:
     @settings(derandomize=True, database=None, deadline=None, max_examples=25)
     @given(data=st.data())
     def test_valid_config_without_adversary_keeps_invariants(self, data):
-        prob = st.floats(0, 1)
-        p_verify = data.draw(prob)
-        groups = data.draw(st.integers(1, 6))
-        delay_min = data.draw(st.integers(0, 3600))
-        polls_open = data.draw(st.integers(0, 3600))
-        polls_close = polls_open + data.draw(st.integers(1812, 86400))
-        tree = {
-            "schema_version": 1, "seed": data.draw(st.integers(0, 2**32)),
-            "voters": data.draw(st.integers(1, 40)),
-            "manifest": {"groups": groups,
-                         "candidates": data.draw(st.integers(1, 3 * groups)),
-                         "assembly": data.draw(st.integers(1, 6)),
-                         "min_below_line_prefs": data.draw(st.integers(1, 3))},
-            "behavior": {"card_rate": data.draw(prob), "p_verify_ivr": p_verify,
-                         "p_check_receipt_only": data.draw(st.floats(0, 1 - p_verify)),
-                         "p_false_complaint": data.draw(prob),
-                         "phone_fraction": data.draw(prob),
-                         "polling_fraction": data.draw(prob),
-                         "caller_id_fraction": data.draw(prob),
-                         "verify_delay_min": delay_min,
-                         "verify_delay_max": delay_min + data.draw(st.integers(0, 7200))},
-            "timeline": {"polls_open": polls_open, "polls_close": polls_close,
-                         "receipt_service_end": polls_close
-                         + data.draw(st.integers(1, 86400))},
-            "crypto": {"envelope_bits": data.draw(st.sampled_from([32, 64, 128]))},
-            "tls": {"enabled": data.draw(st.booleans()),
-                    "client_patch_rate": data.draw(prob),
-                    "third_party_suites": data.draw(st.lists(
-                        st.sampled_from(["RSA", "RSA_EXPORT", "DHE", "DHE_EXPORT"]),
-                        unique=True))},
-            "linkage": {"compromised": data.draw(st.lists(st.sampled_from(
-                LinkageConfig.__dataclass_fields__["compromised"].metadata["choices"]),
-                unique=True))},
-        }
+        tree = draw_no_adversary_tree(data)
         engine = run_engine(parse_config(tree))
         report = build_report(engine)
         c = report["event_conservation"]
@@ -268,6 +278,18 @@ class TestGrammar:
         assert report["detection"]["overall"]["manipulated"] == 0
         assert report["winner_flip"]["manipulated"] == 0
         assert engine.audit.inconsistencies == []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_impossible_election_names_its_key_path(self, data):
+        broken = data.draw(st.sampled_from(["candidates", "suites", "both"]),
+                           label="broken")
+        tree = draw_no_adversary_tree(data, candidates_ok=broken == "suites",
+                                      suites_ok=broken == "candidates")
+        want = "tls.third_party_suites" if broken == "suites" else "manifest.candidates"
+        with pytest.raises(ConfigInvalid) as exc:
+            parse_config(tree)
+        assert str(exc.value).startswith(f"{want}:"), str(exc.value)
 
 
 class TestBundledScenarios:
@@ -497,6 +519,10 @@ class TestCli:
         ("linkage.phone_taps", {"linkage": {"phone_taps": False}}),
         ("behavior", {"behavior": [0.5]}),
         ("tls.export_bits", {"tls": {"enabled": True, "export_bits": 96}}),
+        # impossible elections: a group with no candidate, TLS with no suite
+        ("manifest.candidates",
+         {"manifest": {"groups": 4, "candidates": 3, "assembly": 4}}),
+        ("tls.third_party_suites", {"tls": {"enabled": True, "third_party_suites": []}}),
         # an attack window that cannot fire: inverted, or after the polls close
         ("attacks.freak.window_start",
          {"tls": {"enabled": True},
