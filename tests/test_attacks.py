@@ -51,6 +51,15 @@ def detection(engine):
     return build_report(engine)["detection"]
 
 
+def assert_single_cast(engine):
+    """Every login holds at most one stored record, and every voter at
+    most one login.
+    """
+    assert max(Counter(r.login_id for r in engine.cvs.records).values(),
+               default=0) <= 1
+    assert max(Counter(engine.registration.owner.values()).values(), default=0) <= 1
+
+
 def compromised_intent(manifest, voter="voterX", ballot=None):
     return CastIntent(
         voter_id=voter,
@@ -763,6 +772,7 @@ class TestDetectionProperties:
     @given(tree=attack_trees())
     def test_detection_joins_the_ledger_exactly(self, tree):
         engine = run_tree(tree)
+        assert_single_cast(engine)
         report = build_report(engine)
         ledger = engine.attacker.manipulation_ledger
         det = report["detection"]
@@ -871,6 +881,7 @@ class TestDowngradeProperties:
 
     def check(self, tree):
         engine = run_tree(tree)
+        assert_single_cast(engine)
         report = build_report(engine)
         c = report["event_conservation"]
         assert c["delivered"] + c["dropped"] + c["replaced"] + c["pending"] \
