@@ -51,19 +51,12 @@ class PoolEntry:
 
 @dataclass(slots=True)
 class LedgerEntry:
+    """One manipulated vote: the attacker ballot was counted for `voter_id`."""
+
     voter_id: str
-    submitted: Optional[Ballot]  # None when the vote was suppressed outright
     strategy: str
     cast_time: int
     masked: bool = False
-
-
-@dataclass(slots=True)
-class ClashVictim:
-    voter_id: str
-    handed_out: PoolEntry  # credentials the victim believes are his
-    fresh: Credentials  # the entitlement the attacker spent
-    predicted: Ballot
 
 
 @dataclass
@@ -75,8 +68,9 @@ class AttackerState:
 
     clash_pool: dict[bytes, list[PoolEntry]] = field(default_factory=dict)
     manipulation_ledger: dict[str, LedgerEntry] = field(default_factory=dict)
-    clash_victims: dict[str, ClashVictim] = field(default_factory=dict)
-    harvest_targets: dict[str, Credentials] = field(default_factory=dict)
+    # victim -> the pooled vote whose credentials and receipt it was handed
+    clash_victims: dict[str, PoolEntry] = field(default_factory=dict)
+    harvest_targets: set[str] = field(default_factory=set)
 
     def charge(self, entry: LedgerEntry) -> None:
         """Charge one manipulated vote; a voter is charged at most once."""
@@ -101,8 +95,7 @@ def _claim(state: AttackerState, intent: CastIntent, attacker_ballot: Ballot,
     voter's.
     """
     state.charge(LedgerEntry(
-        voter_id=intent.voter_id, submitted=attacker_ballot, strategy=strategy,
-        cast_time=intent.cast_time,
+        voter_id=intent.voter_id, strategy=strategy, cast_time=intent.cast_time,
     ))
     return Decision.modify(replace(intent, ballot=attacker_ballot,
                                    handled_by=strategy, **changes))
@@ -215,13 +208,7 @@ def clash_register(
     if pool:
         entry = pool[0]
         fresh = register_entitlement(request.voter_id, attacker_pin, now)
-        victim = ClashVictim(
-            voter_id=request.voter_id,
-            handed_out=entry,
-            fresh=fresh,
-            predicted=predicted,
-        )
-        state.clash_victims[request.voter_id] = victim
+        state.clash_victims[request.voter_id] = entry
         return ClashOutcome(
             reused=True,
             handed_out=Credentials(login_id=entry.login_id, pin=entry.pin),
@@ -229,7 +216,7 @@ def clash_register(
             fresh=fresh,
         )
     creds = register_entitlement(request.voter_id, attacker_pin, now)
-    state.harvest_targets[request.voter_id] = creds
+    state.harvest_targets.add(request.voter_id)
     return ClashOutcome(reused=False, handed_out=creds, believed_receipt=None,
                         fresh=None)
 
@@ -248,25 +235,23 @@ def clash_note_cast(state: AttackerState, voter_id: str, credentials: Credential
     ))
 
 
-def clash_suppress_cast(state: AttackerState, intent: CastIntent,
-                        attacker_ballot: Ballot) -> Decision:
+def clash_suppress_cast(state: AttackerState, intent: CastIntent) -> Decision:
     """Client-side arm of the clash attack: a victim holding reused
-    credentials must never reach the real voting server (a new vote would
-    supersede the pooled one). The compromised client swallows the cast
-    and displays the pooled receipt; the ledger charges the attacker
-    ballot cast on the victim's entitlement.
+    credentials must never reach the real voting server (a second cast on
+    the pooled login would expose the reuse). The compromised client
+    swallows the cast and displays the pooled receipt; the ledger charges
+    the attacker ballot cast on the victim's entitlement.
     """
-    victim = state.clash_victims.get(intent.voter_id)
-    if victim is None or intent.handled_by is not None:
+    pooled = state.clash_victims.get(intent.voter_id)
+    if pooled is None or intent.handled_by is not None:
         return Decision.forward()
     state.charge(LedgerEntry(
-        voter_id=intent.voter_id, submitted=attacker_ballot, strategy="clash",
-        cast_time=intent.cast_time,
-        masked=(intent.ballot == victim.handed_out.ballot),
+        voter_id=intent.voter_id, strategy="clash", cast_time=intent.cast_time,
+        masked=(intent.ballot == pooled.ballot),
     ))
     return Decision.modify(replace(
         intent, suppress_submit=True,
-        believed_receipt=victim.handed_out.receipt, handled_by="clash"))
+        believed_receipt=pooled.receipt, handled_by="clash"))
 
 
 # --- the browser tap (composition with the event network) ---

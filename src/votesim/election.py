@@ -7,8 +7,13 @@
 3. verify (optional): the voter phones the verification IVR with login
    id, PIN and receipt and hears the vote read back. The service shuts
    down at the close of polls.
-4. receipt lookup (optional): a no-login service reporting whether a
-   receipt is included in the count; outlives the close of polls.
+4. receipt lookup (optional): a no-login check that a receipt is in the
+   core store; outlives the close of polls.
+
+The election is single-cast: each voter registers once and casts at most
+once, so the count is the tally of the core store. A service check that
+fails (polls closed, bad credentials, no such record) raises out of the
+run rather than dropping the vote.
 
 The verification service holds its own unwrapping key and decrypts on
 receipt, so read-back answers come from its copy, never from the core
@@ -63,8 +68,6 @@ class VoteChannel(Enum):
 
 class ComplaintKind(Enum):
     MISMATCH_READ = "mismatch_read"
-    MISSING_VOTE = "missing_vote"
-    RECEIPT_ABSENT = "receipt_absent"
     FALSE_COMPLAINT = "false_complaint"
 
 
@@ -90,9 +93,7 @@ class CoreVotingRecord:
     login_id: str
     envelope: DigitalEnvelope
     receipt: str
-    cast_time: int
     channel: VoteChannel
-    superseded: bool = False
 
 
 @dataclass(slots=True)
@@ -113,7 +114,6 @@ class RegistrationService:
     def __init__(self, registry: CredentialRegistry, timeline: ElectionTimeline):
         self.registry = registry
         self.timeline = timeline
-        self.links: dict[str, list[str]] = {}  # voter -> login ids, oldest first
         self.owner: dict[str, str] = {}  # login id -> voter
 
     def register(self, voter_id: str, pin_choice: Optional[str],
@@ -121,7 +121,6 @@ class RegistrationService:
         if now >= self.timeline.polls_close:
             raise PollsClosed("registration after close of polls")
         creds = self.registry.issue(pin_choice, rng)
-        self.links.setdefault(voter_id, []).append(creds.login_id)
         self.owner[creds.login_id] = voter_id
         return creds
 
@@ -171,7 +170,6 @@ class CoreVotingSystem:
         self.verification = verification
         self.records: list[CoreVotingRecord] = []
         self.by_receipt: dict[str, CoreVotingRecord] = {}
-        self.by_login: dict[str, list[CoreVotingRecord]] = {}
 
     def cast(self, credentials: Credentials, envelope: DigitalEnvelope,
              channel: VoteChannel, now: int, rng: Random) -> str:
@@ -182,53 +180,15 @@ class CoreVotingSystem:
         receipt = self.registry.issue_receipt(rng)
         record = CoreVotingRecord(
             login_id=credentials.login_id, envelope=envelope, receipt=receipt,
-            cast_time=now, channel=channel,
+            channel=channel,
         )
-        # same-credential revote immediately supersedes the older record
-        for old in self.by_login.get(credentials.login_id, ()):
-            old.superseded = True
         self.records.append(record)
-        self.by_login.setdefault(credentials.login_id, []).append(record)
         self.by_receipt[receipt] = record
         self.verification.receive(
             credentials.login_id, CredentialRegistry.hash_pin(credentials.pin),
             receipt, envelope, channel,
         )
         return receipt
-
-
-class ReceiptService:
-    """Post-close inclusion check, no login required."""
-
-    def __init__(self, cvs: CoreVotingSystem, registration: RegistrationService,
-                 timeline: ElectionTimeline):
-        self.cvs = cvs
-        self.registration = registration
-        self.timeline = timeline
-
-    def lookup(self, receipt: str, now: int) -> bool:
-        if now >= self.timeline.receipt_service_end:
-            raise ServiceClosed("receipt service has ended")
-        record = self.cvs.by_receipt.get(receipt)
-        if record is None:
-            return False
-        return record is _latest_record_for_voter(
-            self.cvs, self.registration, record.login_id)
-
-
-def _latest_record_for_voter(cvs: CoreVotingSystem, registration: RegistrationService,
-                             login_id: str) -> Optional[CoreVotingRecord]:
-    voter = registration.owner.get(login_id)
-    if voter is None:
-        ids = [login_id]
-    else:
-        ids = registration.links.get(voter, [login_id])
-    latest = None
-    for lid in ids:
-        for record in cvs.by_login.get(lid, ()):
-            if latest is None or record.cast_time >= latest.cast_time:
-                latest = record
-    return latest
 
 
 def open_core_store(
@@ -246,28 +206,12 @@ def open_core_store(
             for record in cvs.records]
 
 
-def dedup_and_count(
-    cvs: CoreVotingSystem,
-    registration: RegistrationService,
-    core_ballots: list[Ballot],
-    manifest: ElectionManifest,
-) -> tuple[TallyResult, list[Ballot]]:
-    """Keep exactly the latest cast per voter (re-registrations collapse
-    onto the voter, later casts win), mark the rest superseded, and tally
-    the kept records' first preferences. `core_ballots` is
-    `open_core_store`'s view, aligned with `cvs.records`.
+def dedup_and_count(core_ballots: list[Ballot], manifest: ElectionManifest) -> TallyResult:
+    """Tally the core store, `open_core_store`'s view. Each login holds at
+    most one record and each voter one login, so there is nothing to
+    deduplicate: every stored record is counted.
     """
-    keep: dict[str, int] = {}
-    for i, record in enumerate(cvs.records):
-        voter = registration.owner.get(record.login_id, f"?{record.login_id}")
-        cur = keep.get(voter)
-        if cur is None or record.cast_time >= cvs.records[cur].cast_time:
-            keep[voter] = i
-    kept = set(keep.values())
-    for i, record in enumerate(cvs.records):
-        record.superseded = i not in kept
-    ballots = [core_ballots[keep[voter]] for voter in sorted(keep)]
-    return tally_first_preferences(ballots, manifest), ballots
+    return tally_first_preferences(core_ballots, manifest)
 
 
 class AuditMode(Enum):
@@ -351,7 +295,7 @@ def collect_holdings(
 ) -> DataHoldings:
     h = DataHoldings()
     h.identity_to_login[Component.REGISTRATION] = {
-        (voter, login) for voter, logins in registration.links.items() for login in logins
+        (voter, login) for login, voter in registration.owner.items()
     }
     ver_votes = {(rec.login_id, rec.ballot) for rec in verification.records.values()}
     h.login_to_ballot[Component.VERIFICATION_SERVER] = ver_votes
@@ -404,10 +348,10 @@ def linkage_report(
         id_login |= holdings.identity_to_login.get(comp, set())
         login_ballot |= holdings.login_to_ballot.get(comp, set())
         linked |= holdings.identity_to_ballot.get(comp, set())
-    by_login: dict[str, set[str]] = {}
+    voters_of: dict[str, set[str]] = {}
     for voter, login in id_login:
-        by_login.setdefault(login, set()).add(voter)
+        voters_of.setdefault(login, set()).add(voter)
     for login, ballot in login_ballot:
-        for voter in by_login.get(login, ()):
+        for voter in voters_of.get(login, ()):
             linked.add((voter, ballot))
     return linked

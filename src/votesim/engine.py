@@ -82,14 +82,13 @@ class VoterState:
     # outcome record, each part written where it is decided; the report's
     # per-voter sections are derived from these
     downgrades: tuple[dict, ...] = ()  # MITM attempts on the background fetch
-    verify_outcome: Optional[str] = None  # read_back, read_back_fake, closed, no_record
+    verify_outcome: Optional[str] = None  # read_back, read_back_fake or closed
     verify_matched: Optional[bool] = None  # read-back equalled the intent
     complaint: Optional[el.ComplaintKind] = None  # the first; later ones are not filed
 
 
 @dataclass
 class FreakOracle:
-    opened_at: int
     usable_from: int
     usable_until: int
     conn: tls.ServerConnection
@@ -144,11 +143,8 @@ class ScenarioEngine:
         self.verification = el.VerificationService(self.verification_key,
                                                    self.manifest, self.timeline)
         self.cvs = el.CoreVotingSystem(self.registry, self.timeline, self.verification)
-        self.receipt_service = el.ReceiptService(self.cvs, self.registration,
-                                                 self.timeline)
 
         self.attacker = atk.AttackerState()
-        self.record_failures = 0  # a failed record may belong to no voter
 
         target = config.attacks.target_group or self.manifest.groups[1 % len(self.manifest.groups)]
         if target not in self.manifest.cards:
@@ -220,7 +216,6 @@ class ScenarioEngine:
                 except tls.NotFactorable:
                     factored = None
             self.freak_oracles.append(FreakOracle(
-                opened_at=open_at,
                 usable_from=open_at + FACTORING_SIM_SECONDS,
                 usable_until=open_at + lifetime,
                 conn=conn,
@@ -363,7 +358,7 @@ class ScenarioEngine:
             self.sim.install_tap(netsim.make_sslstrip_tap("attacker-registration"))
             self.sim.install_tap(atk.make_browser_tap(
                 "clash-cast",
-                lambda intent: atk.clash_suppress_cast(attacker, intent, ballot),
+                lambda intent: atk.clash_suppress_cast(attacker, intent),
                 exfiltrate=False))
         if self.piwik_server is not None and (a.freak.enabled or a.logjam.enabled):
             self.sim.install_tap(netsim.MitmTap(
@@ -592,7 +587,7 @@ class ScenarioEngine:
 
     def _session_key(self, session_id: str) -> bytes:
         """A cast session's record key, derived from its id; a record sent
-        on a session no voter opened fails the MAC.
+        on a session no voter opened fails the MAC and aborts the run.
         """
         voter_id = session_id.removeprefix("cast:")
         return hashlib.sha256(
@@ -600,12 +595,8 @@ class ScenarioEngine:
 
     def _on_cvs(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         payload = event.payload
-        try:
-            plain = tls.decrypt_record(self._session_key(payload.session_id),
-                                       payload.seq, payload.blob)
-        except tls.RecordTampered:
-            self.record_failures += 1
-            return
+        plain = tls.decrypt_record(self._session_key(payload.session_id),
+                                   payload.seq, payload.blob)
         submission = CastSubmission.from_bytes(plain)
         self._accept_cast(submission, event.time, sim)
 
@@ -622,11 +613,8 @@ class ScenarioEngine:
 
     def _accept_cast(self, submission: CastSubmission, now: int,
                      sim: netsim.Simulator) -> None:
-        try:
-            receipt = self.cvs.cast(submission.credentials, submission.envelope,
-                                    submission.channel, now, self.rng_services)
-        except el.ElectionError:
-            return
+        receipt = self.cvs.cast(submission.credentials, submission.envelope,
+                                submission.channel, now, self.rng_services)
         state = self.voters.get(submission.voter_id)
         if state is None:
             return  # attacker-cast entitlement: no voter-side bookkeeping
@@ -669,10 +657,6 @@ class ScenarioEngine:
         except el.ServiceClosed:
             state.verify_outcome = "closed"
             return
-        except el.NoSuchRecord:
-            state.verify_outcome = "no_record"
-            self._complain(state, el.ComplaintKind.MISSING_VOTE)
-            return
         state.verify_outcome = "read_back"
         state.verify_matched = ballot == state.intended
         if not state.verify_matched:
@@ -691,13 +675,11 @@ class ScenarioEngine:
             self._complain(state, el.ComplaintKind.FALSE_COMPLAINT)
 
     def _on_receipt_service(self, event: netsim.Event, sim: netsim.Simulator) -> None:
+        # queries are scheduled only before the service ends, for a receipt
+        # the voter was shown; every such receipt is stored and counted
         query = event.payload
-        try:
-            included = self.receipt_service.lookup(query.receipt, event.time)
-        except el.ServiceClosed:
-            return
-        if not included:
-            self._complain(self.voters[query.voter_id], el.ComplaintKind.RECEIPT_ABSENT)
+        if query.receipt not in self.cvs.by_receipt:
+            raise el.ElectionError(f"receipt {query.receipt} is not in the core store")
 
     @staticmethod
     def _complain(state: VoterState, kind: el.ComplaintKind) -> None:
@@ -725,8 +707,7 @@ class ScenarioEngine:
         self.sim.run_all()
         self._apply_server_rewrite()
         core_ballots = el.open_core_store(self.cvs, self.election_key, self.manifest)
-        self.tally, self.counted_ballots = el.dedup_and_count(
-            self.cvs, self.registration, core_ballots, self.manifest)
+        self.tally = el.dedup_and_count(core_ballots, self.manifest)
         self.intent_tally = bal.tally_first_preferences(
             [self.voters[v].intended for v in sorted(self.voters)], self.manifest)
         self.audit = el.audit_reconcile(
@@ -754,8 +735,6 @@ class ScenarioEngine:
         ledger = self.attacker.manipulation_ledger
         candidates = []
         for r in self.cvs.records:
-            if r.superseded:
-                continue
             state = self.voters[self.registration.owner[r.login_id]]
             if state.voter_id in ledger or state.intended == self.attacker_ballot:
                 continue
@@ -769,8 +748,7 @@ class ScenarioEngine:
                               self.verification_pub, rng, session_key=session_key)
             record.envelope = forged
             self.attacker.charge(atk.LedgerEntry(
-                voter_id=state.voter_id, submitted=self.attacker_ballot,
-                strategy="server_rewrite",
+                voter_id=state.voter_id, strategy="server_rewrite",
                 cast_time=self.timeline.polls_close,
             ))
 

@@ -12,7 +12,8 @@ Taps compose in installation order; later taps see earlier modifications.
 
 Channel security is not a netsim concept. Encrypted records are payloads
 like any other, so a tap that flips their bits without the session key
-produces a record failure at the receiver rather than a silent change.
+makes the receiver raise `RecordTampered`, which aborts the run, rather
+than a silent change.
 The stripping tap that redirects plain-HTTP registrations is installed
 by the engine with the clash attack (`attacks.clash.enabled`).
 """

@@ -250,9 +250,9 @@ class TestAcceptance:
         honest_cfg = load_config(path)
         honest_cfg.audit.mode = "honest"
         honest = run_engine(honest_cfg)
-        ledger_ids = sorted({
-            honest.registration.links[voter_id][-1]
-            for voter_id in honest.attacker.manipulation_ledger})
+        login_of = {voter: login for login, voter in honest.registration.owner.items()}
+        ledger_ids = sorted({login_of[voter_id]
+                             for voter_id in honest.attacker.manipulation_ledger})
         audit_ids = sorted({i.login_id for i in honest.audit.inconsistencies})
         exact = audit_ids == ledger_ids and len(ledger_ids) > 0
 

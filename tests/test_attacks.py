@@ -14,12 +14,14 @@ from hypothesis import given, settings, strategies as st
 from votesim import attacks as atk
 from votesim.ballots import make_manifest
 from votesim.config import bundled_scenarios, load_config, parse_config
-from votesim.election import ComplaintKind, ServerRole, VoteChannel
+from votesim.election import (BadCredentials, ComplaintKind, ElectionError, ServerRole,
+                               VoteChannel)
 from votesim.engine import (FETCH_LEAD_DLOG, FETCH_LEAD_PLAIN, REGISTRATION_LEAD,
                             ScenarioEngine, run_engine)
 from votesim.envelope import CredentialRegistry, Credentials, open_envelope
 from votesim.ballots import decode_ballot
 from votesim.messages import CastIntent, RegistrationRequest, SessionContext
+from votesim.minitls import RecordTampered
 from votesim.netsim import Decision, Endpoint, MitmTap, Simulator
 from votesim.report import build_report
 
@@ -91,7 +93,7 @@ class TestInjectVoteRewrite:
         assert decision.kind == "modify"
         assert decision.payload.ballot == self.manifest.cards["g02"]
         entry = state.manipulation_ledger["voterX"]
-        assert entry.submitted == self.manifest.cards["g02"]
+        assert (entry.strategy, entry.cast_time) == ("vote_rewrite", 100)
         # the swap replaces the cast intent; the voter's own is untouched
         assert intent.ballot == self.manifest.cards["g01"]
         # the browser tap phones the intent and credentials home
@@ -116,9 +118,7 @@ class TestInjectVoteRewrite:
         atk.inject_vote_rewrite(state, first, self.manifest.cards["g02"])
         with pytest.raises(atk.AttackError, match="voterX"):
             state.charge(atk.LedgerEntry(
-                voter_id="voterX", submitted=self.manifest.cards["g02"],
-                strategy="server_rewrite",
-                cast_time=43200))
+                voter_id="voterX", strategy="server_rewrite", cast_time=43200))
         assert len(state.manipulation_ledger) == 1
 
     def test_engine_ledger_vs_cvs_diff_oracle(self):
@@ -139,7 +139,7 @@ class TestInjectVoteRewrite:
                               engine.election_key), engine.manifest)
             state = engine.voters[voter]
             if voter in ledgered:
-                assert stored == ledgered[voter].submitted
+                assert stored == engine.attacker_ballot
                 assert stored != state.intended or \
                     state.intended == engine.attacker_ballot
                 checked_manipulated += 1
@@ -394,13 +394,11 @@ class TestClash:
         assert not any(engine.voters[v.voter_id].profile.follows_card
                        for v in matched if v.voter_id in complainers)
         # each pool hit spent the victim's entitlement on an attacker ballot
+        login_of = {voter: login for login, voter in engine.registration.owner.items()}
         for voter_id in list(ledgered)[:20]:
-            entry = ledgered[voter_id]
-            assert entry.submitted == engine.attacker_ballot
-            login = engine.registration.links[voter_id][-1]
-            rec = [r for r in engine.cvs.records if r.login_id == login]
-            assert rec and decode_ballot(
-                open_envelope(rec[-1].envelope, ServerRole.ELECTION,
+            rec = [r for r in engine.cvs.records if r.login_id == login_of[voter_id]]
+            assert len(rec) == 1 and decode_ballot(
+                open_envelope(rec[0].envelope, ServerRole.ELECTION,
                               engine.election_key),
                 engine.manifest) == engine.attacker_ballot
 
@@ -412,14 +410,14 @@ class TestClash:
                 assert st.voter_id in ledgered
                 assert not st.profile.follows_card  # prediction missed them
                 assert st.verifies  # receipt-only checkers never complain
-        # receipt-only victims see included=true and stay silent
+        # receipt-only victims hold the pooled receipt, which is stored, so
+        # their queries pass the receipt service and they stay silent
         receipt_only = [v for v in engine.voters.values()
                         if v.voter_id in ledgered and v.checks_receipt
                         and not v.verifies]
         assert receipt_only
-        absent = {v.voter_id for v in engine.voters.values()
-                  if v.complaint is ComplaintKind.RECEIPT_ABSENT}
-        assert not any(v.voter_id in absent for v in receipt_only)
+        assert all(v.believed_receipt in engine.cvs.by_receipt and v.complaint is None
+                   for v in receipt_only)
 
     def test_complaints_within_three_sigma_of_analytic(self):
         card_rate, p_verify = 0.40, 0.2
@@ -483,7 +481,7 @@ class TestClash:
         ))
         assert detection(wary)["overall"]["manipulated"] == 0
         assert wary.attacker.clash_victims == {}
-        assert wary.attacker.harvest_targets == {}
+        assert wary.attacker.harvest_targets == set()
         assert wary.tally.counts == wary.intent_tally.counts
         # partial suspicion thins the victim pool proportionally
         partial = self.run_clash(voters=400)
@@ -559,8 +557,7 @@ class TestDowngradeComposition:
                      "vote_rewrite": {"enabled": True},
                      "target_group": "g02"},
         )))
-        return [(o.opened_at, o.usable_from, o.usable_until)
-                for o in engine.freak_oracles]
+        return [(o.usable_from, o.usable_until) for o in engine.freak_oracles]
 
     def test_no_oracle_is_built_past_the_last_fetch(self):
         # a window reaching far past the close of polls needs no more
@@ -683,28 +680,57 @@ class TestMetricsAndInvariants:
         assert digest.hexdigest() == \
             "d4c85ae79a940367d249ff9fceb66afa909328dbbb7727ac3c0b682bf6534589"
 
-    def test_unknown_or_foreign_session_is_a_record_failure(self):
+    @pytest.mark.parametrize("moved_to", ["cast:nobody", "cast:voter00003"])
+    def test_unknown_or_foreign_session_raises(self, moved_to):
         # the collecting server derives each session's key from its id: a
         # record on a session nobody opened, or on another voter's, fails
-        # the MAC and is counted, never accepted
+        # the MAC and aborts the run; it is never accepted or dropped
         engine = ScenarioEngine(parse_config(base_tree(voters=60)))
-        moved = {"cast:voter00001": "cast:nobody",
-                 "cast:voter00002": "cast:voter00003"}
 
         def misroute(event, sim):
             record = event.payload
-            if record.session_id in moved:
-                return Decision.modify(replace(record,
-                                               session_id=moved[record.session_id]))
+            if record.session_id == "cast:voter00001":
+                return Decision.modify(replace(record, session_id=moved_to))
             return Decision.forward()
 
         engine.sim.install_tap(MitmTap("misroute", lambda s, d: d == "cvs", misroute))
-        engine.run()
-        report = build_report(engine)
-        assert engine.record_failures == report["votes"]["record_failures"] == 2
+        with pytest.raises(RecordTampered):
+            engine.run()
         assert not engine.voters["voter00001"].cast_ok
-        assert not engine.voters["voter00002"].cast_ok
-        assert report["votes"]["records_total"] == 58
+
+    def test_a_cast_with_a_rewritten_pin_raises(self):
+        # injected client code that garbles the PIN gets the cast refused
+        # by the voting server; the refusal aborts the run instead of
+        # losing the vote without a word
+        engine = ScenarioEngine(parse_config(base_tree(voters=60)))
+
+        def garble_pin(event, sim):
+            intent = event.payload
+            if intent.voter_id != "voter00001":
+                return Decision.forward()
+            pin = "000000" if intent.credentials.pin != "000000" else "000001"
+            return Decision.modify(replace(
+                intent, credentials=replace(intent.credentials, pin=pin)))
+
+        engine.sim.install_tap(MitmTap("garble-pin", lambda s, d: d == "browser",
+                                       garble_pin))
+        with pytest.raises(BadCredentials):
+            engine.run()
+        assert not engine.voters["voter00001"].cast_ok
+
+    def test_a_query_for_an_unstored_receipt_raises(self):
+        # every receipt a voter is shown is in the core store, so the
+        # receipt service refuses a query for any other one loudly
+        engine = ScenarioEngine(parse_config(base_tree(
+            voters=60, behavior={"p_verify_ivr": 0.0, "p_check_receipt_only": 1.0})))
+
+        def forge(event, sim):
+            return Decision.modify(replace(event.payload, receipt="000000000000"))
+
+        engine.sim.install_tap(MitmTap("forge-receipt",
+                                       lambda s, d: d == "receipt-service", forge))
+        with pytest.raises(ElectionError, match="not in the core store"):
+            engine.run()
 
     def test_last_minute_window_never_increases_detection(self):
         base = run_tree(base_tree(

@@ -22,7 +22,6 @@ from votesim.election import (
     ElectionTimeline,
     NoSuchRecord,
     PollsClosed,
-    ReceiptService,
     RegistrationService,
     ServiceClosed,
     UnknownComponent,
@@ -62,7 +61,6 @@ class Fixture:
         self.verification = VerificationService(self.verification_key,
                                                 self.manifest, self.timeline)
         self.cvs = CoreVotingSystem(self.registry, self.timeline, self.verification)
-        self.receipts = ReceiptService(self.cvs, self.registration, self.timeline)
         self.rng = Random(seed + 1000)
 
     def core_ballots(self):
@@ -85,15 +83,7 @@ class TestRegistration:
     def test_happy_path_records_link(self):
         fx = Fixture()
         creds = fx.register("alice")
-        assert fx.registration.owner[creds.login_id] == "alice"
-        assert fx.registration.links["alice"] == [creds.login_id]
-
-    def test_reregistration_issues_new_id(self):
-        fx = Fixture()
-        first = fx.register("alice")
-        second = fx.register("alice", now=2)
-        assert first.login_id != second.login_id
-        assert fx.registration.links["alice"] == [first.login_id, second.login_id]
+        assert fx.registration.owner == {creds.login_id: "alice"}
 
     def test_after_close_rejected(self):
         fx = Fixture(polls_close=100)
@@ -154,70 +144,15 @@ class TestVerifyIvr:
                                        "000000000000", now=20)
 
 
-class TestReceiptService:
-    def test_counted_vote_included(self):
-        fx = Fixture()
-        creds = fx.register("alice")
-        receipt = fx.cast(creds, fx.ballot_for("g01"))
-        assert fx.receipts.lookup(receipt, now=1500) is True
-
-    def test_unknown_receipt_not_included(self):
-        fx = Fixture()
-        assert fx.receipts.lookup("123456789012", now=100) is False
-
-    def test_superseded_receipt_not_included(self):
-        fx = Fixture()
-        creds = fx.register("alice")
-        r1 = fx.cast(creds, fx.ballot_for("g01"), now=10)
-        r2 = fx.cast(creds, fx.ballot_for("g02"), now=20)
-        # dedup oracle: recompute the included set from raw records
-        latest = {}
-        for rec in fx.cvs.records:
-            voter = fx.registration.owner[rec.login_id]
-            if voter not in latest or rec.cast_time >= latest[voter].cast_time:
-                latest[voter] = rec
-        included = {rec.receipt for rec in latest.values()}
-        assert fx.receipts.lookup(r1, now=100) is (r1 in included)
-        assert fx.receipts.lookup(r2, now=100) is (r2 in included)
-        assert fx.receipts.lookup(r1, now=100) is False
-        assert fx.receipts.lookup(r2, now=100) is True
-
-    def test_survives_polls_close_until_service_end(self):
-        fx = Fixture(polls_close=500, receipt_end=900)
-        creds = fx.register("alice")
-        receipt = fx.cast(creds, fx.ballot_for("g01"))
-        assert fx.receipts.lookup(receipt, now=899) is True
-        with pytest.raises(ServiceClosed):
-            fx.receipts.lookup(receipt, now=900)
-
-    def test_reregistered_voter_old_receipt_excluded(self):
-        fx = Fixture()
-        first = fx.register("alice")
-        r1 = fx.cast(first, fx.ballot_for("g01"), now=10)
-        second = fx.register("alice", now=15)
-        r2 = fx.cast(second, fx.ballot_for("g02"), now=20)
-        assert fx.receipts.lookup(r1, now=100) is False
-        assert fx.receipts.lookup(r2, now=100) is True
-
-
 class TestDedupAndCount:
-    def test_revote_keeps_later(self):
-        fx = Fixture()
-        creds = fx.register("alice")
-        fx.cast(creds, fx.ballot_for("g01"), now=10)
-        fx.cast(creds, fx.ballot_for("g02"), now=20)
-        tally, ballots = dedup_and_count(fx.cvs, fx.registration,
-                                         fx.core_ballots(), fx.manifest)
-        assert len(ballots) == 1
-        assert tally.counts == {"g02": 1}
-
     def test_empty(self):
         fx = Fixture()
-        tally, ballots = dedup_and_count(fx.cvs, fx.registration,
-                                         fx.core_ballots(), fx.manifest)
-        assert ballots == [] and tally.counts == {}
+        tally = dedup_and_count(fx.core_ballots(), fx.manifest)
+        assert tally.counts == {} and tally.winner is None
 
-    def test_hundred_voters_ten_revotes_vs_recount_oracle(self):
+    def test_hundred_voters_vs_recount_oracle(self):
+        # oracle: recount each voter's ballot as drawn, never touching the
+        # store; the count must agree vote for vote
         fx = Fixture()
         rng = Random(99)
         card_rate = 0.4
@@ -229,18 +164,12 @@ class TestDedupAndCount:
             ballot = draw_ballot(profile, fx.manifest, rng)
             fx.cast(creds, ballot, now=10 + i)
             expected[voter] = ballot
-        for i in range(10):  # ten voters vote again
-            voter = f"v{i}"
-            creds = fx.register(voter, now=300)  # re-register, new id
-            profile = draw_profile(card_rate, None, fx.manifest, rng)
-            ballot = draw_ballot(profile, fx.manifest, rng)
-            fx.cast(creds, ballot, now=400 + i)
-            expected[voter] = ballot
-        tally, ballots = dedup_and_count(fx.cvs, fx.registration,
-                                         fx.core_ballots(), fx.manifest)
-        assert len(ballots) == 100
+        assert len(fx.cvs.records) == 100
+        tally = dedup_and_count(fx.core_ballots(), fx.manifest)
         oracle = tally_first_preferences(list(expected.values()), fx.manifest)
         assert tally.counts == oracle.counts
+        assert sum(tally.counts.values()) == 100
+        assert (tally.winner, tally.margin) == (oracle.winner, oracle.margin)
 
 
 class TestAudit:
@@ -277,16 +206,14 @@ class TestAudit:
 
     def test_blind_eye_sees_nothing_while_tally_is_wrong(self):
         fx, _ = self.seeded_run()
-        honest_tally, _ = dedup_and_count(fx.cvs, fx.registration,
-                                          fx.core_ballots(), fx.manifest)
+        honest_tally = dedup_and_count(fx.core_ballots(), fx.manifest)
         for record in fx.cvs.records[:5]:
             record.envelope = seal(
                 encode_ballot(fx.ballot_for("g06"), fx.manifest),
                 fx.election_key.public(), fx.verification_key.public(), fx.rng)
         report = audit_reconcile(AuditMode.BLIND_EYE, fx.cvs, fx.verification,
                                  fx.core_ballots())
-        new_tally, _ = dedup_and_count(fx.cvs, fx.registration,
-                                       fx.core_ballots(), fx.manifest)
+        new_tally = dedup_and_count(fx.core_ballots(), fx.manifest)
         assert report.inconsistencies == []
         assert new_tally.counts != honest_tally.counts
 

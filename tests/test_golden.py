@@ -4,9 +4,10 @@ exactly as recorded in tests/golden/digests.json. So must each entry of
 OVERRIDES: a bundled scenario with some keys changed, covering paths no
 bundled scenario reaches.
 
-The digests are recomputed in one child process whose PYTHONHASHSEED
-differs from this process's, through the same calls `votesim run` makes
-(with `--seed` overriding the config seed). A change that alters RNG draw
+The digests are recomputed in two child processes running side by side,
+each on every other run and each with a PYTHONHASHSEED that differs from
+this process's, through the same calls `votesim run` makes (with `--seed`
+overriding the config seed); their results are merged in key order. A change that alters RNG draw
 order or trace text changes these digests; such a change must say so and
 regenerate the file:
 
@@ -44,62 +45,79 @@ OVERRIDES = {
 }
 
 
-def compute_digests() -> dict[str, dict[str, str]]:
-    """"<scenario>[+<label>]@<seed>" -> {"report_sha256", "trace_digest"}."""
+CHILDREN = 2
+
+
+def compute_digests(part: int = 0, parts: int = 1) -> dict[str, dict[str, str]]:
+    """"<scenario>[+<label>]@<seed>" -> {"report_sha256", "trace_digest"},
+    for every `parts`-th run starting at run `part`.
+    """
     from votesim.config import bundled_scenarios, load_config
     from votesim.engine import run_engine
     from votesim.report import build_report, serialize_report
 
     paths = bundled_scenarios()
     runs = [(name, {}) for name in sorted(paths)] + sorted(OVERRIDES.items())
+    jobs = [(key, changes, seed) for key, changes in runs for seed in SEEDS]
     out = {}
-    for key, changes in runs:
-        for seed in SEEDS:
-            config = load_config(paths[key.split("+")[0]])
-            config.seed = seed
-            for dotted, value in changes.items():
-                *parents, leaf = dotted.split(".")
-                setattr(functools.reduce(getattr, parents, config), leaf, value)
-            report = build_report(run_engine(config))
-            text = serialize_report(report)
-            out[f"{key}@{seed}"] = {
-                "report_sha256": hashlib.sha256(text.encode()).hexdigest(),
-                "trace_digest": report["trace_digest"],
-            }
+    for key, changes, seed in jobs[part::parts]:
+        config = load_config(paths[key.split("+")[0]])
+        config.seed = seed
+        for dotted, value in changes.items():
+            *parents, leaf = dotted.split(".")
+            setattr(functools.reduce(getattr, parents, config), leaf, value)
+        report = build_report(run_engine(config))
+        text = serialize_report(report)
+        out[f"{key}@{seed}"] = {
+            "report_sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "trace_digest": report["trace_digest"],
+        }
     return out
 
 
-def _child_hash_seed() -> str:
+def _child_hash_seed(child: int) -> str:
     mine = os.environ.get("PYTHONHASHSEED", "")
-    if mine.isdigit():
-        return str((int(mine) + 1) % 4294967296)
-    return "12345"  # this process hashes with a random seed
+    base = int(mine) if mine.isdigit() else 12344  # else this process hashes at random
+    return str((base + 1 + child) % 4294967296)
 
 
 def test_bundled_scenarios_match_goldens():
     import votesim
 
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(votesim.__file__)))
-    env = dict(os.environ, PYTHONHASHSEED=_child_hash_seed())
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__)],
-                          env=env, capture_output=True, text=True, check=False)
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
+    procs = []
+    for child in range(CHILDREN):
+        env = dict(os.environ, PYTHONHASHSEED=_child_hash_seed(child))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p)
+        procs.append(subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), f"--part={child}/{CHILDREN}"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    try:
+        outputs = [proc.communicate(timeout=900) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()  # a no-op on a child that has exited
+    got = {}
+    for proc, (stdout, stderr) in zip(procs, outputs):
+        assert proc.returncode == 0, stderr
+        got.update(json.loads(stdout))
+    got = {key: got[key] for key in sorted(got)}
     with open(GOLDEN_PATH) as f:
         want = json.load(f)
-    assert sorted(got) == sorted(want)
+    assert list(got) == sorted(want)
     mismatched = [key for key in sorted(want) if got[key] != want[key]]
     assert not mismatched, f"digests changed for {mismatched}"
 
 
 if __name__ == "__main__":
-    digests = compute_digests()
     if sys.argv[1:] == ["--write"]:
         os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
         with open(GOLDEN_PATH, "w") as f:
-            json.dump(digests, f, indent=2, sort_keys=True)
+            json.dump(compute_digests(), f, indent=2, sort_keys=True)
             f.write("\n")
     else:
-        print(json.dumps(digests))
+        part, parts = 0, 1
+        if sys.argv[1:]:  # --part=<i>/<n>
+            part, parts = map(int, sys.argv[1].removeprefix("--part=").split("/"))
+        print(json.dumps(compute_digests(part, parts)))
