@@ -117,9 +117,9 @@ def build_report(engine) -> dict:
         "voters": cfg.voters,
         "votes": {
             "cast_accepted": cast_accepted,
-            # single-cast: every stored record is counted, none is
-            # superseded, and a failed record aborts the run; the two zeros
-            # keep the report's keys until its next declared change
+            # single-cast: every stored record is counted and a failed
+            # record aborts the run, so the two zeros below only keep the
+            # report's shape until its next declared change
             "counted": len(engine.cvs.records),
             "superseded": 0,
             "records_total": len(engine.cvs.records),
