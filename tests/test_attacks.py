@@ -718,6 +718,43 @@ class TestMetricsAndInvariants:
             engine.run()
         assert not engine.voters["voter00001"].cast_ok
 
+    def test_every_receipt_query_finds_its_stored_record(self):
+        # each receipt checker queries once, after the close of polls and
+        # before the service ends, for the receipt it was shown
+        engine = ScenarioEngine(parse_config(base_tree(
+            voters=60, behavior={"p_verify_ivr": 0.0, "p_check_receipt_only": 1.0})))
+        queries = []
+
+        def record(event, sim):
+            queries.append((event.time, event.payload))
+            return Decision.forward()
+
+        engine.sim.install_tap(MitmTap("count-queries",
+                                       lambda s, d: d == "receipt-service", record))
+        engine.run()
+        t = engine.timeline
+        shown = {v.voter_id: v.believed_receipt for v in engine.voters.values()
+                 if v.believed_receipt is not None}
+        assert shown
+        assert {q.voter_id: q.receipt for _, q in queries} == shown
+        assert len(queries) == len(shown)
+        assert all(t.polls_close + 600 <= when < t.receipt_service_end
+                   for when, _ in queries)
+        assert all(q.receipt in engine.cvs.by_receipt for _, q in queries)
+        assert all(v.complaint is None for v in engine.voters.values())
+
+    def test_an_honest_ivr_call_reads_back_the_intent(self):
+        # with no attack every stored vote is found: a call reads back the
+        # voter's intent or finds the service closed, never nothing
+        engine = run_tree(base_tree(
+            voters=60, behavior={"p_verify_ivr": 1.0, "p_check_receipt_only": 0.0}))
+        outcomes = Counter(v.verify_outcome for v in engine.voters.values()
+                           if v.cast_ok and v.believed_receipt is not None)
+        assert outcomes["read_back"] > 0
+        assert set(outcomes) <= {"read_back", "closed"}
+        assert all(v.verify_matched for v in engine.voters.values()
+                   if v.verify_outcome == "read_back")
+
     def test_a_query_for_an_unstored_receipt_raises(self):
         # every receipt a voter is shown is in the core store, so the
         # receipt service refuses a query for any other one loudly

@@ -85,6 +85,12 @@ class TestRegistration:
         creds = fx.register("alice")
         assert fx.registration.owner == {creds.login_id: "alice"}
 
+    def test_each_voter_gets_its_own_login(self):
+        fx = Fixture()
+        logins = {f"v{i}": fx.register(f"v{i}").login_id for i in range(50)}
+        assert len(set(logins.values())) == 50
+        assert fx.registration.owner == {login: voter for voter, login in logins.items()}
+
     def test_after_close_rejected(self):
         fx = Fixture(polls_close=100)
         with pytest.raises(PollsClosed):
@@ -103,6 +109,18 @@ class TestCast:
             fx.manifest)
         ver = fx.verification.records[(creds.login_id, receipt)]
         assert cvs_ballot == ver.ballot == ballot
+
+    def test_each_cast_is_stored_once_under_its_receipt(self):
+        fx = Fixture()
+        logins, receipts = [], []
+        for i in range(5):
+            creds = fx.register(f"v{i}")
+            logins.append(creds.login_id)
+            receipts.append(fx.cast(creds, fx.ballot_for("g01"), now=10 + i))
+        assert len(set(receipts)) == 5
+        assert [r.login_id for r in fx.cvs.records] == logins
+        assert [r.receipt for r in fx.cvs.records] == receipts
+        assert all(fx.cvs.by_receipt[r.receipt] is r for r in fx.cvs.records)
 
     def test_wrong_pin_rejected(self):
         fx = Fixture()
@@ -149,6 +167,19 @@ class TestDedupAndCount:
         fx = Fixture()
         tally = dedup_and_count(fx.core_ballots(), fx.manifest)
         assert tally.counts == {} and tally.winner is None
+
+    def test_every_channel_is_counted(self):
+        fx = Fixture()
+        for i, channel in enumerate(VoteChannel):
+            creds = fx.register(f"v{i}")
+            fx.cast(creds, fx.ballot_for(fx.manifest.groups[i]), now=10 + i,
+                    channel=channel)
+        tally = dedup_and_count(fx.core_ballots(), fx.manifest)
+        oracle = tally_first_preferences(
+            [fx.ballot_for(g) for g in fx.manifest.groups[:len(VoteChannel)]],
+            fx.manifest)
+        assert sum(tally.counts.values()) == len(VoteChannel)
+        assert tally.counts == oracle.counts
 
     def test_hundred_voters_vs_recount_oracle(self):
         # oracle: recount each voter's ballot as drawn, never touching the
