@@ -5,6 +5,7 @@ from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from votesim.ballots import (
     Ballot,
@@ -17,6 +18,7 @@ from votesim.ballots import (
     encode_ballot,
     make_manifest,
     tally_first_preferences,
+    validate_ballot,
 )
 
 ATL = CouncilMode.ABOVE_THE_LINE
@@ -135,6 +137,134 @@ class TestEncodeDecode:
                     assert data not in seen, f"collision {b} vs {seen[data]}"
                     seen[data] = b
         assert len(seen) == 2 * (4 + 12 + 24 + 24)
+
+
+def reference_decode(data, manifest):
+    """The byte-at-a-time decoder that decode_ballot replaced, kept as the
+    oracle for its results and its exceptions.
+    """
+    if len(data) < 1:
+        raise MalformedEncoding("empty input")
+    mode_byte = data[0]
+    if mode_byte not in (0, 1):
+        raise MalformedEncoding(f"unknown mode byte {mode_byte:#04x}")
+    mode = CouncilMode(mode_byte)
+    pos = 1
+
+    def take_u16():
+        nonlocal pos
+        if pos + 2 > len(data):
+            raise MalformedEncoding("truncated encoding")
+        v = int.from_bytes(data[pos:pos + 2], "big")
+        pos += 2
+        return v
+
+    n_assembly = take_u16()
+    assembly_idx = [take_u16() for _ in range(n_assembly)]
+    n_council = take_u16()
+    council_idx = [take_u16() for _ in range(n_council)]
+    if pos != len(data):
+        raise MalformedEncoding("trailing bytes after ballot")
+    for i in assembly_idx:
+        if i >= len(manifest.assembly_candidates):
+            raise InvalidBallot(f"assembly index {i} out of range")
+    if mode is CouncilMode.ABOVE_THE_LINE:
+        pool = manifest.groups
+    else:
+        pool = tuple(manifest.candidates.keys())
+    for i in council_idx:
+        if i >= len(pool):
+            raise InvalidBallot(f"council index {i} out of range")
+    ballot = Ballot(
+        assembly_prefs=tuple(manifest.assembly_candidates[i] for i in assembly_idx),
+        council_mode=mode,
+        council_prefs=tuple(pool[i] for i in council_idx),
+    )
+    validate_ballot(ballot, manifest)
+    return ballot
+
+
+def outcome(decode, data, manifest):
+    try:
+        return decode(data, manifest)
+    except (MalformedEncoding, InvalidBallot) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def manifests(draw):
+    groups = draw(st.integers(1, 6))
+    return make_manifest(num_groups=groups,
+                         num_candidates=draw(st.integers(groups, 3 * groups)),
+                         num_assembly=draw(st.integers(1, 4)),
+                         min_below_line_prefs=draw(st.integers(1, 3)))
+
+
+@st.composite
+def near_encodings(draw, manifest):
+    """Bytes laid out per the wire format, for either council mode, with
+    indexes that may run past their pool or repeat, then cut short or
+    extended.
+    """
+    mode = draw(st.sampled_from([0, 1] * 4 + [2, 0xff]))
+    pool = len(manifest.groups) if mode == 0 else len(manifest.candidates)
+
+    def indexes(size):
+        # index `size` is one past the pool
+        return draw(st.lists(st.integers(0, size), max_size=5))
+
+    assembly = indexes(len(manifest.assembly_candidates))
+    council = indexes(pool)
+    data = bytes([mode]) + b"".join(
+        v.to_bytes(2, "big")
+        for v in (len(assembly), *assembly, len(council), *council))
+    tail = draw(st.sampled_from(["whole", "cut", "extra"]))
+    if tail == "cut":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif tail == "extra":
+        data += draw(st.binary(min_size=1, max_size=4))
+    return data
+
+
+class TestDecodeMatchesReference:
+    # the same Ballot, or the same exception class and message, on every
+    # input: random bytes, near-valid layouts, and mutilated encodings of
+    # valid ballots of both council modes
+
+    @settings(max_examples=300, deadline=None)
+    @given(manifest=manifests(), data=st.binary(max_size=24))
+    def test_random_bytes(self, manifest, data):
+        assert outcome(decode_ballot, data, manifest) == \
+            outcome(reference_decode, data, manifest)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_near_encodings(self, data):
+        manifest = data.draw(manifests())
+        raw = data.draw(near_encodings(manifest))
+        assert outcome(decode_ballot, raw, manifest) == \
+            outcome(reference_decode, raw, manifest)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_valid_ballots_and_their_prefixes_and_extensions(self, data):
+        manifest = data.draw(manifests())
+        mode = data.draw(st.sampled_from(CouncilMode))
+        pool = manifest.groups if mode is CouncilMode.ABOVE_THE_LINE \
+            else manifest.candidate_ids
+        council = tuple(data.draw(st.permutations(pool))[
+            :data.draw(st.integers(manifest.min_below_line_prefs, len(pool)))]) \
+            if len(pool) >= manifest.min_below_line_prefs else ()
+        assembly = tuple(data.draw(st.permutations(manifest.assembly_candidates))[
+            :data.draw(st.integers(0 if council else 1,
+                                   len(manifest.assembly_candidates)))])
+        ballot = Ballot(assembly, mode, council)
+        encoded = encode_ballot(ballot, manifest)
+        assert decode_ballot(encoded, manifest) == ballot
+        for raw in (*(encoded[:cut] for cut in range(len(encoded))),
+                    encoded + data.draw(st.binary(min_size=1, max_size=3))):
+            assert outcome(decode_ballot, raw, manifest) == \
+                outcome(reference_decode, raw, manifest)
 
 
 class TestDrawBallot:

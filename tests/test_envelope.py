@@ -11,11 +11,14 @@ from hypothesis import given, settings, strategies as st
 from votesim import envelope as envelope_mod
 from votesim.ballots import encode_ballot, make_manifest, Ballot, CouncilMode
 from votesim.config import parse_config
+from votesim.election import VoteChannel
 from votesim.engine import run_engine
 from votesim.envelope import (
     AuthFailure,
     CredentialRegistry,
+    Credentials,
     DigitalEnvelope,
+    EnvelopeError,
     MessageOutOfRange,
     ServerRole,
     UnsupportedSize,
@@ -28,6 +31,7 @@ from votesim.envelope import (
     symmetric_open,
     symmetric_seal,
 )
+from votesim.messages import CastSubmission
 from votesim.minitls import gen_export_dhe_params
 from votesim.numth import FixedBase, sqrt_mod_3mod4
 
@@ -266,6 +270,29 @@ class TestEnvelope:
     def test_wire_round_trip(self):
         env = self.seal_one(Random(7))
         assert DigitalEnvelope.from_bytes(env.to_bytes()) == env
+
+    def test_every_strict_prefix_is_truncated(self):
+        data = self.seal_one(Random(8)).to_bytes()
+        for cut in range(len(data)):
+            with pytest.raises(EnvelopeError) as info:
+                DigitalEnvelope.from_bytes(data[:cut])
+            assert type(info.value) is EnvelopeError
+            assert str(info.value) == "truncated envelope"
+
+    def test_one_extra_byte_is_trailing(self):
+        data = self.seal_one(Random(9)).to_bytes()
+        for extra in (b"\x00", b"\xff"):
+            with pytest.raises(EnvelopeError) as info:
+                DigitalEnvelope.from_bytes(data + extra)
+            assert type(info.value) is EnvelopeError
+            assert str(info.value) == "trailing bytes after envelope"
+
+    def test_cast_submission_round_trips(self):
+        submission = CastSubmission(
+            voter_id="voter00042",
+            credentials=Credentials(login_id="01234567", pin="654321"),
+            envelope=self.seal_one(Random(10)), channel=VoteChannel.POLLING_PLACE)
+        assert CastSubmission.from_bytes(submission.to_bytes()) == submission
 
     # sha256 of the exact nonce || ciphertext || tag: a keystream change in
     # both directions still round-trips, but cannot keep these bytes
