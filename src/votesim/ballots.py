@@ -19,6 +19,7 @@ is what the envelope layer and the clash-pool keying rely on.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from random import Random
 from typing import Optional
 
@@ -78,9 +79,23 @@ class ElectionManifest:
                 raise InvalidBallot(f"card for unknown group {grp}")
             validate_ballot(card, self)
 
-    @property
+    # the codec's lookups, built at first use and kept with the manifest
+
+    @cached_property
     def candidate_ids(self) -> tuple[str, ...]:
-        return tuple(self.candidates.keys())
+        return tuple(self.candidates)
+
+    @cached_property
+    def assembly_index(self) -> dict[str, int]:
+        return {c: i for i, c in enumerate(self.assembly_candidates)}
+
+    @cached_property
+    def group_index(self) -> dict[str, int]:
+        return {g: i for i, g in enumerate(self.groups)}
+
+    @cached_property
+    def candidate_index(self) -> dict[str, int]:
+        return {c: i for i, c in enumerate(self.candidates)}
 
     def group_of(self, candidate_id: str) -> Optional[str]:
         return self.candidates[candidate_id]
@@ -128,98 +143,96 @@ def make_manifest(
 
 def validate_ballot(ballot: Ballot, manifest: ElectionManifest) -> None:
     """Raise InvalidBallot unless `ballot` is well-formed for `manifest`."""
-    if len(set(ballot.assembly_prefs)) != len(ballot.assembly_prefs):
+    assembly, council = ballot.assembly_prefs, ballot.council_prefs
+    if len(set(assembly)) != len(assembly):
         raise InvalidBallot("duplicate assembly preferences")
-    if len(set(ballot.council_prefs)) != len(ballot.council_prefs):
+    if len(set(council)) != len(council):
         raise InvalidBallot("duplicate council preferences")
-    if not ballot.assembly_prefs and not ballot.council_prefs:
+    if not assembly and not council:
         raise InvalidBallot("empty ballot")
-    assembly_known = set(manifest.assembly_candidates)
-    for cid in ballot.assembly_prefs:
+    assembly_known = manifest.assembly_index
+    for cid in assembly:
         if cid not in assembly_known:
             raise InvalidBallot(f"unknown assembly candidate {cid}")
     if ballot.council_mode is CouncilMode.ABOVE_THE_LINE:
-        known = set(manifest.groups)
-        for gid in ballot.council_prefs:
+        known = manifest.group_index
+        for gid in council:
             if gid not in known:
                 raise InvalidBallot(f"unknown group {gid}")
     else:
-        known = set(manifest.candidates)
-        for cid in ballot.council_prefs:
+        known = manifest.candidates
+        for cid in council:
             if cid not in known:
                 raise InvalidBallot(f"unknown candidate {cid}")
-        if ballot.council_prefs and len(ballot.council_prefs) < manifest.min_below_line_prefs:
+        if council and len(council) < manifest.min_below_line_prefs:
             raise InvalidBallot(
                 f"below-the-line ballot needs >= {manifest.min_below_line_prefs} preferences"
             )
 
 
-def _u16(value: int) -> bytes:
-    return value.to_bytes(2, "big")
-
-
 def encode_ballot(ballot: Ballot, manifest: ElectionManifest) -> bytes:
     """Canonical byte encoding; see the module docstring for the format."""
     validate_ballot(ballot, manifest)
-    assembly_index = {c: i for i, c in enumerate(manifest.assembly_candidates)}
+    assembly_index = manifest.assembly_index
     if ballot.council_mode is CouncilMode.ABOVE_THE_LINE:
-        council_index = {g: i for i, g in enumerate(manifest.groups)}
+        council_index = manifest.group_index
     else:
-        council_index = {c: i for i, c in enumerate(manifest.candidates)}
-    out = bytearray()
-    out.append(ballot.council_mode.value)
-    out += _u16(len(ballot.assembly_prefs))
-    for cid in ballot.assembly_prefs:
-        out += _u16(assembly_index[cid])
-    out += _u16(len(ballot.council_prefs))
-    for pid in ballot.council_prefs:
-        out += _u16(council_index[pid])
-    return bytes(out)
+        council_index = manifest.candidate_index
+    assembly, council = ballot.assembly_prefs, ballot.council_prefs
+    return b"".join([
+        bytes((ballot.council_mode.value,)),
+        len(assembly).to_bytes(2, "big"),
+        *[assembly_index[cid].to_bytes(2, "big") for cid in assembly],
+        len(council).to_bytes(2, "big"),
+        *[council_index[pid].to_bytes(2, "big") for pid in council],
+    ])
+
+
+def _out_of_range(indexes: list[int], pool: tuple[str, ...], race: str) -> InvalidBallot:
+    first = next(i for i in indexes if i >= len(pool))
+    return InvalidBallot(f"{race} index {first} out of range")
 
 
 def decode_ballot(data: bytes, manifest: ElectionManifest) -> Ballot:
     """Inverse of encode_ballot. MalformedEncoding for structural damage,
     InvalidBallot for well-formed bytes that reference impossible ballots.
     """
-    if len(data) < 1:
+    size = len(data)
+    if size < 1:
         raise MalformedEncoding("empty input")
     mode_byte = data[0]
     if mode_byte not in (0, 1):
         raise MalformedEncoding(f"unknown mode byte {mode_byte:#04x}")
-    mode = CouncilMode(mode_byte)
-    pos = 1
-
-    def take_u16() -> int:
-        nonlocal pos
-        if pos + 2 > len(data):
-            raise MalformedEncoding("truncated encoding")
-        v = int.from_bytes(data[pos:pos + 2], "big")
-        pos += 2
-        return v
-
-    n_assembly = take_u16()
-    assembly_idx = [take_u16() for _ in range(n_assembly)]
-    n_council = take_u16()
-    council_idx = [take_u16() for _ in range(n_council)]
-    if pos != len(data):
+    # the two counts fix every offset: the council count sits right after
+    # the assembly indexes, and the council indexes end the encoding
+    if size < 3:
+        raise MalformedEncoding("truncated encoding")
+    council_at = 3 + 2 * (data[1] << 8 | data[2])
+    if council_at + 2 > size:
+        raise MalformedEncoding("truncated encoding")
+    end = council_at + 2 + 2 * (data[council_at] << 8 | data[council_at + 1])
+    if end > size:
+        raise MalformedEncoding("truncated encoding")
+    if end != size:
         raise MalformedEncoding("trailing bytes after ballot")
+    assembly_idx = [data[i] << 8 | data[i + 1] for i in range(3, council_at, 2)]
+    council_idx = [data[i] << 8 | data[i + 1] for i in range(council_at + 2, end, 2)]
 
-    for i in assembly_idx:
-        if i >= len(manifest.assembly_candidates):
-            raise InvalidBallot(f"assembly index {i} out of range")
-    if mode is CouncilMode.ABOVE_THE_LINE:
-        pool: tuple[str, ...] = manifest.groups
+    names = manifest.assembly_candidates
+    try:
+        assembly = tuple([names[i] for i in assembly_idx])
+    except IndexError:
+        raise _out_of_range(assembly_idx, names, "assembly") from None
+    if mode_byte:
+        mode, pool = CouncilMode.BELOW_THE_LINE, manifest.candidate_ids
     else:
-        pool = manifest.candidate_ids
-    for i in council_idx:
-        if i >= len(pool):
-            raise InvalidBallot(f"council index {i} out of range")
+        mode, pool = CouncilMode.ABOVE_THE_LINE, manifest.groups
+    try:
+        council = tuple([pool[i] for i in council_idx])
+    except IndexError:
+        raise _out_of_range(council_idx, pool, "council") from None
 
-    ballot = Ballot(
-        assembly_prefs=tuple(manifest.assembly_candidates[i] for i in assembly_idx),
-        council_mode=mode,
-        council_prefs=tuple(pool[i] for i in council_idx),
-    )
+    ballot = Ballot(assembly_prefs=assembly, council_mode=mode, council_prefs=council)
     validate_ballot(ballot, manifest)
     return ballot
 

@@ -150,8 +150,9 @@ def keystream_xor(key: bytes, data: bytes) -> bytes:
     0, 1, ... as 8-byte big-endian blocks; encrypts and decrypts alike.
     """
     n = len(data)
-    stream = b"".join(hashlib.sha256(key + counter.to_bytes(8, "big")).digest()
-                      for counter in range(-(-n // 32)))
+    sha256 = hashlib.sha256
+    stream = b"".join([sha256(key + counter.to_bytes(8, "big")).digest()
+                       for counter in range(-(-n // 32))])
     return (int.from_bytes(data, "big")
             ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
 
@@ -215,18 +216,18 @@ class DigitalEnvelope:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DigitalEnvelope":
+        size = len(data)
         pos = 0
         fields = []
         for _ in range(8):
-            if pos + 2 > len(data):
+            start = pos + 2
+            if start > size:
                 raise EnvelopeError("truncated envelope")
-            n = int.from_bytes(data[pos:pos + 2], "big")
-            pos += 2
-            if pos + n > len(data):
+            pos = start + (data[pos] << 8 | data[pos + 1])
+            if pos > size:
                 raise EnvelopeError("truncated envelope")
-            fields.append(data[pos:pos + n])
-            pos += n
-        if pos != len(data):
+            fields.append(data[start:pos])
+        if pos != size:
             raise EnvelopeError("trailing bytes after envelope")
         ints = [int.from_bytes(f, "big") for f in fields[:4]]
         return cls(

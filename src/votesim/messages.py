@@ -1,7 +1,10 @@
 """Typed payloads carried by network events.
 
-Everything that crosses a tap point is one of these. `trace_fields` keeps
-trace lines stable and seed-reproducible (no object reprs, no addresses).
+Everything that crosses a tap point is one of these. Each payload renders
+its own trace token in `trace_text()`: the class name and its fields as
+`k=v` in sorted key order, values as str, int or bool, bytes as a hex
+prefix. That keeps trace lines stable and seed-reproducible (no object
+reprs, no addresses).
 """
 
 from dataclasses import dataclass, field
@@ -26,8 +29,8 @@ class RegistrationRequest:
     pin_choice: Optional[str]
     channel: VoteChannel
 
-    def trace_fields(self):
-        return {"voter": self.voter_id, "channel": self.channel.value}
+    def trace_text(self) -> str:
+        return f"RegistrationRequest(channel={self.channel.value},voter={self.voter_id})"
 
 
 @dataclass(slots=True)
@@ -35,8 +38,8 @@ class RegistrationReply:
     voter_id: str
     credentials: Credentials
 
-    def trace_fields(self):
-        return {"voter": self.voter_id, "login": self.credentials.login_id}
+    def trace_text(self) -> str:
+        return f"RegistrationReply(login={self.credentials.login_id},voter={self.voter_id})"
 
 
 @dataclass(slots=True)
@@ -57,12 +60,9 @@ class CastIntent:
     believed_receipt: Optional[str] = None  # what the client displays instead
     handled_by: Optional[str] = None  # first strategy to claim this cast wins
 
-    def trace_fields(self):
-        return {
-            "voter": self.voter_id,
-            "t": self.cast_time,
-            "compromised": self.session.compromised,
-        }
+    def trace_text(self) -> str:
+        return (f"CastIntent(compromised={self.session.compromised},"
+                f"t={self.cast_time},voter={self.voter_id})")
 
 
 @dataclass(slots=True)
@@ -73,8 +73,8 @@ class CastTrigger:
 
     voter_id: str
 
-    def trace_fields(self):
-        return {"voter": self.voter_id}
+    def trace_text(self) -> str:
+        return f"CastTrigger(voter={self.voter_id})"
 
 
 @dataclass(slots=True)
@@ -100,8 +100,8 @@ class CastSubmission:
                    credentials=Credentials(login_id=login_id, pin=pin),
                    envelope=envelope, channel=VoteChannel(channel))
 
-    def trace_fields(self):
-        return {"voter": self.voter_id, "login": self.credentials.login_id}
+    def trace_text(self) -> str:
+        return f"CastSubmission(login={self.credentials.login_id},voter={self.voter_id})"
 
 
 @dataclass(slots=True)
@@ -114,9 +114,9 @@ class SecureRecord:
     seq: int
     blob: bytes
 
-    def trace_fields(self):
-        return {"session": self.session_id, "seq": self.seq,
-                "blob": self.blob[:8].hex()}
+    def trace_text(self) -> str:
+        return (f"SecureRecord(blob={self.blob[:8].hex()},seq={self.seq},"
+                f"session={self.session_id})")
 
 
 @dataclass(slots=True)
@@ -129,8 +129,8 @@ class PhoneCast:
     credentials: Credentials
     ballot: Ballot
 
-    def trace_fields(self):
-        return {"voter": self.voter_id, "login": self.credentials.login_id}
+    def trace_text(self) -> str:
+        return f"PhoneCast(login={self.credentials.login_id},voter={self.voter_id})"
 
 
 @dataclass(slots=True)
@@ -141,8 +141,8 @@ class VerifyCall:
     receipt: str
     caller_id: Optional[str] = None
 
-    def trace_fields(self):
-        return {"voter": self.voter_id, "login": self.login_id}
+    def trace_text(self) -> str:
+        return f"VerifyCall(login={self.login_id},voter={self.voter_id})"
 
 
 @dataclass(slots=True)
@@ -150,8 +150,8 @@ class ReceiptQuery:
     voter_id: str
     receipt: str
 
-    def trace_fields(self):
-        return {"voter": self.voter_id, "receipt": self.receipt}
+    def trace_text(self) -> str:
+        return f"ReceiptQuery(receipt={self.receipt},voter={self.voter_id})"
 
 
 @dataclass(slots=True)
@@ -162,8 +162,8 @@ class C2Exfil:
     credentials: Credentials
     intended: Ballot
 
-    def trace_fields(self):
-        return {"voter": self.voter_id, "login": self.credentials.login_id}
+    def trace_text(self) -> str:
+        return f"C2Exfil(login={self.credentials.login_id},voter={self.voter_id})"
 
 
 @dataclass(slots=True)
@@ -175,5 +175,5 @@ class ThirdPartyFetch:
     voter_id: str
     patched_client: bool
 
-    def trace_fields(self):
-        return {"voter": self.voter_id, "patched": self.patched_client}
+    def trace_text(self) -> str:
+        return f"ThirdPartyFetch(patched={self.patched_client},voter={self.voter_id})"

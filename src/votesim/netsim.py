@@ -92,15 +92,14 @@ class MitmTap:
 
 
 def describe_payload(payload: Any) -> str:
-    """Stable single-token description for trace lines: the class name,
-    with the payload's trace_fields() when it has them (never repr, which
-    can leak object ids). Field values are str, int or bool; a payload
-    hexes its own bytes.
+    """Stable single-token description for trace lines: the payload's own
+    trace_text(), or its class name when it has none (never repr, which
+    can leak object ids).
     """
-    if not hasattr(payload, "trace_fields"):
+    trace_text = getattr(payload, "trace_text", None)
+    if trace_text is None:
         return type(payload).__name__
-    inner = ",".join(f"{k}={v}" for k, v in sorted(payload.trace_fields().items()))
-    return f"{type(payload).__name__}({inner})"
+    return trace_text()
 
 
 class Simulator:

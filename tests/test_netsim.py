@@ -4,6 +4,23 @@ from dataclasses import dataclass
 
 import pytest
 
+from votesim.ballots import Ballot, CouncilMode
+from votesim.election import VoteChannel
+from votesim.envelope import Credentials, DigitalEnvelope
+from votesim.messages import (
+    C2Exfil,
+    CastIntent,
+    CastSubmission,
+    CastTrigger,
+    PhoneCast,
+    ReceiptQuery,
+    RegistrationReply,
+    RegistrationRequest,
+    SecureRecord,
+    SessionContext,
+    ThirdPartyFetch,
+    VerifyCall,
+)
 from votesim.minitls import RecordTampered, decrypt_record, encrypt_record
 from votesim.netsim import (
     Decision,
@@ -13,6 +30,7 @@ from votesim.netsim import (
     NetsimError,
     SchedulingAfterFinalize,
     Simulator,
+    describe_payload,
     make_sslstrip_tap,
 )
 
@@ -21,8 +39,8 @@ from votesim.netsim import (
 class Ping:
     tag: str
 
-    def trace_fields(self):
-        return {"tag": self.tag}
+    def trace_text(self):
+        return f"Ping(tag={self.tag})"
 
 
 def collector(sink):
@@ -172,6 +190,63 @@ class TestDeterminism:
 
     def test_same_build_same_trace(self):
         assert self.build_and_run() == self.build_and_run()
+
+
+CREDS = Credentials(login_id="01234567", pin="123456")
+BALLOT = Ballot(("a01",), CouncilMode.ABOVE_THE_LINE, ("g01",))
+ENVELOPE = DigitalEnvelope((1, 2), (3, 4), b"n" * 12, b"ct", b"t" * 16, b"s" * 16)
+
+
+class TestTraceText:
+    # each expected token was rendered by the sort-and-join renderer that
+    # trace_text() replaced, so the trace text, and every trace digest,
+    # stays the same byte for byte
+    @pytest.mark.parametrize("payload, token", [
+        (RegistrationRequest("voter00001", None, VoteChannel.PHONE),
+         "RegistrationRequest(channel=phone,voter=voter00001)"),
+        (RegistrationReply("voter00001", CREDS),
+         "RegistrationReply(login=01234567,voter=voter00001)"),
+        (CastIntent("voter00001", CREDS, BALLOT, 3600, VoteChannel.WEB,
+                    session=SessionContext(compromised=True)),
+         "CastIntent(compromised=True,t=3600,voter=voter00001)"),
+        (CastIntent("fraud:voter00002", CREDS, BALLOT, 0, VoteChannel.WEB),
+         "CastIntent(compromised=False,t=0,voter=fraud:voter00002)"),
+        (CastTrigger("voter00001"), "CastTrigger(voter=voter00001)"),
+        (CastSubmission("voter00001", CREDS, ENVELOPE, VoteChannel.POLLING_PLACE),
+         "CastSubmission(login=01234567,voter=voter00001)"),
+        (SecureRecord("cast:voter00001", 0, bytes(range(0xf0, 0x100))),
+         "SecureRecord(blob=f0f1f2f3f4f5f6f7,seq=0,session=cast:voter00001)"),
+        (SecureRecord("cast:voter00001", 7, b"\x00\x01\xab"),
+         "SecureRecord(blob=0001ab,seq=7,session=cast:voter00001)"),
+        (PhoneCast("voter00003", CREDS, BALLOT),
+         "PhoneCast(login=01234567,voter=voter00003)"),
+        (VerifyCall("voter00004", "07654321", "000111", "123456789012",
+                    caller_id="voter00004"),
+         "VerifyCall(login=07654321,voter=voter00004)"),
+        (ReceiptQuery("voter00005", "000000000042"),
+         "ReceiptQuery(receipt=000000000042,voter=voter00005)"),
+        (C2Exfil("voter00006", CREDS, BALLOT),
+         "C2Exfil(login=01234567,voter=voter00006)"),
+        (ThirdPartyFetch("voter00007", True), "ThirdPartyFetch(patched=True,voter=voter00007)"),
+        (ThirdPartyFetch("voter00008", False),
+         "ThirdPartyFetch(patched=False,voter=voter00008)"),
+        # no trace_text: the class name alone
+        (SessionContext(compromised=True, session_key=b"k"), "SessionContext"),
+        (b"raw-bytes", "bytes"),
+        (object(), "object"),
+    ])
+    def test_each_payload_renders_its_token(self, payload, token):
+        assert describe_payload(payload) == token
+
+    def test_trace_line_carries_the_token(self):
+        sim, _ = make_sim()
+        sim.schedule(3, "voter1", "cvs", Ping("x"))
+        sim.schedule(4, "voter1", "cvs", b"opaque")
+        sim.run_all()
+        assert sim.trace == [
+            "t=00000003 seq=000000 voter1->cvs deliver Ping(tag=x) -",
+            "t=00000004 seq=000001 voter1->cvs deliver bytes -",
+        ]
 
 
 class TestSslStrip:
