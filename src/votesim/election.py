@@ -11,9 +11,10 @@
    core store; outlives the close of polls.
 
 The election is single-cast: each voter registers once and casts at most
-once, so the count is the tally of the core store. A service check that
-fails (polls closed, bad credentials, no such record) raises out of the
-run rather than dropping the vote.
+once, so the count is the tally of the core store. The core voting
+system holds it: a second cast on one login raises `AlreadyCast`. A
+service check that fails (polls closed, bad credentials, already cast,
+no such record) raises out of the run rather than dropping the vote.
 
 The verification service holds its own unwrapping key and decrypts on
 receipt, so read-back answers come from its copy, never from the core
@@ -53,6 +54,10 @@ class ServiceClosed(ElectionError):
 
 
 class NoSuchRecord(ElectionError):
+    pass
+
+
+class AlreadyCast(ElectionError):
     pass
 
 
@@ -170,6 +175,7 @@ class CoreVotingSystem:
         self.verification = verification
         self.records: list[CoreVotingRecord] = []
         self.by_receipt: dict[str, CoreVotingRecord] = {}
+        self.cast_logins: set[str] = set()
 
     def cast(self, credentials: Credentials, envelope: DigitalEnvelope,
              channel: VoteChannel, now: int, rng: Random) -> str:
@@ -177,6 +183,9 @@ class CoreVotingSystem:
             raise PollsClosed("polls are closed")
         if not self.registry.check_pin(credentials.login_id, credentials.pin):
             raise BadCredentials("login id and PIN do not match")
+        if credentials.login_id in self.cast_logins:
+            raise AlreadyCast(f"login {credentials.login_id} has already cast")
+        self.cast_logins.add(credentials.login_id)
         receipt = self.registry.issue_receipt(rng)
         record = CoreVotingRecord(
             login_id=credentials.login_id, envelope=envelope, receipt=receipt,

@@ -506,7 +506,8 @@ class ScenarioEngine:
             state.credentials = payload.credentials
         elif isinstance(payload, CastTrigger):
             if state.credentials is None:
-                return  # registration never completed; this voter cannot cast
+                raise el.ElectionError(
+                    f"{state.voter_id} has no credentials at its cast trigger")
             sim.schedule(state.profile.cast_time, state.voter_id, "browser",
                          CastIntent(
                              voter_id=state.voter_id,

@@ -20,9 +20,9 @@ from votesim.engine import (FETCH_LEAD_DLOG, FETCH_LEAD_PLAIN, REGISTRATION_LEAD
                             ScenarioEngine, run_engine)
 from votesim.envelope import CredentialRegistry, Credentials, open_envelope
 from votesim.ballots import decode_ballot
-from votesim.messages import CastIntent, RegistrationRequest, SessionContext
+from votesim.messages import CastIntent, CastTrigger, RegistrationRequest, SessionContext
 from votesim.minitls import RecordTampered
-from votesim.netsim import Decision, Endpoint, MitmTap, Simulator
+from votesim.netsim import Decision, Endpoint, Event, MitmTap, Simulator
 from votesim.report import build_report
 
 
@@ -717,6 +717,18 @@ class TestMetricsAndInvariants:
         with pytest.raises(BadCredentials):
             engine.run()
         assert not engine.voters["voter00001"].cast_ok
+
+    def test_a_cast_trigger_without_credentials_raises(self):
+        # every voter registers before its trigger fires; a voter who did
+        # not is named instead of being dropped from the count
+        engine = ScenarioEngine(parse_config(base_tree(voters=5)))
+        state = engine.voters["voter00002"]
+        assert state.credentials is None
+        trigger = Event(time=state.profile.cast_time - 1, src=state.voter_id,
+                        dst=state.voter_id, payload=CastTrigger(state.voter_id))
+        with pytest.raises(ElectionError, match="voter00002"):
+            engine._on_voter(trigger, engine.sim)
+        assert engine.sim.counters["scheduled"] == 0
 
     def test_every_receipt_query_finds_its_stored_record(self):
         # each receipt checker queries once, after the close of polls and

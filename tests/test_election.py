@@ -15,6 +15,7 @@ from votesim.ballots import (
 )
 from votesim.config import bundled_scenarios, load_config
 from votesim.election import (
+    AlreadyCast,
     AuditMode,
     BadCredentials,
     Component,
@@ -121,6 +122,18 @@ class TestCast:
         assert [r.login_id for r in fx.cvs.records] == logins
         assert [r.receipt for r in fx.cvs.records] == receipts
         assert all(fx.cvs.by_receipt[r.receipt] is r for r in fx.cvs.records)
+
+    def test_a_second_cast_on_one_login_raises(self):
+        # single-cast is the voting server's own check: the second cast is
+        # refused before it is stored, forwarded or given a receipt
+        fx = Fixture()
+        creds = fx.register("alice")
+        receipt = fx.cast(creds, fx.ballot_for("g01"))
+        with pytest.raises(AlreadyCast, match=creds.login_id):
+            fx.cast(creds, fx.ballot_for("g02"), now=11)
+        assert [r.receipt for r in fx.cvs.records] == [receipt]
+        assert list(fx.verification.records) == [(creds.login_id, receipt)]
+        assert dedup_and_count(fx.core_ballots(), fx.manifest).counts == {"g01": 1}
 
     def test_wrong_pin_rejected(self):
         fx = Fixture()
