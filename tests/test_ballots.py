@@ -210,8 +210,10 @@ def near_encodings(draw, manifest):
     pool = len(manifest.groups) if mode == 0 else len(manifest.candidates)
 
     def indexes(size):
-        # index `size` is one past the pool
-        return draw(st.lists(st.integers(0, size), max_size=5))
+        # past the pool by one, or by up to four so that the first bad
+        # index and the largest can differ
+        top = size + draw(st.sampled_from([0, 3]))
+        return draw(st.lists(st.integers(0, top), max_size=5))
 
     assembly = indexes(len(manifest.assembly_candidates))
     council = indexes(pool)
