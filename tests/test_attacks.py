@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from votesim import attacks as atk
-from votesim.ballots import make_manifest
+from votesim.ballots import make_manifest, tally_first_preferences
 from votesim.config import bundled_scenarios, load_config, parse_config
 from votesim.election import (BadCredentials, ComplaintKind, ElectionError, ServerRole,
                                VoteChannel)
 from votesim.engine import (FETCH_LEAD_DLOG, FETCH_LEAD_PLAIN, REGISTRATION_LEAD,
                             ScenarioEngine, run_engine)
-from votesim.envelope import CredentialRegistry, Credentials, open_envelope
+from votesim.envelope import CredentialRegistry, Credentials, client_signature, open_envelope
 from votesim.ballots import decode_ballot
 from votesim.messages import CastIntent, CastTrigger, RegistrationRequest, SessionContext
 from votesim.minitls import RecordTampered
@@ -674,6 +674,24 @@ class TestMetricsAndInvariants:
         assert any(r.channel is VoteChannel.PHONE and
                    engine.registration.owner[r.login_id] in ledger
                    for r in engine.cvs.records)
+        session_keys = [engine._session_key(f"cast:{v}") for v in engine.voters]
+        counted = []
+        for record in engine.cvs.records:
+            voter = engine.registration.owner[record.login_id]
+            env = record.envelope
+            if record.channel is VoteChannel.PHONE:
+                if voter in ledger:
+                    assert all(env.client_sig != client_signature(key, env.vote_ciphertext)
+                               for key in session_keys)
+            else:
+                assert env.client_sig == client_signature(
+                    engine._session_key(f"cast:{voter}"), env.vote_ciphertext)
+            ballot = decode_ballot(open_envelope(env, ServerRole.ELECTION,
+                                                 engine.election_key), engine.manifest)
+            assert ballot == (engine.attacker_ballot if voter in ledger
+                              else engine.voters[voter].intended)
+            counted.append(ballot)
+        assert tally_first_preferences(counted, engine.manifest) == engine.tally
         digest = hashlib.sha256()
         for record in engine.cvs.records:
             digest.update(record.envelope.to_bytes())
