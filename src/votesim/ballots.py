@@ -141,15 +141,26 @@ def make_manifest(
     )
 
 
-def validate_ballot(ballot: Ballot, manifest: ElectionManifest) -> None:
-    """Raise InvalidBallot unless `ballot` is well-formed for `manifest`."""
-    assembly, council = ballot.assembly_prefs, ballot.council_prefs
+def _check_repeats(assembly: tuple[str, ...], council: tuple[str, ...]) -> None:
     if len(set(assembly)) != len(assembly):
         raise InvalidBallot("duplicate assembly preferences")
     if len(set(council)) != len(council):
         raise InvalidBallot("duplicate council preferences")
     if not assembly and not council:
         raise InvalidBallot("empty ballot")
+
+
+def _check_below_line_minimum(council: tuple[str, ...], manifest: ElectionManifest) -> None:
+    if council and len(council) < manifest.min_below_line_prefs:
+        raise InvalidBallot(
+            f"below-the-line ballot needs >= {manifest.min_below_line_prefs} preferences"
+        )
+
+
+def validate_ballot(ballot: Ballot, manifest: ElectionManifest) -> None:
+    """Raise InvalidBallot unless `ballot` is well-formed for `manifest`."""
+    assembly, council = ballot.assembly_prefs, ballot.council_prefs
+    _check_repeats(assembly, council)
     assembly_known = manifest.assembly_index
     for cid in assembly:
         if cid not in assembly_known:
@@ -164,10 +175,7 @@ def validate_ballot(ballot: Ballot, manifest: ElectionManifest) -> None:
         for cid in council:
             if cid not in known:
                 raise InvalidBallot(f"unknown candidate {cid}")
-        if council and len(council) < manifest.min_below_line_prefs:
-            raise InvalidBallot(
-                f"below-the-line ballot needs >= {manifest.min_below_line_prefs} preferences"
-            )
+        _check_below_line_minimum(council, manifest)
 
 
 def encode_ballot(ballot: Ballot, manifest: ElectionManifest) -> bytes:
@@ -232,9 +240,12 @@ def decode_ballot(data: bytes, manifest: ElectionManifest) -> Ballot:
     except IndexError:
         raise _out_of_range(council_idx, pool, "council") from None
 
-    ballot = Ballot(assembly_prefs=assembly, council_mode=mode, council_prefs=council)
-    validate_ballot(ballot, manifest)
-    return ballot
+    # in-range indexes name known ids, so of validate_ballot's checks only
+    # these can still fail; they run in its order
+    _check_repeats(assembly, council)
+    if mode_byte:
+        _check_below_line_minimum(council, manifest)
+    return Ballot(assembly_prefs=assembly, council_mode=mode, council_prefs=council)
 
 
 def draw_profile(

@@ -1,9 +1,16 @@
 """Digital-envelope hybrid encryption and voter credentials.
 
-A sealed vote is a randomly drawn symmetric key wrapped once under each
-of the two tabulation servers' public keys (so either server can open
-it), plus the encoded ballot encrypted under that symmetric key with an
-authenticated stream cipher, plus a keyed client tag over the ciphertext.
+A sealed vote is a random key wrapped once under each of the two
+tabulation servers' ElGamal public keys (so either server can open it),
+plus the encoded ballot encrypted under that key with an authenticated
+stream cipher, plus a keyed client tag over the ciphertext.
+
+The key is a random quadratic residue k^2 mod p, wrapped as the group
+element itself, and the stream cipher's keys are hashes of that element
+(hashed ElGamal; Abdalla, Bellare and Rogaway, "DHIES", CT-RSA 2001).
+So an unwrap recovers the element and nothing has to be decoded: it is
+c2 * c1^(p-1-x) mod p, one `pow` with no inverse (Handbook of Applied
+Cryptography, Algorithm 8.18).
 
 Parameters are desk-scale (32-, 64- or 128-bit safe-prime moduli).
 
@@ -18,7 +25,7 @@ from functools import cached_property
 from random import Random
 from typing import Optional
 
-from .numth import FixedBase, gen_safe_prime, find_subgroup_generator, sqrt_mod_3mod4
+from .numth import FixedBase, gen_safe_prime, find_subgroup_generator
 
 
 class EnvelopeError(Exception):
@@ -110,33 +117,21 @@ def gen_keypair(params: ElGamalParams, rng: Random) -> KeyPair:
     return KeyPair(params=params, x=x, y=pow(params.g, x, params.p))
 
 
-def _encode_message(params: ElGamalParams, m: int) -> int:
-    # Squaring maps [1, q] injectively into the quadratic-residue subgroup;
-    # inverted by the principal square root since p % 4 == 3 for safe primes.
-    if not 1 <= m <= params.q:
-        raise MessageOutOfRange(f"message must be in [1, {params.q}]")
-    return (m * m) % params.p
-
-
-def _decode_message(params: ElGamalParams, s: int) -> int:
-    r = sqrt_mod_3mod4(s, params.p)
-    return min(r, params.p - r)
-
-
-def elgamal_encrypt(pub: PublicKey, msg: int, rng: Random) -> tuple[int, int]:
+def elgamal_encrypt(pub: PublicKey, element: int, rng: Random) -> tuple[int, int]:
     params = pub.params
-    s = _encode_message(params, msg)
+    if not 1 <= element < params.p:
+        raise MessageOutOfRange(f"element must be in [1, {params.p})")
     r = rng.randrange(1, params.q)
-    return params.g_table(r), (s * pub.y_table(r)) % params.p
+    return params.g_table(r), (element * pub.y_table(r)) % params.p
 
 
 def elgamal_decrypt(params: ElGamalParams, x: int, ciphertext: tuple[int, int]) -> int:
+    """c2 / c1^x mod p, computed as c2 * c1^(p-1-x): exact for every c1,
+    and 0 when c1 = 0 (mod p).
+    """
     c1, c2 = ciphertext
-    shared = pow(c1, x, params.p)
-    # c1 = 0 (mod p) has no inverse; s = 0 is what the Fermat form
-    # pow(shared, p - 2, p) gave there
-    s = (c2 * pow(shared, -1, params.p)) % params.p if shared else 0
-    return _decode_message(params, s)
+    p = params.p
+    return c2 * pow(c1, p - 1 - x, p) % p
 
 
 # --- authenticated stream layer ---
@@ -158,7 +153,7 @@ def keystream_xor(key: bytes, data: bytes) -> bytes:
 
 
 def symmetric_seal(key_int: int, plaintext: bytes, rng: Random) -> tuple[bytes, bytes, bytes]:
-    """Encrypt-then-MAC under keys derived from the wrapped integer key.
+    """Encrypt-then-MAC under keys hashed from the wrapped group element.
     Returns (nonce, ciphertext, tag).
     """
     kb = _key_bytes(key_int)
@@ -247,16 +242,17 @@ def seal(
     rng: Random,
     session_key: Optional[bytes] = None,
 ) -> DigitalEnvelope:
-    """Seal a vote: fresh symmetric key, wrapped once per server, ballot
-    encrypted under it. The symmetric key never leaves this function.
+    """Seal a vote: a fresh key k^2 mod p, wrapped once per server, ballot
+    encrypted under it. The key never leaves this function.
     """
     if election_pub.params != verification_pub.params:
         raise EnvelopeError("server keys must share parameters")
     params = election_pub.params
     k = rng.randrange(1, params.q)
-    wrapped_e = elgamal_encrypt(election_pub, k, rng)
-    wrapped_v = elgamal_encrypt(verification_pub, k, rng)
-    nonce, ciphertext, tag = symmetric_seal(k, ballot_bytes, rng)
+    key = k * k % params.p
+    wrapped_e = elgamal_encrypt(election_pub, key, rng)
+    wrapped_v = elgamal_encrypt(verification_pub, key, rng)
+    nonce, ciphertext, tag = symmetric_seal(key, ballot_bytes, rng)
     if session_key is None:
         session_key = rng.getrandbits(256).to_bytes(32, "big")
     sig = client_signature(session_key, ciphertext)
@@ -280,8 +276,8 @@ def open_envelope(envelope: DigitalEnvelope, which: ServerRole, keypair: KeyPair
         if which is ServerRole.ELECTION
         else envelope.wrapped_key_verification
     )
-    k = elgamal_decrypt(keypair.params, keypair.x, wrapped)
-    return symmetric_open(k, envelope.nonce, envelope.vote_ciphertext, envelope.tag)
+    key = elgamal_decrypt(keypair.params, keypair.x, wrapped)
+    return symmetric_open(key, envelope.nonce, envelope.vote_ciphertext, envelope.tag)
 
 
 # --- credentials ---

@@ -183,13 +183,6 @@ class FixedBase:
         return acc
 
 
-def sqrt_mod_3mod4(a: int, p: int) -> int:
-    """Square root of a modulo a prime p with p % 4 == 3."""
-    if p % 4 != 3:
-        raise ValueError("modulus must be 3 mod 4")
-    return pow(a, (p + 1) // 4, p)
-
-
 def pollard_rho(n: int, rng: Random, max_iters: int = 1 << 20) -> int | None:
     """Brent-cycle Pollard rho. Returns a nontrivial divisor of n, or None
     once `max_iters` squarings have been spent.

@@ -696,7 +696,7 @@ class TestMetricsAndInvariants:
         for record in engine.cvs.records:
             digest.update(record.envelope.to_bytes())
         assert digest.hexdigest() == \
-            "d4c85ae79a940367d249ff9fceb66afa909328dbbb7727ac3c0b682bf6534589"
+            "0af42ac6f31a7a9983a44d80db2a1437f8ad35b19e61f6698117bb7dc9fbaccc"
 
     @pytest.mark.parametrize("moved_to", ["cast:nobody", "cast:voter00003"])
     def test_unknown_or_foreign_session_raises(self, moved_to):

@@ -1,5 +1,6 @@
 """Hybrid envelope crypto and credential formats."""
 
+import builtins
 import hashlib
 import re
 from dataclasses import replace
@@ -33,7 +34,7 @@ from votesim.envelope import (
 )
 from votesim.messages import CastSubmission
 from votesim.minitls import gen_export_dhe_params
-from votesim.numth import FixedBase, sqrt_mod_3mod4
+from votesim.numth import FixedBase
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -80,66 +81,107 @@ class TestParams:
             type(good)(p=good.p, g=1, q=good.q, bit_length=32)
 
 
+@pytest.fixture(scope="module", params=[32, 64, 128])
+def server_keys(request):
+    """Parameters and two server key pairs at each envelope size."""
+    rng = Random(request.param)
+    params = gen_params(request.param, rng)
+    election, verification = gen_keypair(params, rng), gen_keypair(params, rng)
+    assert election.x != verification.x
+    return params, election, verification
+
+
 class TestElGamal:
-    def setup_method(self):
-        self.params = gen_params(64, Random(10))
-        self.key = gen_keypair(self.params, Random(11))
-        self.pub = self.key.public()
+    def test_identity_element_round_trips(self, server_keys):
+        params, key, _ = server_keys
+        ct = elgamal_encrypt(key.public(), 1, Random(3))
+        assert elgamal_decrypt(params, key.x, ct) == 1
 
-    def test_identity_element_round_trips(self):
-        ct = elgamal_encrypt(self.pub, 1, Random(3))
-        assert elgamal_decrypt(self.params, self.key.x, ct) == 1
-
-    def test_random_round_trips(self):
-        rng = Random(12)
-        for _ in range(1000):
-            m = rng.randrange(1, self.params.q)
-            ct = elgamal_encrypt(self.pub, m, rng)
-            assert elgamal_decrypt(self.params, self.key.x, ct) == m
-
-    def test_wrong_key_decrypts_wrong(self):
-        rng = Random(13)
-        other = gen_keypair(self.params, Random(14))
-        hits = 0
-        for _ in range(50):
-            m = rng.randrange(2, self.params.q)
-            ct = elgamal_encrypt(self.pub, m, rng)
-            if elgamal_decrypt(self.params, other.x, ct) == m:
-                hits += 1
-        assert hits == 0
-
-    def test_message_out_of_range(self):
-        with pytest.raises(MessageOutOfRange):
-            elgamal_encrypt(self.pub, 0, Random(1))
-        with pytest.raises(MessageOutOfRange):
-            elgamal_encrypt(self.pub, self.params.q + 1, Random(1))
-
-    def test_ciphertexts_randomized(self):
-        ct1 = elgamal_encrypt(self.pub, 7, Random(1))
-        ct2 = elgamal_encrypt(self.pub, 7, Random(2))
-        assert ct1 != ct2
-
-    @pytest.mark.parametrize("bits", [32, 64, 128])
-    def test_inverse_matches_fermat_formula(self, bits):
-        # the unwrap inverts with pow(shared, -1, p); the Fermat form
-        # pow(shared, p - 2, p) is the reference, including c1 = 0 (mod p)
-        rng = Random(bits)
-        params = gen_params(bits, rng)
-        key = gen_keypair(params, rng)
-        p = params.p
-
-        def fermat(c1, c2):
-            s = c2 * pow(pow(c1, key.x, p), p - 2, p) % p
-            r = sqrt_mod_3mod4(s, p)
-            return min(r, p - r)
-
-        cts = [(rng.randrange(p), rng.randrange(p)) for _ in range(200)]
-        cts += [(0, rng.randrange(p)), (p, rng.randrange(p)), (0, 0), (p, 1)]
+    def test_random_round_trips(self, server_keys):
+        params, key, _ = server_keys
         pub = key.public()
-        cts += [elgamal_encrypt(pub, rng.randrange(1, params.q), rng)
-                for _ in range(50)]
-        for c1, c2 in cts:
-            assert elgamal_decrypt(params, key.x, (c1, c2)) == fermat(c1, c2)
+        rng = Random(12)
+        for m in [2, params.p - 1] + [rng.randrange(1, params.p) for _ in range(1000)]:
+            ct = elgamal_encrypt(pub, m, rng)
+            assert elgamal_decrypt(params, key.x, ct) == m
+
+    def test_wrong_key_decrypts_wrong(self, server_keys):
+        # m * g^(r(x - x')) != m for every r in [1, q) once x != x'
+        params, key, other = server_keys
+        pub = key.public()
+        rng = Random(13)
+        for m in [1] + [rng.randrange(1, params.p) for _ in range(200)]:
+            ct = elgamal_encrypt(pub, m, rng)
+            assert elgamal_decrypt(params, other.x, ct) != m
+
+    def test_message_out_of_range(self, server_keys):
+        params, key, _ = server_keys
+        for m in (0, params.p, -1, params.p + 1):
+            with pytest.raises(MessageOutOfRange):
+                elgamal_encrypt(key.public(), m, Random(1))
+
+    def test_ciphertexts_randomized(self, server_keys):
+        params, key, _ = server_keys
+        pub = key.public()
+        rng = Random(14)
+        cts = [elgamal_encrypt(pub, 7, rng) for _ in range(100)]
+        assert len(set(cts)) == len({c1 for c1, _ in cts}) == 100
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_unwrap_matches_fermat_formula(self, server_keys, data):
+        # the reference takes c1^x and inverts it as pow(shared, p - 2, p),
+        # so c1 = 0 (mod p) gives 0 on both sides
+        params, key, _ = server_keys
+        p, x = params.p, key.x
+        c1 = data.draw(st.one_of(st.sampled_from([0, p, 1, p - 1]),
+                                 st.integers(0, p)), label="c1")
+        c2 = data.draw(st.integers(0, p - 1), label="c2")
+        reference = c2 * pow(pow(c1, x, p), p - 2, p) % p
+        assert elgamal_decrypt(params, x, (c1, c2)) == reference
+
+
+class TestEnvelopeAtEachSize:
+    BALLOT = bytes(range(40))
+
+    def test_seal_opens_under_both_server_keys(self, server_keys):
+        params, election, verification = server_keys
+        for seed in range(20):
+            env = seal(self.BALLOT, election.public(), verification.public(), Random(seed))
+            assert open_envelope(env, ServerRole.ELECTION, election) == self.BALLOT
+            assert open_envelope(env, ServerRole.VERIFICATION, verification) == self.BALLOT
+
+    def test_swapped_key_or_flipped_c1_fails_authentication(self, server_keys):
+        params, election, verification = server_keys
+        env = seal(self.BALLOT, election.public(), verification.public(), Random(1))
+        with pytest.raises(AuthFailure):
+            open_envelope(env, ServerRole.ELECTION, verification)
+        with pytest.raises(AuthFailure):
+            open_envelope(env, ServerRole.VERIFICATION, election)
+        c1, c2 = env.wrapped_key_election
+        flipped = replace(env, wrapped_key_election=(c1 ^ 1, c2))
+        with pytest.raises(AuthFailure):
+            open_envelope(flipped, ServerRole.ELECTION, election)
+        c1, c2 = env.wrapped_key_verification
+        flipped = replace(env, wrapped_key_verification=(c1 ^ 1, c2))
+        with pytest.raises(AuthFailure):
+            open_envelope(flipped, ServerRole.VERIFICATION, verification)
+
+    def test_open_makes_one_modexp_and_seal_none(self, server_keys, monkeypatch):
+        # a `pow` bound in the module shadows the builtin for its code only;
+        # the seal raises g and y through their fixed-base tables
+        params, election, verification = server_keys
+        calls = []
+
+        def counting_pow(*args):
+            calls.append(len(args))
+            return builtins.pow(*args)
+
+        monkeypatch.setattr(envelope_mod, "pow", counting_pow, raising=False)
+        env = seal(self.BALLOT, election.public(), verification.public(), Random(2))
+        assert calls == []
+        assert open_envelope(env, ServerRole.ELECTION, election) == self.BALLOT
+        assert calls == [3]
 
 
 # the groups whose bases get tables: envelope keys at each size, and an
