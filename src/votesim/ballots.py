@@ -141,7 +141,7 @@ def make_manifest(
     )
 
 
-def _check_repeats(assembly: tuple[str, ...], council: tuple[str, ...]) -> None:
+def _check_duplicates_and_empty(assembly: tuple[str, ...], council: tuple[str, ...]) -> None:
     if len(set(assembly)) != len(assembly):
         raise InvalidBallot("duplicate assembly preferences")
     if len(set(council)) != len(council):
@@ -160,7 +160,7 @@ def _check_below_line_minimum(council: tuple[str, ...], manifest: ElectionManife
 def validate_ballot(ballot: Ballot, manifest: ElectionManifest) -> None:
     """Raise InvalidBallot unless `ballot` is well-formed for `manifest`."""
     assembly, council = ballot.assembly_prefs, ballot.council_prefs
-    _check_repeats(assembly, council)
+    _check_duplicates_and_empty(assembly, council)
     assembly_known = manifest.assembly_index
     for cid in assembly:
         if cid not in assembly_known:
@@ -242,7 +242,7 @@ def decode_ballot(data: bytes, manifest: ElectionManifest) -> Ballot:
 
     # in-range indexes name known ids, so of validate_ballot's checks only
     # these can still fail; they run in its order
-    _check_repeats(assembly, council)
+    _check_duplicates_and_empty(assembly, council)
     if mode_byte:
         _check_below_line_minimum(council, manifest)
     return Ballot(assembly_prefs=assembly, council_mode=mode, council_prefs=council)
