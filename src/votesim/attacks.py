@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Callable, Optional
 
-from .ballots import Ballot, ElectionManifest, encode_ballot
+from .ballots import Ballot
 from .envelope import Credentials
 from .messages import CastIntent, C2Exfil, RegistrationRequest, VerifyCall
 from .netsim import Decision, Event, MitmTap, Simulator
@@ -66,7 +66,7 @@ class AttackerState:
     ground truth for every detection number.
     """
 
-    clash_pool: dict[bytes, list[PoolEntry]] = field(default_factory=dict)
+    clash_pool: dict[Ballot, list[PoolEntry]] = field(default_factory=dict)
     manipulation_ledger: dict[str, LedgerEntry] = field(default_factory=dict)
     # victim -> the pooled vote whose credentials and receipt it was handed
     clash_victims: dict[str, PoolEntry] = field(default_factory=dict)
@@ -82,11 +82,8 @@ class AttackerState:
 # --- in-browser rewrite strategies (hooks on the client casting step) ---
 
 def _claimable(intent: CastIntent) -> bool:
-    """A cast no earlier strategy has claimed, in a compromised session
-    whose keys the attacker recovered.
-    """
-    return (intent.handled_by is None and intent.session.compromised
-            and intent.session.session_key is not None)
+    """A cast no earlier strategy has claimed, in a compromised session."""
+    return intent.handled_by is None and intent.session.compromised
 
 
 def _claim(state: AttackerState, intent: CastIntent, attacker_ballot: Ballot,
@@ -186,7 +183,6 @@ def clash_register(
     state: AttackerState,
     request: RegistrationRequest,
     predicted: Ballot,
-    manifest: ElectionManifest,
     register_entitlement,
     attacker_pin: str,
     now: int,
@@ -203,8 +199,7 @@ def clash_register(
     `register_entitlement(voter_id, pin, now) -> Credentials` performs the
     real registration.
     """
-    key = encode_ballot(predicted, manifest)
-    pool = state.clash_pool.get(key, [])
+    pool = state.clash_pool.get(predicted, [])
     if pool:
         entry = pool[0]
         fresh = register_entitlement(request.voter_id, attacker_pin, now)
@@ -222,14 +217,14 @@ def clash_register(
 
 
 def clash_note_cast(state: AttackerState, voter_id: str, credentials: Credentials,
-                    receipt: str, ballot: Ballot, manifest: ElectionManifest) -> None:
+                    receipt: str, ballot: Ballot) -> None:
     """Harvest a watched voter's completed cast into the clash pool, keyed
-    by the exact canonical encoding of the ballot actually cast.
+    by the ballot actually cast (for a fixed manifest, equal ballots are
+    exactly equal encodings).
     """
     if voter_id not in state.harvest_targets:
         return
-    key = encode_ballot(ballot, manifest)
-    state.clash_pool.setdefault(key, []).append(PoolEntry(
+    state.clash_pool.setdefault(ballot, []).append(PoolEntry(
         login_id=credentials.login_id, pin=credentials.pin,
         receipt=receipt, ballot=ballot,
     ))

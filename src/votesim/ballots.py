@@ -14,7 +14,7 @@ Wire format of a ballot (all integers big-endian):
                   into manifest.groups (ATL) or manifest.candidates (BTL)
 
 The encoding is deterministic and injective for a fixed manifest, which
-is what the envelope layer and the clash-pool keying rely on.
+is what the envelope layer relies on.
 """
 
 from dataclasses import dataclass, field

@@ -31,14 +31,10 @@ def _resolve_config(name_or_path: str) -> str:
 
 
 def cmd_run(args) -> int:
-    path = _resolve_config(args.config)
-    config = load_config(path)
+    config = load_config(_resolve_config(args.config))
     if args.seed is not None:
         config.seed = args.seed
-    try:
-        engine = run_engine(config)
-    except ConfigInvalid as exc:  # a check that needs the built manifest
-        raise ConfigInvalid(f"{path}: {exc}") from exc
+    engine = run_engine(config)
     report = build_report(engine)
     text = serialize_report(report)
     out_dir = args.out or "."

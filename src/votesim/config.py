@@ -9,7 +9,8 @@ entry; YAML syntax errors keep the parser's line/column.
 What a field's type admits:
 
     bool              YAML true or false, never a quoted string
-    int               an integer, not a bool; metadata `min` or `choices`
+    int               an integer, not a bool; metadata `min`, `max` or
+                      `choices`
     float             a probability in [0, 1], returned as float; with
                       metadata `min`, any number >= min
     str               a string; metadata `choices`
@@ -20,17 +21,19 @@ What a field's type admits:
                       the field's metadata
     a dataclass       a mapping (null is the empty mapping)
 
-Checks that span fields follow the walk in `parse_config`; those that
-need the built manifest run in `ScenarioEngine.__init__`.
+Checks that span fields, and those that need the built manifest or the
+voters' timeline, follow the walk in `parse_config`: a config it returns
+is one the engine can run.
 """
 
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 from typing import Any, Optional, Union, get_args, get_origin
 
 import yaml
 
-from .minitls import CipherSuite
+from . import ballots as bal
+from .minitls import DLOG_INDIVIDUAL_DELAY, CipherSuite
 
 
 class ConfigInvalid(Exception):
@@ -39,10 +42,22 @@ class ConfigInvalid(Exception):
 
 SCHEMA_VERSION = 1
 
+# simulated seconds: each voter registers REGISTRATION_LEAD and makes the
+# background fetch a fetch lead before the cast; Logjam's lead leaves room
+# for the per-target descent
+REGISTRATION_LEAD = 1800
+FETCH_LEAD_PLAIN = 10
+FETCH_LEAD_DLOG = DLOG_INDIVIDUAL_DELAY + 30
+FACTORING_SIM_SECONDS = 7 * 3600  # simulated cost of factoring one export modulus
+U16_MAX = 65535  # the ballot wire format's counts and indexes are u16
+# a ballot's encoding, 5 bytes plus 2 per preference, travels in the
+# envelope behind a u16 length
+MAX_PREFS = (U16_MAX - 5) // 2
+
 
 def _field(default=MISSING, **meta):
     """A grammar field: `default` (none: the key is required) plus the
-    `min`/`choices` bounds the walker enforces.
+    `min`/`max`/`choices` bounds the walker enforces.
     """
     return field(default=default, metadata=meta)
 
@@ -57,9 +72,10 @@ class CardConfig:
 
 @dataclass
 class ManifestConfig:
-    groups: int = _field(24, min=1)
-    candidates: int = _field(394, min=1)
-    assembly: int = _field(24, min=1)
+    # a drawn ballot may rank every group and up to four assembly candidates
+    groups: int = _field(24, min=1, max=MAX_PREFS - 4)
+    candidates: int = _field(394, min=1, max=U16_MAX)
+    assembly: int = _field(24, min=1, max=U16_MAX)
     min_below_line_prefs: int = _field(1, min=1)
     cards: Optional[dict[str, CardConfig]] = None
 
@@ -254,6 +270,8 @@ def _scalar(tp, value: Any, path: str, meta) -> Any:
             if not 0.0 <= value <= 1.0:
                 _fail(path, f"probability {value} outside [0, 1]")
             value = float(value)
+        if "max" in meta and not value <= meta["max"]:
+            _fail(path, f"must be <= {meta['max']}")
     choices = meta.get("choices")
     if choices is not None and value not in choices:
         _fail(path, f"{value!r} is not one of {', '.join(map(str, choices))}")
@@ -289,6 +307,23 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
         _fail("behavior.leaning_weights", "at least one weight must be positive")
     if not t.polls_open < t.polls_close < t.receipt_service_end:
         _fail("timeline", "must order polls_open < polls_close < receipt_service_end")
+    lead, first_fetch, last_fetch = fetch_range(cfg)
+    if first_fetch > last_fetch:
+        _fail("timeline.polls_close", "leaves no casting window after the registration "
+                                      f"and fetch leads (needs > {first_fetch + lead})")
+
+    manifest = build_manifest(m)
+    target = cfg.attacks.target_group
+    if target is not None and target not in manifest.cards:
+        _fail("attacks.target_group", f"{target!r} not in manifest")
+    for key in ("leaning_weights", "leaning_counts"):
+        for group in getattr(b, key) or {}:
+            if group not in manifest.groups:
+                _fail(f"behavior.{key}.{group}", "group not in manifest")
+    counted = sum((b.leaning_counts or {}).values())
+    if counted > cfg.voters:
+        _fail("behavior.leaning_counts", f"{counted} exceed the {cfg.voters} voters")
+
     for key, suite in (("freak", "RSA_EXPORT"), ("logjam", "DHE_EXPORT")):
         w = getattr(cfg.attacks, key)
         if not w.enabled:
@@ -300,10 +335,51 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
         window = f"window [{w.window_start}, {w.window_end})"
         if w.window_start >= w.window_end:
             _fail(f"attacks.{key}.window_start", f"{window} is empty")
-        if w.window_end <= t.polls_open or w.window_start >= t.polls_close:
-            _fail(f"attacks.{key}.window_start", f"{window} lies outside the polls "
-                                                 f"[{t.polls_open}, {t.polls_close})")
+        if w.window_end <= first_fetch or w.window_start > last_fetch:
+            _fail(f"attacks.{key}.window_start",
+                  f"{window} misses every background fetch (fetches run in "
+                  f"[{first_fetch}, {last_fetch}])")
+    if cfg.attacks.freak.enabled and tls.oracle_connection_lifetime <= FACTORING_SIM_SECONDS:
+        _fail("tls.oracle_connection_lifetime",
+              f"must exceed the {FACTORING_SIM_SECONDS} s factoring time")
     return cfg
+
+
+def fetch_range(cfg: ScenarioConfig) -> tuple[int, int, int]:
+    """`(lead, first, last)`: each voter makes the background fetch `lead`
+    seconds before a cast drawn from `[first + lead, polls_close)`, so every
+    fetch falls in `[first, last]`.
+    """
+    lead = FETCH_LEAD_DLOG if cfg.attacks.logjam.enabled else FETCH_LEAD_PLAIN
+    t = cfg.timeline
+    return lead, t.polls_open + REGISTRATION_LEAD + 1, t.polls_close - 1 - lead
+
+
+def build_manifest(m: ManifestConfig) -> bal.ElectionManifest:
+    """`make_manifest`'s election with each card in `m.cards` put in place
+    of its group's; a card the manifest cannot take fails at its key path.
+    """
+    manifest = bal.make_manifest(num_groups=m.groups, num_candidates=m.candidates,
+                                 num_assembly=m.assembly,
+                                 min_below_line_prefs=m.min_below_line_prefs)
+    if not m.cards:
+        return manifest
+    merged = dict(manifest.cards)
+    for grp, card in m.cards.items():
+        path = f"manifest.cards.{grp}"
+        if grp not in manifest.groups:
+            _fail(path, "group not in manifest")
+        if len(card.assembly) + len(card.council) > MAX_PREFS:
+            _fail(path, f"more than {MAX_PREFS} preferences overflow the ballot envelope")
+        mode = (bal.CouncilMode.ABOVE_THE_LINE if card.mode == "atl"
+                else bal.CouncilMode.BELOW_THE_LINE)
+        merged[grp] = bal.Ballot(assembly_prefs=card.assembly, council_mode=mode,
+                                 council_prefs=card.council)
+        try:
+            bal.validate_ballot(merged[grp], manifest)
+        except bal.InvalidBallot as exc:
+            raise ConfigInvalid(f"{path}: {exc}") from exc
+    return replace(manifest, cards=merged)
 
 
 def load_config(path: str) -> ScenarioConfig:

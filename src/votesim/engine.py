@@ -19,7 +19,7 @@ and misdirects registrations to attacker-registration.
 """
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from random import Random
 from typing import Optional
 
@@ -29,7 +29,8 @@ from . import election as el
 from . import envelope as env
 from . import minitls as tls
 from . import netsim
-from .config import ConfigInvalid, ScenarioConfig
+from .config import (FACTORING_SIM_SECONDS, FETCH_LEAD_DLOG, FETCH_LEAD_PLAIN,
+                     REGISTRATION_LEAD, ScenarioConfig, build_manifest, fetch_range)
 from .messages import (
     CastIntent,
     CastSubmission,
@@ -43,12 +44,6 @@ from .messages import (
     ThirdPartyFetch,
     VerifyCall,
 )
-
-FACTORING_SIM_SECONDS = 7 * 3600  # simulated cost of factoring one export modulus
-REGISTRATION_LEAD = 1800
-FETCH_LEAD_PLAIN = 10
-FETCH_LEAD_DLOG = tls.DLOG_INDIVIDUAL_DELAY + 30
-
 
 @dataclass(slots=True)
 class VoterState:
@@ -103,29 +98,7 @@ class ScenarioEngine:
         self.rng_services = Random(f"{seed}:services")
         self.rng_attacker = Random(f"{seed}:attacker")
 
-        self.manifest = bal.make_manifest(
-            num_groups=config.manifest.groups,
-            num_candidates=config.manifest.candidates,
-            num_assembly=config.manifest.assembly,
-            min_below_line_prefs=config.manifest.min_below_line_prefs,
-        )
-        if config.manifest.cards:
-            merged = dict(self.manifest.cards)
-            for grp, card in config.manifest.cards.items():
-                if grp not in self.manifest.groups:
-                    raise ConfigInvalid(f"manifest.cards.{grp}: group not in manifest")
-                mode = (bal.CouncilMode.ABOVE_THE_LINE if card.mode == "atl"
-                        else bal.CouncilMode.BELOW_THE_LINE)
-                merged[grp] = bal.Ballot(
-                    assembly_prefs=card.assembly,
-                    council_mode=mode,
-                    council_prefs=card.council,
-                )
-                try:
-                    bal.validate_ballot(merged[grp], self.manifest)
-                except bal.InvalidBallot as exc:
-                    raise ConfigInvalid(f"manifest.cards.{grp}: {exc}") from exc
-            self.manifest = replace(self.manifest, cards=merged)
+        self.manifest = build_manifest(config.manifest)
         self.timeline = el.ElectionTimeline(
             polls_open=config.timeline.polls_open,
             polls_close=config.timeline.polls_close,
@@ -147,20 +120,14 @@ class ScenarioEngine:
         self.attacker = atk.AttackerState()
 
         target = config.attacks.target_group or self.manifest.groups[1 % len(self.manifest.groups)]
-        if target not in self.manifest.cards:
-            raise ConfigInvalid(f"attacks.target_group: {target!r} not in manifest")
         self.attacker_ballot = self.manifest.cards[target]
         self.target_group = target
 
         # every background fetch is made fetch_lead seconds before its
         # cast, so none is later than last_fetch
-        self.fetch_lead = FETCH_LEAD_DLOG if config.attacks.logjam.enabled \
-            else FETCH_LEAD_PLAIN
-        self.last_fetch = self.timeline.polls_close - 1 - self.fetch_lead
-        self.earliest_cast = self.timeline.polls_open + REGISTRATION_LEAD + \
-            self.fetch_lead + 1
+        self.fetch_lead, first_fetch, self.last_fetch = fetch_range(config)
+        self.earliest_cast = first_fetch + self.fetch_lead
 
-        self._tls_clock = 0
         self.piwik_server: Optional[tls.TlsServer] = None
         self.dlog_table: Optional[tls.PrecompTable] = None
         self.freak_oracles: list[FreakOracle] = []
@@ -182,7 +149,7 @@ class ScenarioEngine:
             "piwik", suites, self.rng_setup,
             rotation_period=cfg.rotation_period,
         )
-        self.piwik_server = tls.TlsServer(server_cfg, clock=lambda: self._tls_clock)
+        self.piwik_server = tls.TlsServer(server_cfg)
         if self.config.attacks.logjam.enabled and server_cfg.export_dhe_params is not None:
             # fixed up-front cost, paid before polls open and reused for
             # every connection that shares the group
@@ -197,16 +164,11 @@ class ScenarioEngine:
         fetches after the window or the last fetch.
         """
         lifetime = self.config.tls.oracle_connection_lifetime
-        if lifetime <= FACTORING_SIM_SECONDS:
-            raise ConfigInvalid(
-                "tls.oracle_connection_lifetime: must exceed the "
-                f"{FACTORING_SIM_SECONDS} s factoring time")
         freak = self.config.attacks.freak
         open_at = freak.window_start - FACTORING_SIM_SECONDS
         usable_before = min(freak.window_end, self.last_fetch + 1)
         while open_at + FACTORING_SIM_SECONDS < usable_before:
-            self._tls_clock = open_at
-            conn = self.piwik_server.connect()
+            conn = self.piwik_server.connect(open_at)
             factored = None
             if tls.CipherSuite.RSA_EXPORT in conn.config.enabled_suites:
                 n = conn.pinned_temp_key.n
@@ -222,7 +184,6 @@ class ScenarioEngine:
                 factored_key=factored,
             ))
             open_at += lifetime - FACTORING_SIM_SECONDS
-        self._tls_clock = self.timeline.polls_open
 
     def _active_oracle(self, now: int) -> Optional[FreakOracle]:
         for oracle in self.freak_oracles:
@@ -256,42 +217,16 @@ class ScenarioEngine:
             return [None] * n  # draw per voter later
         order = []
         for group in sorted(counts):
-            if group not in self.manifest.groups:
-                raise ConfigInvalid(
-                    f"behavior.leaning_counts.{group}: group not in manifest")
             order.extend([group] * counts[group])
-        if len(order) > n:
-            raise ConfigInvalid(
-                f"behavior.leaning_counts: {len(order)} exceed the {n} voters")
-        remaining = [g for g in self.manifest.groups]
         rng = Random(f"{self.config.seed}:quota")
         while len(order) < n:
-            order.append(rng.choice(remaining))
+            order.append(rng.choice(self.manifest.groups))
         rng.shuffle(order)
         return order
 
     def _build_voters(self) -> None:
-        cfg = self.config
-        fetch_lead, last_fetch = self.fetch_lead, self.last_fetch
-        earliest_cast = self.earliest_cast
-        if earliest_cast >= self.timeline.polls_close:
-            raise ConfigInvalid(
-                "timeline.polls_close: leaves no casting window after the "
-                f"registration and fetch leads (needs > {earliest_cast})")
-        first_fetch = earliest_cast - fetch_lead
-        for key in ("freak", "logjam"):
-            w = getattr(cfg.attacks, key)
-            if w.enabled and (w.window_end <= first_fetch or w.window_start > last_fetch):
-                raise ConfigInvalid(
-                    f"attacks.{key}.window_start: window [{w.window_start}, "
-                    f"{w.window_end}) misses every background fetch (fetches "
-                    f"run in [{first_fetch}, {last_fetch}])")
-        for group in cfg.behavior.leaning_weights or {}:
-            if group not in self.manifest.groups:
-                raise ConfigInvalid(
-                    f"behavior.leaning_weights.{group}: group not in manifest")
         self.leanings = self._draw_leanings()
-        for i in range(cfg.voters):
+        for i in range(self.config.voters):
             state, _ = self._draw_voter(i)
             self.voters[state.voter_id] = state
 
@@ -399,7 +334,6 @@ class ScenarioEngine:
         if not state.controlled:
             return netsim.Decision.forward()
         now = event.time
-        self._tls_clock = now
         client_cfg = tls.ClientTlsConfig(
             offered_suites=(tls.CipherSuite.RSA, tls.CipherSuite.DHE),
             patched=state.patched,
@@ -417,7 +351,7 @@ class ScenarioEngine:
                 if result.success:
                     return netsim.Decision.forward()
         if a.logjam.enabled:
-            conn = self.piwik_server.connect()
+            conn = self.piwik_server.connect(now)
             try:
                 result = tls.mitm_logjam(client_cfg, conn, self.dlog_table,
                                          self._voter_rng(state))
@@ -436,7 +370,6 @@ class ScenarioEngine:
                  "outcome": result.error or "failed"}
         if result.success:
             state.session.compromised = True
-            state.session.session_key = result.attacker_session_key
             entry["outcome"] = "compromised"
             if kind == "logjam":
                 entry["delay"] = result.simulated_delay
@@ -481,7 +414,7 @@ class ScenarioEngine:
 
         attacker_pin = f"{self.rng_attacker.randrange(10 ** env.PIN_DIGITS):06d}"
         outcome = atk.clash_register(
-            self.attacker, req, predicted, self.manifest,
+            self.attacker, req, predicted,
             register_entitlement, attacker_pin, now=event.time,
         )
         if outcome.reused:
@@ -527,17 +460,14 @@ class ScenarioEngine:
             # scenario-granted client compromise (malware, misdirection):
             # no downgrade machinery involved
             state.session.compromised = True
-            state.session.session_key = hashlib.sha256(
-                f"granted:{payload.voter_id}".encode()).digest()
             return
         if self.piwik_server is None:
             return
-        self._tls_clock = event.time
         client_cfg = tls.ClientTlsConfig(
             offered_suites=(tls.CipherSuite.RSA, tls.CipherSuite.DHE),
             patched=payload.patched_client,
         )
-        conn = self.piwik_server.connect()
+        conn = self.piwik_server.connect(event.time)
         try:
             tls.handshake(client_cfg, conn, self._voter_rng(state))
         except tls.TlsError:
@@ -625,8 +555,7 @@ class ScenarioEngine:
         if submission.voter_id in self.attacker.harvest_targets and \
                 state.submitted is not None:
             atk.clash_note_cast(self.attacker, submission.voter_id,
-                                submission.credentials, receipt,
-                                state.submitted, self.manifest)
+                                submission.credentials, receipt, state.submitted)
         self._schedule_voter_followups(state, now, sim)
 
     def _schedule_voter_followups(self, state: VoterState, now: int,

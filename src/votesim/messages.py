@@ -20,7 +20,6 @@ class SessionContext:
     """What the adversary ended up with for one voter's browsing session."""
 
     compromised: bool = False
-    session_key: Optional[bytes] = None
 
 
 @dataclass(slots=True)

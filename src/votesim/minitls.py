@@ -325,9 +325,8 @@ class TlsServer:
     deterministically from the config seed so whole runs replay.
     """
 
-    def __init__(self, config: ServerTlsConfig, clock: Callable[[], int]):
+    def __init__(self, config: ServerTlsConfig):
         self.config = config
-        self.clock = clock
         self._epoch_keys: dict[int, RsaKey] = {}
 
     def temp_rsa_key(self, now: int) -> RsaKey:
@@ -339,8 +338,9 @@ class TlsServer:
             self._epoch_keys[epoch] = key
         return key
 
-    def connect(self) -> "ServerConnection":
-        return ServerConnection(self.config, self.temp_rsa_key(self.clock()))
+    def connect(self, now: int) -> "ServerConnection":
+        """A connection opened at simulated second `now`."""
+        return ServerConnection(self.config, self.temp_rsa_key(now))
 
 
 class ServerConnection:
@@ -827,11 +827,11 @@ def run_downgrade_matrix(rng: Random) -> list[MatrixCell]:
                 cfg = make_server_config("matrix", frozenset(suites), rng)
                 if export_dhe:
                     cfg = replace(cfg, export_dhe_params=export_dhe_params)
-                server = TlsServer(cfg, clock=lambda: 0)
+                server = TlsServer(cfg)
 
                 # export-RSA attack: oracle connection, factor pinned key
                 freak_ok = False
-                oracle = server.connect()
+                oracle = server.connect(0)
                 client_cfg = ClientTlsConfig(offered_suites=(CipherSuite.RSA, CipherSuite.DHE),
                                              patched=patched)
                 try:
@@ -850,7 +850,7 @@ def run_downgrade_matrix(rng: Random) -> list[MatrixCell]:
 
                 # export-DHE attack against a fresh connection
                 logjam_ok = False
-                conn = server.connect()
+                conn = server.connect(0)
                 try:
                     result = mitm_logjam(client_cfg, conn, table, rng)
                     logjam_ok = result.success and \

@@ -63,11 +63,10 @@ class TestAcceptance:
                 ok, f"{len(exceptions)} exceptions, {elapsed:.1f}s")
 
     def test_02_signature_oracle_pinning(self):
-        clock = [0]
         cfg = tls.make_server_config(
             "piwik", frozenset(tls.CipherSuite), Random(2), rotation_period=3600)
-        server = tls.TlsServer(cfg, clock=lambda: clock[0])
-        conn = server.connect()
+        server = tls.TlsServer(cfg)
+        conn = server.connect(0)
         rng = Random(3)
         export_only = tls.ClientTlsConfig(offered_suites=(tls.CipherSuite.RSA_EXPORT,))
         moduli = set()
@@ -77,8 +76,7 @@ class TestAcceptance:
         one_key = len(moduli) == 1
         hourly = set()
         for hour in range(5):
-            clock[0] = hour * 3600
-            hourly.add(server.connect().pinned_temp_key.n)
+            hourly.add(server.connect(hour * 3600).pinned_temp_key.n)
         five_keys = len(hourly) == 5
         verdict(2, "temp-key pinned per connection, rotated hourly",
                 one_key and five_keys,

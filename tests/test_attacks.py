@@ -69,7 +69,7 @@ def compromised_intent(manifest, voter="voterX", ballot=None):
         ballot=ballot or manifest.cards["g01"],
         cast_time=100,
         channel=VoteChannel.WEB,
-        session=SessionContext(compromised=True, session_key=b"k" * 32),
+        session=SessionContext(compromised=True),
     )
 
 
@@ -348,20 +348,20 @@ class TestClash:
 
         req = RegistrationRequest(voter_id="first", pin_choice=None,
                                   channel=VoteChannel.WEB)
-        outcome = atk.clash_register(state, req, m.cards["g01"], m, entitle,
+        outcome = atk.clash_register(state, req, m.cards["g01"], entitle,
                                      "111111", 10)
         assert outcome.reused is False
         assert outcome.handed_out.pin == "111111"  # attacker-assigned
         assert "first" in state.harvest_targets
         # the harvested voter casts the predicted card vote
         atk.clash_note_cast(state, "first", outcome.handed_out, "000000000001",
-                            m.cards["g01"], m)
+                            m.cards["g01"])
         assert len(state.clash_pool) == 1
 
         # second like-minded victim hits the pool
         req2 = RegistrationRequest(voter_id="second", pin_choice=None,
                                    channel=VoteChannel.WEB)
-        outcome2 = atk.clash_register(state, req2, m.cards["g01"], m, entitle,
+        outcome2 = atk.clash_register(state, req2, m.cards["g01"], entitle,
                                       "222222", 20)
         assert outcome2.reused is True
         assert outcome2.handed_out.login_id == outcome.handed_out.login_id

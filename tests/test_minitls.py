@@ -44,17 +44,15 @@ ALL_SUITES = frozenset({CipherSuite.RSA, CipherSuite.RSA_EXPORT,
                         CipherSuite.DHE, CipherSuite.DHE_EXPORT})
 
 
-def make_server(rng=None, suites=ALL_SUITES, rotation=3600, clock_box=None):
+def make_server(rng=None, suites=ALL_SUITES, rotation=3600):
     rng = rng or Random(100)
-    clock_box = clock_box if clock_box is not None else [0]
-    cfg = make_server_config("srv", suites, rng, rotation_period=rotation)
-    return TlsServer(cfg, clock=lambda: clock_box[0]), clock_box
+    return TlsServer(make_server_config("srv", suites, rng, rotation_period=rotation))
 
 
 class TestHonestHandshake:
     def test_success_picks_client_top_preference(self):
-        server, _ = make_server()
-        conn = server.connect()
+        server = make_server()
+        conn = server.connect(0)
         config = ClientTlsConfig(offered_suites=(CipherSuite.RSA, CipherSuite.DHE))
         client, srv = handshake(config, conn, Random(1))
         assert client.suite is srv.suite is CipherSuite.RSA
@@ -62,25 +60,25 @@ class TestHonestHandshake:
         assert client.session_key is not None
 
     def test_dhe_top_preference(self):
-        server, _ = make_server()
-        conn = server.connect()
+        server = make_server()
+        conn = server.connect(0)
         config = ClientTlsConfig(offered_suites=(CipherSuite.DHE, CipherSuite.RSA))
         client, srv = handshake(config, conn, Random(2))
         assert client.suite is CipherSuite.DHE
         assert client.session_key == srv.session_key
 
     def test_export_suites_also_work_honestly(self):
-        server, _ = make_server()
+        server = make_server()
         for suite in (CipherSuite.RSA_EXPORT, CipherSuite.DHE_EXPORT):
-            conn = server.connect()
+            conn = server.connect(0)
             client, srv = handshake(ClientTlsConfig(offered_suites=(suite,)),
                                     conn, Random(3))
             assert client.suite is suite
             assert client.session_key == srv.session_key
 
     def test_no_common_suite(self):
-        server, _ = make_server(suites=frozenset({CipherSuite.DHE}))
-        conn = server.connect()
+        server = make_server(suites=frozenset({CipherSuite.DHE}))
+        conn = server.connect(0)
         client = ClientTlsConfig(offered_suites=(CipherSuite.RSA,))
         with pytest.raises(NoCommonSuite):
             handshake(client, conn, Random(4))
@@ -114,8 +112,8 @@ class TestHonestHandshake:
 
         for channel in (flip_ske, flip_client_nonce, flip_finished,
                         swap_cke_kind):
-            server, _ = make_server()
-            conn = server.connect()
+            server = make_server()
+            conn = server.connect(0)
             client = ClientTlsConfig(offered_suites=(CipherSuite.DHE,))
             with pytest.raises((BadSignature, FinishedMismatch)):
                 handshake(client, conn, Random(5), channel=channel)
@@ -123,8 +121,8 @@ class TestHonestHandshake:
 
 class TestRenegotiationAndRotation:
     def test_hundred_renegotiations_one_temp_key(self):
-        server, _ = make_server()
-        conn = server.connect()
+        server = make_server()
+        conn = server.connect(0)
         rng = Random(6)
         export_only = ClientTlsConfig(offered_suites=(CipherSuite.RSA_EXPORT,))
         moduli = set()
@@ -137,24 +135,20 @@ class TestRenegotiationAndRotation:
         assert conn.renegotiation_count == 100
 
     def test_rotation_across_connections(self):
-        server, clock = make_server(rotation=3600)
-        clock[0] = 0
-        k1 = server.connect().pinned_temp_key
-        clock[0] = 3601
-        k2 = server.connect().pinned_temp_key
+        server = make_server(rotation=3600)
+        k1 = server.connect(0).pinned_temp_key
+        k2 = server.connect(3601).pinned_temp_key
         assert k1.n != k2.n
 
     def test_same_epoch_reuses_key(self):
-        server, clock = make_server(rotation=3600)
-        clock[0] = 100
-        k1 = server.connect().pinned_temp_key
-        clock[0] = 200
-        k2 = server.connect().pinned_temp_key
+        server = make_server(rotation=3600)
+        k1 = server.connect(100).pinned_temp_key
+        k2 = server.connect(200).pinned_temp_key
         assert k1.n == k2.n
 
     def test_renegotiate_after_close(self):
-        server, _ = make_server()
-        conn = server.connect()
+        server = make_server()
+        conn = server.connect(0)
         conn.close()
         with pytest.raises(ConnectionClosed):
             handshake(ClientTlsConfig(offered_suites=(CipherSuite.RSA_EXPORT,)),
@@ -163,24 +157,24 @@ class TestRenegotiationAndRotation:
 
 class TestSignatureOracle:
     def test_oracle_signature_verifies_for_victim_nonce(self):
-        server, _ = make_server()
-        conn = server.connect()
+        server = make_server()
+        conn = server.connect(0)
         victim_nonce = bytes(range(16))
         server_nonce, ske = signature_oracle(conn, victim_nonce, Random(8))
         blob = signed_blob(victim_nonce, server_nonce, ske.kind, ske.params)
         assert rsa_verify(server.config.cert_key.public(), blob, ske.signature)
 
     def test_three_victims_one_pinned_key(self):
-        server, _ = make_server()
-        conn = server.connect()
+        server = make_server()
+        conn = server.connect(0)
         rng = Random(9)
         moduli = {signature_oracle(conn, bytes([i]) * 16, rng)[1].params[0]
                   for i in range(3)}
         assert len(moduli) == 1
 
     def test_oracle_on_closed_connection(self):
-        server, _ = make_server()
-        conn = server.connect()
+        server = make_server()
+        conn = server.connect(0)
         conn.close()
         with pytest.raises(ConnectionClosed):
             signature_oracle(conn, b"\x00" * 16, Random(10))
@@ -270,8 +264,8 @@ class TestDlog:
 
 class TestFreak:
     def setup_method(self):
-        self.server, self.clock = make_server(Random(40))
-        self.oracle_conn = self.server.connect()
+        self.server = make_server(Random(40))
+        self.oracle_conn = self.server.connect(0)
         n = self.oracle_conn.pinned_temp_key.n
         p, q = factor_export_modulus(n, Random(41))
         self.factored = RsaKey.from_primes(p, q, self.oracle_conn.pinned_temp_key.e)
@@ -299,9 +293,9 @@ class TestFreak:
         assert result.client_session_key is None
 
     def test_export_rsa_disabled_breaks_oracle(self):
-        server, _ = make_server(Random(45),
-                                suites=frozenset({CipherSuite.RSA, CipherSuite.DHE}))
-        conn = server.connect()
+        server = make_server(Random(45),
+                             suites=frozenset({CipherSuite.RSA, CipherSuite.DHE}))
+        conn = server.connect(0)
         client = ClientTlsConfig(offered_suites=(CipherSuite.RSA,), patched=False)
         result = mitm_freak(client, conn, self.factored, Random(46))
         assert not result.success
@@ -310,12 +304,12 @@ class TestFreak:
 
 class TestLogjam:
     def setup_method(self):
-        self.server, _ = make_server(Random(50))
+        self.server = make_server(Random(50))
         self.table = dlog_precompute(self.server.config.export_dhe_params)
 
     def test_any_client_even_patched(self):
         client = ClientTlsConfig(offered_suites=(CipherSuite.DHE,), patched=True)
-        conn = self.server.connect()
+        conn = self.server.connect(0)
         result = mitm_logjam(client, conn, self.table, Random(51))
         assert result.success
         assert (result.attacker_session_key == result.client_session_key
@@ -324,11 +318,11 @@ class TestLogjam:
         assert result.client_suite is CipherSuite.DHE
 
     def test_disabled_export_dhe_fails_at_hello(self):
-        server, _ = make_server(Random(52),
-                                suites=frozenset({CipherSuite.RSA, CipherSuite.DHE}))
+        server = make_server(Random(52),
+                             suites=frozenset({CipherSuite.RSA, CipherSuite.DHE}))
         table = dlog_precompute(gen_export_dhe_params(64, Random(53)))
         client = ClientTlsConfig(offered_suites=(CipherSuite.DHE,), patched=True)
-        result = mitm_logjam(client, server.connect(), table, Random(54))
+        result = mitm_logjam(client, server.connect(0), table, Random(54))
         assert not result.success
         assert "NoCommonSuite" in result.error
 
@@ -337,22 +331,22 @@ class TestLogjam:
         assert other.params.p != self.server.config.export_dhe_params.p
         client = ClientTlsConfig(offered_suites=(CipherSuite.DHE,), patched=True)
         with pytest.raises(DlogBudgetExceeded):
-            mitm_logjam(client, self.server.connect(), other, Random(56))
+            mitm_logjam(client, self.server.connect(0), other, Random(56))
 
     def test_one_renegotiation_per_call(self):
         # success, a refused hello and the wrong table each count once on
         # the connection, like any other handshake on it
         client = ClientTlsConfig(offered_suites=(CipherSuite.DHE,), patched=True)
-        conn = self.server.connect()
+        conn = self.server.connect(0)
         assert mitm_logjam(client, conn, self.table, Random(57)).success
         assert conn.renegotiation_count == 1
         other = dlog_precompute(gen_export_dhe_params(64, Random(55)))
         with pytest.raises(DlogBudgetExceeded):
             mitm_logjam(client, conn, other, Random(58))
         assert conn.renegotiation_count == 2
-        no_export, _ = make_server(Random(52),
-                                   suites=frozenset({CipherSuite.RSA, CipherSuite.DHE}))
-        conn = no_export.connect()
+        no_export = make_server(Random(52),
+                                suites=frozenset({CipherSuite.RSA, CipherSuite.DHE}))
+        conn = no_export.connect(0)
         result = mitm_logjam(client, conn, self.table, Random(59))
         assert "NoCommonSuite" in result.error
         assert conn.renegotiation_count == 1
@@ -362,8 +356,8 @@ class TestSignatureCoverage:
     def test_suite_not_covered_nonce_and_params_are(self):
         # the protocol property the export-DHE downgrade exploits, asserted
         # directly on a signed ServerKeyExchange
-        server, _ = make_server(Random(60))
-        conn = server.connect()
+        server = make_server(Random(60))
+        conn = server.connect(0)
         client_nonce = Random(61).randbytes(16)
         server_nonce, ske = signature_oracle(conn, client_nonce, Random(62))
         pub = server.config.cert_key.public()
@@ -398,25 +392,25 @@ class TestKnownAnswers:
 
     @pytest.mark.parametrize("suite", list(SESSION_KEYS))
     def test_handshake_session_keys(self, suite):
-        server, _ = make_server(Random(90))
+        server = make_server(Random(90))
         config = ClientTlsConfig(offered_suites=(CipherSuite(suite),))
-        client, srv = handshake(config, server.connect(), Random(91))
+        client, srv = handshake(config, server.connect(0), Random(91))
         assert client.suite is srv.suite is CipherSuite(suite)
         assert hashlib.sha256(client.session_key + srv.session_key).hexdigest() == \
             self.SESSION_KEYS[suite]
 
     def test_mitm_logjam_keys(self):
-        server, _ = make_server(Random(50))
+        server = make_server(Random(50))
         table = dlog_precompute(server.config.export_dhe_params)
         client = ClientTlsConfig(offered_suites=(CipherSuite.DHE,))
-        r = mitm_logjam(client, server.connect(), table, Random(51))
+        r = mitm_logjam(client, server.connect(0), table, Random(51))
         keys = r.attacker_session_key + r.client_session_key + r.server_session_key
         assert hashlib.sha256(keys).hexdigest() == \
             "265bb6f3a781dc180013d357e63202930297598ececf640683588f1df806bad1"
 
     def test_mitm_freak_keys(self):
-        server, _ = make_server(Random(40))
-        oracle_conn = server.connect()
+        server = make_server(Random(40))
+        oracle_conn = server.connect(0)
         temp = oracle_conn.pinned_temp_key
         p, q = factor_export_modulus(temp.n, Random(41))
         client = ClientTlsConfig(offered_suites=(CipherSuite.RSA,), patched=False)

@@ -231,7 +231,7 @@ class TestTraceText:
         (ThirdPartyFetch("voter00008", False),
          "ThirdPartyFetch(patched=False,voter=voter00008)"),
         # no trace_text: the class name alone
-        (SessionContext(compromised=True, session_key=b"k"), "SessionContext"),
+        (SessionContext(compromised=True), "SessionContext"),
         (b"raw-bytes", "bytes"),
         (object(), "object"),
     ])

@@ -7,6 +7,7 @@ import sys
 import time
 from dataclasses import fields, is_dataclass
 from pathlib import Path
+from random import Random
 from typing import Union, get_args, get_origin
 
 import pytest
@@ -14,17 +15,21 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import votesim
+from votesim.ballots import Ballot, CouncilMode, encode_ballot
 from votesim.cli import main
 from votesim.config import (
+    MAX_PREFS,
+    U16_MAX,
     ConfigInvalid,
     LinkageConfig,
     ScenarioConfig,
+    build_manifest,
     bundled_scenarios,
     load_config,
     parse_config,
 )
 from votesim.engine import run_engine
-from votesim.envelope import Credentials
+from votesim.envelope import Credentials, DigitalEnvelope, gen_keypair, gen_params, seal
 from votesim.messages import CastSubmission
 from votesim.netsim import Event
 from votesim.report import build_report, diff_reports, parse_report, serialize_report
@@ -161,6 +166,8 @@ def invalid_leaf(tp, meta):
         wrong = st.one_of(wrong, st.floats())
         if "min" in meta:
             wrong = st.one_of(wrong, st.integers(max_value=meta["min"] - 1))
+        if "max" in meta:
+            wrong = st.one_of(wrong, st.integers(min_value=meta["max"] + 1))
         if "choices" in meta:
             wrong = st.one_of(wrong, st.integers().filter(lambda v: v not in meta["choices"]))
         return wrong
@@ -211,6 +218,94 @@ def draw_no_adversary_tree(data, candidates_ok=True, suites_ok=True):
             LinkageConfig.__dataclass_fields__["compromised"].metadata["choices"]),
             unique=True))},
     }
+
+
+# Configs the grammar or a cross-field check rejects: (key path, overrides
+# of minimal_tree)
+UNRUNNABLE = [
+    ("attacks.target_group", {"attacks": {"target_group": "g99"}}),
+    ("tls.oracle_connection_lifetime",
+     {"tls": {"enabled": True, "oracle_connection_lifetime": 3600},
+      "attacks": {"freak": {"enabled": True}}}),
+    ("behavior.leaning_counts.g99", {"behavior": {"leaning_counts": {"g99": 3}}}),
+    ("behavior.leaning_counts", {"behavior": {"leaning_counts": {"g01": 60}}}),
+    ("timeline.polls_close", {"timeline": {"polls_open": 0, "polls_close": 1000,
+                                           "receipt_service_end": 2000}}),
+    ("behavior.leaning_weights.g99",
+     {"behavior": {"leaning_weights": {"g01": 1.0, "g99": 1.0}}}),
+    ("attacks.freak.window_start",
+     {"tls": {"enabled": True},
+      "attacks": {"freak": {"enabled": True, "window_start": "3600"}}}),
+    ("attacks.logjam.window_end",
+     {"tls": {"enabled": True},
+      "attacks": {"logjam": {"enabled": True, "window_end": "40000"}}}),
+    ("behavior.leaning_weights",
+     {"behavior": {"leaning_weights": {"g01": 0, "g02": 0.0}}}),
+    ("manifest.cards.g01",
+     {"manifest": {"groups": 4, "candidates": 8, "assembly": 4,
+                   "cards": {"g01": {"assembly": ["a99"], "council": ["g01"]}}}}),
+    ("manifest.cards.g01",
+     {"manifest": {"groups": 4, "candidates": 8, "assembly": 4,
+                   "cards": {"g01": {"assembly": ["a01"], "mode": "btl",
+                                     "council": ["c999"]}}}}),
+    ("manifest.cards.g09",
+     {"manifest": {"groups": 4, "candidates": 8, "assembly": 4,
+                   "cards": {"g09": {"assembly": ["a01"], "council": ["g01"]}}}}),
+    # unknown keys, at the top level and in every section
+    ("attackz", {"attackz": {"vote_rewrite": {"enabled": True}}}),
+    ("behavior.p_verify_irv", {"behavior": {"p_verify_irv": 0.5}}),
+    ("manifest.group", {"manifest": {"groups": 4, "candidates": 8,
+                                     "assembly": 4, "group": 4}}),
+    ("manifest.cards.g01.councl",
+     {"manifest": {"groups": 4, "candidates": 8, "assembly": 4,
+                   "cards": {"g01": {"assembly": ["a01"], "council": ["g01"],
+                                     "councl": ["g02"]}}}}),
+    ("timeline.polls_end", {"timeline": {"polls_end": 100}}),
+    ("crypto.bits", {"crypto": {"bits": 64}}),
+    ("tls.enable", {"tls": {"enabled": False, "enable": True}}),
+    ("attacks.vote_rewite", {"attacks": {"vote_rewite": {"enabled": True}}}),
+    ("attacks.freak.window", {"attacks": {"freak": {"window": 5}}}),
+    ("attacks.vote_rewrite.enable",
+     {"attacks": {"vote_rewrite": {"enable": True}}}),
+    ("attacks.last_minute.window",
+     {"attacks": {"last_minute": {"window": 60}}}),
+    ("attacks.clash.predict", {"attacks": {"clash": {"predict": "card"}}}),
+    ("attacks.server_rewrite.counts",
+     {"attacks": {"server_rewrite": {"counts": 3}}}),
+    ("audit.mod", {"audit": {"mod": "honest"}}),
+    ("linkage.phone_taps", {"linkage": {"phone_taps": False}}),
+    ("behavior", {"behavior": [0.5]}),
+    ("tls.export_bits", {"tls": {"enabled": True, "export_bits": 96}}),
+    # impossible elections: a group with no candidate, TLS with no suite
+    ("manifest.candidates",
+     {"manifest": {"groups": 4, "candidates": 3, "assembly": 4}}),
+    ("tls.third_party_suites", {"tls": {"enabled": True, "third_party_suites": []}}),
+    # an attack window that cannot fire: inverted, or after the polls close
+    ("attacks.freak.window_start",
+     {"tls": {"enabled": True},
+      "attacks": {"freak": {"enabled": True, "window_start": 40000,
+                            "window_end": 3600}}}),
+    ("attacks.logjam.window_start",
+     {"tls": {"enabled": True},
+      "attacks": {"logjam": {"enabled": True, "window_start": 50000,
+                             "window_end": 60000}}}),
+    # inside the polls, but over before the first background fetch
+    ("attacks.freak.window_start",
+     {"voters": 60, "tls": {"enabled": True, "client_patch_rate": 0.0},
+      "attacks": {"vote_rewrite": {"enabled": True},
+                  "freak": {"enabled": True, "window_start": 0,
+                            "window_end": 1800}}}),
+    # deleted keys: no check ever read the tag it toggled; the clash
+    # attack strips the gateway itself; an untapped phone network is
+    # phone_tap_caller_id left out of linkage.compromised
+    ("crypto.signature_forgeable_by_server",
+     {"crypto": {"signature_forgeable_by_server": True}}),
+    ("attacks.gateway_stripped", {"attacks": {"gateway_stripped": True}}),
+    ("linkage.phone_tap", {"linkage": {"phone_tap": False}}),
+    # a manifest past the u16 counts and indexes of the ballot wire format
+    ("manifest.assembly",
+     {"voters": 200, "manifest": {"groups": 4, "candidates": 8, "assembly": 70000}}),
+]
 
 
 def valid_grammar_tree():
@@ -264,6 +359,21 @@ class TestGrammar:
         with pytest.raises(ConfigInvalid) as exc:
             parse_config(tree)
         assert str(exc.value).startswith(f"{want}:"), str(exc.value)
+
+    def test_largest_ballots_the_grammar_admits_cross_the_wire(self):
+        biggest = {"groups": MAX_PREFS - 4, "candidates": U16_MAX, "assembly": U16_MAX}
+        m = build_manifest(parse_config(minimal_tree(manifest=biggest)).manifest)
+        drawn = Ballot(m.assembly_candidates[:4], CouncilMode.ABOVE_THE_LINE, m.groups)
+        card = Ballot(m.assembly_candidates[:2], CouncilMode.BELOW_THE_LINE,
+                      m.candidate_ids[:MAX_PREFS - 2])
+        pub = gen_keypair(gen_params(32, Random(1)), Random(2)).public()
+        for ballot in (drawn, card):
+            sealed = seal(encode_ballot(ballot, m), pub, pub, Random(3))
+            assert DigitalEnvelope.from_bytes(sealed.to_bytes()) == sealed
+        biggest["cards"] = {"g01": {"assembly": list(card.assembly_prefs), "mode": "btl",
+                                    "council": list(m.candidate_ids[:MAX_PREFS - 1])}}
+        with pytest.raises(ConfigInvalid, match="^manifest.cards.g01: more than"):
+            parse_config(minimal_tree(manifest=biggest))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=25)
     @given(data=st.data())
@@ -465,89 +575,19 @@ class TestCli:
         assert rc == 2
         assert key_path in err
 
-    @pytest.mark.parametrize("key_path, over", [
-        ("attacks.target_group", {"attacks": {"target_group": "g99"}}),
-        ("tls.oracle_connection_lifetime",
-         {"tls": {"enabled": True, "oracle_connection_lifetime": 3600},
-          "attacks": {"freak": {"enabled": True}}}),
-        ("behavior.leaning_counts.g99", {"behavior": {"leaning_counts": {"g99": 3}}}),
-        ("behavior.leaning_counts", {"behavior": {"leaning_counts": {"g01": 60}}}),
-        ("timeline.polls_close", {"timeline": {"polls_open": 0, "polls_close": 1000,
-                                               "receipt_service_end": 2000}}),
-        ("behavior.leaning_weights.g99",
-         {"behavior": {"leaning_weights": {"g01": 1.0, "g99": 1.0}}}),
-        ("attacks.freak.window_start",
-         {"tls": {"enabled": True},
-          "attacks": {"freak": {"enabled": True, "window_start": "3600"}}}),
-        ("attacks.logjam.window_end",
-         {"tls": {"enabled": True},
-          "attacks": {"logjam": {"enabled": True, "window_end": "40000"}}}),
-        ("behavior.leaning_weights",
-         {"behavior": {"leaning_weights": {"g01": 0, "g02": 0.0}}}),
-        ("manifest.cards.g01",
-         {"manifest": {"groups": 4, "candidates": 8, "assembly": 4,
-                       "cards": {"g01": {"assembly": ["a99"], "council": ["g01"]}}}}),
-        ("manifest.cards.g01",
-         {"manifest": {"groups": 4, "candidates": 8, "assembly": 4,
-                       "cards": {"g01": {"assembly": ["a01"], "mode": "btl",
-                                         "council": ["c999"]}}}}),
-        ("manifest.cards.g09",
-         {"manifest": {"groups": 4, "candidates": 8, "assembly": 4,
-                       "cards": {"g09": {"assembly": ["a01"], "council": ["g01"]}}}}),
-        # unknown keys, at the top level and in every section
-        ("attackz", {"attackz": {"vote_rewrite": {"enabled": True}}}),
-        ("behavior.p_verify_irv", {"behavior": {"p_verify_irv": 0.5}}),
-        ("manifest.group", {"manifest": {"groups": 4, "candidates": 8,
-                                         "assembly": 4, "group": 4}}),
-        ("manifest.cards.g01.councl",
-         {"manifest": {"groups": 4, "candidates": 8, "assembly": 4,
-                       "cards": {"g01": {"assembly": ["a01"], "council": ["g01"],
-                                         "councl": ["g02"]}}}}),
-        ("timeline.polls_end", {"timeline": {"polls_end": 100}}),
-        ("crypto.bits", {"crypto": {"bits": 64}}),
-        ("tls.enable", {"tls": {"enabled": False, "enable": True}}),
-        ("attacks.vote_rewite", {"attacks": {"vote_rewite": {"enabled": True}}}),
-        ("attacks.freak.window", {"attacks": {"freak": {"window": 5}}}),
-        ("attacks.vote_rewrite.enable",
-         {"attacks": {"vote_rewrite": {"enable": True}}}),
-        ("attacks.last_minute.window",
-         {"attacks": {"last_minute": {"window": 60}}}),
-        ("attacks.clash.predict", {"attacks": {"clash": {"predict": "card"}}}),
-        ("attacks.server_rewrite.counts",
-         {"attacks": {"server_rewrite": {"counts": 3}}}),
-        ("audit.mod", {"audit": {"mod": "honest"}}),
-        ("linkage.phone_taps", {"linkage": {"phone_taps": False}}),
-        ("behavior", {"behavior": [0.5]}),
-        ("tls.export_bits", {"tls": {"enabled": True, "export_bits": 96}}),
-        # impossible elections: a group with no candidate, TLS with no suite
-        ("manifest.candidates",
-         {"manifest": {"groups": 4, "candidates": 3, "assembly": 4}}),
-        ("tls.third_party_suites", {"tls": {"enabled": True, "third_party_suites": []}}),
-        # an attack window that cannot fire: inverted, or after the polls close
-        ("attacks.freak.window_start",
-         {"tls": {"enabled": True},
-          "attacks": {"freak": {"enabled": True, "window_start": 40000,
-                                "window_end": 3600}}}),
-        ("attacks.logjam.window_start",
-         {"tls": {"enabled": True},
-          "attacks": {"logjam": {"enabled": True, "window_start": 50000,
-                                 "window_end": 60000}}}),
-        # inside the polls, but over before the first background fetch
-        ("attacks.freak.window_start",
-         {"voters": 60, "tls": {"enabled": True, "client_patch_rate": 0.0},
-          "attacks": {"vote_rewrite": {"enabled": True},
-                      "freak": {"enabled": True, "window_start": 0,
-                                "window_end": 1800}}}),
-        # deleted keys: no check ever read the tag it toggled; the clash
-        # attack strips the gateway itself; an untapped phone network is
-        # phone_tap_caller_id left out of linkage.compromised
-        ("crypto.signature_forgeable_by_server",
-         {"crypto": {"signature_forgeable_by_server": True}}),
-        ("attacks.gateway_stripped", {"attacks": {"gateway_stripped": True}}),
-        ("linkage.phone_tap", {"linkage": {"phone_tap": False}}),
-    ])
+    @pytest.mark.parametrize("key_path, over", UNRUNNABLE)
+    def test_unrunnable_config_fails_to_parse_at_key_path(self, key_path, over):
+        with pytest.raises(ConfigInvalid) as exc:
+            parse_config(minimal_tree(**over))
+        assert str(exc.value).startswith(f"{key_path}:"), str(exc.value)
+
+    @pytest.mark.parametrize("key_path, over", UNRUNNABLE)
     def test_unrunnable_config_exits_2_with_key_path(self, key_path, over, tmp_path,
-                                                     capsys):
+                                                     capsys, monkeypatch):
+        def no_engine(config):
+            raise AssertionError("an unrunnable config reached the engine")
+
+        monkeypatch.setattr("votesim.cli.run_engine", no_engine)
         rc, err = self.run_tree(minimal_tree(**over), tmp_path, capsys)
         assert rc == 2
         assert key_path in err
