@@ -16,7 +16,7 @@ import sys
 from .config import ConfigInvalid, bundled_scenarios, load_config
 from .engine import run_engine
 from .report import (build_report, diff_reports, metrics_rows, parse_report,
-                     serialize_report, trace_chunks)
+                     serialize_report)
 
 
 def _resolve_config(name_or_path: str) -> str:
@@ -47,7 +47,7 @@ def cmd_run(args) -> int:
         f.write(metrics_rows(report))
     if args.trace:
         with open(f"{base}.trace.log", "w") as f:
-            f.writelines(trace_chunks(engine.sim.trace))
+            f.writelines(engine.sim.iter_trace_text())
     tally = report["tally"]
     print(f"scenario={config.name} seed={config.seed} "
           f"counted={report['votes']['counted']} "

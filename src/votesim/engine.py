@@ -150,9 +150,10 @@ class ScenarioEngine:
             rotation_period=cfg.rotation_period,
         )
         self.piwik_server = tls.TlsServer(server_cfg)
-        if self.config.attacks.logjam.enabled and server_cfg.export_dhe_params is not None:
+        if self.config.attacks.logjam.enabled:
             # fixed up-front cost, paid before polls open and reused for
-            # every connection that shares the group
+            # every connection that shares the group; parse_config puts
+            # DHE_EXPORT among the suites whenever Logjam is on
             self.dlog_table = tls.dlog_precompute(server_cfg.export_dhe_params)
         if self.config.attacks.freak.enabled:
             self._build_freak_oracles()
@@ -470,8 +471,6 @@ class ScenarioEngine:
         conn = self.piwik_server.connect(event.time)
         try:
             tls.handshake(client_cfg, conn, self._voter_rng(state))
-        except tls.TlsError:
-            pass  # a failed analytics fetch does not block voting
         finally:
             conn.close()
 

@@ -73,10 +73,6 @@ class NoSolution(TlsError):
     pass
 
 
-class PrecomputeMissing(TlsError):
-    pass
-
-
 class DlogBudgetExceeded(TlsError):
     pass
 
@@ -743,7 +739,7 @@ class _LogjamInterposer:
 def mitm_logjam(
     client_config: ClientTlsConfig,
     conn: ServerConnection,
-    table: Optional[PrecompTable],
+    table: PrecompTable,
     rng: Random,
 ) -> MitmResult:
     """Export-DHE downgrade against any client, patched or not.
@@ -755,8 +751,6 @@ def mitm_logjam(
     descends the server's ephemeral secret with the precomputed table, and
     forges both Finished messages.
     """
-    if table is None:
-        raise PrecomputeMissing("no discrete-log table for the server's group")
     preferred = next((s for s in client_config.offered_suites
                       if s in (CipherSuite.DHE, CipherSuite.DHE_EXPORT)), None)
     if preferred is None:

@@ -16,11 +16,20 @@ makes the receiver raise `RecordTampered`, which aborts the run, rather
 than a silent change.
 The stripping tap that redirects plain-HTTP registrations is installed
 by the engine with the clash attack (`attacks.clash.enabled`).
+
+The trace is kept as zlib-compressed chunks of its file text, and each
+chunk's bytes go to a running sha256 as the chunk is sealed, so a run
+holds at most `TRACE_CHUNK_LINES` lines as strings.
 """
 
+import hashlib
 import heapq
+import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
+
+
+TRACE_CHUNK_LINES = 4096
 
 
 class NetsimError(Exception):
@@ -112,7 +121,9 @@ class Simulator:
         self._taps: list[MitmTap] = []
         self.endpoints: dict[str, Endpoint] = {}
         self._families: list[tuple[str, Endpoint]] = []  # (name prefix, owner)
-        self.trace: list[str] = []
+        self._open_lines: list[str] = []  # trace lines of the chunk not yet sealed
+        self._chunks: list[bytes] = []  # each sealed chunk's file text, compressed
+        self._trace_hash = hashlib.sha256()
         self.finalized = False
         self.counters = {"scheduled": 0, "delivered": 0, "dropped": 0, "replaced": 0}
 
@@ -185,10 +196,42 @@ class Simulator:
 
     def _trace(self, event: Event, status: str, notes: list[str]) -> None:
         note = ";".join(notes) if notes else "-"
-        self.trace.append(
+        lines = self._open_lines
+        lines.append(
             f"t={event.time:08d} seq={event.seq:06d} {event.src}->{event.dst} "
             f"{status} {describe_payload(event.payload)} {note}"
         )
+        if len(lines) >= TRACE_CHUNK_LINES:
+            self._seal_chunk()
+
+    def _seal_chunk(self) -> None:
+        """Hash and compress the open chunk's file text. The digest covers
+        the bytes alone, so where chunks break never changes it.
+        """
+        if not self._open_lines:
+            return
+        text = ("\n".join(self._open_lines) + "\n").encode()
+        self._trace_hash.update(text)
+        self._chunks.append(zlib.compress(text, 1))
+        self._open_lines.clear()
+
+    def trace_digest(self) -> str:
+        """sha256 of the trace file's bytes so far."""
+        self._seal_chunk()
+        return self._trace_hash.hexdigest()
+
+    def iter_trace_text(self) -> Iterator[str]:
+        """The trace file's text so far, every line ended by a newline, one
+        chunk at a time, so writing it never holds the whole trace.
+        """
+        self._seal_chunk()
+        for chunk in self._chunks:
+            yield zlib.decompress(chunk).decode()
+
+    @property
+    def trace(self) -> list[str]:
+        """Every trace line so far, decompressed into a new list."""
+        return [line for text in self.iter_trace_text() for line in text[:-1].split("\n")]
 
     def run_all(self) -> None:
         """Deliver every pending event, and every event a handler or tap

@@ -6,7 +6,6 @@ never appears; the published real-world attack costs ride along as
 static metadata.
 """
 
-import hashlib
 import json
 from typing import Any
 
@@ -23,18 +22,6 @@ def model_assumptions(config) -> list[str]:
         "voter verify/receipt-check behaviour is drawn independently per voter "
         "from the configured rates",
     ]
-
-
-TRACE_CHUNK_LINES = 4096
-
-
-def trace_chunks(trace: list[str]):
-    """The trace file's text, every line ended by a newline, in pieces of
-    a few thousand lines, so hashing or writing it never holds a second
-    copy of the whole trace.
-    """
-    for start in range(0, len(trace), TRACE_CHUNK_LINES):
-        yield "\n".join(trace[start:start + TRACE_CHUNK_LINES]) + "\n"
 
 
 def _tally_section(tally) -> dict:
@@ -104,10 +91,6 @@ def build_report(engine) -> dict:
         counts["detection_ratio"] = (counts["complaints_true"] / counts["manipulated"]
                                      if counts["manipulated"] else None)
 
-    trace_hash = hashlib.sha256()
-    for chunk in trace_chunks(engine.sim.trace):
-        trace_hash.update(chunk.encode())
-
     linked_voters = sorted({voter for voter, _ in engine.linked})
 
     report = {
@@ -159,7 +142,7 @@ def build_report(engine) -> dict:
         "real_world_cost_metadata": REAL_WORLD_COSTS,
         "event_conservation": engine.conservation,
         "assumptions": model_assumptions(cfg),
-        "trace_digest": trace_hash.hexdigest(),
+        "trace_digest": engine.sim.trace_digest(),
     }
     return report
 

@@ -962,7 +962,8 @@ def downgrade_trees(draw, logjam):
                   "p_check_receipt_only": 0.0},
         tls={"enabled": True, "client_patch_rate": draw(patch_rate),
              "third_party_suites": sorted({suites[k] for k in kinds} | draw(
-                 st.sets(st.sampled_from(("RSA", "DHE"))), label="full-strength suites"))},
+                 st.sets(st.sampled_from(("RSA", "DHE")), min_size=1),
+                 label="full-strength suites"))},
         attacks=attacks,
     )
 

@@ -1,9 +1,12 @@
-"""Event ordering, endpoint families, tap composition, and the stripping tap."""
+"""Event ordering, endpoint families, tap composition, the trace store,
+and the stripping tap."""
 
+import hashlib
 from dataclasses import dataclass
 
 import pytest
 
+from votesim import netsim
 from votesim.ballots import Ballot, CouncilMode
 from votesim.election import VoteChannel
 from votesim.envelope import Credentials, DigitalEnvelope
@@ -23,6 +26,7 @@ from votesim.messages import (
 )
 from votesim.minitls import RecordTampered, decrypt_record, encrypt_record
 from votesim.netsim import (
+    TRACE_CHUNK_LINES,
     Decision,
     Endpoint,
     Event,
@@ -190,6 +194,58 @@ class TestDeterminism:
 
     def test_same_build_same_trace(self):
         assert self.build_and_run() == self.build_and_run()
+
+
+class TestTraceStore:
+    """The simulator keeps its trace as compressed chunks, hashed as each
+    is sealed; lines, file text and digest must still be one list's.
+    """
+
+    @staticmethod
+    def run(events, on_deliver=None):
+        sim = Simulator()
+        sim.add_endpoint(Endpoint("cvs", handler=on_deliver))
+        sim.add_endpoint(Endpoint("voter*"))
+        for i in range(events):
+            sim.schedule(i // 3, f"voter{i % 5}", "cvs", Ping(f"m{i}"))
+        sim.run_all()
+        return sim
+
+    def test_digest_and_file_text_are_the_joined_lines(self):
+        events = 2 * TRACE_CHUNK_LINES + 17
+        sim = self.run(events)
+        lines = sim.trace
+        assert len(lines) == events
+        assert lines[-1] == f"t={(events - 1) // 3:08d} seq={events - 1:06d} " \
+                            f"voter{(events - 1) % 5}->cvs deliver Ping(tag=m{events - 1}) -"
+        joined = ("\n".join(lines) + "\n").encode()
+        assert sim.trace_digest() == hashlib.sha256(joined).hexdigest()
+        assert "".join(sim.iter_trace_text()).encode() == joined
+
+    def test_reading_mid_run_changes_no_line_or_digest(self, monkeypatch):
+        monkeypatch.setattr(netsim, "TRACE_CHUNK_LINES", 16)
+        seen = []
+
+        def read_now_and_then(event, sim):
+            if event.seq % 7 == 3:
+                seen.append((event.seq, len(sim.trace)))
+                sim.trace_digest()
+
+        read = self.run(100, read_now_and_then)
+        unread = self.run(100)
+        # each read sees every line traced so far, its own delivery included
+        assert seen and all(n == seq + 1 for seq, n in seen)
+        assert read.trace == unread.trace
+        assert read.trace_digest() == unread.trace_digest()
+
+    def test_holds_at_most_one_chunk_of_lines(self):
+        events = 2 * TRACE_CHUNK_LINES + 17
+        held = []
+        sim = self.run(events, lambda event, sim: held.append(len(sim._open_lines)))
+        assert max(held) == TRACE_CHUNK_LINES - 1
+        assert len(sim._open_lines) == 17
+        sim.trace_digest()
+        assert not sim._open_lines
 
 
 CREDS = Credentials(login_id="01234567", pin="123456")

@@ -1,6 +1,7 @@
 """Config validation, scenario runner determinism, report diffs, CLI."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -180,7 +181,8 @@ def invalid_leaf(tp, meta):
 def draw_no_adversary_tree(data, candidates_ok=True, suites_ok=True):
     """A config tree with no adversary that the grammar accepts. With
     `candidates_ok` false, some group has no candidate; with `suites_ok`
-    false, TLS is on with no suite. Both are impossible elections.
+    false, TLS is on with no suite the honest client offers (none, or
+    only export ones). Both are impossible elections.
     """
     prob = st.floats(0, 1)
     p_verify = data.draw(prob)
@@ -191,9 +193,12 @@ def draw_no_adversary_tree(data, candidates_ok=True, suites_ok=True):
     polls_open = data.draw(st.integers(0, 3600))
     polls_close = polls_open + data.draw(st.integers(1812, 86400))
     tls_enabled = data.draw(st.booleans()) if suites_ok else True
-    suites = data.draw(st.lists(
-        st.sampled_from(["RSA", "RSA_EXPORT", "DHE", "DHE_EXPORT"]),
-        unique=True, min_size=int(tls_enabled))) if suites_ok else []
+    suites = data.draw(st.lists(st.sampled_from(["RSA_EXPORT", "DHE_EXPORT"]), unique=True))
+    if suites_ok:
+        honest = data.draw(st.lists(st.sampled_from(["RSA", "DHE"]), unique=True,
+                                    min_size=int(tls_enabled)))
+        suites = data.draw(st.permutations(suites + honest))
+    phone = data.draw(prob)
     return {
         "schema_version": 1, "seed": data.draw(st.integers(0, 2**32)),
         "voters": data.draw(st.integers(1, 40)),
@@ -203,8 +208,8 @@ def draw_no_adversary_tree(data, candidates_ok=True, suites_ok=True):
         "behavior": {"card_rate": data.draw(prob), "p_verify_ivr": p_verify,
                      "p_check_receipt_only": data.draw(st.floats(0, 1 - p_verify)),
                      "p_false_complaint": data.draw(prob),
-                     "phone_fraction": data.draw(prob),
-                     "polling_fraction": data.draw(prob),
+                     "phone_fraction": phone,
+                     "polling_fraction": data.draw(st.floats(0, 1 - phone)),
                      "caller_id_fraction": data.draw(prob),
                      "verify_delay_min": delay_min,
                      "verify_delay_max": delay_min + data.draw(st.integers(0, 7200))},
@@ -305,6 +310,18 @@ UNRUNNABLE = [
     # a manifest past the u16 counts and indexes of the ballot wire format
     ("manifest.assembly",
      {"voters": 200, "manifest": {"groups": 4, "candidates": 8, "assembly": 70000}}),
+    # TLS with no suite the honest client offers: every honest fetch would
+    # fail with NoCommonSuite
+    ("tls.third_party_suites",
+     {"tls": {"enabled": True, "third_party_suites": ["RSA_EXPORT"]}}),
+    ("tls.third_party_suites",
+     {"tls": {"enabled": True, "third_party_suites": ["DHE_EXPORT"]}}),
+    ("tls.third_party_suites",
+     {"tls": {"enabled": True, "third_party_suites": ["RSA_EXPORT", "DHE_EXPORT"]},
+      "attacks": {"freak": {"enabled": True}, "logjam": {"enabled": True}}}),
+    # one draw picks the channel, so phone and polling cannot exceed 1
+    ("behavior.polling_fraction",
+     {"behavior": {"phone_fraction": 0.6, "polling_fraction": 0.5}}),
 ]
 
 
@@ -502,7 +519,9 @@ class TestDeterminismAndDiff:
 
 
 class TestCli:
-    def test_run_writes_report_and_metrics(self, tmp_path, capsys):
+    def test_run_writes_report_and_metrics(self, tmp_path, capsys, monkeypatch):
+        # chunks of 1000 lines, so the trace spans several
+        monkeypatch.setattr("votesim.netsim.TRACE_CHUNK_LINES", 1000)
         rc = main(["run", "honest-baseline", "--out", str(tmp_path), "--trace"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -513,9 +532,12 @@ class TestCli:
         report = parse_report(report_path.read_text())
         assert report["scenario"] == "honest-baseline"
         # the trace file is written in chunks; its bytes are what the
-        # report's digest hashed
+        # report's digest hashed, wherever the chunks broke
         trace = (tmp_path / "honest-baseline-seed42.trace.log").read_bytes()
+        assert trace.count(b"\n") > 3000
         assert hashlib.sha256(trace).hexdigest() == report["trace_digest"]
+        golden = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
+        assert report["trace_digest"] == golden["honest-baseline@42"]["trace_digest"]
 
     def test_import_loads_no_sympy(self):
         # primality is numth's own: importing sympy loads the whole package,
