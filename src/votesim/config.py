@@ -299,9 +299,6 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
         _fail("tls.third_party_suites",
               "tls.enabled needs RSA or DHE, the suites an honest client offers, "
               "or every honest handshake fails")
-    if b.p_verify_ivr + b.p_check_receipt_only > 1.0:
-        _fail("behavior.p_check_receipt_only",
-              "p_verify_ivr + p_check_receipt_only must be <= 1")
     if b.phone_fraction + b.polling_fraction > 1.0:
         # one draw picks the channel: polling gets only what phone leaves
         _fail("behavior.polling_fraction", "phone_fraction + polling_fraction must be <= 1")

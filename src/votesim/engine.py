@@ -468,11 +468,8 @@ class ScenarioEngine:
             offered_suites=(tls.CipherSuite.RSA, tls.CipherSuite.DHE),
             patched=payload.patched_client,
         )
-        conn = self.piwik_server.connect(event.time)
-        try:
-            tls.handshake(client_cfg, conn, self._voter_rng(state))
-        finally:
-            conn.close()
+        tls.handshake(client_cfg, self.piwik_server.connect(event.time),
+                      self._voter_rng(state))
 
     def _on_browser(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         intent = event.payload

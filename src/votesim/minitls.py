@@ -23,6 +23,7 @@ Cryptanalysis runs for real at desk scale: Pollard rho factoring of the
 of the precompute, mirroring the real attack's cost structure).
 """
 
+import gc
 import hashlib
 import hmac as hmac_mod
 import math
@@ -54,10 +55,6 @@ class BadSignature(TlsError):
 
 
 class FinishedMismatch(TlsError):
-    pass
-
-
-class ConnectionClosed(TlsError):
     pass
 
 
@@ -101,6 +98,8 @@ CERT_BITS = 192  # certificate key: beyond the desk-scale factoring budget
 EXPORT_BITS = 64  # export RSA keys and DHE groups: squarely inside it
 # baby-step table size over sqrt(q); sets the precompute/descent cost ratio
 DLOG_TABLE_FACTOR = 16
+# B: one baby step in B keeps its index; a descent walks back at most B - 1
+DLOG_MARK_EVERY = 64
 
 
 # --- RSA primitive (textbook, simulation-grade) ---
@@ -348,14 +347,6 @@ class ServerConnection:
         self.config = config
         self.pinned_temp_key = pinned_temp_key
         self.renegotiation_count = 0
-        self.closed = False
-
-    def close(self) -> None:
-        self.closed = True
-
-    def ensure_open(self) -> None:
-        if self.closed:
-            raise ConnectionClosed("connection is closed")
 
 
 # --- handshake state machines ---
@@ -439,10 +430,9 @@ class ClientHandshake:
 
 
 class ServerHandshake:
-    """Server side of one (re)negotiation on an open connection."""
+    """Server side of one (re)negotiation on a connection."""
 
     def __init__(self, conn: ServerConnection, rng: Random):
-        conn.ensure_open()
         self.conn = conn
         self.config = conn.config
         self.rng = rng
@@ -535,7 +525,6 @@ def handshake(
     Raises the handshake errors; on success both sides hold equal keys.
     Returns the (client, server) state machines.
     """
-    conn.ensure_open()
     client = ClientHandshake(client_config, rng)
     server = ServerHandshake(conn, rng)
     try:
@@ -561,7 +550,6 @@ def signature_oracle(conn: ServerConnection, victim_nonce: bytes,
     server nonce, pinned temp key) by renegotiating with the victim's
     nonce as our own. Returns (server_nonce, signed ServerKeyExchange).
     """
-    conn.ensure_open()
     server = ServerHandshake(conn, rng)
     hello = ClientHello(nonce=victim_nonce, suites=(CipherSuite.RSA_EXPORT,))
     server.on_client_hello(hello)
@@ -595,25 +583,43 @@ class PrecompTable:
     """Reusable baby-step table for one fixed group. Deliberately oversized
     (DLOG_TABLE_FACTOR times sqrt(q)) so each individual descent is a small
     fraction of the precompute cost.
+
+    `table` holds the baby steps g^j, j < table_size, as keys only (a
+    boxed j beside each would take half as much memory again), and
+    `marks` maps every DLOG_MARK_EVERY-th of them, g^(kB), back to kB. A
+    giant step that lands in the table walks down by `g_inv` to the mark
+    below it, at most B - 1 multiplications, and recovers j = kB + r.
     """
 
     params: ElGamalParams
-    table: dict[int, int]
+    table: set[int]
+    marks: dict[int, int]
     table_size: int
     stride_inv: int  # g^(-table_size) mod p
+    g_inv: int  # g^(-1) mod p
 
 
 def dlog_precompute(params: ElGamalParams) -> PrecompTable:
     p, g, q = params.p, params.g, params.q
     size = DLOG_TABLE_FACTOR * math.isqrt(q)
-    table: dict[int, int] = {}
+    table: set[int] = set()
+    # unlike a dict of ints, a set is always a GC container: tenure it while
+    # empty, so that young collections never walk its keys
+    gc.collect(1)
+    add = table.add
     acc = 1
-    for j in range(size):
-        table[acc] = j
+    for _ in range(size):
+        add(acc)
         acc = acc * g % p
     # acc == g^size here
-    return PrecompTable(params=params, table=table, table_size=size,
-                        stride_inv=pow(acc, -1, p))
+    marks: dict[int, int] = {}
+    stride = pow(g, DLOG_MARK_EVERY, p)
+    mark = 1
+    for k in range(0, size, DLOG_MARK_EVERY):
+        marks[mark] = k
+        mark = mark * stride % p
+    return PrecompTable(params=params, table=table, marks=marks, table_size=size,
+                        stride_inv=pow(acc, -1, p), g_inv=pow(g, -1, p))
 
 
 def dlog_individual(y: int, table: PrecompTable) -> int:
@@ -623,13 +629,18 @@ def dlog_individual(y: int, table: PrecompTable) -> int:
     p, q = table.params.p, table.params.q
     if not 0 < y < p or pow(y, q, p) != 1:
         raise NoSolution("target is outside the precomputed subgroup")
+    baby_steps, size, stride_inv = table.table, table.table_size, table.stride_inv
     cur = y
-    max_steps = q // table.table_size + 2
-    for i in range(max_steps):
-        j = table.table.get(cur)
-        if j is not None:
-            return (i * table.table_size + j) % q
-        cur = cur * table.stride_inv % p
+    for i in range(q // size + 2):
+        if cur in baby_steps:
+            # cur == g^j: step down r times to the mark g^(j - r)
+            marks, g_inv = table.marks, table.g_inv
+            r = 0
+            while cur not in marks:
+                cur = cur * g_inv % p
+                r += 1
+            return (i * size + marks[cur] + r) % q
+        cur = cur * stride_inv % p
     raise DlogBudgetExceeded("giant-step walk exhausted")  # unreachable for subgroup members
 
 
@@ -840,7 +851,6 @@ def run_downgrade_matrix(rng: Random) -> list[MatrixCell]:
                         result.attacker_session_key == result.client_session_key
                 except TlsError:
                     freak_ok = False
-                oracle.close()
 
                 # export-DHE attack against a fresh connection
                 logjam_ok = False
@@ -852,7 +862,6 @@ def run_downgrade_matrix(rng: Random) -> list[MatrixCell]:
                         result.server_session_key
                 except TlsError:
                     logjam_ok = False
-                conn.close()
 
                 cells.append(MatrixCell(
                     client_patched=patched,

@@ -1,8 +1,12 @@
 """Number-theory plumbing shared by the envelope and handshake layers.
 
-`is_prime` is exact below 3317044064679887385961981: there it runs
-Miller-Rabin on the first 13 prime bases, which no composite below that
-bound passes (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+`is_prime` is exact below 3317044064679887385961981. Below 2^64 it runs
+Miller-Rabin on Sinclair's seven bases 2, 325, 9375, 28178, 450775,
+9780504 and 1795265022, each reduced mod n and skipped where that leaves
+0; no composite below 2^64 passes all seven (Sinclair, 2011, checked
+against Feitsma's list of base-2 strong pseudoprimes below 2^64). Up to
+the bound it runs the first 13 prime bases, which no composite below it
+passes (Sorenson and Webster, "Strong pseudoprimes to twelve prime
 bases", Math. Comp. 86, 2017). Above it runs the strong Baillie-PSW test,
 a strong base-2 Miller-Rabin round plus a strong Lucas test with
 Selfridge's parameters (Baillie and Wagstaff, "Lucas pseudoprimes",
@@ -16,6 +20,7 @@ import math
 from random import Random
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _MR_BASES = _SMALL_PRIMES[:13]
 _MR_EXACT_BELOW = 3317044064679887385961981
 
@@ -29,6 +34,8 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 53 * 53:
         return True
+    if n < 1 << 64:
+        return all(_strong_probable_prime(n, a % n) for a in _MR_BASES_64 if a % n)
     if n < _MR_EXACT_BELOW:
         return all(_strong_probable_prime(n, a) for a in _MR_BASES)
     if math.isqrt(n) ** 2 == n:

@@ -844,11 +844,10 @@ def attack_trees(draw):
         attacks["clash"]["prediction"] = draw(st.sampled_from(("card", "perfect")))
     if "server_rewrite" in on:
         attacks["server_rewrite"]["count"] = draw(st.integers(0, 40))
-    p_verify = draw(rate)
     return base_tree(
         seed=draw(st.integers(0, 2 ** 16)), voters=draw(st.integers(40, 120)),
-        behavior={"card_rate": draw(rate), "p_verify_ivr": p_verify,
-                  "p_check_receipt_only": draw(rate.filter(lambda p: p + p_verify <= 1)),
+        behavior={"card_rate": draw(rate), "p_verify_ivr": draw(rate),
+                  "p_check_receipt_only": draw(rate),
                   "p_false_complaint": draw(st.sampled_from((0.0, 0.1))),
                   "p_leave_without_receipt": draw(rate),
                   "p_pin_suspicion": draw(st.sampled_from((0.0, 0.3))),

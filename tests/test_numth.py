@@ -28,6 +28,8 @@ HARD = (
     5459, 5777, 10877, 16109, 18971,
     # Carmichael numbers
     561, 1105, 1729,
+    # divisors of a base below 2^64, where that base reduces to 0
+    14089, 407521, 299210837,
     # strong pseudoprimes to the first 12 and the first 13 prime bases
     318665857834031151167461,
     MR_EXACT_BELOW - 2, MR_EXACT_BELOW - 1, MR_EXACT_BELOW,
@@ -56,6 +58,37 @@ def test_agrees_on_random_odd_numbers(bits):
 @pytest.mark.parametrize("n", HARD + MERSENNE)
 def test_agrees_on_hard_inputs(n):
     assert numth.is_prime(n) == sympy.isprime(n)
+
+
+def test_nine_prime_base_pseudoprime_rejected_below_two_to_the_64():
+    n = 3825123056546413051
+    assert n < 2 ** 64 and not sympy.isprime(n)
+    assert all(numth._strong_probable_prime(n, a) for a in numth._SMALL_PRIMES[:9])
+    assert not numth.is_prime(n)
+
+
+def test_largest_64_bit_prime():
+    n = 2 ** 64 - 59
+    assert numth.is_prime(n) and sympy.isprime(n)
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_agrees_either_side_of_two_to_the_64(side):
+    rng = Random(64 + side)
+    draws = [2 ** 64 + side * (rng.getrandbits(40) | 1) for _ in range(3000)]
+    assert [n for n in draws if numth.is_prime(n) != sympy.isprime(n)] == []
+
+
+def test_seven_rounds_below_two_to_the_64(monkeypatch):
+    rounds = []
+    strong = numth._strong_probable_prime
+    monkeypatch.setattr(numth, "_strong_probable_prime",
+                        lambda n, a: rounds.append(a) or strong(n, a))
+    assert numth.is_prime(2 ** 64 - 59)
+    assert len(rounds) == 7
+    rounds.clear()
+    assert numth.is_prime(2 ** 64 + 13)
+    assert rounds == list(numth._MR_BASES)
 
 
 def test_hard_inputs_reach_both_tests():

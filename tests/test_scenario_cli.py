@@ -185,7 +185,6 @@ def draw_no_adversary_tree(data, candidates_ok=True, suites_ok=True):
     only export ones). Both are impossible elections.
     """
     prob = st.floats(0, 1)
-    p_verify = data.draw(prob)
     groups = data.draw(st.integers(1 if candidates_ok else 2, 6))
     candidates = data.draw(st.integers(groups, 3 * groups) if candidates_ok
                            else st.integers(1, groups - 1))
@@ -205,8 +204,8 @@ def draw_no_adversary_tree(data, candidates_ok=True, suites_ok=True):
         "manifest": {"groups": groups, "candidates": candidates,
                      "assembly": data.draw(st.integers(1, 6)),
                      "min_below_line_prefs": data.draw(st.integers(1, 3))},
-        "behavior": {"card_rate": data.draw(prob), "p_verify_ivr": p_verify,
-                     "p_check_receipt_only": data.draw(st.floats(0, 1 - p_verify)),
+        "behavior": {"card_rate": data.draw(prob), "p_verify_ivr": data.draw(prob),
+                     "p_check_receipt_only": data.draw(prob),
                      "p_false_complaint": data.draw(prob),
                      "phone_fraction": phone,
                      "polling_fraction": data.draw(st.floats(0, 1 - phone)),
@@ -579,6 +578,19 @@ class TestCli:
         path.write_text(yaml.safe_dump(tree))
         rc = main(["run", str(path), "--out", str(tmp_path)])
         return rc, capsys.readouterr().err
+
+    def test_voter_may_verify_and_check_receipt(self, tmp_path, capsys):
+        # the engine draws the two checks independently: both at 1 is an
+        # election where every voter does both
+        tree = minimal_tree(behavior={"p_verify_ivr": 1.0, "p_check_receipt_only": 1.0})
+        rc, err = self.run_tree(tree, tmp_path, capsys)
+        assert rc == 0, err
+        engine = run_engine(parse_config(tree))
+        assert all(s.verify_outcome == "read_back" for s in engine.voters.values())
+        delivered = [line.split()[2].split("->")[1] for line in engine.sim.trace
+                     if " deliver " in line]
+        assert delivered.count("verification-ivr") == tree["voters"]
+        assert delivered.count("receipt-service") == tree["voters"]
 
     @pytest.mark.parametrize("key_path", [
         "tls.enabled", "attacks.freak.enabled", "attacks.logjam.enabled",
