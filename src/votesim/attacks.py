@@ -271,4 +271,4 @@ def make_browser_tap(
             ))
         return decision
 
-    return MitmTap(name=name, matcher=lambda s, d: d == "browser", handler=handler)
+    return MitmTap(name=name, dst="browser", handler=handler)

@@ -12,7 +12,7 @@ Endpoint map:
     voter[i]  -> receipt-service                             (inclusion)
     attacker-c2, attacker-ivr, attacker-registration         (adversary)
 
-The "browser" hop is the in-device casting step: taps matching it play
+The "browser" hop is the in-device casting step: taps on it play
 the role of injected client-side code and see the ballot before it is
 sealed. The clash attack strips the registration gateway to plain HTTP
 and misdirects registrations to attacker-registration.
@@ -169,15 +169,14 @@ class ScenarioEngine:
         open_at = freak.window_start - FACTORING_SIM_SECONDS
         usable_before = min(freak.window_end, self.last_fetch + 1)
         while open_at + FACTORING_SIM_SECONDS < usable_before:
+            # parse_config puts RSA_EXPORT among the suites whenever FREAK is on
             conn = self.piwik_server.connect(open_at)
-            factored = None
-            if tls.CipherSuite.RSA_EXPORT in conn.config.enabled_suites:
-                n = conn.pinned_temp_key.n
-                try:
-                    p, q = tls.factor_export_modulus(n, self.rng_attacker)
-                    factored = tls.RsaKey.from_primes(p, q, conn.pinned_temp_key.e)
-                except tls.NotFactorable:
-                    factored = None
+            key = conn.pinned_temp_key
+            try:
+                p, q = tls.factor_export_modulus(key.n, self.rng_attacker)
+                factored = tls.RsaKey.from_primes(p, q, key.e)
+            except tls.NotFactorable:
+                factored = None
             self.freak_oracles.append(FreakOracle(
                 usable_from=open_at + FACTORING_SIM_SECONDS,
                 usable_until=open_at + lifetime,
@@ -299,7 +298,7 @@ class ScenarioEngine:
         if self.piwik_server is not None and (a.freak.enabled or a.logjam.enabled):
             self.sim.install_tap(netsim.MitmTap(
                 name="downgrade-mitm",
-                matcher=lambda s, d: d == "piwik",
+                dst="piwik",
                 handler=self._piwik_mitm,
             ))
         if a.last_minute.enabled:
@@ -324,7 +323,7 @@ class ScenarioEngine:
         if a.fake_ivr.enabled:
             self.sim.install_tap(netsim.MitmTap(
                 name="fake-ivr",
-                matcher=lambda s, d: d == "verification-ivr",
+                dst="verification-ivr",
                 handler=self._fake_ivr_tap,
             ))
 

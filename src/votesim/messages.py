@@ -43,9 +43,9 @@ class RegistrationReply:
 
 @dataclass(slots=True)
 class CastIntent:
-    """Client-side casting step, before the envelope is sealed. Taps that
-    match it model injected in-browser code: they see and may replace the
-    ballot while it is still plaintext.
+    """Client-side casting step, before the envelope is sealed. Taps on
+    the browser endpoint model injected in-browser code: they see and may
+    replace the ballot while it is still plaintext.
     """
 
     voter_id: str

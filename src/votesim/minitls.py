@@ -27,7 +27,7 @@ import gc
 import hashlib
 import hmac as hmac_mod
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import Callable, Optional
@@ -346,7 +346,6 @@ class ServerConnection:
     def __init__(self, config: ServerTlsConfig, pinned_temp_key: RsaKey):
         self.config = config
         self.pinned_temp_key = pinned_temp_key
-        self.renegotiation_count = 0
 
 
 # --- handshake state machines ---
@@ -527,20 +526,17 @@ def handshake(
     """
     client = ClientHandshake(client_config, rng)
     server = ServerHandshake(conn, rng)
-    try:
-        ch = channel("c->s", client.hello())
-        sh = channel("s->c", server.on_client_hello(ch))
-        client.on_server_hello(sh, conn.config.cert_key)
-        ske = server.server_key_exchange()
-        if ske is not None:
-            client.on_server_key_exchange(channel("s->c", ske))
-        cke = channel("c->s", client.client_key_exchange())
-        server.on_client_key_exchange(cke)
-        cfin = channel("c->s", client.finished())
-        sfin = channel("s->c", server.on_client_finished(cfin))
-        client.on_server_finished(sfin)
-    finally:
-        conn.renegotiation_count += 1
+    ch = channel("c->s", client.hello())
+    sh = channel("s->c", server.on_client_hello(ch))
+    client.on_server_hello(sh, conn.config.cert_key)
+    ske = server.server_key_exchange()
+    if ske is not None:
+        client.on_server_key_exchange(channel("s->c", ske))
+    cke = channel("c->s", client.client_key_exchange())
+    server.on_client_key_exchange(cke)
+    cfin = channel("c->s", client.finished())
+    sfin = channel("s->c", server.on_client_finished(cfin))
+    client.on_server_finished(sfin)
     return client, server
 
 
@@ -554,7 +550,6 @@ def signature_oracle(conn: ServerConnection, victim_nonce: bytes,
     hello = ClientHello(nonce=victim_nonce, suites=(CipherSuite.RSA_EXPORT,))
     server.on_client_hello(hello)
     ske = server.server_key_exchange()
-    conn.renegotiation_count += 1
     return server.nonce, ske
 
 
@@ -800,74 +795,3 @@ def decrypt_record(session_key: bytes, seq: int, blob: bytes) -> bytes:
     if not hmac_mod.compare_digest(expect, mac):
         raise RecordTampered("record MAC mismatch")
     return keystream_xor(_record_key(session_key, seq), body)
-
-
-# --- downgrade outcome matrix ---
-
-@dataclass(frozen=True)
-class MatrixCell:
-    client_patched: bool
-    export_rsa_enabled: bool
-    export_dhe_enabled: bool
-    freak_succeeded: bool
-    logjam_succeeded: bool
-
-
-def run_downgrade_matrix(rng: Random) -> list[MatrixCell]:
-    """Exhaustive sweep of patched x export-RSA x export-DHE. The export-RSA
-    flaw needs an unpatched client AND the export suite enabled; the
-    export-DHE flaw needs only the export suite, any client.
-    """
-    cells = []
-    export_dhe_params = gen_export_dhe_params(EXPORT_BITS, rng)
-    table = dlog_precompute(export_dhe_params)
-    for patched in (False, True):
-        for export_rsa in (False, True):
-            for export_dhe in (False, True):
-                suites = {CipherSuite.RSA, CipherSuite.DHE}
-                if export_rsa:
-                    suites.add(CipherSuite.RSA_EXPORT)
-                if export_dhe:
-                    suites.add(CipherSuite.DHE_EXPORT)
-                cfg = make_server_config("matrix", frozenset(suites), rng)
-                if export_dhe:
-                    cfg = replace(cfg, export_dhe_params=export_dhe_params)
-                server = TlsServer(cfg)
-
-                # export-RSA attack: oracle connection, factor pinned key
-                freak_ok = False
-                oracle = server.connect(0)
-                client_cfg = ClientTlsConfig(offered_suites=(CipherSuite.RSA, CipherSuite.DHE),
-                                             patched=patched)
-                try:
-                    if export_rsa:
-                        _, probe = signature_oracle(oracle, b"\x00" * NONCE_LEN, rng)
-                        fp, fq = factor_export_modulus(probe.params[0], rng)
-                        factored = RsaKey.from_primes(fp, fq, probe.params[1])
-                    else:
-                        factored = None
-                    result = mitm_freak(client_cfg, oracle, factored, rng)
-                    freak_ok = result.success and \
-                        result.attacker_session_key == result.client_session_key
-                except TlsError:
-                    freak_ok = False
-
-                # export-DHE attack against a fresh connection
-                logjam_ok = False
-                conn = server.connect(0)
-                try:
-                    result = mitm_logjam(client_cfg, conn, table, rng)
-                    logjam_ok = result.success and \
-                        result.attacker_session_key == result.client_session_key == \
-                        result.server_session_key
-                except TlsError:
-                    logjam_ok = False
-
-                cells.append(MatrixCell(
-                    client_patched=patched,
-                    export_rsa_enabled=export_rsa,
-                    export_dhe_enabled=export_dhe,
-                    freak_succeeded=freak_ok,
-                    logjam_succeeded=logjam_ok,
-                ))
-    return cells

@@ -5,10 +5,12 @@ endpoint name that starts with the part before the star. Events are
 delivered in nondecreasing time order with insertion order breaking
 ties, so a full trace is a pure function of (scenario, seed).
 
-Taps are the adversary surface: a tap matches a (src, dst) pair and maps
-each event to a decision — forward it, modify it (optionally re-routing
-it to a different endpoint), drop it, or replace it with injected events.
-Taps compose in installation order; later taps see earlier modifications.
+Taps are the adversary surface: a tap watches the events sent to one
+endpoint (its `dst`) and maps each to a decision, forward it or modify
+it, optionally re-routing it to another endpoint. The taps on an endpoint
+compose in installation order; later taps see earlier modifications. A
+re-routed event goes straight to its new endpoint: neither the rest of
+the old endpoint's taps nor the new endpoint's taps see it.
 
 Channel security is not a netsim concept. Encrypted records are payloads
 like any other, so a tap that flips their bits without the session key
@@ -63,14 +65,11 @@ class Decision:
     """Tap verdict on one event."""
 
     FORWARD = "forward"
-    DROP = "drop"
 
-    def __init__(self, kind: str, payload: Any = None, dst: Optional[str] = None,
-                 events: Optional[list[Event]] = None):
+    def __init__(self, kind: str, payload: Any = None, dst: Optional[str] = None):
         self.kind = kind
         self.payload = payload
         self.dst = dst
-        self.events = events or []
 
     @classmethod
     def forward(cls) -> "Decision":
@@ -81,22 +80,11 @@ class Decision:
         """Substitute the payload; optionally re-route to another endpoint."""
         return cls("modify", payload=payload, dst=dst)
 
-    @classmethod
-    def drop(cls) -> "Decision":
-        return cls("drop")
-
-    @classmethod
-    def inject(cls, events: list[Event]) -> "Decision":
-        """Replace this event with the given ones (include a copy of the
-        original to keep it).
-        """
-        return cls("inject", events=events)
-
 
 @dataclass
 class MitmTap:
     name: str
-    matcher: Callable[[str, str], bool]
+    dst: str  # the one endpoint whose incoming events the tap sees
     handler: Callable[[Event, "Simulator"], Decision]
 
 
@@ -118,14 +106,14 @@ class Simulator:
         self.now = start_time
         self._queue: list[tuple[int, int, Event]] = []  # heap on (time, seq)
         self._seq = 0
-        self._taps: list[MitmTap] = []
+        self._taps: dict[str, list[MitmTap]] = {}  # dst -> its taps, in order
         self.endpoints: dict[str, Endpoint] = {}
         self._families: list[tuple[str, Endpoint]] = []  # (name prefix, owner)
         self._open_lines: list[str] = []  # trace lines of the chunk not yet sealed
         self._chunks: list[bytes] = []  # each sealed chunk's file text, compressed
         self._trace_hash = hashlib.sha256()
         self.finalized = False
-        self.counters = {"scheduled": 0, "delivered": 0, "dropped": 0, "replaced": 0}
+        self.counters = {"scheduled": 0, "delivered": 0}
 
     # --- topology ---
 
@@ -150,7 +138,7 @@ class Simulator:
     # --- taps ---
 
     def install_tap(self, tap: MitmTap) -> None:
-        self._taps.append(tap)
+        self._taps.setdefault(tap.dst, []).append(tap)
 
     # --- scheduling and delivery ---
 
@@ -163,43 +151,29 @@ class Simulator:
         heapq.heappush(self._queue, (event.time, event.seq, event))
         return event
 
-    def _apply_taps(self, event: Event) -> tuple[Optional[Event], list[str]]:
-        """Run the matching taps in order; returns the event to deliver
-        (None when a tap dropped or replaced it) and the taps' trace notes.
+    def _apply_taps(self, event: Event, taps: list[MitmTap]) -> tuple[Event, list[str]]:
+        """Run an endpoint's taps in order; returns the event to deliver and
+        the names of the taps that modified it, as trace notes.
         """
         notes = []
-        for tap in self._taps:
-            if not tap.matcher(event.src, event.dst):
-                continue
+        for tap in taps:
             decision = tap.handler(event, self)
             if decision is None or decision.kind == Decision.FORWARD:
                 continue
-            if decision.kind == "modify":
-                event = Event(time=event.time, src=event.src,
-                              dst=decision.dst or event.dst,
-                              payload=decision.payload, seq=event.seq)
-                notes.append(f"modified:{tap.name}")
-                continue
-            if decision.kind == Decision.DROP:
-                self.counters["dropped"] += 1
-                self._trace(event, "drop", notes + [f"dropped:{tap.name}"])
-                return None, notes
-            if decision.kind == "inject":
-                self.counters["replaced"] += 1
-                self._trace(event, "replace", notes + [f"replaced:{tap.name}"])
-                for injected in decision.events:
-                    self.schedule(injected.time, injected.src, injected.dst,
-                                  injected.payload)
-                return None, notes
-            raise NetsimError(f"unknown decision {decision.kind}")
+            event = Event(time=event.time, src=event.src,
+                          dst=decision.dst or event.dst,
+                          payload=decision.payload, seq=event.seq)
+            notes.append(f"modified:{tap.name}")
+            if event.dst != tap.dst:
+                break
         return event, notes
 
-    def _trace(self, event: Event, status: str, notes: list[str]) -> None:
+    def _trace(self, event: Event, notes: list[str]) -> None:
         note = ";".join(notes) if notes else "-"
         lines = self._open_lines
         lines.append(
             f"t={event.time:08d} seq={event.seq:06d} {event.src}->{event.dst} "
-            f"{status} {describe_payload(event.payload)} {note}"
+            f"deliver {describe_payload(event.payload)} {note}"
         )
         if len(lines) >= TRACE_CHUNK_LINES:
             self._seal_chunk()
@@ -240,25 +214,24 @@ class Simulator:
         while self._queue:
             event = heapq.heappop(self._queue)[2]
             self.now = max(self.now, event.time)
-            final, notes = self._apply_taps(event)
-            if final is None:
-                continue
+            taps = self._taps.get(event.dst)
+            notes = []
+            if taps:
+                event, notes = self._apply_taps(event, taps)
             self.counters["delivered"] += 1
-            self._trace(final, "deliver", notes)
-            handler = self.endpoint(final.dst).handler
+            self._trace(event, notes)
+            handler = self.endpoint(event.dst).handler
             if handler is not None:
-                handler(final, self)
+                handler(event, self)
 
     def finalize(self) -> dict[str, int]:
         """Stop accepting events and reconcile conservation: every scheduled
-        event was delivered, dropped, replaced, or is still pending.
+        event was delivered or is still pending.
         """
         self.finalized = True
-        pending = len(self._queue)
         counts = dict(self.counters)
-        counts["pending"] = pending
-        if counts["delivered"] + counts["dropped"] + counts["replaced"] + pending \
-                != counts["scheduled"]:
+        counts["pending"] = len(self._queue)
+        if counts["delivered"] + counts["pending"] != counts["scheduled"]:
             raise NetsimError(f"event conservation violated: {counts}")
         return counts
 
@@ -269,10 +242,7 @@ def make_sslstrip_tap(attacker_endpoint: str) -> MitmTap:
     """Sit on every voter's path to a plain-HTTP registration gateway and
     redirect each registration attempt to the attacker's look-alike site.
     """
-    def matcher(src: str, dst: str) -> bool:
-        return src.startswith("voter") and dst == "registration-gateway"
-
     def handler(event: Event, sim: Simulator) -> Decision:
         return Decision.modify(event.payload, dst=attacker_endpoint)
 
-    return MitmTap(name="sslstrip", matcher=matcher, handler=handler)
+    return MitmTap(name="sslstrip", dst="registration-gateway", handler=handler)

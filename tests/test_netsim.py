@@ -29,7 +29,6 @@ from votesim.netsim import (
     TRACE_CHUNK_LINES,
     Decision,
     Endpoint,
-    Event,
     MitmTap,
     NetsimError,
     SchedulingAfterFinalize,
@@ -113,19 +112,6 @@ class TestOrdering:
 
 
 class TestTaps:
-    def test_drop_all_traffic(self):
-        sim, received = make_sim()
-        sim.install_tap(MitmTap("blackhole",
-                                matcher=lambda s, d: d == "cvs",
-                                handler=lambda e, s: Decision.drop()))
-        for i in range(5):
-            sim.schedule(i, "voter1", "cvs", Ping(str(i)))
-        sim.run_all()
-        assert received == []
-        counts = sim.finalize()
-        assert counts["dropped"] == 5
-        assert counts["delivered"] == 0
-
     def test_modify_taps_compose_in_install_order(self):
         sim, received = make_sim()
 
@@ -134,39 +120,61 @@ class TestTaps:
                 return Decision.modify(Ping(event.payload.tag + tag))
             return handler
 
-        sim.install_tap(MitmTap("one", lambda s, d: d == "cvs", suffix("-one")))
-        sim.install_tap(MitmTap("two", lambda s, d: d == "cvs", suffix("-two")))
+        sim.install_tap(MitmTap("one", "cvs", suffix("-one")))
+        sim.install_tap(MitmTap("two", "cvs", suffix("-two")))
         sim.schedule(0, "voter1", "cvs", Ping("msg"))
         sim.run_all()
         assert received[0].payload.tag == "msg-one-two"
 
-    def test_matcher_scoping(self):
+    def test_tap_scoped_to_its_endpoint(self):
         sim, received = make_sim()
-        sim.install_tap(MitmTap("scoped",
-                                matcher=lambda s, d: d == "piwik",
-                                handler=lambda e, s: Decision.drop()))
+        sim.install_tap(MitmTap("scoped", dst="piwik",
+                                handler=lambda e, s: Decision.modify(Ping("seen"))))
         sim.schedule(0, "voter1", "cvs", Ping("through"))
-        sim.schedule(1, "voter1", "piwik", Ping("eaten"))
+        sim.schedule(1, "voter1", "piwik", Ping("tapped"))
         sim.run_all()
-        assert [e.payload.tag for e in received] == ["through"]
+        assert [e.payload.tag for e in received] == ["through", "seen"]
+        assert sim.trace[0].endswith(" -")
+        assert sim.trace[1].endswith(" modified:scoped")
 
-    def test_inject_replaces_original(self):
+    def test_tap_never_called_for_other_endpoints(self):
         sim, received = make_sim()
+        calls = []
 
-        def splitter(event, s):
-            return Decision.inject([
-                Event(time=event.time, src=event.src, dst="cvs", payload=Ping("a")),
-                Event(time=event.time, src=event.src, dst="cvs", payload=Ping("b")),
-            ])
+        def count(event, s):
+            calls.append(event.seq)
+            return Decision.forward()
 
-        sim.install_tap(MitmTap("split", lambda s, d: d == "piwik", splitter))
+        sim.install_tap(MitmTap("piwik-only", dst="piwik", handler=count))
+        for i in range(10):
+            sim.schedule(i, f"voter{i}", "piwik" if i % 5 == 0 else "cvs", Ping(str(i)))
+        sim.schedule(10, "piwik", "voter1", Ping("reply"))
+        sim.run_all()
+        assert calls == [0, 5]
+        assert len(received) == 10
+
+    def test_reroute_skips_the_new_endpoints_taps(self):
+        sim, received = make_sim()
+        calls = []
+
+        def on_cvs(event, s):
+            calls.append(event.payload.tag)
+            return Decision.modify(Ping("cvs-tap"))
+
+        def reroute(event, s):
+            return Decision.modify(Ping("moved"), dst="cvs")
+
+        sim.install_tap(MitmTap("reroute", dst="piwik", handler=reroute))
+        sim.install_tap(MitmTap("after-reroute", dst="piwik",
+                                handler=lambda e, s: Decision.modify(Ping("late"))))
+        sim.install_tap(MitmTap("on-cvs", dst="cvs", handler=on_cvs))
         sim.schedule(0, "voter1", "piwik", Ping("orig"))
         sim.run_all()
-        assert sorted(e.payload.tag for e in received) == ["a", "b"]
-        counts = sim.finalize()
-        assert counts["scheduled"] == 3  # original + two injected
-        assert counts["replaced"] == 1
-        assert counts["delivered"] == 2
+        assert [(e.dst, e.payload.tag) for e in received] == [("cvs", "moved")]
+        assert calls == []
+        assert sim.trace == [
+            "t=00000000 seq=000000 voter1->cvs deliver Ping(tag=moved) modified:reroute",
+        ]
 
     def test_conservation_with_pending(self):
         sim, _ = make_sim()
@@ -174,15 +182,14 @@ class TestTaps:
         sim.run_all()
         sim.schedule(100, "voter1", "cvs", Ping("later"))
         counts = sim.finalize()
-        assert counts == {"scheduled": 2, "delivered": 1, "dropped": 0,
-                          "replaced": 0, "pending": 1}
+        assert counts == {"scheduled": 2, "delivered": 1, "pending": 1}
 
 
 class TestDeterminism:
     def build_and_run(self):
         sim, received = make_sim()
         sim.install_tap(MitmTap("noise",
-                                matcher=lambda s, d: d == "piwik",
+                                dst="piwik",
                                 handler=lambda e, s: Decision.modify(
                                     Ping(e.payload.tag + "!"))))
         for i in range(50):
@@ -326,12 +333,12 @@ class TestSslStrip:
         assert len(atk_seen) == 1
         assert atk_seen[0].dst == "attacker-registration"
 
-    def test_only_voter_registrations_are_redirected(self):
+    def test_only_gateway_traffic_is_redirected(self):
         sim, reg_seen, atk_seen = self.make()
-        sim.schedule(0, "fraud:voter1", "registration-gateway", Ping("r"))
-        sim.schedule(1, "voter1", "attacker-registration", Ping("direct"))
+        sim.schedule(0, "voter1", "attacker-registration", Ping("direct"))
+        sim.schedule(1, "registration-gateway", "voter1", Ping("reply"))
         sim.run_all()
-        assert [e.payload.tag for e in reg_seen] == ["r"]
+        assert reg_seen == []
         assert [e.payload.tag for e in atk_seen] == ["direct"]
         assert not any("modified:sslstrip" in line for line in sim.trace)
 
@@ -354,7 +361,7 @@ class TestEncryptedRecords:
         sim.add_endpoint(Endpoint("cvs", handler=receiver))
         sim.add_endpoint(Endpoint("voter*"))
         sim.install_tap(MitmTap(
-            "bitflip", lambda s, d: d == "cvs",
+            "bitflip", "cvs",
             lambda e, s: Decision.modify(bytes([e.payload[0] ^ 1]) + e.payload[1:])))
         for i in range(10):
             sim.schedule(i, "voter1", "cvs", encrypt_record(key, 0, b"ballot"))
