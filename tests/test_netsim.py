@@ -126,6 +126,21 @@ class TestTaps:
         sim.run_all()
         assert received[0].payload.tag == "msg-one-two"
 
+    def test_trace_notes_name_only_the_modifying_taps(self):
+        # forward() and a None verdict both pass the event on unnamed
+        sim, received = make_sim()
+        sim.install_tap(MitmTap("pass", "cvs", lambda e, s: Decision.forward()))
+        sim.install_tap(MitmTap("one", "cvs", lambda e, s: Decision.modify(Ping("1"))))
+        sim.install_tap(MitmTap("silent", "cvs", lambda e, s: None))
+        sim.install_tap(MitmTap("two", "cvs", lambda e, s: Decision.modify(Ping("2"))))
+        sim.schedule(0, "voter1", "cvs", Ping("msg"))
+        sim.run_all()
+        assert [e.payload.tag for e in received] == ["2"]
+        assert sim.trace == [
+            "t=00000000 seq=000000 voter1->cvs deliver Ping(tag=2) "
+            "modified:one;modified:two",
+        ]
+
     def test_tap_scoped_to_its_endpoint(self):
         sim, received = make_sim()
         sim.install_tap(MitmTap("scoped", dst="piwik",

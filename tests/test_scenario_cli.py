@@ -682,3 +682,13 @@ class TestReportContents:
         c = report["event_conservation"]
         assert c["delivered"] + c["dropped"] + c["replaced"] + c["pending"] \
             == c["scheduled"]
+
+    def test_conservation_keeps_zero_dropped_and_replaced(self):
+        # taps only forward or modify; the two keys stay, at zero, because
+        # the pinned report bytes include them
+        engine = run_engine(load_config(bundled_scenarios()["clash"]))
+        c = build_report(engine)["event_conservation"]
+        assert list(c) == ["scheduled", "delivered", "pending", "dropped", "replaced"]
+        assert c["dropped"] == c["replaced"] == 0
+        assert c["delivered"] + c["pending"] == c["scheduled"] > 0
+        assert any(line.endswith(" modified:sslstrip") for line in engine.sim.trace)
