@@ -97,6 +97,11 @@ class ElectionManifest:
     def candidate_index(self) -> dict[str, int]:
         return {c: i for i, c in enumerate(self.candidates)}
 
+    @cached_property
+    def card_by_encoding(self) -> dict[bytes, Ballot]:
+        """Each card's encoding to the card itself."""
+        return {encode_ballot(card, self): card for card in self.cards.values()}
+
     def group_of(self, candidate_id: str) -> Optional[str]:
         return self.candidates[candidate_id]
 
@@ -204,7 +209,12 @@ def _out_of_range(indexes: list[int], pool: tuple[str, ...], race: str) -> Inval
 def decode_ballot(data: bytes, manifest: ElectionManifest) -> Ballot:
     """Inverse of encode_ballot. MalformedEncoding for structural damage,
     InvalidBallot for well-formed bytes that reference impossible ballots.
+    A card's encoding decodes to the manifest's card object (Ballot is
+    frozen, so the one object serves every voter who cast it).
     """
+    card = manifest.card_by_encoding.get(data)
+    if card is not None:
+        return card
     size = len(data)
     if size < 1:
         raise MalformedEncoding("empty input")

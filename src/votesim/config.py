@@ -340,9 +340,13 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
             _fail(f"attacks.{key}.window_start",
                   f"{window} misses every background fetch (fetches run in "
                   f"[{first_fetch}, {last_fetch}])")
-    if cfg.attacks.freak.enabled and tls.oracle_connection_lifetime <= FACTORING_SIM_SECONDS:
+    # oracles then open at least FACTORING_SIM_SECONDS apart
+    # (engine._build_freak_oracles): a few per day, never thousands
+    if cfg.attacks.freak.enabled and \
+            tls.oracle_connection_lifetime < 2 * FACTORING_SIM_SECONDS:
         _fail("tls.oracle_connection_lifetime",
-              f"must exceed the {FACTORING_SIM_SECONDS} s factoring time")
+              f"must be at least {2 * FACTORING_SIM_SECONDS} s: an oracle serves "
+              f"at least the {FACTORING_SIM_SECONDS} s its key took to factor")
     return cfg
 
 

@@ -2,8 +2,9 @@
 
 1. register: voter gets an 8-digit login id and a 6-digit PIN.
 2. cast: the client seals the ballot in a digital envelope; the core
-   voting system stores it, forwards it to the verification service, and
-   returns a 12-digit receipt number.
+   voting system stores the envelope's wire bytes as they arrived,
+   forwards them to the verification service, and returns a 12-digit
+   receipt number.
 3. verify (optional): the voter phones the verification IVR with login
    id, PIN and receipt and hears the vote read back. The service shuts
    down at the close of polls.
@@ -96,7 +97,7 @@ class ElectionTimeline:
 @dataclass(slots=True)
 class CoreVotingRecord:
     login_id: str
-    envelope: DigitalEnvelope
+    envelope: bytes  # the envelope's wire bytes, as the cast carried them
     receipt: str
     channel: VoteChannel
 
@@ -143,8 +144,9 @@ class VerificationService:
         self.records: dict[tuple[str, str], VerificationRecord] = {}
 
     def receive(self, login_id: str, pin_hash: bytes, receipt: str,
-                envelope: DigitalEnvelope, channel: VoteChannel) -> None:
-        ballot_bytes = open_envelope(envelope, ServerRole.VERIFICATION, self.keypair)
+                envelope: bytes, channel: VoteChannel) -> None:
+        ballot_bytes = open_envelope(DigitalEnvelope.from_bytes(envelope),
+                                     ServerRole.VERIFICATION, self.keypair)
         ballot = decode_ballot(ballot_bytes, self.manifest)
         self.records[(login_id, receipt)] = VerificationRecord(
             login_id=login_id, pin_hash=pin_hash, receipt=receipt,
@@ -177,7 +179,7 @@ class CoreVotingSystem:
         self.by_receipt: dict[str, CoreVotingRecord] = {}
         self.cast_logins: set[str] = set()
 
-    def cast(self, credentials: Credentials, envelope: DigitalEnvelope,
+    def cast(self, credentials: Credentials, envelope: bytes,
              channel: VoteChannel, now: int, rng: Random) -> str:
         if now >= self.timeline.polls_close:
             raise PollsClosed("polls are closed")
@@ -210,8 +212,8 @@ def open_core_store(
     plaintext view that counting, audit and linkage share. A record that
     fails authentication raises AuthFailure, aborting the post-poll run.
     """
-    return [decode_ballot(open_envelope(record.envelope, ServerRole.ELECTION,
-                                        election_key), manifest)
+    return [decode_ballot(open_envelope(DigitalEnvelope.from_bytes(record.envelope),
+                                        ServerRole.ELECTION, election_key), manifest)
             for record in cvs.records]
 
 

@@ -499,7 +499,7 @@ class ScenarioEngine:
                           rng, session_key=session_key)
         submission = CastSubmission(
             voter_id=intent.voter_id, credentials=intent.credentials,
-            envelope=sealed, channel=intent.channel,
+            envelope=sealed.to_bytes(), channel=intent.channel,
         )
         if state is not None:
             state.rng = None
@@ -533,7 +533,7 @@ class ScenarioEngine:
                           self.rng_services)
         submission = CastSubmission(
             voter_id=payload.voter_id, credentials=payload.credentials,
-            envelope=sealed, channel=el.VoteChannel.PHONE,
+            envelope=sealed.to_bytes(), channel=el.VoteChannel.PHONE,
         )
         self._accept_cast(submission, event.time, sim)
 
@@ -671,7 +671,7 @@ class ScenarioEngine:
                 else self._session_key(f"cast:{state.voter_id}")
             forged = env.seal(ballot_bytes, self.election_pub,
                               self.verification_pub, rng, session_key=session_key)
-            record.envelope = forged
+            record.envelope = forged.to_bytes()
             self.attacker.charge(atk.LedgerEntry(
                 voter_id=state.voter_id, strategy="server_rewrite",
                 cast_time=self.timeline.polls_close,

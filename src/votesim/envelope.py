@@ -300,9 +300,8 @@ class CredentialRegistry:
     """
 
     def __init__(self):
-        self._issued_ids: set[str] = set()
         self._issued_receipts: set[str] = set()
-        self._pin_hash: dict[str, bytes] = {}
+        self._pin_hash: dict[str, bytes] = {}  # keyed by every issued login id
 
     @staticmethod
     def hash_pin(pin: str) -> bytes:
@@ -313,13 +312,12 @@ class CredentialRegistry:
         which models both an honest voter choosing and an attacker
         assigning one at registration.
         """
-        if len(self._issued_ids) >= 10 ** LOGIN_ID_DIGITS:
+        if len(self._pin_hash) >= 10 ** LOGIN_ID_DIGITS:
             raise RegistryExhausted("login id space exhausted")
         while True:
             login_id = f"{rng.randrange(10 ** LOGIN_ID_DIGITS):0{LOGIN_ID_DIGITS}d}"
-            if login_id not in self._issued_ids:
+            if login_id not in self._pin_hash:
                 break
-        self._issued_ids.add(login_id)
         if pin_choice is not None:
             if len(pin_choice) != PIN_DIGITS or not pin_choice.isdigit():
                 raise EnvelopeError("pin must be 6 digits")

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .ballots import Ballot
 from .election import VoteChannel
-from .envelope import Credentials, DigitalEnvelope
+from .envelope import Credentials
 
 
 @dataclass(slots=True)
@@ -78,26 +78,28 @@ class CastTrigger:
 
 @dataclass(slots=True)
 class CastSubmission:
+    """A sealed vote on its way to the voting server. `envelope` is the
+    envelope's wire bytes, stored as they arrive; only its openers parse it.
+    """
+
     voter_id: str
     credentials: Credentials
-    envelope: DigitalEnvelope
+    envelope: bytes
     channel: VoteChannel
 
     def to_bytes(self) -> bytes:
-        env = self.envelope.to_bytes()
         head = "|".join([self.voter_id, self.credentials.login_id,
                          self.credentials.pin, self.channel.value]).encode()
-        return len(head).to_bytes(2, "big") + head + env
+        return len(head).to_bytes(2, "big") + head + self.envelope
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CastSubmission":
         n = int.from_bytes(data[:2], "big")
         head = data[2:2 + n].decode()
         voter_id, login_id, pin, channel = head.split("|")
-        envelope = DigitalEnvelope.from_bytes(data[2 + n:])
         return cls(voter_id=voter_id,
                    credentials=Credentials(login_id=login_id, pin=pin),
-                   envelope=envelope, channel=VoteChannel(channel))
+                   envelope=data[2 + n:], channel=VoteChannel(channel))
 
     def trace_text(self) -> str:
         return f"CastSubmission(login={self.credentials.login_id},voter={self.voter_id})"

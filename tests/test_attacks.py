@@ -18,7 +18,8 @@ from votesim.election import (BadCredentials, ComplaintKind, ElectionError, Serv
                                VoteChannel)
 from votesim.engine import (FETCH_LEAD_DLOG, FETCH_LEAD_PLAIN, REGISTRATION_LEAD,
                             ScenarioEngine, run_engine)
-from votesim.envelope import CredentialRegistry, Credentials, client_signature, open_envelope
+from votesim.envelope import (CredentialRegistry, Credentials, DigitalEnvelope,
+                              client_signature, open_envelope)
 from votesim.ballots import decode_ballot
 from votesim.messages import CastIntent, CastTrigger, RegistrationRequest, SessionContext
 from votesim.minitls import RecordTampered
@@ -60,6 +61,15 @@ def assert_single_cast(engine):
     assert max(Counter(r.login_id for r in engine.cvs.records).values(),
                default=0) <= 1
     assert max(Counter(engine.registration.owner.values()).values(), default=0) <= 1
+
+
+def stored_ballot(engine, record):
+    """The ballot a core record's stored envelope bytes hold, opened with
+    the election key.
+    """
+    envelope = DigitalEnvelope.from_bytes(record.envelope)
+    return decode_ballot(open_envelope(envelope, ServerRole.ELECTION,
+                                       engine.election_key), engine.manifest)
 
 
 def compromised_intent(manifest, voter="voterX", ballot=None):
@@ -134,9 +144,7 @@ class TestInjectVoteRewrite:
         checked_manipulated = checked_honest = 0
         for record in engine.cvs.records:
             voter = engine.registration.owner[record.login_id]
-            stored = decode_ballot(
-                open_envelope(record.envelope, ServerRole.ELECTION,
-                              engine.election_key), engine.manifest)
+            stored = stored_ballot(engine, record)
             state = engine.voters[voter]
             if voter in ledgered:
                 assert stored == engine.attacker_ballot
@@ -215,9 +223,7 @@ class TestLastMinute:
         for record in engine.cvs.records:
             voter = engine.registration.owner[record.login_id]
             state = engine.voters[voter]
-            stored = decode_ballot(
-                open_envelope(record.envelope, ServerRole.ELECTION,
-                              engine.election_key), engine.manifest)
+            stored = stored_ballot(engine, record)
             if state.profile.cast_time < window_start:
                 assert stored == state.intended
 
@@ -284,9 +290,7 @@ class TestReceiptDelayGambit:
         for record in engine.cvs.records:
             voter = engine.registration.owner[record.login_id]
             if voter not in ledgered:
-                stored = decode_ballot(
-                    open_envelope(record.envelope, ServerRole.ELECTION,
-                                  engine.election_key), engine.manifest)
+                stored = stored_ballot(engine, record)
                 assert stored == engine.voters[voter].intended
 
 
@@ -397,10 +401,8 @@ class TestClash:
         login_of = {voter: login for login, voter in engine.registration.owner.items()}
         for voter_id in list(ledgered)[:20]:
             rec = [r for r in engine.cvs.records if r.login_id == login_of[voter_id]]
-            assert len(rec) == 1 and decode_ballot(
-                open_envelope(rec[0].envelope, ServerRole.ELECTION,
-                              engine.election_key),
-                engine.manifest) == engine.attacker_ballot
+            assert len(rec) == 1 and \
+                stored_ballot(engine, rec[0]) == engine.attacker_ballot
 
     def test_deviating_victim_complains_only_via_ivr(self):
         engine = self.run_clash(voters=800)
@@ -634,9 +636,7 @@ class TestMetricsAndInvariants:
         for record in engine.cvs.records:
             voter = engine.registration.owner[record.login_id]
             if voter not in ledgered:
-                stored = decode_ballot(
-                    open_envelope(record.envelope, ServerRole.ELECTION,
-                                  engine.election_key), engine.manifest)
+                stored = stored_ballot(engine, record)
                 assert stored == engine.voters[voter].intended
 
     def test_server_rewrite_leaves_clash_fraud_records_alone(self):
@@ -678,7 +678,7 @@ class TestMetricsAndInvariants:
         counted = []
         for record in engine.cvs.records:
             voter = engine.registration.owner[record.login_id]
-            env = record.envelope
+            env = DigitalEnvelope.from_bytes(record.envelope)
             if record.channel is VoteChannel.PHONE:
                 if voter in ledger:
                     assert all(env.client_sig != client_signature(key, env.vote_ciphertext)
@@ -694,7 +694,7 @@ class TestMetricsAndInvariants:
         assert tally_first_preferences(counted, engine.manifest) == engine.tally
         digest = hashlib.sha256()
         for record in engine.cvs.records:
-            digest.update(record.envelope.to_bytes())
+            digest.update(record.envelope)
         assert digest.hexdigest() == \
             "0af42ac6f31a7a9983a44d80db2a1437f8ad35b19e61f6698117bb7dc9fbaccc"
 

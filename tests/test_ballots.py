@@ -42,6 +42,16 @@ class TestEncodeDecode:
         # canonical: same ballot encodes to the same bytes
         assert encode_ballot(b, m) == data
 
+    def test_a_decoded_card_is_the_published_card(self):
+        m = make_manifest(num_groups=4, num_candidates=8, num_assembly=2)
+        for card in m.cards.values():
+            assert decode_ballot(encode_ballot(card, m), m) is card
+        # a ballot that is no card is still parsed into an equal new one
+        b = atl(m, "g01", "g02")
+        assert b not in m.cards.values()
+        decoded = decode_ballot(encode_ballot(b, m), m)
+        assert decoded == b and decoded is not b
+
     def test_preference_order_changes_encoding(self):
         m = make_manifest(num_groups=4, num_candidates=8, num_assembly=2)
         b1 = atl(m, "g01", "g02")

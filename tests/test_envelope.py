@@ -21,6 +21,7 @@ from votesim.envelope import (
     DigitalEnvelope,
     EnvelopeError,
     MessageOutOfRange,
+    RegistryExhausted,
     ServerRole,
     UnsupportedSize,
     elgamal_decrypt,
@@ -333,7 +334,8 @@ class TestEnvelope:
         submission = CastSubmission(
             voter_id="voter00042",
             credentials=Credentials(login_id="01234567", pin="654321"),
-            envelope=self.seal_one(Random(10)), channel=VoteChannel.POLLING_PLACE)
+            envelope=self.seal_one(Random(10)).to_bytes(),
+            channel=VoteChannel.POLLING_PLACE)
         assert CastSubmission.from_bytes(submission.to_bytes()) == submission
 
     # sha256 of the exact nonce || ciphertext || tag: a keystream change in
@@ -389,3 +391,13 @@ class TestCredentials:
             assert re.fullmatch(r"\d{12}", r)
             assert r not in seen
             seen.add(r)
+
+    def test_login_id_space_exhausts(self, monkeypatch):
+        # one digit leaves ten ids: each is issued once, then the cap holds
+        monkeypatch.setattr(envelope_mod, "LOGIN_ID_DIGITS", 1)
+        reg = CredentialRegistry()
+        rng = Random(4)
+        ids = {reg.issue(None, rng).login_id for _ in range(10)}
+        assert ids == {str(d) for d in range(10)}
+        with pytest.raises(RegistryExhausted):
+            reg.issue(None, rng)

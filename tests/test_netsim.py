@@ -272,7 +272,8 @@ class TestTraceStore:
 
 CREDS = Credentials(login_id="01234567", pin="123456")
 BALLOT = Ballot(("a01",), CouncilMode.ABOVE_THE_LINE, ("g01",))
-ENVELOPE = DigitalEnvelope((1, 2), (3, 4), b"n" * 12, b"ct", b"t" * 16, b"s" * 16)
+ENVELOPE = DigitalEnvelope((1, 2), (3, 4), b"n" * 12, b"ct", b"t" * 16,
+                           b"s" * 16).to_bytes()
 
 
 class TestTraceText:

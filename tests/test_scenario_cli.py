@@ -19,6 +19,7 @@ import votesim
 from votesim.ballots import Ballot, CouncilMode, encode_ballot
 from votesim.cli import main
 from votesim.config import (
+    FACTORING_SIM_SECONDS,
     MAX_PREFS,
     U16_MAX,
     ConfigInvalid,
@@ -29,7 +30,7 @@ from votesim.config import (
     load_config,
     parse_config,
 )
-from votesim.engine import run_engine
+from votesim.engine import ScenarioEngine, run_engine
 from votesim.envelope import Credentials, DigitalEnvelope, gen_keypair, gen_params, seal
 from votesim.messages import CastSubmission
 from votesim.netsim import Event
@@ -114,6 +115,14 @@ class TestConfigValidation:
             attacks={"logjam": {"enabled": True}})
         with pytest.raises(ConfigInvalid, match="DHE_EXPORT"):
             parse_config(tree)
+
+    def test_shortest_oracle_lifetime_loads(self):
+        # the bound is inclusive: oracles then open one factoring time
+        # apart, two across the default polls
+        tree = minimal_tree(
+            tls={"enabled": True, "oracle_connection_lifetime": 2 * FACTORING_SIM_SECONDS},
+            attacks={"freak": {"enabled": True}})
+        assert len(ScenarioEngine(parse_config(tree)).freak_oracles) == 2
 
     def test_yaml_syntax_error_carries_line(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -321,6 +330,11 @@ UNRUNNABLE = [
     # one draw picks the channel, so phone and polling cannot exceed 1
     ("behavior.polling_fraction",
      {"behavior": {"phone_fraction": 0.6, "polling_fraction": 0.5}}),
+    # an oracle that serves for less time than its key took to factor: at
+    # 25201 s one would open every simulated second of the window
+    ("tls.oracle_connection_lifetime",
+     {"tls": {"enabled": True, "oracle_connection_lifetime": 25201},
+      "attacks": {"freak": {"enabled": True}}}),
 ]
 
 
@@ -450,7 +464,8 @@ class TestBundledScenarios:
     @pytest.mark.parametrize("name", ["honest-baseline", "clash", "freak-window"])
     def test_voters_hold_no_stream_after_the_cast(self, name):
         # memory guard: a voter's Random lives from its first reader to the
-        # cast, and the per-voter and per-event records carry no __dict__
+        # cast, and the per-voter, per-event and per-vote records carry no
+        # __dict__
         engine = run_engine(load_config(bundled_scenarios()[name]))
         cast = set()
         for line in engine.sim.trace:
@@ -464,8 +479,9 @@ class TestBundledScenarios:
         submission = CastSubmission(
             voter_id=min(cast), credentials=Credentials(record.login_id, "000000"),
             envelope=record.envelope, channel=record.channel)
+        stored = engine.verification.records[(record.login_id, record.receipt)]
         for obj in (engine.voters[min(cast)], Event(0, "voter00000", "browser", None),
-                    submission):
+                    submission, record, stored):
             assert not hasattr(obj, "__dict__"), type(obj).__name__
 
     def test_every_bundled_scenario_runs_quickly(self):
