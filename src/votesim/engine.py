@@ -19,6 +19,7 @@ and misdirects registrations to attacker-registration.
 """
 
 import hashlib
+from array import array
 from dataclasses import dataclass, field
 from random import Random
 from typing import Optional
@@ -51,8 +52,6 @@ class VoterState:
     profile: bal.VoterProfile
     intended: bal.Ballot
     channel: el.VoteChannel
-    reg_time: int
-    fetch_time: int
     # pre-drawn behaviour, so paired runs stay aligned
     patched: bool = True
     controlled: bool = False
@@ -255,8 +254,6 @@ class ScenarioEngine:
             profile=profile,
             intended=intended,
             channel=channel,
-            reg_time=cast_time - REGISTRATION_LEAD,
-            fetch_time=cast_time - self.fetch_lead,
             patched=rng.random() < cfg.tls.client_patch_rate,
             verifies=rng.random() < cfg.behavior.p_verify_ivr,
             checks_receipt=rng.random() < cfg.behavior.p_check_receipt_only,
@@ -268,11 +265,12 @@ class ScenarioEngine:
                                      cfg.behavior.verify_delay_max),
             granted=rng.random() < cfg.attacks.granted_compromise_rate,
         )
+        fetch_time = cast_time - self.fetch_lead
         in_freak = freak.enabled and \
-            freak.window_start <= state.fetch_time < freak.window_end and \
+            freak.window_start <= fetch_time < freak.window_end and \
             rng.random() < freak.control_rate
         in_logjam = logjam.enabled and \
-            logjam.window_start <= state.fetch_time < logjam.window_end and \
+            logjam.window_start <= fetch_time < logjam.window_end and \
             rng.random() < logjam.control_rate
         state.controlled = in_freak or in_logjam
         return state, rng
@@ -614,18 +612,34 @@ class ScenarioEngine:
     # --- run ---
 
     def schedule_all(self) -> None:
-        for voter_id in sorted(self.voters):
-            state = self.voters[voter_id]
-            self.sim.schedule(state.reg_time, voter_id, "registration-gateway",
-                              RegistrationRequest(voter_id=voter_id,
-                                                  pin_choice=None,
-                                                  channel=state.channel))
-            if self.config.tls.enabled or self.config.attacks.granted_compromise_rate > 0:
-                self.sim.schedule(state.fetch_time, voter_id, "piwik",
-                                  ThirdPartyFetch(voter_id=voter_id,
-                                                  patched_client=state.patched))
-            self.sim.schedule(state.profile.cast_time - 1, voter_id, voter_id,
-                              CastTrigger(voter_id=voter_id))
+        """Feed each voter's registration, background fetch and cast
+        trigger to the loop as it reaches them. Voter k in sorted-id order
+        holds seqs `first + per * k + j`, as if all were queued up front;
+        each event's time is the cast time less a fixed lead, so one stable
+        sort by cast time puts every feed in (time, seq) order.
+        """
+        states = [self.voters[v] for v in sorted(self.voters)]
+        fetches = self.config.tls.enabled or self.config.attacks.granted_compromise_rate > 0
+        per = 3 if fetches else 2
+        first = self.sim.reserve(per * len(states))
+        order = array("l", sorted(range(len(states)),
+                                  key=lambda k: states[k].profile.cast_time))
+
+        def feed(j, lead, dst, payload):
+            # dst None: the event goes to the voter itself
+            for k in order:
+                s = states[k]
+                yield netsim.Event(s.profile.cast_time - lead, s.voter_id, dst or s.voter_id,
+                                   payload(s), first + per * k + j)
+
+        self.sim.feed(feed(0, REGISTRATION_LEAD, "registration-gateway",
+                           lambda s: RegistrationRequest(voter_id=s.voter_id, pin_choice=None,
+                                                         channel=s.channel)))
+        if fetches:
+            self.sim.feed(feed(1, self.fetch_lead, "piwik",
+                               lambda s: ThirdPartyFetch(voter_id=s.voter_id,
+                                                         patched_client=s.patched)))
+        self.sim.feed(feed(per - 1, 1, None, lambda s: CastTrigger(voter_id=s.voter_id)))
 
     def run(self) -> None:
         self.schedule_all()

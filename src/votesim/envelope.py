@@ -295,12 +295,11 @@ class Credentials:
 
 
 class CredentialRegistry:
-    """Issues unique zero-padded login ids and receipt numbers. Single
-    writer: owned by the election event loop.
+    """Issues unique zero-padded login ids and keeps each one's PIN digest.
+    Single writer: owned by the election event loop.
     """
 
     def __init__(self):
-        self._issued_receipts: set[str] = set()
         self._pin_hash: dict[str, bytes] = {}  # keyed by every issued login id
 
     @staticmethod
@@ -327,15 +326,10 @@ class CredentialRegistry:
         self._pin_hash[login_id] = self.hash_pin(pin)
         return Credentials(login_id=login_id, pin=pin)
 
-    def issue_receipt(self, rng: Random) -> str:
-        if len(self._issued_receipts) >= 10 ** RECEIPT_DIGITS:
-            raise RegistryExhausted("receipt space exhausted")
-        while True:
-            receipt = f"{rng.randrange(10 ** RECEIPT_DIGITS):0{RECEIPT_DIGITS}d}"
-            if receipt not in self._issued_receipts:
-                self._issued_receipts.add(receipt)
-                return receipt
-
     def check_pin(self, login_id: str, pin: str) -> bool:
         stored = self._pin_hash.get(login_id)
         return stored is not None and hmac_mod.compare_digest(stored, self.hash_pin(pin))
+
+    def pin_digest(self, login_id: str) -> bytes:
+        """The digest stored for an issued login id, the object itself."""
+        return self._pin_hash[login_id]

@@ -5,6 +5,12 @@ endpoint name that starts with the part before the star. Events are
 delivered in nondecreasing time order with insertion order breaking
 ties, so a full trace is a pure function of (scenario, seed).
 
+Events known before the run need not sit in the queue: `reserve` claims
+their seqs up front and `feed` hands the loop an iterator that makes
+them, one queue entry per feed, each event built only when the one
+before it is popped. Seqs and delivery order are those of scheduling
+every event before the run.
+
 Taps are the adversary surface: a tap watches the events sent to one
 endpoint (its `dst`) and maps each to a decision, forward it or modify
 it, optionally re-routing it to another endpoint. The taps on an endpoint
@@ -104,8 +110,10 @@ class Simulator:
 
     def __init__(self, start_time: int = 0):
         self.now = start_time
-        self._queue: list[tuple[int, int, Event]] = []  # heap on (time, seq)
+        # heap on (time, seq); a feed's next event carries its feed as a 4th item
+        self._queue: list[tuple] = []
         self._seq = 0
+        self._unmade = 0  # reserved seqs whose events no feed has made yet
         self._taps: dict[str, list[MitmTap]] = {}  # dst -> its taps, in order
         self.endpoints: dict[str, Endpoint] = {}
         self._families: list[tuple[str, Endpoint]] = []  # (name prefix, owner)
@@ -150,6 +158,39 @@ class Simulator:
         self.counters["scheduled"] += 1
         heapq.heappush(self._queue, (event.time, event.seq, event))
         return event
+
+    def reserve(self, count: int) -> int:
+        """Claim `count` consecutive seqs for events a feed makes later and
+        return the first. They count as scheduled now, and as pending until
+        made.
+        """
+        if self.finalized:
+            raise SchedulingAfterFinalize("simulator already finalized")
+        first = self._seq
+        self._seq += count
+        self.counters["scheduled"] += count
+        self._unmade += count
+        return first
+
+    def feed(self, events: Iterator[Event]) -> None:
+        """Queue a stream of events with reserved seqs, given in (time, seq)
+        order. Only the stream's next event is queued; `run_all` makes the
+        one after it when it pops that event.
+        """
+        if self.finalized:
+            raise SchedulingAfterFinalize("simulator already finalized")
+        self._queue_next(iter(events), None)
+
+    def _queue_next(self, events: Iterator[Event], last: Optional[Event]) -> None:
+        event = next(events, None)
+        if event is None:
+            return
+        if self._unmade == 0:
+            raise NetsimError(f"feed made more events than were reserved: {event}")
+        if last is not None and (event.time, event.seq) <= (last.time, last.seq):
+            raise NetsimError(f"feed out of (time, seq) order: {event} after {last}")
+        self._unmade -= 1
+        heapq.heappush(self._queue, (event.time, event.seq, event, events))
 
     def _apply_taps(self, event: Event, taps: list[MitmTap]) -> tuple[Event, list[str]]:
         """Run an endpoint's taps in order; returns the event to deliver and
@@ -211,8 +252,12 @@ class Simulator:
         """Deliver every pending event, and every event a handler or tap
         schedules meanwhile, in time order.
         """
-        while self._queue:
-            event = heapq.heappop(self._queue)[2]
+        queue = self._queue
+        while queue:
+            entry = heapq.heappop(queue)
+            event = entry[2]
+            if len(entry) == 4:
+                self._queue_next(entry[3], event)
             self.now = max(self.now, event.time)
             taps = self._taps.get(event.dst)
             notes = []
@@ -226,11 +271,12 @@ class Simulator:
 
     def finalize(self) -> dict[str, int]:
         """Stop accepting events and reconcile conservation: every scheduled
-        event was delivered or is still pending.
+        event was delivered or is still pending, queued or not yet made by
+        its feed.
         """
         self.finalized = True
         counts = dict(self.counters)
-        counts["pending"] = len(self._queue)
+        counts["pending"] = len(self._queue) + self._unmade
         if counts["delivered"] + counts["pending"] != counts["scheduled"]:
             raise NetsimError(f"event conservation violated: {counts}")
         return counts

@@ -370,6 +370,7 @@ class TestCredentials:
         assert creds.pin == "123456"
         assert reg.check_pin(creds.login_id, "123456")
         assert not reg.check_pin(creds.login_id, "123457")
+        assert reg.pin_digest(creds.login_id) == CredentialRegistry.hash_pin("123456")
 
     def test_bulk_issuance_unique_and_padded(self):
         reg = CredentialRegistry()
@@ -381,16 +382,6 @@ class TestCredentials:
             assert re.fullmatch(r"\d{6}", creds.pin)
             assert creds.login_id not in seen
             seen.add(creds.login_id)
-
-    def test_receipts_unique_and_twelve_digits(self):
-        reg = CredentialRegistry()
-        rng = Random(3)
-        seen = set()
-        for _ in range(5000):
-            r = reg.issue_receipt(rng)
-            assert re.fullmatch(r"\d{12}", r)
-            assert r not in seen
-            seen.add(r)
 
     def test_login_id_space_exhausts(self, monkeypatch):
         # one digit leaves ten ids: each is issued once, then the cap holds

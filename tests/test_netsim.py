@@ -29,6 +29,7 @@ from votesim.netsim import (
     TRACE_CHUNK_LINES,
     Decision,
     Endpoint,
+    Event,
     MitmTap,
     NetsimError,
     SchedulingAfterFinalize,
@@ -109,6 +110,97 @@ class TestOrdering:
         sim.finalize()
         with pytest.raises(SchedulingAfterFinalize):
             sim.schedule(0, "voter1", "cvs", Ping("late"))
+
+
+class TestFeed:
+    """Events made on demand from reserved seqs are delivered and traced
+    exactly as the same events scheduled before the run.
+    """
+
+    TIMES = [3, 0, 3, 1, 3, 0]  # voter k's time: ties within and across feeds
+
+    def run(self, fed):
+        sim = Simulator()
+        received = []
+
+        def cvs(event, s):
+            received.append(event.payload.tag)
+            # handler events tie with fed ones that are still to come
+            s.schedule(event.time + 1, "cvs", "piwik", Ping(event.payload.tag + "-echo"))
+
+        sim.add_endpoint(Endpoint("cvs", handler=cvs))
+        sim.add_endpoint(Endpoint("piwik", handler=lambda e, s: received.append(e.payload.tag)))
+        sim.add_endpoint(Endpoint("voter*"))
+        kinds = (("r", "cvs"), ("q", "piwik"))
+        n, per = len(self.TIMES), len(kinds)
+        if fed:
+            first = sim.reserve(per * n)
+            order = sorted(range(n), key=self.TIMES.__getitem__)
+
+            def feed(j, tag, dst):
+                for k in order:
+                    yield Event(self.TIMES[k] + j, f"voter{k}", dst, Ping(f"{tag}{k}"),
+                                first + per * k + j)
+
+            for j, (tag, dst) in enumerate(kinds):
+                sim.feed(feed(j, tag, dst))
+        else:
+            for k, time in enumerate(self.TIMES):
+                for j, (tag, dst) in enumerate(kinds):
+                    sim.schedule(time + j, f"voter{k}", dst, Ping(f"{tag}{k}"))
+        sim.schedule(2, "voter9", "piwik", Ping("late"))
+        sim.run_all()
+        return received, sim.trace, sim.trace_digest(), sim.finalize()
+
+    def test_fed_events_delivered_and_traced_as_scheduled_ones(self):
+        fed, upfront = self.run(fed=True), self.run(fed=False)
+        assert fed == upfront
+        received, trace, _, counts = fed
+        assert len(received) == len(trace) == 3 * len(self.TIMES) + 1
+        assert counts == {"scheduled": 19, "delivered": 19, "pending": 0}
+
+    def test_unmade_events_count_as_pending(self):
+        sim, received = make_sim()
+        first = sim.reserve(4)
+        sim.feed(Event(t, "voter1", "cvs", Ping(f"a{t}"), first + t) for t in range(2))
+        sim.feed(Event(t, "voter2", "piwik", Ping(f"b{t}"), first + 2 + t) for t in range(2))
+        sim.schedule(5, "voter3", "cvs", Ping("queued"))
+        assert sim.finalize() == {"scheduled": 5, "delivered": 0, "pending": 5}
+        assert received == []
+
+    def test_reserved_seqs_come_before_later_ones(self):
+        sim, _ = make_sim()
+        assert sim.reserve(3) == 0
+        assert sim.schedule(0, "voter1", "cvs", Ping("next")).seq == 3
+        assert sim.reserve(2) == 4
+
+    def test_reserve_and_feed_after_finalize(self):
+        sim, _ = make_sim()
+        sim.finalize()
+        with pytest.raises(SchedulingAfterFinalize):
+            sim.reserve(1)
+        with pytest.raises(SchedulingAfterFinalize):
+            sim.feed(iter(()))
+
+    def test_feed_out_of_order_raises(self):
+        sim, _ = make_sim()
+        first = sim.reserve(2)
+        sim.feed(iter([Event(5, "voter1", "cvs", Ping("a"), first),
+                       Event(4, "voter1", "cvs", Ping("b"), first + 1)]))
+        with pytest.raises(NetsimError, match="order"):
+            sim.run_all()
+
+    def test_feed_beyond_its_reservation_raises(self):
+        sim, _ = make_sim()
+        first = sim.reserve(1)
+        sim.feed(iter([Event(0, "voter1", "cvs", Ping("a"), first),
+                       Event(1, "voter1", "cvs", Ping("b"), first + 1)]))
+        with pytest.raises(NetsimError, match="reserved"):
+            sim.run_all()
+
+    def test_events_keep_slots(self):
+        # a run holds one Event per queued or fed-and-pending event
+        assert not hasattr(Event(0, "voter1", "cvs", None), "__dict__")
 
 
 class TestTaps:

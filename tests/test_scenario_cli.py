@@ -479,7 +479,7 @@ class TestBundledScenarios:
         submission = CastSubmission(
             voter_id=min(cast), credentials=Credentials(record.login_id, "000000"),
             envelope=record.envelope, channel=record.channel)
-        stored = engine.verification.records[(record.login_id, record.receipt)]
+        stored = engine.verification.records[record.receipt]
         for obj in (engine.voters[min(cast)], Event(0, "voter00000", "browser", None),
                     submission, record, stored):
             assert not hasattr(obj, "__dict__"), type(obj).__name__
