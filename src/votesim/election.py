@@ -197,7 +197,7 @@ class CoreVotingSystem:
         self.records.append(record)
         self.by_receipt[receipt] = record
         self.by_login[login_id] = record
-        # the verification store shares the registry's PIN digest
+        # the registry's own digest object: no vote keeps a second hash
         self.verification.receive(login_id, self.registry.pin_digest(login_id),
                                   receipt, envelope, channel)
         return receipt
