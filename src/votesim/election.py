@@ -25,7 +25,7 @@ store: the two can disagree, which is exactly what the auditor is for.
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from typing import Optional
+from typing import Collection, Optional
 
 from .ballots import Ballot, ElectionManifest, TallyResult, decode_ballot, tally_first_preferences
 from .envelope import (
@@ -222,10 +222,17 @@ def open_core_store(
     close of polls. The result is aligned with `cvs.records` and is the
     plaintext view that counting, audit and linkage share. A record that
     fails authentication raises AuthFailure, aborting the post-poll run.
+    A ballot equal to its verification twin's is that twin's object, so
+    an agreeing vote holds one Ballot; a differing one keeps its own.
     """
-    return [decode_ballot(open_envelope(DigitalEnvelope.from_bytes(record.envelope),
-                                        ServerRole.ELECTION, election_key), manifest)
-            for record in cvs.records]
+    twins = cvs.verification.records
+    ballots = []
+    for record in cvs.records:
+        ballot = decode_ballot(open_envelope(DigitalEnvelope.from_bytes(record.envelope),
+                                             ServerRole.ELECTION, election_key), manifest)
+        twin = twins[record.receipt].ballot
+        ballots.append(twin if ballot == twin else ballot)
+    return ballots
 
 
 def dedup_and_count(core_ballots: list[Ballot], manifest: ElectionManifest) -> TallyResult:
@@ -303,42 +310,50 @@ def collect_holdings(
     verification: VerificationService,
     cvs: CoreVotingSystem,
     core_ballots: list[Ballot],
+    components: Collection[Component],
 ) -> DataHoldings:
+    """The relations each of `components` stores; the others' are left
+    out, since `linkage_report` reads only the compromised components'.
+    """
     h = DataHoldings()
-    h.identity_to_login[Component.REGISTRATION] = {
-        (voter, login) for login, voter in registration.owner.items()
-    }
-    ver_votes = {(rec.login_id, rec.ballot) for rec in verification.records.values()}
-    h.login_to_ballot[Component.VERIFICATION_SERVER] = ver_votes
-    # a caller who reveals a phone identity hands the verification server
-    # the whole chain by itself
-    h.identity_to_login[Component.VERIFICATION_SERVER] = {
-        (rec.caller_id, rec.login_id)
-        for rec in verification.records.values() if rec.caller_id is not None
-    }
-    h.login_to_ballot[Component.VOICE_SERVER] = {
-        (rec.login_id, rec.ballot)
-        for rec in verification.records.values() if rec.channel is VoteChannel.PHONE
-    }
-    # the auditor sees both stores' contents during reconciliation
-    auditor_votes = set(ver_votes)
-    auditor_votes.update((record.login_id, ballot)
-                         for record, ballot in zip(cvs.records, core_ballots))
-    h.login_to_ballot[Component.AUDITOR] = auditor_votes
-    # polling-place machines register and collect on the same box
-    polling_direct = set()
-    for record, ballot in zip(cvs.records, core_ballots):
-        if record.channel is VoteChannel.POLLING_PLACE:
-            voter = registration.owner.get(record.login_id)
-            if voter is not None:
-                polling_direct.add((voter, ballot))
-    h.identity_to_ballot[Component.POLLING_PLACE_MACHINE] = polling_direct
-    # a tap on the phone network hears ballots read back, and learns who is
-    # calling exactly when the line carries a caller id
-    h.identity_to_ballot[Component.PHONE_TAP_CALLER_ID] = {
-        (rec.caller_id, rec.ballot)
-        for rec in verification.records.values() if rec.caller_id is not None
-    }
+    ver = verification.records.values()
+    if Component.REGISTRATION in components:
+        h.identity_to_login[Component.REGISTRATION] = {
+            (voter, login) for login, voter in registration.owner.items()
+        }
+    if Component.VERIFICATION_SERVER in components:
+        h.login_to_ballot[Component.VERIFICATION_SERVER] = {
+            (rec.login_id, rec.ballot) for rec in ver}
+        # a caller who reveals a phone identity hands the verification
+        # server the whole chain by itself
+        h.identity_to_login[Component.VERIFICATION_SERVER] = {
+            (rec.caller_id, rec.login_id) for rec in ver if rec.caller_id is not None
+        }
+    if Component.VOICE_SERVER in components:
+        h.login_to_ballot[Component.VOICE_SERVER] = {
+            (rec.login_id, rec.ballot) for rec in ver if rec.channel is VoteChannel.PHONE
+        }
+    if Component.AUDITOR in components:
+        # the auditor sees both stores' contents during reconciliation
+        auditor_votes = {(rec.login_id, rec.ballot) for rec in ver}
+        auditor_votes.update((record.login_id, ballot)
+                             for record, ballot in zip(cvs.records, core_ballots))
+        h.login_to_ballot[Component.AUDITOR] = auditor_votes
+    if Component.POLLING_PLACE_MACHINE in components:
+        # polling-place machines register and collect on the same box
+        polling_direct = set()
+        for record, ballot in zip(cvs.records, core_ballots):
+            if record.channel is VoteChannel.POLLING_PLACE:
+                voter = registration.owner.get(record.login_id)
+                if voter is not None:
+                    polling_direct.add((voter, ballot))
+        h.identity_to_ballot[Component.POLLING_PLACE_MACHINE] = polling_direct
+    if Component.PHONE_TAP_CALLER_ID in components:
+        # a tap on the phone network hears ballots read back, and learns
+        # who is calling exactly when the line carries a caller id
+        h.identity_to_ballot[Component.PHONE_TAP_CALLER_ID] = {
+            (rec.caller_id, rec.ballot) for rec in ver if rec.caller_id is not None
+        }
     return h
 
 

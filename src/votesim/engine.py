@@ -652,9 +652,9 @@ class ScenarioEngine:
         self.audit = el.audit_reconcile(
             el.AuditMode(self.config.audit.mode), self.cvs, self.verification,
             core_ballots)
-        holdings = el.collect_holdings(
-            self.registration, self.verification, self.cvs, core_ballots)
         compromised = {el.Component(c) for c in self.config.linkage.compromised}
+        holdings = el.collect_holdings(
+            self.registration, self.verification, self.cvs, core_ballots, compromised)
         self.linked = el.linkage_report(compromised, holdings)
         self.conservation = self.sim.finalize()
 

@@ -247,8 +247,6 @@ def message_bytes(msg: object) -> bytes:
                 + b"|" + str(msg.signature).encode())
     if isinstance(msg, ClientKeyExchange):
         return b"ckx|" + msg.kind.encode() + b"|" + str(msg.payload).encode()
-    if isinstance(msg, Finished):
-        return b"fin|" + msg.side.encode() + b"|" + msg.mac
     raise TlsError(f"unknown message {msg!r}")
 
 

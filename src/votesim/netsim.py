@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
 
-TRACE_CHUNK_LINES = 4096
+TRACE_CHUNK_LINES = 512
 
 
 class NetsimError(Exception):
@@ -156,7 +156,7 @@ class Simulator:
         event = Event(time=time, src=src, dst=dst, payload=payload, seq=self._seq)
         self._seq += 1
         self.counters["scheduled"] += 1
-        heapq.heappush(self._queue, (event.time, event.seq, event))
+        self._push((event.time, event.seq, event))
         return event
 
     def reserve(self, count: int) -> int:
@@ -190,7 +190,25 @@ class Simulator:
         if last is not None and (event.time, event.seq) <= (last.time, last.seq):
             raise NetsimError(f"feed out of (time, seq) order: {event} after {last}")
         self._unmade -= 1
-        heapq.heappush(self._queue, (event.time, event.seq, event, events))
+        self._push((event.time, event.seq, event, events))
+
+    def _push(self, entry: tuple) -> None:
+        try:
+            heapq.heappush(self._queue, entry)
+        except TypeError:
+            self._check_unique_keys()
+            raise
+
+    def _check_unique_keys(self) -> None:
+        """Raise NetsimError if two queued events share one (time, seq).
+        heapq then compares the events, which have no order, and raises a
+        TypeError; only a feed that makes seqs it did not reserve can.
+        """
+        seen = set()
+        for time, seq, *_ in self._queue:
+            if (time, seq) in seen:
+                raise NetsimError(f"two events share time {time} and seq {seq}")
+            seen.add((time, seq))
 
     def _apply_taps(self, event: Event, taps: list[MitmTap]) -> tuple[Event, list[str]]:
         """Run an endpoint's taps in order; returns the event to deliver and
@@ -254,7 +272,11 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            entry = heapq.heappop(queue)
+            try:
+                entry = heapq.heappop(queue)
+            except TypeError:
+                self._check_unique_keys()
+                raise
             event = entry[2]
             if len(entry) == 4:
                 self._queue_next(entry[3], event)

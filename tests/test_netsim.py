@@ -198,6 +198,24 @@ class TestFeed:
         with pytest.raises(NetsimError, match="reserved"):
             sim.run_all()
 
+    def test_feeds_sharing_a_time_and_seq_raise(self):
+        # the second feed's first event lands on the first feed's
+        sim, _ = make_sim()
+        first = sim.reserve(2)
+        sim.feed(iter([Event(5, "voter1", "cvs", Ping("a"), first)]))
+        with pytest.raises(NetsimError, match=f"time 5 and seq {first}$"):
+            sim.feed(iter([Event(5, "voter2", "cvs", Ping("b"), first)]))
+
+    def test_a_clash_found_while_popping_raises(self):
+        # the two clashing events sit under an earlier one and first meet
+        # when it is popped
+        sim, _ = make_sim()
+        first = sim.reserve(3)
+        for time, tag, seq in ((0, "a", first + 2), (5, "b", first), (5, "c", first)):
+            sim.feed(iter([Event(time, "voter1", "cvs", Ping(tag), seq)]))
+        with pytest.raises(NetsimError, match=f"time 5 and seq {first}$"):
+            sim.run_all()
+
     def test_events_keep_slots(self):
         # a run holds one Event per queued or fed-and-pending event
         assert not hasattr(Event(0, "voter1", "cvs", None), "__dict__")
