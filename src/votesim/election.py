@@ -323,7 +323,8 @@ def collect_holdings(
         }
     if Component.VERIFICATION_SERVER in components:
         h.login_to_ballot[Component.VERIFICATION_SERVER] = {
-            (rec.login_id, rec.ballot) for rec in ver}
+            (rec.login_id, rec.ballot) for rec in ver
+        }
         # a caller who reveals a phone identity hands the verification
         # server the whole chain by itself
         h.identity_to_login[Component.VERIFICATION_SERVER] = {

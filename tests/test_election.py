@@ -461,7 +461,6 @@ class TestPostPollOpens:
         assert len(opened) == len(stored) > 0
         assert sorted(envelope.to_bytes() for envelope in opened) == sorted(stored)
 
-
     def test_an_agreeing_vote_holds_one_ballot_object(self):
         fx, rewritten = TestLinkage.mixed_run()
         core = fx.core_ballots()
