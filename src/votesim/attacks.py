@@ -83,7 +83,7 @@ class AttackerState:
 
 def _claimable(intent: CastIntent) -> bool:
     """A cast no earlier strategy has claimed, in a compromised session."""
-    return intent.handled_by is None and intent.session.compromised
+    return intent.handled_by is None and intent.compromised
 
 
 def _claim(state: AttackerState, intent: CastIntent, attacker_ballot: Ballot,

@@ -52,13 +52,13 @@ class Ballot:
 class ElectionManifest:
     """Race definitions plus the per-group how-to-vote cards.
 
-    `candidates` maps candidate id -> group id (or None for ungrouped
-    candidates). Cards are full ballots published by each group; the
+    `candidates` maps candidate id -> group id; every candidate has a
+    group. Cards are full ballots published by each group; the
     behavioural model reproduces them exactly for card-following voters.
     """
 
     groups: tuple[str, ...]
-    candidates: dict[str, Optional[str]]
+    candidates: dict[str, str]
     assembly_candidates: tuple[str, ...]
     min_below_line_prefs: int = 1
     cards: dict[str, Ballot] = field(default_factory=dict)
@@ -72,7 +72,7 @@ class ElectionManifest:
             raise InvalidBallot("min_below_line_prefs must be >= 1")
         known = set(self.groups)
         for cand, grp in self.candidates.items():
-            if grp is not None and grp not in known:
+            if grp not in known:
                 raise InvalidBallot(f"candidate {cand} references unknown group {grp}")
         for grp, card in self.cards.items():
             if grp not in known:
@@ -101,9 +101,6 @@ class ElectionManifest:
     def card_by_encoding(self) -> dict[bytes, Ballot]:
         """Each card's encoding to the card itself."""
         return {encode_ballot(card, self): card for card in self.cards.values()}
-
-    def group_of(self, candidate_id: str) -> Optional[str]:
-        return self.candidates[candidate_id]
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,15 +315,14 @@ def first_preference_key(ballot: Ballot, manifest: ElectionManifest) -> Optional
     """Group credited with the ballot's first council preference.
 
     Below-the-line ballots count toward the group of their first-ranked
-    candidate; ungrouped candidates count under their own id.
+    candidate.
     """
     if not ballot.council_prefs:
         return None
     first = ballot.council_prefs[0]
     if ballot.council_mode is CouncilMode.ABOVE_THE_LINE:
         return first
-    grp = manifest.group_of(first)
-    return grp if grp is not None else first
+    return manifest.candidates[first]
 
 
 def tally_first_preferences(ballots: list[Ballot], manifest: ElectionManifest) -> TallyResult:

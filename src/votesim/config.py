@@ -33,6 +33,7 @@ from typing import Any, Optional, Union, get_args, get_origin
 import yaml
 
 from . import ballots as bal
+from .election import AuditMode, Component
 from .minitls import DLOG_INDIVIDUAL_DELAY, CipherSuite
 
 
@@ -169,14 +170,12 @@ class AttacksConfig:
 
 @dataclass
 class AuditConfig:
-    mode: str = _field("honest", choices=("honest", "blind_eye"))
+    mode: str = _field("honest", choices=tuple(m.value for m in AuditMode))
 
 
 @dataclass
 class LinkageConfig:
-    compromised: tuple[str, ...] = _field((), choices=(
-        "registration", "verification_server", "voice_server", "auditor",
-        "polling_place_machine", "phone_tap_caller_id"))
+    compromised: tuple[str, ...] = _field((), choices=tuple(c.value for c in Component))
 
 
 @dataclass

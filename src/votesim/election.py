@@ -177,8 +177,7 @@ class CoreVotingSystem:
         self.registry = registry
         self.timeline = timeline
         self.verification = verification
-        self.records: list[CoreVotingRecord] = []
-        self.by_receipt: dict[str, CoreVotingRecord] = {}
+        self.records: dict[str, CoreVotingRecord] = {}  # receipt -> record, in cast order
         self.by_login: dict[str, CoreVotingRecord] = {}  # single-cast check
 
     def cast(self, credentials: Credentials, envelope: bytes,
@@ -194,8 +193,7 @@ class CoreVotingSystem:
         record = CoreVotingRecord(
             login_id=login_id, envelope=envelope, receipt=receipt, channel=channel,
         )
-        self.records.append(record)
-        self.by_receipt[receipt] = record
+        self.records[receipt] = record
         self.by_login[login_id] = record
         # the registry's own digest object: no vote keeps a second hash
         self.verification.receive(login_id, self.registry.pin_digest(login_id),
@@ -209,7 +207,7 @@ class CoreVotingSystem:
         """
         while True:
             receipt = f"{rng.randrange(10 ** RECEIPT_DIGITS):0{RECEIPT_DIGITS}d}"
-            if receipt not in self.by_receipt:
+            if receipt not in self.records:
                 return receipt
 
 
@@ -219,18 +217,18 @@ def open_core_store(
     manifest: ElectionManifest,
 ) -> list[Ballot]:
     """Decrypt every stored envelope once with the election key, after the
-    close of polls. The result is aligned with `cvs.records` and is the
-    plaintext view that counting, audit and linkage share. A record that
+    close of polls. The result is aligned with `cvs.records.values()` and is
+    the plaintext view that counting, audit and linkage share. A record that
     fails authentication raises AuthFailure, aborting the post-poll run.
     A ballot equal to its verification twin's is that twin's object, so
     an agreeing vote holds one Ballot; a differing one keeps its own.
     """
     twins = cvs.verification.records
     ballots = []
-    for record in cvs.records:
+    for receipt, record in cvs.records.items():
         ballot = decode_ballot(open_envelope(DigitalEnvelope.from_bytes(record.envelope),
                                              ServerRole.ELECTION, election_key), manifest)
-        twin = twins[record.receipt].ballot
+        twin = twins[receipt].ballot
         ballots.append(twin if ballot == twin else ballot)
     return ballots
 
@@ -274,10 +272,13 @@ def audit_reconcile(
     if mode is AuditMode.BLIND_EYE:
         return AuditReport(mode=mode, inconsistencies=[])
     # each cast writes both stores in one call and nothing removes a
-    # record, so every core record has its verification twin
-    found = [Inconsistency(record.login_id, record.receipt, "ballot_mismatch")
-             for record, ballot in zip(cvs.records, core_ballots)
-             if ballot != verification.records[record.receipt].ballot]
+    # record, so every core record has its verification twin; an agreeing
+    # vote from `open_core_store` is its twin's own object
+    found = []
+    for (receipt, record), ballot in zip(cvs.records.items(), core_ballots):
+        twin = verification.records[receipt].ballot
+        if ballot is not twin and ballot != twin:
+            found.append(Inconsistency(record.login_id, receipt, "ballot_mismatch"))
     found.sort(key=lambda inc: (inc.login_id, inc.receipt, inc.kind))
     return AuditReport(mode=mode, inconsistencies=found)
 
@@ -295,14 +296,14 @@ class Component(Enum):
 
 @dataclass
 class DataHoldings:
-    """What each component stores, reduced to identity/login/ballot pairs.
-    The linkage computation is pure set joins over these relations; no
-    cryptanalysis is involved.
+    """What a set of components store between them, reduced to
+    identity/login/ballot pairs. The linkage computation is a pure set
+    join over these relations; no cryptanalysis is involved.
     """
 
-    identity_to_login: dict[Component, set[tuple[str, str]]] = field(default_factory=dict)
-    login_to_ballot: dict[Component, set[tuple[str, Ballot]]] = field(default_factory=dict)
-    identity_to_ballot: dict[Component, set[tuple[str, Ballot]]] = field(default_factory=dict)
+    identity_to_login: set[tuple[str, str]] = field(default_factory=set)
+    login_to_ballot: set[tuple[str, Ballot]] = field(default_factory=set)
+    identity_to_ballot: set[tuple[str, Ballot]] = field(default_factory=set)
 
 
 def collect_holdings(
@@ -312,73 +313,55 @@ def collect_holdings(
     core_ballots: list[Ballot],
     components: Collection[Component],
 ) -> DataHoldings:
-    """The relations each of `components` stores; the others' are left
-    out, since `linkage_report` reads only the compromised components'.
+    """The union of the relations `components` store; the others' are left
+    out, since only the compromised components' holdings link anything.
     """
+    for comp in components:
+        if not isinstance(comp, Component):
+            raise UnknownComponent(f"unknown component {comp!r}")
     h = DataHoldings()
     ver = verification.records.values()
     if Component.REGISTRATION in components:
-        h.identity_to_login[Component.REGISTRATION] = {
-            (voter, login) for login, voter in registration.owner.items()
-        }
+        h.identity_to_login.update((voter, login) for login, voter in registration.owner.items())
     if Component.VERIFICATION_SERVER in components:
-        h.login_to_ballot[Component.VERIFICATION_SERVER] = {
-            (rec.login_id, rec.ballot) for rec in ver
-        }
+        h.login_to_ballot.update((rec.login_id, rec.ballot) for rec in ver)
         # a caller who reveals a phone identity hands the verification
         # server the whole chain by itself
-        h.identity_to_login[Component.VERIFICATION_SERVER] = {
-            (rec.caller_id, rec.login_id) for rec in ver if rec.caller_id is not None
-        }
+        h.identity_to_login.update((rec.caller_id, rec.login_id)
+                                   for rec in ver if rec.caller_id is not None)
     if Component.VOICE_SERVER in components:
-        h.login_to_ballot[Component.VOICE_SERVER] = {
-            (rec.login_id, rec.ballot) for rec in ver if rec.channel is VoteChannel.PHONE
-        }
+        h.login_to_ballot.update((rec.login_id, rec.ballot)
+                                 for rec in ver if rec.channel is VoteChannel.PHONE)
     if Component.AUDITOR in components:
         # the auditor sees both stores' contents during reconciliation
-        auditor_votes = {(rec.login_id, rec.ballot) for rec in ver}
-        auditor_votes.update((record.login_id, ballot)
-                             for record, ballot in zip(cvs.records, core_ballots))
-        h.login_to_ballot[Component.AUDITOR] = auditor_votes
+        h.login_to_ballot.update((rec.login_id, rec.ballot) for rec in ver)
+        h.login_to_ballot.update((record.login_id, ballot) for record, ballot
+                                 in zip(cvs.records.values(), core_ballots))
     if Component.POLLING_PLACE_MACHINE in components:
         # polling-place machines register and collect on the same box
-        polling_direct = set()
-        for record, ballot in zip(cvs.records, core_ballots):
-            if record.channel is VoteChannel.POLLING_PLACE:
-                voter = registration.owner.get(record.login_id)
-                if voter is not None:
-                    polling_direct.add((voter, ballot))
-        h.identity_to_ballot[Component.POLLING_PLACE_MACHINE] = polling_direct
+        owner = registration.owner
+        h.identity_to_ballot.update(
+            (owner[record.login_id], ballot)
+            for record, ballot in zip(cvs.records.values(), core_ballots)
+            if record.channel is VoteChannel.POLLING_PLACE and record.login_id in owner)
     if Component.PHONE_TAP_CALLER_ID in components:
         # a tap on the phone network hears ballots read back, and learns
         # who is calling exactly when the line carries a caller id
-        h.identity_to_ballot[Component.PHONE_TAP_CALLER_ID] = {
-            (rec.caller_id, rec.ballot) for rec in ver if rec.caller_id is not None
-        }
+        h.identity_to_ballot.update((rec.caller_id, rec.ballot)
+                                    for rec in ver if rec.caller_id is not None)
     return h
 
 
-def linkage_report(
-    compromised: set[Component],
-    holdings: DataHoldings,
-) -> set[tuple[str, Ballot]]:
-    """Voter-to-decrypted-ballot pairs recoverable from the union of the
-    compromised components' stored fields.
+def linkage_report(holdings: DataHoldings) -> set[tuple[str, Ballot]]:
+    """Voter-to-decrypted-ballot pairs recoverable from `holdings`: the
+    pairs held directly, plus each identity joined through its login to
+    that login's ballots.
     """
-    for comp in compromised:
-        if not isinstance(comp, Component):
-            raise UnknownComponent(f"unknown component {comp!r}")
-    id_login: set[tuple[str, str]] = set()
-    login_ballot: set[tuple[str, Ballot]] = set()
-    linked: set[tuple[str, Ballot]] = set()
-    for comp in compromised:
-        id_login |= holdings.identity_to_login.get(comp, set())
-        login_ballot |= holdings.login_to_ballot.get(comp, set())
-        linked |= holdings.identity_to_ballot.get(comp, set())
     voters_of: dict[str, set[str]] = {}
-    for voter, login in id_login:
+    for voter, login in holdings.identity_to_login:
         voters_of.setdefault(login, set()).add(voter)
-    for login, ballot in login_ballot:
+    linked = set(holdings.identity_to_ballot)
+    for login, ballot in holdings.login_to_ballot:
         for voter in voters_of.get(login, ()):
             linked.add((voter, ballot))
     return linked

@@ -20,7 +20,7 @@ and misdirects registrations to attacker-registration.
 
 import hashlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Optional
 
@@ -41,7 +41,6 @@ from .messages import (
     RegistrationReply,
     RegistrationRequest,
     SecureRecord,
-    SessionContext,
     ThirdPartyFetch,
     VerifyCall,
 )
@@ -63,11 +62,12 @@ class VoterState:
     reveals_caller_id: bool = False
     suspicious: bool = False  # would notice an assigned-not-chosen PIN
     verify_delay: int = 600
-    # evolving state (the session object is mutated in place so events
-    # holding a reference observe attack outcomes); `rng` is held only
-    # from the stream's first reader to the cast, see ScenarioEngine._voter_rng
+    # evolving state; `rng` is held only from the stream's first reader to
+    # the cast, see ScenarioEngine._voter_rng
     rng: Optional[Random] = None
-    session: SessionContext = field(default_factory=SessionContext)
+    # set by the background fetch, which comes at least 9 s before the cast
+    # trigger copies it into the voter's CastIntent
+    compromised: bool = False
     credentials: Optional[env.Credentials] = None
     believed_receipt: Optional[str] = None
     submitted: Optional[bal.Ballot] = None
@@ -133,7 +133,7 @@ class ScenarioEngine:
         if config.tls.enabled:
             self._build_tls()
 
-        self.sim = netsim.Simulator(start_time=min(0, self.timeline.polls_open))
+        self.sim = netsim.Simulator()
         self.voters: dict[str, VoterState] = {}
         self._build_network()
         self._build_voters()
@@ -367,7 +367,7 @@ class ScenarioEngine:
         entry = {"time": now, "voter": state.voter_id, "kind": kind,
                  "outcome": result.error or "failed"}
         if result.success:
-            state.session.compromised = True
+            state.compromised = True
             entry["outcome"] = "compromised"
             if kind == "logjam":
                 entry["delay"] = result.simulated_delay
@@ -446,7 +446,7 @@ class ScenarioEngine:
                              ballot=state.intended,
                              cast_time=state.profile.cast_time,
                              channel=state.channel,
-                             session=state.session,
+                             compromised=state.compromised,
                          ))
 
     def _on_piwik(self, event: netsim.Event, sim: netsim.Simulator) -> None:
@@ -457,7 +457,7 @@ class ScenarioEngine:
         if state.granted:
             # scenario-granted client compromise (malware, misdirection):
             # no downgrade machinery involved
-            state.session.compromised = True
+            state.compromised = True
             return
         if self.piwik_server is None:
             return
@@ -601,7 +601,7 @@ class ScenarioEngine:
         # queries are scheduled only before the service ends, for a receipt
         # the voter was shown; every such receipt is stored and counted
         query = event.payload
-        if query.receipt not in self.cvs.by_receipt:
+        if query.receipt not in self.cvs.records:
             raise el.ElectionError(f"receipt {query.receipt} is not in the core store")
 
     @staticmethod
@@ -655,7 +655,7 @@ class ScenarioEngine:
         compromised = {el.Component(c) for c in self.config.linkage.compromised}
         holdings = el.collect_holdings(
             self.registration, self.verification, self.cvs, core_ballots, compromised)
-        self.linked = el.linkage_report(compromised, holdings)
+        self.linked = el.linkage_report(holdings)
         self.conservation = self.sim.finalize()
 
     def _apply_server_rewrite(self) -> None:
@@ -673,7 +673,7 @@ class ScenarioEngine:
         # any other voter cast their own intent, on the web or by phone
         ledger = self.attacker.manipulation_ledger
         candidates = []
-        for r in self.cvs.records:
+        for r in self.cvs.records.values():
             state = self.voters[self.registration.owner[r.login_id]]
             if state.voter_id in ledger or state.intended == self.attacker_ballot:
                 continue

@@ -291,7 +291,6 @@ RECEIPT_DIGITS = 12
 class Credentials:
     login_id: str
     pin: str
-    receipt: Optional[str] = None
 
 
 class CredentialRegistry:

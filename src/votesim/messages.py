@@ -7,19 +7,12 @@ prefix. That keeps trace lines stable and seed-reproducible (no object
 reprs, no addresses).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .ballots import Ballot
 from .election import VoteChannel
 from .envelope import Credentials
-
-
-@dataclass(slots=True)
-class SessionContext:
-    """What the adversary ended up with for one voter's browsing session."""
-
-    compromised: bool = False
 
 
 @dataclass(slots=True)
@@ -53,14 +46,14 @@ class CastIntent:
     ballot: Ballot
     cast_time: int
     channel: VoteChannel
-    session: SessionContext = field(default_factory=SessionContext)
+    compromised: bool = False  # the adversary holds this voter's session
     show_receipt: bool = True
     suppress_submit: bool = False
     believed_receipt: Optional[str] = None  # what the client displays instead
     handled_by: Optional[str] = None  # first strategy to claim this cast wins
 
     def trace_text(self) -> str:
-        return (f"CastIntent(compromised={self.session.compromised},"
+        return (f"CastIntent(compromised={self.compromised},"
                 f"t={self.cast_time},voter={self.voter_id})")
 
 

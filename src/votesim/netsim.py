@@ -106,10 +106,9 @@ def describe_payload(payload: Any) -> str:
 
 
 class Simulator:
-    """Single-threaded event loop with a global virtual clock."""
+    """Single-threaded event loop; each event carries its own virtual time."""
 
-    def __init__(self, start_time: int = 0):
-        self.now = start_time
+    def __init__(self):
         # heap on (time, seq); a feed's next event carries its feed as a 4th item
         self._queue: list[tuple] = []
         self._seq = 0
@@ -280,7 +279,6 @@ class Simulator:
             event = entry[2]
             if len(entry) == 4:
                 self._queue_next(entry[3], event)
-            self.now = max(self.now, event.time)
             taps = self._taps.get(event.dst)
             notes = []
             if taps:

@@ -21,7 +21,7 @@ from votesim.engine import (FETCH_LEAD_DLOG, FETCH_LEAD_PLAIN, REGISTRATION_LEAD
 from votesim.envelope import (CredentialRegistry, Credentials, DigitalEnvelope,
                               client_signature, open_envelope)
 from votesim.ballots import decode_ballot
-from votesim.messages import CastIntent, CastTrigger, RegistrationRequest, SessionContext
+from votesim.messages import CastIntent, CastTrigger, RegistrationRequest
 from votesim.minitls import RecordTampered
 from votesim.netsim import Decision, Endpoint, Event, MitmTap, Simulator
 from votesim.report import build_report
@@ -58,7 +58,7 @@ def assert_single_cast(engine):
     """Every login holds at most one stored record, and every voter at
     most one login.
     """
-    assert max(Counter(r.login_id for r in engine.cvs.records).values(),
+    assert max(Counter(r.login_id for r in engine.cvs.records.values()).values(),
                default=0) <= 1
     assert max(Counter(engine.registration.owner.values()).values(), default=0) <= 1
 
@@ -79,7 +79,7 @@ def compromised_intent(manifest, voter="voterX", ballot=None):
         ballot=ballot or manifest.cards["g01"],
         cast_time=100,
         channel=VoteChannel.WEB,
-        session=SessionContext(compromised=True),
+        compromised=True,
     )
 
 
@@ -91,7 +91,7 @@ class TestInjectVoteRewrite:
     def test_uncompromised_session_forwarded(self):
         state = atk.AttackerState()
         intent = compromised_intent(self.manifest)
-        intent.session = SessionContext()  # no compromise
+        intent.compromised = False
         decision = atk.inject_vote_rewrite(state, intent, self.manifest.cards["g02"])
         assert decision.kind == Decision.FORWARD
         assert state.manipulation_ledger == {}
@@ -142,7 +142,7 @@ class TestInjectVoteRewrite:
         ))
         ledgered = engine.attacker.manipulation_ledger
         checked_manipulated = checked_honest = 0
-        for record in engine.cvs.records:
+        for record in engine.cvs.records.values():
             voter = engine.registration.owner[record.login_id]
             stored = stored_ballot(engine, record)
             state = engine.voters[voter]
@@ -220,7 +220,7 @@ class TestLastMinute:
                      "target_group": "g02"},
         ))
         window_start = 43200 - 600
-        for record in engine.cvs.records:
+        for record in engine.cvs.records.values():
             voter = engine.registration.owner[record.login_id]
             state = engine.voters[voter]
             stored = stored_ballot(engine, record)
@@ -287,7 +287,7 @@ class TestReceiptDelayGambit:
         for voter_id in ledgered:
             assert engine.voters[voter_id].believed_receipt is None
         # waiters' votes are genuine: CVS matches intent
-        for record in engine.cvs.records:
+        for record in engine.cvs.records.values():
             voter = engine.registration.owner[record.login_id]
             if voter not in ledgered:
                 stored = stored_ballot(engine, record)
@@ -400,7 +400,7 @@ class TestClash:
         # each pool hit spent the victim's entitlement on an attacker ballot
         login_of = {voter: login for login, voter in engine.registration.owner.items()}
         for voter_id in list(ledgered)[:20]:
-            rec = [r for r in engine.cvs.records if r.login_id == login_of[voter_id]]
+            rec = [r for r in engine.cvs.records.values() if r.login_id == login_of[voter_id]]
             assert len(rec) == 1 and \
                 stored_ballot(engine, rec[0]) == engine.attacker_ballot
 
@@ -418,7 +418,7 @@ class TestClash:
                         if v.voter_id in ledgered and v.checks_receipt
                         and not v.verifies]
         assert receipt_only
-        assert all(v.believed_receipt in engine.cvs.by_receipt and v.complaint is None
+        assert all(v.believed_receipt in engine.cvs.records and v.complaint is None
                    for v in receipt_only)
 
     def test_complaints_within_three_sigma_of_analytic(self):
@@ -513,7 +513,7 @@ class TestDowngradeComposition:
                      "vote_rewrite": {"enabled": True},
                      "target_group": "g02"},
         ))
-        assert all(v.session.compromised for v in engine.voters.values())
+        assert all(v.compromised for v in engine.voters.values())
         attempts, successes = Counter(), Counter()
         for v in engine.voters.values():
             won = [e["kind"] for e in v.downgrades if e["outcome"] == "compromised"]
@@ -633,7 +633,7 @@ class TestMetricsAndInvariants:
         assert ledgered
         # gambit owns every compromised cast; the rewrite tap got none
         assert all(e.strategy == "receipt_delay" for e in ledgered.values())
-        for record in engine.cvs.records:
+        for record in engine.cvs.records.values():
             voter = engine.registration.owner[record.login_id]
             if voter not in ledgered:
                 stored = stored_ballot(engine, record)
@@ -673,10 +673,10 @@ class TestMetricsAndInvariants:
         assert len(ledger) == 100
         assert any(r.channel is VoteChannel.PHONE and
                    engine.registration.owner[r.login_id] in ledger
-                   for r in engine.cvs.records)
+                   for r in engine.cvs.records.values())
         session_keys = [engine._session_key(f"cast:{v}") for v in engine.voters]
         counted = []
-        for record in engine.cvs.records:
+        for record in engine.cvs.records.values():
             voter = engine.registration.owner[record.login_id]
             env = DigitalEnvelope.from_bytes(record.envelope)
             if record.channel is VoteChannel.PHONE:
@@ -693,7 +693,7 @@ class TestMetricsAndInvariants:
             counted.append(ballot)
         assert tally_first_preferences(counted, engine.manifest) == engine.tally
         digest = hashlib.sha256()
-        for record in engine.cvs.records:
+        for record in engine.cvs.records.values():
             digest.update(record.envelope)
         assert digest.hexdigest() == \
             "0af42ac6f31a7a9983a44d80db2a1437f8ad35b19e61f6698117bb7dc9fbaccc"
@@ -748,6 +748,29 @@ class TestMetricsAndInvariants:
             engine._on_voter(trigger, engine.sim)
         assert engine.sim.counters["scheduled"] == 0
 
+    @pytest.mark.parametrize("at_trigger", [False, True])
+    def test_the_cast_intent_keeps_the_compromise_its_trigger_saw(self, at_trigger):
+        # the trigger copies the voter's flag into the intent it schedules;
+        # changing the voter's record afterwards leaves that intent alone
+        engine = ScenarioEngine(parse_config(base_tree(voters=5)))
+        state = engine.voters["voter00002"]
+        state.credentials = Credentials(login_id="12345678", pin="111111")
+        state.compromised = at_trigger
+        scheduled = []
+
+        class Recorder:
+            def schedule(self, *args):
+                scheduled.append(args)
+
+        trigger = Event(time=state.profile.cast_time - 1, src=state.voter_id,
+                        dst=state.voter_id, payload=CastTrigger(state.voter_id))
+        engine._on_voter(trigger, Recorder())
+        [(_, _, dst, intent)] = scheduled
+        assert dst == "browser" and intent.compromised is at_trigger
+        state.compromised = not at_trigger
+        assert intent.compromised is at_trigger
+        assert intent.trace_text().startswith(f"CastIntent(compromised={at_trigger},")
+
     def test_every_receipt_query_finds_its_stored_record(self):
         # each receipt checker queries once, after the close of polls and
         # before the service ends, for the receipt it was shown
@@ -770,7 +793,7 @@ class TestMetricsAndInvariants:
         assert len(queries) == len(shown)
         assert all(t.polls_close + 600 <= when < t.receipt_service_end
                    for when, _ in queries)
-        assert all(q.receipt in engine.cvs.by_receipt for _, q in queries)
+        assert all(q.receipt in engine.cvs.records for _, q in queries)
         assert all(v.complaint is None for v in engine.voters.values())
 
     def test_an_honest_ivr_call_reads_back_the_intent(self):

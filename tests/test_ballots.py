@@ -1,6 +1,7 @@
 """Ballot encoding, voter behaviour, and first-preference tallies."""
 
 import math
+from dataclasses import replace
 from itertools import permutations
 from random import Random
 
@@ -343,7 +344,11 @@ class TestTally:
         b = Ballot(assembly_prefs=("a01",), council_mode=BTL,
                    council_prefs=("c001", "c002"))
         result = tally_first_preferences([b], self.m)
-        assert result.counts == {self.m.group_of("c001"): 1}
+        assert result.counts == {self.m.candidates["c001"]: 1}
+
+    def test_a_candidate_without_a_group_is_rejected(self):
+        with pytest.raises(InvalidBallot, match="c999"):
+            replace(self.m, candidates={**self.m.candidates, "c999": None})
 
     def test_margin_flip_at_window_scale(self):
         # 660 votes, honest margin 31; flipping 32 from the leader to the

@@ -5,6 +5,7 @@ import gc
 import itertools
 import re
 import tracemalloc
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -111,7 +112,7 @@ class TestCast:
         creds = fx.register("alice")
         ballot = fx.ballot_for("g03")
         receipt = fx.cast(creds, ballot)
-        record = fx.cvs.by_receipt[receipt]
+        record = fx.cvs.records[receipt]
         cvs_ballot = decode_ballot(
             open_envelope(DigitalEnvelope.from_bytes(record.envelope),
                           ServerRole.ELECTION, fx.election_key),
@@ -130,9 +131,9 @@ class TestCast:
             logins.append(creds.login_id)
             receipts.append(fx.cast(creds, fx.ballot_for("g01"), now=10 + i))
         assert len(set(receipts)) == 5
-        assert [r.login_id for r in fx.cvs.records] == logins
-        assert [r.receipt for r in fx.cvs.records] == receipts
-        assert all(fx.cvs.by_receipt[r.receipt] is r for r in fx.cvs.records)
+        assert list(fx.cvs.records) == receipts
+        assert [r.login_id for r in fx.cvs.records.values()] == logins
+        assert all(r.receipt == receipt for receipt, r in fx.cvs.records.items())
 
     def test_a_second_cast_on_one_login_raises(self):
         # single-cast is the voting server's own check: the second cast is
@@ -142,7 +143,7 @@ class TestCast:
         receipt = fx.cast(creds, fx.ballot_for("g01"))
         with pytest.raises(AlreadyCast, match=creds.login_id):
             fx.cast(creds, fx.ballot_for("g02"), now=11)
-        assert [r.receipt for r in fx.cvs.records] == [receipt]
+        assert list(fx.cvs.records) == [receipt]
         assert list(fx.verification.records) == [receipt]
         assert list(fx.cvs.by_login) == [creds.login_id]
         assert dedup_and_count(fx.core_ballots(), fx.manifest).counts == {"g01": 1}
@@ -291,7 +292,7 @@ class TestAudit:
         fx, voters = self.seeded_run()
         # corrupt collecting server rewrites three stored envelopes
         manipulated = []
-        for record in fx.cvs.records[:3]:
+        for record in list(fx.cvs.records.values())[:3]:
             forged = seal(encode_ballot(fx.ballot_for("g06"), fx.manifest),
                           fx.election_key.public(), fx.verification_key.public(),
                           fx.rng)
@@ -302,10 +303,21 @@ class TestAudit:
         assert sorted(i.login_id for i in report.inconsistencies) == sorted(manipulated)
         assert all(i.kind == "ballot_mismatch" for i in report.inconsistencies)
 
+    def test_an_equal_but_distinct_ballot_is_not_reported(self):
+        # a caller's own ballots need not be the verification store's
+        # objects: equal ones still agree
+        fx, _ = self.seeded_run()
+        copies = [replace(ballot) for ballot in fx.core_ballots()]
+        twins = [rec.ballot for rec in fx.verification.records.values()]
+        assert copies == twins
+        assert not any(c is t for c, t in zip(copies, twins))
+        report = audit_reconcile(AuditMode.HONEST, fx.cvs, fx.verification, copies)
+        assert report.inconsistencies == []
+
     def test_blind_eye_sees_nothing_while_tally_is_wrong(self):
         fx, _ = self.seeded_run()
         honest_tally = dedup_and_count(fx.core_ballots(), fx.manifest)
-        for record in fx.cvs.records[:5]:
+        for record in list(fx.cvs.records.values())[:5]:
             record.envelope = seal(
                 encode_ballot(fx.ballot_for("g06"), fx.manifest),
                 fx.election_key.public(), fx.verification_key.public(),
@@ -330,31 +342,29 @@ class TestLinkage:
                                            now=50, caller_id=f"v{i}")
         return fx
 
-    def holdings(self, fx, components=tuple(Component)):
-        return collect_holdings(fx.registration, fx.verification, fx.cvs,
-                                fx.core_ballots(), components)
+    @staticmethod
+    def linked(fx, *components):
+        holdings = collect_holdings(fx.registration, fx.verification, fx.cvs,
+                                    fx.core_ballots(), set(components))
+        return linkage_report(holdings)
 
     def test_empty_set_links_nothing(self):
         fx = self.seeded_run()
-        assert linkage_report(set(), self.holdings(fx)) == set()
+        assert self.linked(fx) == set()
 
     def test_registration_plus_verification_links_everyone(self):
         fx = self.seeded_run()
-        linked = linkage_report({Component.REGISTRATION,
-                                 Component.VERIFICATION_SERVER},
-                                self.holdings(fx))
+        linked = self.linked(fx, Component.REGISTRATION, Component.VERIFICATION_SERVER)
         assert {v for v, _ in linked} == {f"v{i}" for i in range(10)}
 
     def test_verification_alone_links_exactly_caller_id_revealers(self):
         fx = self.seeded_run()
-        linked = linkage_report({Component.VERIFICATION_SERVER},
-                                self.holdings(fx))
+        linked = self.linked(fx, Component.VERIFICATION_SERVER)
         assert {v for v, _ in linked} == {"v0", "v5"}
 
     def test_registration_plus_voice_links_phone_voters(self):
         fx = self.seeded_run()
-        linked = linkage_report({Component.REGISTRATION, Component.VOICE_SERVER},
-                                self.holdings(fx))
+        linked = self.linked(fx, Component.REGISTRATION, Component.VOICE_SERVER)
         assert {v for v, _ in linked} == {"v0", "v1", "v2"}
 
     def test_polling_place_machine_links_its_own_voters(self):
@@ -363,29 +373,25 @@ class TestLinkage:
             creds = fx.register(f"v{i}")
             channel = VoteChannel.POLLING_PLACE if i < 2 else VoteChannel.WEB
             fx.cast(creds, fx.ballot_for("g01"), now=10 + i, channel=channel)
-        linked = linkage_report({Component.POLLING_PLACE_MACHINE},
-                                self.holdings(fx))
+        linked = self.linked(fx, Component.POLLING_PLACE_MACHINE)
         assert {v for v, _ in linked} == {"v0", "v1"}
 
     def test_phone_tap_disabled_drops_that_channel(self):
         # a phone network nobody taps is a tap left out of the compromised set
         fx = self.seeded_run()
-        with_tap = linkage_report({Component.PHONE_TAP_CALLER_ID},
-                                  self.holdings(fx))
-        without = linkage_report(set(), self.holdings(fx))
+        with_tap = self.linked(fx, Component.PHONE_TAP_CALLER_ID)
         assert {v for v, _ in with_tap} == {"v0", "v5"}
-        assert without == set()
+        assert self.linked(fx) == set()
 
     def test_registration_plus_auditor_links_everyone(self):
         fx = self.seeded_run()
-        linked = linkage_report({Component.REGISTRATION, Component.AUDITOR},
-                                self.holdings(fx))
+        linked = self.linked(fx, Component.REGISTRATION, Component.AUDITOR)
         assert {v for v, _ in linked} == {f"v{i}" for i in range(10)}
 
     def test_unknown_component_rejected(self):
         fx = self.seeded_run()
-        with pytest.raises(UnknownComponent):
-            linkage_report({"mystery"}, self.holdings(fx))
+        with pytest.raises(UnknownComponent, match="mystery"):
+            self.linked(fx, Component.REGISTRATION, "mystery")
 
     @staticmethod
     def mixed_run():
@@ -404,24 +410,55 @@ class TestLinkage:
             if i in (1, 3):
                 fx.verification.verify_ivr(creds.login_id, creds.pin, receipt,
                                            now=50, caller_id=f"v{i}")
-        rewritten = fx.cvs.records[5]
+        rewritten = list(fx.cvs.records.values())[5]
         rewritten.envelope = seal(encode_ballot(fx.ballot_for("g06"), fx.manifest),
                                   fx.election_key.public(),
                                   fx.verification_key.public(), fx.rng).to_bytes()
         return fx, rewritten
 
-    def test_holdings_of_the_compromised_alone_link_what_all_do(self):
+    @staticmethod
+    def linkage_oracle(fx, core, compromised):
+        """The voter-ballot pairs `compromised` can tie together, worked
+        out login by login from the registration owners, the verification
+        records and the core records.
+        """
+        owner = fx.registration.owner  # login id -> voter
+        ver = list(fx.verification.records.values())
+        core_votes = list(zip(fx.cvs.records.values(), core))
+        names, ballots = {}, {}  # login id -> the identities, the ballots tied to it
+        if Component.REGISTRATION in compromised:
+            for login, voter in owner.items():
+                names.setdefault(login, set()).add(voter)
+        for rec in ver:
+            if Component.VERIFICATION_SERVER in compromised and rec.caller_id is not None:
+                names.setdefault(rec.login_id, set()).add(rec.caller_id)
+            if Component.VERIFICATION_SERVER in compromised or \
+                    Component.AUDITOR in compromised or \
+                    (Component.VOICE_SERVER in compromised and rec.channel is VoteChannel.PHONE):
+                ballots.setdefault(rec.login_id, set()).add(rec.ballot)
+        if Component.AUDITOR in compromised:
+            for record, ballot in core_votes:
+                ballots.setdefault(record.login_id, set()).add(ballot)
+        linked = {(name, ballot) for login, held in ballots.items()
+                  for name in names.get(login, ()) for ballot in held}
+        if Component.POLLING_PLACE_MACHINE in compromised:
+            linked |= {(owner[record.login_id], ballot) for record, ballot in core_votes
+                       if record.channel is VoteChannel.POLLING_PLACE}
+        if Component.PHONE_TAP_CALLER_ID in compromised:
+            linked |= {(rec.caller_id, rec.ballot) for rec in ver if rec.caller_id is not None}
+        return linked
+
+    def test_every_component_subset_links_what_the_oracle_joins(self):
         fx, _ = self.mixed_run()
         core = fx.core_ballots()
-        every = collect_holdings(fx.registration, fx.verification, fx.cvs, core,
-                                 tuple(Component))
         linked_by = {}
         for size in range(len(Component) + 1):
             for subset in itertools.combinations(Component, size):
-                own = collect_holdings(fx.registration, fx.verification, fx.cvs,
-                                       core, set(subset))
-                linked_by[subset] = linkage_report(set(subset), own)
-                assert linked_by[subset] == linkage_report(set(subset), every)
+                holdings = collect_holdings(fx.registration, fx.verification, fx.cvs,
+                                            core, set(subset))
+                linked_by[subset] = linkage_report(holdings)
+                assert linked_by[subset] == self.linkage_oracle(fx, core, set(subset))
+        assert len(linked_by) == 64
 
         def voters(*subset):
             return sorted(voter for voter, _ in linked_by[subset])
@@ -438,7 +475,7 @@ class TestLinkage:
         fx, _ = self.mixed_run()
         h = collect_holdings(fx.registration, fx.verification, fx.cvs,
                              fx.core_ballots(), set())
-        assert h.identity_to_login == h.login_to_ballot == h.identity_to_ballot == {}
+        assert h.identity_to_login == h.login_to_ballot == h.identity_to_ballot == set()
 
 
 class TestPostPollOpens:
@@ -456,7 +493,7 @@ class TestPostPollOpens:
 
         monkeypatch.setattr(election, "open_envelope", counting_open)
         engine.run()
-        stored = [record.envelope for record in engine.cvs.records]
+        stored = [record.envelope for record in engine.cvs.records.values()]
         assert engine.attacker.manipulation_ledger
         assert len(opened) == len(stored) > 0
         assert sorted(envelope.to_bytes() for envelope in opened) == sorted(stored)
@@ -464,7 +501,7 @@ class TestPostPollOpens:
     def test_an_agreeing_vote_holds_one_ballot_object(self):
         fx, rewritten = TestLinkage.mixed_run()
         core = fx.core_ballots()
-        for record, ballot in zip(fx.cvs.records, core):
+        for record, ballot in zip(fx.cvs.records.values(), core):
             twin = fx.verification.records[record.receipt].ballot
             if record is rewritten:
                 assert ballot != twin

@@ -20,7 +20,6 @@ from votesim.messages import (
     RegistrationReply,
     RegistrationRequest,
     SecureRecord,
-    SessionContext,
     ThirdPartyFetch,
     VerifyCall,
 )
@@ -396,7 +395,7 @@ class TestTraceText:
         (RegistrationReply("voter00001", CREDS),
          "RegistrationReply(login=01234567,voter=voter00001)"),
         (CastIntent("voter00001", CREDS, BALLOT, 3600, VoteChannel.WEB,
-                    session=SessionContext(compromised=True)),
+                    compromised=True),
          "CastIntent(compromised=True,t=3600,voter=voter00001)"),
         (CastIntent("fraud:voter00002", CREDS, BALLOT, 0, VoteChannel.WEB),
          "CastIntent(compromised=False,t=0,voter=fraud:voter00002)"),
@@ -420,7 +419,7 @@ class TestTraceText:
         (ThirdPartyFetch("voter00008", False),
          "ThirdPartyFetch(patched=False,voter=voter00008)"),
         # no trace_text: the class name alone
-        (SessionContext(compromised=True), "SessionContext"),
+        (CREDS, "Credentials"),
         (b"raw-bytes", "bytes"),
         (object(), "object"),
     ])

@@ -475,7 +475,7 @@ class TestBundledScenarios:
                 cast.add(src)
         assert cast
         assert [v for v in sorted(cast) if engine.voters[v].rng is not None] == []
-        record = engine.cvs.records[0]
+        record = next(iter(engine.cvs.records.values()))
         submission = CastSubmission(
             voter_id=min(cast), credentials=Credentials(record.login_id, "000000"),
             envelope=record.envelope, channel=record.channel)
