@@ -99,7 +99,6 @@ class ElectionTimeline:
 class CoreVotingRecord:
     login_id: str
     envelope: bytes  # the envelope's wire bytes, as the cast carried them
-    receipt: str
     channel: VoteChannel
 
 
@@ -107,7 +106,6 @@ class CoreVotingRecord:
 class VerificationRecord:
     login_id: str
     pin_hash: bytes
-    receipt: str
     ballot: Ballot
     channel: VoteChannel
     caller_id: Optional[str] = None
@@ -150,8 +148,7 @@ class VerificationService:
                                      ServerRole.VERIFICATION, self.keypair)
         ballot = decode_ballot(ballot_bytes, self.manifest)
         self.records[receipt] = VerificationRecord(
-            login_id=login_id, pin_hash=pin_hash, receipt=receipt,
-            ballot=ballot, channel=channel,
+            login_id=login_id, pin_hash=pin_hash, ballot=ballot, channel=channel,
         )
 
     def verify_ivr(self, login_id: str, pin: str, receipt: str, now: int,
@@ -191,7 +188,7 @@ class CoreVotingSystem:
             raise AlreadyCast(f"login {login_id} has already cast")
         receipt = self.issue_receipt(rng)
         record = CoreVotingRecord(
-            login_id=login_id, envelope=envelope, receipt=receipt, channel=channel,
+            login_id=login_id, envelope=envelope, channel=channel,
         )
         self.records[receipt] = record
         self.by_login[login_id] = record

@@ -673,12 +673,11 @@ class ScenarioEngine:
         # any other voter cast their own intent, on the web or by phone
         ledger = self.attacker.manipulation_ledger
         candidates = []
-        for r in self.cvs.records.values():
+        for _, r in sorted(self.cvs.records.items()):  # by receipt, a unique key
             state = self.voters[self.registration.owner[r.login_id]]
             if state.voter_id in ledger or state.intended == self.attacker_ballot:
                 continue
             candidates.append((r, state))
-        candidates.sort(key=lambda c: c[0].receipt)
         for record, state in candidates[:a.server_rewrite.count]:
             # phone casts are sealed at the voice server, on no session
             session_key = None if record.channel is el.VoteChannel.PHONE \

@@ -23,7 +23,6 @@ Cryptanalysis runs for real at desk scale: Pollard rho factoring of the
 of the precompute, mirroring the real attack's cost structure).
 """
 
-import gc
 import hashlib
 import hmac as hmac_mod
 import math
@@ -571,21 +570,46 @@ def factor_export_modulus(n: int, rng: Optional[Random] = None,
     return p, q
 
 
+class BabySteps:
+    """The baby steps g^j, j < table_size, at one fingerprint byte each.
+
+    `slots` is an open-addressed table of 2^shift >= 8 * count bytes, so at
+    most one slot in eight is taken. Step v sits in slot v & mask, or in the
+    first free slot after it (linear probing), and the slot holds v's
+    fingerprint byte, v >> shift & 255 or 1; a zero byte is a free slot. A
+    lookup never misses a stored step, but a matching byte is only a
+    candidate: another value in the same probe run may share it.
+    """
+
+    __slots__ = ("slots", "mask", "shift", "count")
+
+    def __init__(self, count: int):
+        self.shift = (8 * count - 1).bit_length()
+        self.mask = (1 << self.shift) - 1
+        self.slots = bytearray(1 << self.shift)
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+
 @dataclass
 class PrecompTable:
     """Reusable baby-step table for one fixed group. Deliberately oversized
     (DLOG_TABLE_FACTOR times sqrt(q)) so each individual descent is a small
     fraction of the precompute cost.
 
-    `table` holds the baby steps g^j, j < table_size, as keys only (a
-    boxed j beside each would take half as much memory again), and
-    `marks` maps every DLOG_MARK_EVERY-th of them, g^(kB), back to kB. A
-    giant step that lands in the table walks down by `g_inv` to the mark
-    below it, at most B - 1 multiplications, and recovers j = kB + r.
+    `table` keeps one fingerprint byte per baby step g^j, j < table_size,
+    and `marks` maps every DLOG_MARK_EVERY-th step, g^(kB), back to kB. A
+    giant step whose byte is in the table is only a candidate: it walks
+    down by `g_inv`, at most B - 1 multiplications, to a mark. Reaching
+    g^(kB) after r steps proves the giant step is g^(kB + r), so the
+    exponent found is exact; a true baby step always reaches its mark, and
+    a false match that reaches none lets the giant steps go on.
     """
 
     params: ElGamalParams
-    table: set[int]
+    table: BabySteps
     marks: dict[int, int]
     table_size: int
     stride_inv: int  # g^(-table_size) mod p
@@ -595,14 +619,14 @@ class PrecompTable:
 def dlog_precompute(params: ElGamalParams) -> PrecompTable:
     p, g, q = params.p, params.g, params.q
     size = DLOG_TABLE_FACTOR * math.isqrt(q)
-    table: set[int] = set()
-    # unlike a dict of ints, a set is always a GC container: tenure it while
-    # empty, so that young collections never walk its keys
-    gc.collect(1)
-    add = table.add
+    table = BabySteps(size)
+    slots, mask, shift = table.slots, table.mask, table.shift
     acc = 1
     for _ in range(size):
-        add(acc)
+        s = acc & mask
+        while slots[s]:
+            s = s + 1 & mask
+        slots[s] = acc >> shift & 255 or 1
         acc = acc * g % p
     # acc == g^size here
     marks: dict[int, int] = {}
@@ -622,17 +646,26 @@ def dlog_individual(y: int, table: PrecompTable) -> int:
     p, q = table.params.p, table.params.q
     if not 0 < y < p or pow(y, q, p) != 1:
         raise NoSolution("target is outside the precomputed subgroup")
-    baby_steps, size, stride_inv = table.table, table.table_size, table.stride_inv
+    steps, size, stride_inv = table.table, table.table_size, table.stride_inv
+    slots, mask, shift = steps.slots, steps.mask, steps.shift
+    marks, g_inv = table.marks, table.g_inv
     cur = y
     for i in range(q // size + 2):
-        if cur in baby_steps:
-            # cur == g^j: step down r times to the mark g^(j - r)
-            marks, g_inv = table.marks, table.g_inv
-            r = 0
-            while cur not in marks:
-                cur = cur * g_inv % p
-                r += 1
-            return (i * size + marks[cur] + r) % q
+        s = cur & mask
+        byte = slots[s]
+        if byte:
+            fingerprint = cur >> shift & 255 or 1
+            while byte and byte != fingerprint:
+                s = s + 1 & mask
+                byte = slots[s]
+            if byte:
+                # a candidate: walk down to the mark g^(kB) below it, if any
+                walk, r = cur, 0
+                while walk not in marks and r < DLOG_MARK_EVERY - 1:
+                    walk = walk * g_inv % p
+                    r += 1
+                if walk in marks:
+                    return (i * size + marks[walk] + r) % q
         cur = cur * stride_inv % p
     raise DlogBudgetExceeded("giant-step walk exhausted")  # unreachable for subgroup members
 

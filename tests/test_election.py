@@ -133,7 +133,7 @@ class TestCast:
         assert len(set(receipts)) == 5
         assert list(fx.cvs.records) == receipts
         assert [r.login_id for r in fx.cvs.records.values()] == logins
-        assert all(r.receipt == receipt for receipt, r in fx.cvs.records.items())
+        assert list(fx.verification.records) == receipts
 
     def test_a_second_cast_on_one_login_raises(self):
         # single-cast is the voting server's own check: the second cast is
@@ -398,7 +398,7 @@ class TestLinkage:
         """Web, phone and polling-place votes, two caller-id revealers
         (one on a web vote), drawn ballots that are no card, and one stored
         envelope rewritten after the close. Returns it and the rewritten
-        record.
+        record's receipt.
         """
         fx = Fixture()
         rng = Random(7)
@@ -410,10 +410,10 @@ class TestLinkage:
             if i in (1, 3):
                 fx.verification.verify_ivr(creds.login_id, creds.pin, receipt,
                                            now=50, caller_id=f"v{i}")
-        rewritten = list(fx.cvs.records.values())[5]
-        rewritten.envelope = seal(encode_ballot(fx.ballot_for("g06"), fx.manifest),
-                                  fx.election_key.public(),
-                                  fx.verification_key.public(), fx.rng).to_bytes()
+        rewritten = list(fx.cvs.records)[5]
+        fx.cvs.records[rewritten].envelope = seal(
+            encode_ballot(fx.ballot_for("g06"), fx.manifest), fx.election_key.public(),
+            fx.verification_key.public(), fx.rng).to_bytes()
         return fx, rewritten
 
     @staticmethod
@@ -501,15 +501,15 @@ class TestPostPollOpens:
     def test_an_agreeing_vote_holds_one_ballot_object(self):
         fx, rewritten = TestLinkage.mixed_run()
         core = fx.core_ballots()
-        for record, ballot in zip(fx.cvs.records.values(), core):
-            twin = fx.verification.records[record.receipt].ballot
-            if record is rewritten:
+        for receipt, ballot in zip(fx.cvs.records, core):
+            twin = fx.verification.records[receipt].ballot
+            if receipt == rewritten:
                 assert ballot != twin
             else:
                 assert ballot is twin
         report = audit_reconcile(AuditMode.HONEST, fx.cvs, fx.verification, core)
         assert [(i.login_id, i.receipt) for i in report.inconsistencies] == \
-            [(rewritten.login_id, rewritten.receipt)]
+            [(fx.cvs.records[rewritten].login_id, rewritten)]
 
 
 class TestStoreMemory:

@@ -289,14 +289,16 @@ class TestDlog:
             with pytest.raises(NoSolution):
                 dlog_individual(target, self.table)
 
-    def test_table_is_built_in_the_oldest_generation(self):
-        # only a full collection walks the baby steps, not every young one
-        table = dlog_precompute(self.params).table
-        assert any(obj is table for obj in gc.get_objects(generation=2))
+    def test_slot_store_is_not_gc_tracked(self):
+        # a bytearray holds no references: no collection walks the table
+        steps = self.table.table
+        assert not gc.is_tracked(steps.slots)
+        assert len(steps.slots) >= 8 * len(steps) == 8 * self.table.table_size
 
     def test_precompute_memory_bound(self):
         # one boxed index per baby step (a dict[int, int]) peaks near 55 MB
-        # on the seed-4 group; the keys-only set near 37 MB
+        # on the seed-4 group and a keys-only set near 37 MB; one byte in
+        # each of 2^22 slots peaks near 5 MB
         params = gen_export_dhe_params(64, Random(4))
         tracemalloc.start()
         try:
@@ -305,7 +307,44 @@ class TestDlog:
         finally:
             tracemalloc.stop()
         assert len(table.table) == table.table_size
-        assert peak < 40 * 10 ** 6
+        assert peak < 8 * 10 ** 6
+
+    def test_every_exponent_of_a_32_bit_group(self):
+        # q = 38,839 and 3,152 baby steps in 2^15 slots: some steps share a
+        # probe run, and some giant steps match a fingerprint falsely and
+        # are rejected by the walk to a mark
+        params = gen_export_dhe_params(32, Random(3))
+        p, g, q = params.p, params.g, params.q
+        table = dlog_precompute(params)
+        assert (q, table.table_size) == (38839, 3152)
+        steps = table.table
+        baby = {pow(g, j, p) for j in range(table.table_size)}
+        shared = rejected = 0
+        y = 1
+        for x in range(q):
+            assert dlog_individual(y, table) == x
+            offset = first_fingerprint_match(steps, y)
+            if y in baby:
+                assert offset is not None
+                shared += offset > 0
+            else:
+                rejected += offset is not None
+            y = y * g % p
+        assert shared > 0 and rejected > 0
+
+
+def first_fingerprint_match(steps, v):
+    """How far past v's home slot its probe run first holds v's fingerprint
+    byte, or None if the run holds none.
+    """
+    slots, mask = steps.slots, steps.mask
+    fingerprint = v >> steps.shift & 255 or 1
+    home = s = v & mask
+    while slots[s]:
+        if slots[s] == fingerprint:
+            return s - home & mask
+        s = s + 1 & mask
+    return None
 
 
 class TestFreak:

@@ -91,6 +91,16 @@ def test_seven_rounds_below_two_to_the_64(monkeypatch):
     assert rounds == list(numth._MR_BASES)
 
 
+def test_bases_are_the_published_ones():
+    # no input this file can afford is a strong pseudoprime to all bases but
+    # one, so behaviour alone would not notice a dropped base: pin them.
+    # Sinclair's seven bases below 2^64, and the first 13 primes, exact
+    # below psi_13 (Sorenson and Webster, Math. Comp. 86, 2017)
+    assert numth._MR_BASES_64 == (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+    assert numth._MR_BASES == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    assert numth._MR_EXACT_BELOW == 3317044064679887385961981
+
+
 def test_hard_inputs_reach_both_tests():
     # the composite Mersenne numbers above the bound pass base 2 and are
     # rejected by the Lucas step alone

@@ -475,11 +475,11 @@ class TestBundledScenarios:
                 cast.add(src)
         assert cast
         assert [v for v in sorted(cast) if engine.voters[v].rng is not None] == []
-        record = next(iter(engine.cvs.records.values()))
+        receipt, record = next(iter(engine.cvs.records.items()))
         submission = CastSubmission(
             voter_id=min(cast), credentials=Credentials(record.login_id, "000000"),
             envelope=record.envelope, channel=record.channel)
-        stored = engine.verification.records[record.receipt]
+        stored = engine.verification.records[receipt]
         for obj in (engine.voters[min(cast)], Event(0, "voter00000", "browser", None),
                     submission, record, stored):
             assert not hasattr(obj, "__dict__"), type(obj).__name__
