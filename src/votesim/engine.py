@@ -580,22 +580,27 @@ class ScenarioEngine:
         except el.ServiceClosed:
             state.verify_outcome = "closed"
             return
-        state.verify_outcome = "read_back"
-        state.verify_matched = ballot == state.intended
-        if not state.verify_matched:
-            self._complain(state, el.ComplaintKind.MISMATCH_READ)
-        elif state.false_complainer:
-            self._complain(state, el.ComplaintKind.FALSE_COMPLAINT)
+        self._read_back(state, "read_back", ballot == state.intended)
 
     def _on_attacker_ivr(self, event: netsim.Event, sim: netsim.Simulator) -> None:
-        call = event.payload
-        state = self.voters[call.voter_id]
         # the fake service reads back the voter's own intent, so it
         # always matches
-        state.verify_outcome = "read_back_fake"
-        state.verify_matched = True
-        if state.false_complainer:
-            self._complain(state, el.ComplaintKind.FALSE_COMPLAINT)
+        self._read_back(self.voters[event.payload.voter_id], "read_back_fake", True)
+
+    @staticmethod
+    def _read_back(state: VoterState, outcome: str, matched: bool) -> None:
+        """The voter hears a ballot read back at either IVR: a mismatch is
+        a true complaint, and only a matching read-back leaves room for a
+        false one.
+        """
+        state.verify_outcome = outcome
+        state.verify_matched = matched
+        if state.complaint is not None:
+            return  # the voter's first complaint stands
+        if not matched:
+            state.complaint = el.ComplaintKind.MISMATCH_READ
+        elif state.false_complainer:
+            state.complaint = el.ComplaintKind.FALSE_COMPLAINT
 
     def _on_receipt_service(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         # queries are scheduled only before the service ends, for a receipt
@@ -603,11 +608,6 @@ class ScenarioEngine:
         query = event.payload
         if query.receipt not in self.cvs.records:
             raise el.ElectionError(f"receipt {query.receipt} is not in the core store")
-
-    @staticmethod
-    def _complain(state: VoterState, kind: el.ComplaintKind) -> None:
-        if state.complaint is None:
-            state.complaint = kind
 
     # --- run ---
 
