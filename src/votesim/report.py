@@ -7,10 +7,17 @@ static metadata.
 """
 
 import json
+from itertools import islice
 from typing import Any
 
 from .election import ComplaintKind
 from .minitls import REAL_WORLD_COSTS
+
+_REPORT_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)  # a list's metrics row
+# tokens joined into one string at a time while encoding
+_JOIN_BATCH = 1024
+
 
 def model_assumptions(config) -> list[str]:
     return [
@@ -150,8 +157,23 @@ def build_report(engine) -> dict:
     return report
 
 
+def _json_chunks(encoder: json.JSONEncoder, value: Any) -> list[str]:
+    """`encoder`'s text for `value` as a list of strings, each the join of
+    `_JOIN_BATCH` tokens of the encoder's stream. With `indent` set, json
+    encodes in pure Python and yields one short string per token, so
+    joining the whole stream at once holds several times the text.
+    """
+    tokens = encoder.iterencode(value)
+    chunks = []
+    while batch := list(islice(tokens, _JOIN_BATCH)):
+        chunks.append("".join(batch))
+    return chunks
+
+
 def serialize_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    chunks = _json_chunks(_REPORT_ENCODER, report)
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def parse_report(text: str) -> dict:
@@ -160,19 +182,23 @@ def parse_report(text: str) -> dict:
 
 def metrics_rows(report: dict) -> str:
     """Flat machine-readable rows (tab-separated key paths)."""
-    rows = []
+    parts = []
 
     def walk(prefix: str, node: Any):
         if isinstance(node, dict):
             for k in sorted(node):
                 walk(f"{prefix}.{k}" if prefix else str(k), node[k])
-        elif isinstance(node, list):
-            rows.append((prefix, json.dumps(node, sort_keys=True)))
+            return
+        parts.append(prefix)
+        parts.append("\t")
+        if isinstance(node, list):
+            parts.extend(_json_chunks(_ROW_ENCODER, node))
         else:
-            rows.append((prefix, json.dumps(node)))
+            parts.append(json.dumps(node))
+        parts.append("\n")
 
     walk("", report)
-    return "".join(f"{k}\t{v}\n" for k, v in rows)
+    return "".join(parts)
 
 
 def diff_reports(a: dict, b: dict) -> list[tuple[str, Any, Any]]:
