@@ -44,8 +44,8 @@ OVERRIDES = {
         "attacks.last_minute.enabled": True,
         "attacks.last_minute.safety_window": 3600,
         "attacks.fake_ivr.dial_genuine_rate": 0.5},
-    # a below-the-line card whose first preference sits in another group:
-    # its followers' ballots decode through the candidate pool
+    # a below-the-line card whose first preference sits in another group,
+    # so its followers count for g02
     "honest-baseline+btl-card": {
         "manifest.cards": {"g01": {"assembly": ["a01", "a02"],
                                    "council": ["c002", "c001", "c009"],
