@@ -32,8 +32,8 @@ from random import Random
 from typing import Callable, Optional
 
 from .ballots import Ballot
-from .envelope import Credentials
-from .messages import CastIntent, C2Exfil, RegistrationRequest, VerifyCall
+from .election import Credentials
+from .messages import CastIntent, C2Exfil, VerifyCall
 from .netsim import Decision, Event, MitmTap, Simulator
 
 
@@ -43,8 +43,7 @@ class AttackError(Exception):
 
 @dataclass(slots=True)
 class PoolEntry:
-    login_id: str
-    pin: str
+    credentials: Credentials
     receipt: str
     ballot: Ballot
 
@@ -66,7 +65,8 @@ class AttackerState:
     ground truth for every detection number.
     """
 
-    clash_pool: dict[Ballot, list[PoolEntry]] = field(default_factory=dict)
+    # the first harvested vote for each ballot
+    clash_pool: dict[Ballot, PoolEntry] = field(default_factory=dict)
     manipulation_ledger: dict[str, LedgerEntry] = field(default_factory=dict)
     # victim -> the pooled vote whose credentials and receipt it was handed
     clash_victims: dict[str, PoolEntry] = field(default_factory=dict)
@@ -171,63 +171,36 @@ def fake_verification_redirect(
 
 # --- the clash registration front ---
 
-@dataclass
-class ClashOutcome:
-    reused: bool
-    handed_out: Credentials  # what the victim walks away with
-    believed_receipt: Optional[str]
-    fresh: Optional[Credentials]  # entitlement spent by the attacker, if any
+def clash_register(state: AttackerState, voter_id: str,
+                   predicted: Ballot) -> Optional[PoolEntry]:
+    """Pool lookup on the attacker's look-alike registration site, made
+    after the victim's real entitlement is registered with an
+    attacker-assigned PIN.
 
-
-def clash_register(
-    state: AttackerState,
-    request: RegistrationRequest,
-    predicted: Ballot,
-    register_entitlement,
-    attacker_pin: str,
-    now: int,
-) -> ClashOutcome:
-    """Registration handler on the attacker's look-alike site.
-
-    On a pool hit: the victim leaves with a previous like-minded voter's
-    credentials and receipt (so every check the victim makes agrees with
-    his intent exactly when the prediction was right), and the attacker
-    quietly spends the victim's real entitlement on fresh credentials.
-    On a miss: the victim is registered honestly, except the attacker
-    assigns the PIN, so the eventual vote can be harvested into the pool.
-
-    `register_entitlement(voter_id, pin, now) -> Credentials` performs the
-    real registration.
+    On a hit the victim is handed a previous like-minded voter's pooled
+    vote: its credentials and receipt, so every check the victim makes
+    agrees with their intent exactly when the prediction was right. On a
+    miss the victim keeps the real credentials and is watched, so the
+    eventual vote can be harvested into the pool.
     """
-    pool = state.clash_pool.get(predicted, [])
-    if pool:
-        entry = pool[0]
-        fresh = register_entitlement(request.voter_id, attacker_pin, now)
-        state.clash_victims[request.voter_id] = entry
-        return ClashOutcome(
-            reused=True,
-            handed_out=Credentials(login_id=entry.login_id, pin=entry.pin),
-            believed_receipt=entry.receipt,
-            fresh=fresh,
-        )
-    creds = register_entitlement(request.voter_id, attacker_pin, now)
-    state.harvest_targets.add(request.voter_id)
-    return ClashOutcome(reused=False, handed_out=creds, believed_receipt=None,
-                        fresh=None)
+    entry = state.clash_pool.get(predicted)
+    if entry is not None:
+        state.clash_victims[voter_id] = entry
+    else:
+        state.harvest_targets.add(voter_id)
+    return entry
 
 
 def clash_note_cast(state: AttackerState, voter_id: str, credentials: Credentials,
                     receipt: str, ballot: Ballot) -> None:
     """Harvest a watched voter's completed cast into the clash pool, keyed
     by the ballot actually cast (for a fixed manifest, equal ballots are
-    exactly equal encodings).
+    exactly equal encodings). The first vote harvested for a ballot is the
+    one handed out.
     """
-    if voter_id not in state.harvest_targets:
-        return
-    state.clash_pool.setdefault(ballot, []).append(PoolEntry(
-        login_id=credentials.login_id, pin=credentials.pin,
-        receipt=receipt, ballot=ballot,
-    ))
+    if voter_id in state.harvest_targets and ballot not in state.clash_pool:
+        state.clash_pool[ballot] = PoolEntry(credentials=credentials,
+                                             receipt=receipt, ballot=ballot)
 
 
 def clash_suppress_cast(state: AttackerState, intent: CastIntent) -> Decision:
@@ -244,9 +217,7 @@ def clash_suppress_cast(state: AttackerState, intent: CastIntent) -> Decision:
         voter_id=intent.voter_id, strategy="clash", cast_time=intent.cast_time,
         masked=(intent.ballot == pooled.ballot),
     ))
-    return Decision.modify(replace(
-        intent, suppress_submit=True,
-        believed_receipt=pooled.receipt, handled_by="clash"))
+    return Decision.modify(replace(intent, suppress_submit=True, handled_by="clash"))
 
 
 # --- the browser tap (composition with the event network) ---

@@ -15,8 +15,7 @@ import sys
 
 from .config import ConfigInvalid, bundled_scenarios, load_config
 from .engine import run_engine
-from .report import (build_report, diff_reports, metrics_rows, parse_report,
-                     serialize_report)
+from .report import build_report, diff_reports, metrics_chunks, parse_report, report_chunks
 
 
 def _resolve_config(name_or_path: str) -> str:
@@ -36,15 +35,15 @@ def cmd_run(args) -> int:
         config.seed = args.seed
     engine = run_engine(config)
     report = build_report(engine)
-    text = serialize_report(report)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, f"{config.name}-seed{config.seed}")
     report_path = f"{base}.report.json"
+    # piece by piece, so the whole text is never held or encoded at once
     with open(report_path, "w") as f:
-        f.write(text)
+        f.writelines(report_chunks(report))
     with open(f"{base}.metrics.tsv", "w") as f:
-        f.write(metrics_rows(report))
+        f.writelines(metrics_chunks(report))
     if args.trace:
         with open(f"{base}.trace.log", "w") as f:
             f.writelines(engine.sim.iter_trace_text())

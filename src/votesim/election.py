@@ -1,6 +1,7 @@
 """The voting services and the four-step protocol they implement.
 
-1. register: voter gets an 8-digit login id and a 6-digit PIN.
+1. register: voter gets an 8-digit login id and a 6-digit PIN; the
+   registration service keeps each login's PIN digest and owner.
 2. cast: the client seals the ballot in a digital envelope; the core
    voting system stores the envelope's wire bytes as they arrived,
    forwards them to the verification service, and returns a 12-digit
@@ -22,21 +23,19 @@ receipt, so read-back answers come from its copy, never from the core
 store: the two can disagree, which is exactly what the auditor is for.
 """
 
+import hashlib
+import hmac
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
 from typing import Collection, Optional
 
 from .ballots import Ballot, ElectionManifest, TallyResult, decode_ballot, tally_first_preferences
-from .envelope import (
-    RECEIPT_DIGITS,
-    CredentialRegistry,
-    Credentials,
-    DigitalEnvelope,
-    KeyPair,
-    ServerRole,
-    open_envelope,
-)
+from .envelope import DigitalEnvelope, KeyPair, ServerRole, open_envelope
+
+LOGIN_ID_DIGITS = 8
+PIN_DIGITS = 6
+RECEIPT_DIGITS = 12
 
 
 class ElectionError(Exception):
@@ -64,6 +63,10 @@ class AlreadyCast(ElectionError):
 
 
 class UnknownComponent(ElectionError):
+    pass
+
+
+class RegistryExhausted(ElectionError):
     pass
 
 
@@ -95,6 +98,16 @@ class ElectionTimeline:
         return self.polls_close
 
 
+@dataclass(frozen=True, slots=True)
+class Credentials:
+    login_id: str
+    pin: str
+
+
+def hash_pin(pin: str) -> bytes:
+    return hashlib.sha256(b"pin:" + pin.encode()).digest()
+
+
 @dataclass(slots=True)
 class CoreVotingRecord:
     login_id: str
@@ -112,22 +125,43 @@ class VerificationRecord:
 
 
 class RegistrationService:
-    """Issues credentials and keeps the name-to-login-id link (the link is
-    itself privacy-relevant; see linkage_report).
+    """Issues unique zero-padded login ids and PINs, and keeps each login's
+    PIN digest and owner (the owner link is itself privacy-relevant; see
+    linkage_report). Single writer: owned by the election event loop.
     """
 
-    def __init__(self, registry: CredentialRegistry, timeline: ElectionTimeline):
-        self.registry = registry
+    def __init__(self, timeline: ElectionTimeline):
         self.timeline = timeline
+        self.pin_hash: dict[str, bytes] = {}  # login id -> PIN digest
         self.owner: dict[str, str] = {}  # login id -> voter
 
-    def register(self, voter_id: str, pin_choice: Optional[str],
-                 channel: VoteChannel, now: int, rng: Random) -> Credentials:
+    def register(self, voter_id: str, pin_choice: Optional[str], now: int,
+                 rng: Random) -> Credentials:
+        """Fresh credentials for `voter_id`. The PIN is the caller's choice
+        when given, which models an attacker assigning one at registration.
+        """
         if now >= self.timeline.polls_close:
             raise PollsClosed("registration after close of polls")
-        creds = self.registry.issue(pin_choice, rng)
-        self.owner[creds.login_id] = voter_id
-        return creds
+        if len(self.pin_hash) >= 10 ** LOGIN_ID_DIGITS:
+            raise RegistryExhausted("login id space exhausted")
+        while True:
+            login_id = f"{rng.randrange(10 ** LOGIN_ID_DIGITS):0{LOGIN_ID_DIGITS}d}"
+            if login_id not in self.pin_hash:
+                break
+        if pin_choice is not None:
+            if not (len(pin_choice) == PIN_DIGITS and pin_choice.isascii()
+                    and pin_choice.isdigit()):
+                raise ElectionError("pin must be 6 digits")
+            pin = pin_choice
+        else:
+            pin = f"{rng.randrange(10 ** PIN_DIGITS):0{PIN_DIGITS}d}"
+        self.pin_hash[login_id] = hash_pin(pin)
+        self.owner[login_id] = voter_id
+        return Credentials(login_id=login_id, pin=pin)
+
+    def check_pin(self, login_id: str, pin: str) -> bool:
+        stored = self.pin_hash.get(login_id)
+        return stored is not None and hmac.compare_digest(stored, hash_pin(pin))
 
 
 class VerificationService:
@@ -157,7 +191,7 @@ class VerificationService:
             raise ServiceClosed("verification service stopped at close of polls")
         record = self.records.get(receipt)
         if record is None or record.login_id != login_id or \
-                record.pin_hash != CredentialRegistry.hash_pin(pin):
+                record.pin_hash != hash_pin(pin):
             raise NoSuchRecord("no record for those credentials")
         if caller_id is not None:
             record.caller_id = caller_id
@@ -169,9 +203,9 @@ class CoreVotingSystem:
     and forwards a copy to the verification service.
     """
 
-    def __init__(self, registry: CredentialRegistry, timeline: ElectionTimeline,
+    def __init__(self, registration: RegistrationService, timeline: ElectionTimeline,
                  verification: VerificationService):
-        self.registry = registry
+        self.registration = registration
         self.timeline = timeline
         self.verification = verification
         self.records: dict[str, CoreVotingRecord] = {}  # receipt -> record, in cast order
@@ -182,7 +216,7 @@ class CoreVotingSystem:
         if now >= self.timeline.polls_close:
             raise PollsClosed("polls are closed")
         login_id = credentials.login_id
-        if not self.registry.check_pin(login_id, credentials.pin):
+        if not self.registration.check_pin(login_id, credentials.pin):
             raise BadCredentials("login id and PIN do not match")
         if login_id in self.by_login:
             raise AlreadyCast(f"login {login_id} has already cast")
@@ -192,8 +226,8 @@ class CoreVotingSystem:
         )
         self.records[receipt] = record
         self.by_login[login_id] = record
-        # the registry's own digest object: no vote keeps a second hash
-        self.verification.receive(login_id, self.registry.pin_digest(login_id),
+        # the registration's own digest object: no vote keeps a second hash
+        self.verification.receive(login_id, self.registration.pin_hash[login_id],
                                   receipt, envelope, channel)
         return receipt
 

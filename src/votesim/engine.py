@@ -68,7 +68,7 @@ class VoterState:
     # set by the background fetch, which comes at least 9 s before the cast
     # trigger copies it into the voter's CastIntent
     compromised: bool = False
-    credentials: Optional[env.Credentials] = None
+    credentials: Optional[el.Credentials] = None
     believed_receipt: Optional[str] = None
     submitted: Optional[bal.Ballot] = None
     show_receipt: bool = True
@@ -110,17 +110,15 @@ class ScenarioEngine:
         self.election_pub = self.election_key.public()
         self.verification_pub = self.verification_key.public()
 
-        self.registry = env.CredentialRegistry()
-        self.registration = el.RegistrationService(self.registry, self.timeline)
+        self.registration = el.RegistrationService(self.timeline)
         self.verification = el.VerificationService(self.verification_key,
                                                    self.manifest, self.timeline)
-        self.cvs = el.CoreVotingSystem(self.registry, self.timeline, self.verification)
+        self.cvs = el.CoreVotingSystem(self.registration, self.timeline, self.verification)
 
         self.attacker = atk.AttackerState()
 
         target = config.attacks.target_group or self.manifest.groups[1 % len(self.manifest.groups)]
         self.attacker_ballot = self.manifest.cards[target]
-        self.target_group = target
 
         # every background fetch is made fetch_lead seconds before its
         # cast, so none is later than last_fetch
@@ -386,8 +384,7 @@ class ScenarioEngine:
 
     def _on_registration(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         req = event.payload
-        creds = self.registration.register(req.voter_id, req.pin_choice,
-                                           req.channel, event.time,
+        creds = self.registration.register(req.voter_id, None, event.time,
                                            self.rng_services)
         sim.schedule(event.time, "registration", req.voter_id,
                      RegistrationReply(voter_id=req.voter_id, credentials=creds))
@@ -405,30 +402,26 @@ class ScenarioEngine:
             predicted = state.intended
         else:
             predicted = self.manifest.cards[state.profile.party_leaning]
-
-        def register_entitlement(voter_id: str, pin: str, now: int) -> env.Credentials:
-            return self.registration.register(voter_id, pin, req.channel, now,
-                                              self.rng_services)
-
-        attacker_pin = f"{self.rng_attacker.randrange(10 ** env.PIN_DIGITS):06d}"
-        outcome = atk.clash_register(
-            self.attacker, req, predicted,
-            register_entitlement, attacker_pin, now=event.time,
-        )
-        if outcome.reused:
-            # spend the victim's entitlement on the attacker's ballot
+        # the victim's real entitlement, under a PIN the attacker assigns
+        attacker_pin = f"{self.rng_attacker.randrange(10 ** el.PIN_DIGITS):06d}"
+        creds = self.registration.register(req.voter_id, attacker_pin, event.time,
+                                           self.rng_services)
+        pooled = atk.clash_register(self.attacker, req.voter_id, predicted)
+        if pooled is not None:
+            # spend the entitlement on the attacker's ballot, and hand the
+            # victim the pooled vote's credentials and receipt instead
             sim.schedule(event.time + 60, f"fraud:{req.voter_id}", "browser",
                          CastIntent(
                              voter_id=f"fraud:{req.voter_id}",
-                             credentials=outcome.fresh,
+                             credentials=creds,
                              ballot=self.attacker_ballot,
                              cast_time=event.time + 60,
                              channel=el.VoteChannel.WEB,
                          ))
-            state.believed_receipt = outcome.believed_receipt
+            state.believed_receipt = pooled.receipt
+            creds = pooled.credentials
         sim.schedule(event.time, "attacker-registration", req.voter_id,
-                     RegistrationReply(voter_id=req.voter_id,
-                                       credentials=outcome.handed_out))
+                     RegistrationReply(voter_id=req.voter_id, credentials=creds))
 
     def _on_voter(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         payload = event.payload
@@ -475,10 +468,9 @@ class ScenarioEngine:
         # below lets it go
         if intent.suppress_submit:
             # clash victims: nothing reaches the voting server, but the
-            # voter walks away holding the pooled receipt and can still
-            # phone the genuine read-back service
+            # voter walks away holding the pooled receipt, handed out at
+            # registration, and can still phone the genuine read-back service
             state.rng = None
-            state.believed_receipt = intent.believed_receipt
             self._schedule_voter_followups(state, event.time, sim)
             return
         if intent.channel is el.VoteChannel.PHONE:
@@ -545,8 +537,7 @@ class ScenarioEngine:
         state.cast_ok = True
         if state.show_receipt:
             state.believed_receipt = receipt
-        if submission.voter_id in self.attacker.harvest_targets and \
-                state.submitted is not None:
+        if state.submitted is not None:  # None for a phone cast
             atk.clash_note_cast(self.attacker, submission.voter_id,
                                 submission.credentials, receipt, state.submitted)
         self._schedule_voter_followups(state, now, sim)
@@ -633,7 +624,7 @@ class ScenarioEngine:
                                    payload(s), first + per * k + j)
 
         self.sim.feed(feed(0, REGISTRATION_LEAD, "registration-gateway",
-                           lambda s: RegistrationRequest(voter_id=s.voter_id, pin_choice=None,
+                           lambda s: RegistrationRequest(voter_id=s.voter_id,
                                                          channel=s.channel)))
         if fetches:
             self.sim.feed(feed(1, self.fetch_lead, "piwik",

@@ -1,4 +1,4 @@
-"""Digital-envelope hybrid encryption and voter credentials.
+"""Digital-envelope hybrid encryption.
 
 A sealed vote is a random key wrapped once under each of the two
 tabulation servers' ElGamal public keys (so either server can open it),
@@ -44,10 +44,6 @@ class AuthFailure(EnvelopeError):
     """Symmetric-layer authentication failed. Deliberately also covers
     wrong-key decryption so key errors are indistinguishable from tampering.
     """
-
-
-class RegistryExhausted(EnvelopeError):
-    pass
 
 
 GENERABLE_BITS = (32, 64, 128)
@@ -278,57 +274,3 @@ def open_envelope(envelope: DigitalEnvelope, which: ServerRole, keypair: KeyPair
     )
     key = elgamal_decrypt(keypair.params, keypair.x, wrapped)
     return symmetric_open(key, envelope.nonce, envelope.vote_ciphertext, envelope.tag)
-
-
-# --- credentials ---
-
-LOGIN_ID_DIGITS = 8
-PIN_DIGITS = 6
-RECEIPT_DIGITS = 12
-
-
-@dataclass(frozen=True, slots=True)
-class Credentials:
-    login_id: str
-    pin: str
-
-
-class CredentialRegistry:
-    """Issues unique zero-padded login ids and keeps each one's PIN digest.
-    Single writer: owned by the election event loop.
-    """
-
-    def __init__(self):
-        self._pin_hash: dict[str, bytes] = {}  # keyed by every issued login id
-
-    @staticmethod
-    def hash_pin(pin: str) -> bytes:
-        return hashlib.sha256(b"pin:" + pin.encode()).digest()
-
-    def issue(self, pin_choice: Optional[str], rng: Random) -> Credentials:
-        """Fresh credentials. The pin is the caller's choice when given,
-        which models both an honest voter choosing and an attacker
-        assigning one at registration.
-        """
-        if len(self._pin_hash) >= 10 ** LOGIN_ID_DIGITS:
-            raise RegistryExhausted("login id space exhausted")
-        while True:
-            login_id = f"{rng.randrange(10 ** LOGIN_ID_DIGITS):0{LOGIN_ID_DIGITS}d}"
-            if login_id not in self._pin_hash:
-                break
-        if pin_choice is not None:
-            if len(pin_choice) != PIN_DIGITS or not pin_choice.isdigit():
-                raise EnvelopeError("pin must be 6 digits")
-            pin = pin_choice
-        else:
-            pin = f"{rng.randrange(10 ** PIN_DIGITS):0{PIN_DIGITS}d}"
-        self._pin_hash[login_id] = self.hash_pin(pin)
-        return Credentials(login_id=login_id, pin=pin)
-
-    def check_pin(self, login_id: str, pin: str) -> bool:
-        stored = self._pin_hash.get(login_id)
-        return stored is not None and hmac_mod.compare_digest(stored, self.hash_pin(pin))
-
-    def pin_digest(self, login_id: str) -> bytes:
-        """The digest stored for an issued login id, the object itself."""
-        return self._pin_hash[login_id]

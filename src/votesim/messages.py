@@ -11,14 +11,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ballots import Ballot
-from .election import VoteChannel
-from .envelope import Credentials
+from .election import Credentials, VoteChannel
 
 
 @dataclass(slots=True)
 class RegistrationRequest:
     voter_id: str
-    pin_choice: Optional[str]
     channel: VoteChannel
 
     def trace_text(self) -> str:
@@ -49,7 +47,6 @@ class CastIntent:
     compromised: bool = False  # the adversary holds this voter's session
     show_receipt: bool = True
     suppress_submit: bool = False
-    believed_receipt: Optional[str] = None  # what the client displays instead
     handled_by: Optional[str] = None  # first strategy to claim this cast wins
 
     def trace_text(self) -> str:

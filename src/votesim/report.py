@@ -8,7 +8,7 @@ static metadata.
 
 import json
 from itertools import islice
-from typing import Any
+from typing import Any, Iterator
 
 from .election import ComplaintKind
 from .minitls import REAL_WORLD_COSTS
@@ -157,48 +157,54 @@ def build_report(engine) -> dict:
     return report
 
 
-def _json_chunks(encoder: json.JSONEncoder, value: Any) -> list[str]:
-    """`encoder`'s text for `value` as a list of strings, each the join of
+def _json_chunks(encoder: json.JSONEncoder, value: Any) -> Iterator[str]:
+    """`encoder`'s text for `value` in pieces, each the join of
     `_JOIN_BATCH` tokens of the encoder's stream. With `indent` set, json
     encodes in pure Python and yields one short string per token, so
     joining the whole stream at once holds several times the text.
     """
     tokens = encoder.iterencode(value)
-    chunks = []
     while batch := list(islice(tokens, _JOIN_BATCH)):
-        chunks.append("".join(batch))
-    return chunks
+        yield "".join(batch)
+
+
+def report_chunks(report: dict) -> Iterator[str]:
+    """The text of `serialize_report` in pieces, for a file to take one
+    at a time.
+    """
+    yield from _json_chunks(_REPORT_ENCODER, report)
+    yield "\n"
 
 
 def serialize_report(report: dict) -> str:
-    chunks = _json_chunks(_REPORT_ENCODER, report)
-    chunks.append("\n")
-    return "".join(chunks)
+    return "".join(report_chunks(report))
 
 
 def parse_report(text: str) -> dict:
     return json.loads(text)
 
 
-def metrics_rows(report: dict) -> str:
-    """Flat machine-readable rows (tab-separated key paths)."""
-    parts = []
-
-    def walk(prefix: str, node: Any):
+def metrics_chunks(report: dict) -> Iterator[str]:
+    """The text of `metrics_rows` in pieces: one per leaf row, and a list's
+    row as its key, its encoded chunks and the newline.
+    """
+    def walk(prefix: str, node: Any) -> Iterator[str]:
         if isinstance(node, dict):
             for k in sorted(node):
-                walk(f"{prefix}.{k}" if prefix else str(k), node[k])
-            return
-        parts.append(prefix)
-        parts.append("\t")
-        if isinstance(node, list):
-            parts.extend(_json_chunks(_ROW_ENCODER, node))
+                yield from walk(f"{prefix}.{k}" if prefix else str(k), node[k])
+        elif isinstance(node, list):
+            yield prefix + "\t"
+            yield from _json_chunks(_ROW_ENCODER, node)
+            yield "\n"
         else:
-            parts.append(json.dumps(node))
-        parts.append("\n")
+            yield f"{prefix}\t{json.dumps(node)}\n"
 
-    walk("", report)
-    return "".join(parts)
+    return walk("", report)
+
+
+def metrics_rows(report: dict) -> str:
+    """Flat machine-readable rows (tab-separated key paths)."""
+    return "".join(metrics_chunks(report))
 
 
 def diff_reports(a: dict, b: dict) -> list[tuple[str, Any, Any]]:

@@ -14,14 +14,13 @@ from hypothesis import given, settings, strategies as st
 from votesim import attacks as atk
 from votesim.ballots import make_manifest, tally_first_preferences
 from votesim.config import bundled_scenarios, load_config, parse_config
-from votesim.election import (BadCredentials, ComplaintKind, ElectionError, ServerRole,
-                               VoteChannel)
+from votesim.election import (BadCredentials, ComplaintKind, Credentials, ElectionError,
+                               ServerRole, VoteChannel)
 from votesim.engine import (FETCH_LEAD_DLOG, FETCH_LEAD_PLAIN, REGISTRATION_LEAD,
                             ScenarioEngine, run_engine)
-from votesim.envelope import (CredentialRegistry, Credentials, DigitalEnvelope,
-                              client_signature, open_envelope)
+from votesim.envelope import DigitalEnvelope, client_signature, open_envelope
 from votesim.ballots import decode_ballot
-from votesim.messages import CastIntent, CastTrigger, RegistrationRequest
+from votesim.messages import CastIntent, CastTrigger, RegistrationReply
 from votesim.minitls import RecordTampered
 from votesim.netsim import Decision, Endpoint, Event, MitmTap, Simulator
 from votesim.report import build_report
@@ -341,38 +340,83 @@ class TestClash:
     def manifest(self):
         return make_manifest(num_groups=6, num_candidates=12, num_assembly=3)
 
-    def test_pool_miss_registers_honestly_then_harvests(self):
+    def test_pool_miss_watches_the_voter_then_harvests(self):
         m = self.manifest()
         state = atk.AttackerState()
-        registry = CredentialRegistry()
-        rng = Random(2)
-
-        def entitle(voter, pin, now):
-            return registry.issue(pin, rng)
-
-        req = RegistrationRequest(voter_id="first", pin_choice=None,
-                                  channel=VoteChannel.WEB)
-        outcome = atk.clash_register(state, req, m.cards["g01"], entitle,
-                                     "111111", 10)
-        assert outcome.reused is False
-        assert outcome.handed_out.pin == "111111"  # attacker-assigned
-        assert "first" in state.harvest_targets
+        # a miss: the voter keeps the real credentials and is watched
+        assert atk.clash_register(state, "first", m.cards["g01"]) is None
+        assert state.harvest_targets == {"first"}
+        assert state.clash_victims == {}
         # the harvested voter casts the predicted card vote
-        atk.clash_note_cast(state, "first", outcome.handed_out, "000000000001",
-                            m.cards["g01"])
+        first = Credentials(login_id="00000001", pin="111111")
+        atk.clash_note_cast(state, "first", first, "000000000001", m.cards["g01"])
         assert len(state.clash_pool) == 1
 
         # second like-minded victim hits the pool
-        req2 = RegistrationRequest(voter_id="second", pin_choice=None,
-                                   channel=VoteChannel.WEB)
-        outcome2 = atk.clash_register(state, req2, m.cards["g01"], entitle,
-                                      "222222", 20)
-        assert outcome2.reused is True
-        assert outcome2.handed_out.login_id == outcome.handed_out.login_id
-        assert outcome2.handed_out.pin == "111111"
-        assert outcome2.believed_receipt == "000000000001"
-        assert outcome2.fresh is not None  # the spent entitlement
-        assert outcome2.fresh.login_id != outcome.handed_out.login_id
+        pooled = atk.clash_register(state, "second", m.cards["g01"])
+        assert pooled is not None
+        assert pooled.credentials == first
+        assert pooled.receipt == "000000000001"
+        assert pooled.ballot == m.cards["g01"]
+        assert state.clash_victims == {"second": pooled}
+        assert "second" not in state.harvest_targets
+        # another prediction still misses
+        assert atk.clash_register(state, "third", m.cards["g02"]) is None
+
+    def test_second_harvest_of_a_ballot_keeps_the_first(self):
+        m = self.manifest()
+        state = atk.AttackerState()
+        card = m.cards["g01"]
+        for voter in ("first", "second"):
+            atk.clash_register(state, voter, card)
+        first = Credentials(login_id="00000001", pin="111111")
+        atk.clash_note_cast(state, "first", first, "000000000001", card)
+        atk.clash_note_cast(state, "second", Credentials(login_id="00000002", pin="222222"),
+                            "000000000002", card)
+        assert state.clash_pool == {card: atk.PoolEntry(first, "000000000001", card)}
+        assert atk.clash_register(state, "third", card).receipt == "000000000001"
+        # a voter the front never watched is not harvested
+        atk.clash_note_cast(state, "stranger", first, "000000000003", m.cards["g02"])
+        assert list(state.clash_pool) == [card]
+
+    def test_victim_holds_the_pooled_vote_and_the_fraud_cast_spends_its_own(self):
+        engine = ScenarioEngine(parse_config(base_tree(
+            voters=300, behavior={"card_rate": 0.6},
+            attacks={"clash": {"enabled": True, "prediction": "card"},
+                     "target_group": "g02"})))
+        sent = []
+        real_schedule = engine.sim.schedule
+
+        def spy(time, src, dst, payload):
+            sent.append(payload)
+            return real_schedule(time, src, dst, payload)
+
+        engine.sim.schedule = spy
+        engine.run()
+        victims = engine.attacker.clash_victims
+        assert victims
+        replies = {p.voter_id: p.credentials for p in sent
+                   if isinstance(p, RegistrationReply)}
+        fraud = {p.voter_id.removeprefix("fraud:"): p for p in sent
+                 if isinstance(p, CastIntent) and p.voter_id.startswith("fraud:")}
+        assert set(fraud) == set(victims)
+        login_of = {voter: login for login, voter in engine.registration.owner.items()}
+        for voter_id, pooled in victims.items():
+            state = engine.voters[voter_id]
+            # the reply hands out the pooled vote's credentials and receipt
+            assert replies[voter_id] == pooled.credentials == state.credentials
+            assert state.believed_receipt == pooled.receipt
+            assert engine.registration.owner[pooled.credentials.login_id] != voter_id
+            # the fraud cast spends the victim's own, freshly issued login
+            fresh = fraud[voter_id].credentials
+            assert fresh.login_id == login_of[voter_id] != pooled.credentials.login_id
+            assert engine.registration.check_pin(fresh.login_id, fresh.pin)
+            assert fraud[voter_id].ballot == engine.attacker_ballot
+            assert stored_ballot(engine, engine.cvs.by_login[fresh.login_id]) == \
+                engine.attacker_ballot
+        # a watched voter keeps the credentials issued to it
+        for voter_id in engine.attacker.harvest_targets:
+            assert login_of[voter_id] == replies[voter_id].login_id
 
     def run_clash(self, voters=1500, prediction="card", seed=7, card_rate=0.40,
                   p_verify=0.2):

@@ -27,10 +27,12 @@ from votesim.election import (
     BadCredentials,
     Component,
     CoreVotingSystem,
+    ElectionError,
     ElectionTimeline,
     NoSuchRecord,
     PollsClosed,
     RegistrationService,
+    RegistryExhausted,
     ServiceClosed,
     UnknownComponent,
     VerificationService,
@@ -39,11 +41,11 @@ from votesim.election import (
     collect_holdings,
     dedup_and_count,
     linkage_report,
+    hash_pin,
     open_core_store,
 )
 from votesim.engine import ScenarioEngine
 from votesim.envelope import (
-    CredentialRegistry,
     DigitalEnvelope,
     ServerRole,
     gen_keypair,
@@ -65,11 +67,10 @@ class Fixture:
         self.params = gen_params(64, rng)
         self.election_key = gen_keypair(self.params, rng)
         self.verification_key = gen_keypair(self.params, rng)
-        self.registry = CredentialRegistry()
-        self.registration = RegistrationService(self.registry, self.timeline)
+        self.registration = RegistrationService(self.timeline)
         self.verification = VerificationService(self.verification_key,
                                                 self.manifest, self.timeline)
-        self.cvs = CoreVotingSystem(self.registry, self.timeline, self.verification)
+        self.cvs = CoreVotingSystem(self.registration, self.timeline, self.verification)
         self.rng = Random(seed + 1000)
 
     def core_ballots(self):
@@ -79,7 +80,7 @@ class Fixture:
         return self.manifest.cards[group]
 
     def register(self, voter, now=1, pin=None):
-        return self.registration.register(voter, pin, VoteChannel.WEB, now, self.rng)
+        return self.registration.register(voter, pin, now, self.rng)
 
     def cast(self, creds, ballot, now=10, channel=VoteChannel.WEB):
         sealed = seal(encode_ballot(ballot, self.manifest),
@@ -106,6 +107,63 @@ class TestRegistration:
             fx.register("alice", now=100)
 
 
+class TestCredentials:
+    def registration(self):
+        return RegistrationService(ElectionTimeline(polls_open=0, polls_close=1000,
+                                                    receipt_service_end=2000))
+
+    def test_successive_ids_distinct(self):
+        reg = self.registration()
+        rng = Random(1)
+        a = reg.register("a", None, 1, rng)
+        b = reg.register("b", None, 1, rng)
+        assert a.login_id != b.login_id
+
+    def test_pin_choice_passthrough(self):
+        reg = self.registration()
+        creds = reg.register("a", "123456", 1, Random(1))
+        assert creds.pin == "123456"
+        assert reg.check_pin(creds.login_id, "123456")
+        assert not reg.check_pin(creds.login_id, "123457")
+        assert reg.pin_hash[creds.login_id] == hash_pin("123456")
+
+    @pytest.mark.parametrize("pin", ["12345", "1234567", "12a456", "", " 23456",
+                                     "\u0661\u0662\u0663\u0664\u0665\u0666", "\u00b223456"])
+    def test_malformed_pin_choice_raises(self, pin):
+        reg = self.registration()
+        with pytest.raises(ElectionError, match="pin must be 6 digits"):
+            reg.register("a", pin, 1, Random(1))
+        # nothing was issued
+        assert reg.pin_hash == {} and reg.owner == {}
+
+    def test_unknown_login_fails_the_pin_check(self):
+        reg = self.registration()
+        creds = reg.register("a", "123456", 1, Random(1))
+        other = f"{(int(creds.login_id) + 1) % 10 ** 8:08d}"
+        assert not reg.check_pin(other, "123456")
+
+    def test_bulk_issuance_unique_and_padded(self):
+        reg = self.registration()
+        rng = Random(2)
+        seen = set()
+        for i in range(10_000):
+            creds = reg.register(f"v{i}", None, 1, rng)
+            assert re.fullmatch(r"\d{8}", creds.login_id)
+            assert re.fullmatch(r"\d{6}", creds.pin)
+            assert creds.login_id not in seen
+            seen.add(creds.login_id)
+
+    def test_login_id_space_exhausts(self, monkeypatch):
+        # one digit leaves ten ids: each is issued once, then the cap holds
+        monkeypatch.setattr(election, "LOGIN_ID_DIGITS", 1)
+        reg = self.registration()
+        rng = Random(4)
+        ids = {reg.register(f"v{i}", None, 1, rng).login_id for i in range(10)}
+        assert ids == {str(d) for d in range(10)}
+        with pytest.raises(RegistryExhausted):
+            reg.register("v10", None, 1, rng)
+
+
 class TestCast:
     def test_honest_cast_consistent_across_stores(self):
         fx = Fixture()
@@ -120,8 +178,8 @@ class TestCast:
         ver = fx.verification.records[receipt]
         assert ver.login_id == creds.login_id
         assert cvs_ballot == ver.ballot == ballot
-        # the verification store holds the registry's PIN digest, not a copy
-        assert ver.pin_hash is fx.registry.pin_digest(creds.login_id)
+        # the verification store holds the registration's PIN digest, not a copy
+        assert ver.pin_hash is fx.registration.pin_hash[creds.login_id]
 
     def test_each_cast_is_stored_once_under_its_receipt(self):
         fx = Fixture()

@@ -1,8 +1,7 @@
-"""Hybrid envelope crypto and credential formats."""
+"""Hybrid envelope crypto and its wire format."""
 
 import builtins
 import hashlib
-import re
 from dataclasses import replace
 from random import Random
 
@@ -12,16 +11,13 @@ from hypothesis import given, settings, strategies as st
 from votesim import envelope as envelope_mod
 from votesim.ballots import encode_ballot, make_manifest, Ballot, CouncilMode
 from votesim.config import parse_config
-from votesim.election import VoteChannel
+from votesim.election import Credentials, VoteChannel
 from votesim.engine import run_engine
 from votesim.envelope import (
     AuthFailure,
-    CredentialRegistry,
-    Credentials,
     DigitalEnvelope,
     EnvelopeError,
     MessageOutOfRange,
-    RegistryExhausted,
     ServerRole,
     UnsupportedSize,
     elgamal_decrypt,
@@ -355,40 +351,3 @@ class TestEnvelope:
         assert hashlib.sha256(nonce + ciphertext + tag).hexdigest() == digest
         assert symmetric_open(key, nonce, ciphertext, tag) == plaintext
 
-
-class TestCredentials:
-    def test_successive_ids_distinct(self):
-        reg = CredentialRegistry()
-        rng = Random(1)
-        a = reg.issue(None, rng)
-        b = reg.issue(None, rng)
-        assert a.login_id != b.login_id
-
-    def test_pin_choice_passthrough(self):
-        reg = CredentialRegistry()
-        creds = reg.issue("123456", Random(1))
-        assert creds.pin == "123456"
-        assert reg.check_pin(creds.login_id, "123456")
-        assert not reg.check_pin(creds.login_id, "123457")
-        assert reg.pin_digest(creds.login_id) == CredentialRegistry.hash_pin("123456")
-
-    def test_bulk_issuance_unique_and_padded(self):
-        reg = CredentialRegistry()
-        rng = Random(2)
-        seen = set()
-        for _ in range(10_000):
-            creds = reg.issue(None, rng)
-            assert re.fullmatch(r"\d{8}", creds.login_id)
-            assert re.fullmatch(r"\d{6}", creds.pin)
-            assert creds.login_id not in seen
-            seen.add(creds.login_id)
-
-    def test_login_id_space_exhausts(self, monkeypatch):
-        # one digit leaves ten ids: each is issued once, then the cap holds
-        monkeypatch.setattr(envelope_mod, "LOGIN_ID_DIGITS", 1)
-        reg = CredentialRegistry()
-        rng = Random(4)
-        ids = {reg.issue(None, rng).login_id for _ in range(10)}
-        assert ids == {str(d) for d in range(10)}
-        with pytest.raises(RegistryExhausted):
-            reg.issue(None, rng)

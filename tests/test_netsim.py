@@ -8,8 +8,8 @@ import pytest
 
 from votesim import netsim
 from votesim.ballots import Ballot, CouncilMode
-from votesim.election import VoteChannel
-from votesim.envelope import Credentials, DigitalEnvelope
+from votesim.election import Credentials, VoteChannel
+from votesim.envelope import DigitalEnvelope
 from votesim.messages import (
     C2Exfil,
     CastIntent,
@@ -390,7 +390,7 @@ class TestTraceText:
     # trace_text() replaced, so the trace text, and every trace digest,
     # stays the same byte for byte
     @pytest.mark.parametrize("payload, token", [
-        (RegistrationRequest("voter00001", None, VoteChannel.PHONE),
+        (RegistrationRequest("voter00001", VoteChannel.PHONE),
          "RegistrationRequest(channel=phone,voter=voter00001)"),
         (RegistrationReply("voter00001", CREDS),
          "RegistrationReply(login=01234567,voter=voter00001)"),

@@ -1,10 +1,13 @@
 """Config validation, scenario runner determinism, report diffs, CLI."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -30,8 +33,9 @@ from votesim.config import (
     load_config,
     parse_config,
 )
+from votesim.election import Credentials
 from votesim.engine import ScenarioEngine, run_engine
-from votesim.envelope import Credentials, DigitalEnvelope, gen_keypair, gen_params, seal
+from votesim.envelope import DigitalEnvelope, gen_keypair, gen_params, seal
 from votesim.messages import CastSubmission
 from votesim.netsim import Event
 from votesim.report import build_report, diff_reports, parse_report, serialize_report
@@ -230,6 +234,51 @@ def draw_no_adversary_tree(data, candidates_ok=True, suites_ok=True):
         "linkage": {"compromised": data.draw(st.lists(st.sampled_from(
             LinkageConfig.__dataclass_fields__["compromised"].metadata["choices"]),
             unique=True))},
+    }
+
+
+def draw_clash_tree(data):
+    """A small config tree with the clash front on, drawn over the keys
+    that steer it and the strategies that meet it at the browser and the
+    IVR. One tree in about ten closes the polls before 1,812 s, which
+    leaves no casting window after the registration and fetch leads, so
+    `parse_config` rejects it.
+    """
+    prob = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+    groups = data.draw(st.integers(1, 5))
+    if data.draw(st.integers(0, 9)):
+        polls_close = data.draw(st.sampled_from([43200]) | st.integers(1812, 43200))
+    else:
+        polls_close = data.draw(st.integers(1, 1811))
+    phone = data.draw(prob)
+    granted = data.draw(prob)
+    return {
+        "schema_version": 1, "name": "gen", "seed": data.draw(st.integers(0, 2**32)),
+        "voters": data.draw(st.sampled_from([60]) | st.integers(1, 60)),
+        "manifest": {"groups": groups,
+                     "candidates": data.draw(st.integers(groups, 3 * groups)),
+                     "assembly": data.draw(st.integers(1, 4))},
+        "behavior": {"card_rate": data.draw(prob), "p_verify_ivr": data.draw(prob),
+                     "p_check_receipt_only": data.draw(prob),
+                     "p_false_complaint": data.draw(prob),
+                     "p_pin_suspicion": data.draw(prob),
+                     "phone_fraction": phone,
+                     "polling_fraction": data.draw(st.floats(0, 1 - phone)),
+                     "caller_id_fraction": data.draw(prob)},
+        "timeline": {"polls_open": 0, "polls_close": polls_close,
+                     "receipt_service_end": polls_close
+                     + data.draw(st.integers(1, 86400))},
+        "crypto": {"envelope_bits": 32},
+        "tls": {"enabled": False},
+        "attacks": {
+            "clash": {"enabled": True,
+                      "prediction": data.draw(st.sampled_from(["card", "perfect"]))},
+            "fake_ivr": {"enabled": data.draw(st.booleans()),
+                         "dial_genuine_rate": data.draw(prob)},
+            "vote_rewrite": {"enabled": granted > 0},
+            "granted_compromise_rate": granted,
+        },
+        "audit": {"mode": data.draw(st.sampled_from(["honest", "blind_eye"]))},
     }
 
 
@@ -553,6 +602,34 @@ class TestCli:
         assert hashlib.sha256(trace).hexdigest() == report["trace_digest"]
         golden = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
         assert report["trace_digest"] == golden["honest-baseline@42"]["trace_digest"]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=250)
+    @given(data=st.data())
+    def test_generated_clash_runs_exit_cleanly(self, data):
+        tree = draw_clash_tree(data)
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "gen.yaml")
+            with open(path, "w") as f:
+                yaml.safe_dump(tree, f)
+            # an exception out of main is the traceback a shell would show
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["run", path, "--out", tmp])
+            assert rc in (0, 2)
+            assert "Traceback" not in out.getvalue() + err.getvalue()
+            if rc == 2:
+                assert err.getvalue().startswith("config error: ")
+                return
+            with open(os.path.join(tmp, f"gen-seed{tree['seed']}.report.json")) as f:
+                report = parse_report(f.read())
+        c = report["event_conservation"]
+        assert c["delivered"] + c["dropped"] + c["replaced"] + c["pending"] \
+            == c["scheduled"]
+        # every read-back mismatch is heard by a manipulated voter
+        mismatches = report["complaints"]["by_kind"].get("mismatch_read", 0)
+        assert mismatches == report["detection"]["overall"]["complaints_true"]
+        for counts in report["detection"].values():
+            assert counts["complaints_true"] <= counts["manipulated"]
 
     def test_import_loads_no_sympy(self):
         # primality is numth's own: importing sympy loads the whole package,
