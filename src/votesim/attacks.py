@@ -32,7 +32,7 @@ from random import Random
 from typing import Callable, Optional
 
 from .ballots import Ballot
-from .election import Credentials
+from .election import Credentials, VoteChannel
 from .messages import CastIntent, C2Exfil, VerifyCall
 from .netsim import Decision, Event, MitmTap, Simulator
 
@@ -82,8 +82,12 @@ class AttackerState:
 # --- in-browser rewrite strategies (hooks on the client casting step) ---
 
 def _claimable(intent: CastIntent) -> bool:
-    """A cast no earlier strategy has claimed, in a compromised session."""
-    return intent.handled_by is None and intent.compromised
+    """A cast no earlier strategy has claimed, in a compromised session,
+    that leaves the voter's own client: a phone vote goes to the voice
+    server, and no injected client code sees it.
+    """
+    return intent.handled_by is None and intent.compromised and \
+        intent.channel is not VoteChannel.PHONE
 
 
 def _claim(state: AttackerState, intent: CastIntent, attacker_ballot: Ballot,

@@ -95,6 +95,18 @@ class TestInjectVoteRewrite:
         assert decision.kind == Decision.FORWARD
         assert state.manipulation_ledger == {}
 
+    def test_phone_cast_forwarded(self):
+        state = atk.AttackerState()
+        intent = replace(compromised_intent(self.manifest), channel=VoteChannel.PHONE)
+        for decide in (
+                lambda: atk.inject_vote_rewrite(state, intent, self.manifest.cards["g02"]),
+                lambda: atk.last_minute_rewrite(state, intent, self.manifest.cards["g02"],
+                                                polls_close=100, safety_window=600),
+                lambda: atk.delay_receipt_gambit(state, intent, self.manifest.cards["g02"],
+                                                 p_leave_without_receipt=1.0, rng=Random(1))):
+            assert decide().kind == Decision.FORWARD
+        assert state.manipulation_ledger == {}
+
     def test_rewrite_swaps_ballot_and_exfiltrates(self):
         state = atk.AttackerState()
         intent = compromised_intent(self.manifest)
@@ -682,6 +694,29 @@ class TestMetricsAndInvariants:
             if voter not in ledgered:
                 stored = stored_ballot(engine, record)
                 assert stored == engine.voters[voter].intended
+
+    @pytest.mark.parametrize("strategy", ["vote_rewrite", "last_minute", "receipt_delay"])
+    def test_in_browser_strategies_leave_phone_votes_alone(self, strategy):
+        # a phone vote goes to the voice server, past any injected client
+        # code, so no in-browser strategy claims it, however compromised
+        # the voter's device
+        engine = run_tree(base_tree(
+            voters=400, seed=3,
+            behavior={"phone_fraction": 0.5, "p_verify_ivr": 1.0,
+                      "p_leave_without_receipt": 1.0},
+            attacks={"granted_compromise_rate": 1.0, strategy: {"enabled": True},
+                     "target_group": "g02"},
+        ))
+        voters = engine.voters.values()
+        phone = {v.voter_id for v in voters if v.channel is VoteChannel.PHONE}
+        ledgered = engine.attacker.manipulation_ledger
+        assert phone and ledgered
+        assert phone.isdisjoint(ledgered)
+        assert [v.voter_id for v in voters if v.voter_id in phone
+                and v.complaint is ComplaintKind.MISMATCH_READ] == []
+        if strategy == "receipt_delay":
+            # every voter the gambit charged left without a receipt
+            assert all(engine.voters[v].believed_receipt is None for v in ledgered)
 
     def test_server_rewrite_leaves_clash_fraud_records_alone(self):
         # a clash victim's record already carries the attacker ballot; the
