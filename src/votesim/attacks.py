@@ -82,12 +82,11 @@ class AttackerState:
 # --- in-browser rewrite strategies (hooks on the client casting step) ---
 
 def _claimable(intent: CastIntent) -> bool:
-    """A cast no earlier strategy has claimed, in a compromised session,
-    that leaves the voter's own client: a phone vote goes to the voice
-    server, and no injected client code sees it.
+    """A cast no earlier strategy has claimed, in a compromised session;
+    not a phone vote, which goes to the voice server past any client code.
     """
-    return intent.handled_by is None and intent.compromised and \
-        intent.channel is not VoteChannel.PHONE
+    return (intent.handled_by is None and intent.compromised
+            and intent.channel is not VoteChannel.PHONE)
 
 
 def _claim(state: AttackerState, intent: CastIntent, attacker_ballot: Ballot,

@@ -15,7 +15,7 @@ import sys
 
 from .config import ConfigInvalid, bundled_scenarios, load_config
 from .engine import run_engine
-from .report import build_report, diff_reports, metrics_chunks, parse_report, report_chunks
+from .report import build_report, diff_reports, metrics_chunks, report_chunks
 
 
 def _resolve_config(name_or_path: str) -> str:
@@ -59,9 +59,9 @@ def cmd_run(args) -> int:
 
 def cmd_diff(args) -> int:
     with open(args.a) as f:
-        a = parse_report(f.read())
+        a = json.load(f)
     with open(args.b) as f:
-        b = parse_report(f.read())
+        b = json.load(f)
     delta = diff_reports(a, b)
     for path, left, right in delta:
         print(f"{path}: {json.dumps(left)} != {json.dumps(right)}")

@@ -81,23 +81,6 @@ class ComplaintKind(Enum):
     FALSE_COMPLAINT = "false_complaint"
 
 
-@dataclass(frozen=True)
-class ElectionTimeline:
-    polls_open: int
-    polls_close: int
-    receipt_service_end: int
-
-    def __post_init__(self):
-        if not self.polls_open < self.polls_close < self.receipt_service_end:
-            raise ElectionError("timeline must order open < close < receipt end")
-
-    @property
-    def verification_shutdown(self) -> int:
-        # the read-back service dies with the polls, by design of the
-        # real protocol; this asymmetry is what last-minute attacks use
-        return self.polls_close
-
-
 @dataclass(frozen=True, slots=True)
 class Credentials:
     login_id: str
@@ -130,8 +113,8 @@ class RegistrationService:
     linkage_report). Single writer: owned by the election event loop.
     """
 
-    def __init__(self, timeline: ElectionTimeline):
-        self.timeline = timeline
+    def __init__(self, polls_close: int):
+        self.polls_close = polls_close
         self.pin_hash: dict[str, bytes] = {}  # login id -> PIN digest
         self.owner: dict[str, str] = {}  # login id -> voter
 
@@ -140,7 +123,7 @@ class RegistrationService:
         """Fresh credentials for `voter_id`. The PIN is the caller's choice
         when given, which models an attacker assigning one at registration.
         """
-        if now >= self.timeline.polls_close:
+        if now >= self.polls_close:
             raise PollsClosed("registration after close of polls")
         if len(self.pin_hash) >= 10 ** LOGIN_ID_DIGITS:
             raise RegistryExhausted("login id space exhausted")
@@ -169,25 +152,24 @@ class VerificationService:
     with its own wrapped-key secret as envelopes arrive.
     """
 
-    def __init__(self, keypair: KeyPair, manifest: ElectionManifest,
-                 timeline: ElectionTimeline):
+    def __init__(self, keypair: KeyPair, manifest: ElectionManifest, polls_close: int):
         self.keypair = keypair
         self.manifest = manifest
-        self.timeline = timeline
+        self.polls_close = polls_close
         self.records: dict[str, VerificationRecord] = {}  # receipt -> record
 
     def receive(self, login_id: str, pin_hash: bytes, receipt: str,
                 envelope: bytes, channel: VoteChannel) -> None:
-        ballot_bytes = open_envelope(DigitalEnvelope.from_bytes(envelope),
-                                     ServerRole.VERIFICATION, self.keypair)
-        ballot = decode_ballot(ballot_bytes, self.manifest)
+        ballot = open_ballot(envelope, ServerRole.VERIFICATION, self.keypair, self.manifest)
         self.records[receipt] = VerificationRecord(
             login_id=login_id, pin_hash=pin_hash, ballot=ballot, channel=channel,
         )
 
     def verify_ivr(self, login_id: str, pin: str, receipt: str, now: int,
                    caller_id: Optional[str] = None) -> Ballot:
-        if now >= self.timeline.verification_shutdown:
+        # the read-back service dies with the polls, by design of the
+        # real protocol; this asymmetry is what last-minute attacks use
+        if now >= self.polls_close:
             raise ServiceClosed("verification service stopped at close of polls")
         record = self.records.get(receipt)
         if record is None or record.login_id != login_id or \
@@ -203,17 +185,17 @@ class CoreVotingSystem:
     and forwards a copy to the verification service.
     """
 
-    def __init__(self, registration: RegistrationService, timeline: ElectionTimeline,
+    def __init__(self, registration: RegistrationService, polls_close: int,
                  verification: VerificationService):
         self.registration = registration
-        self.timeline = timeline
+        self.polls_close = polls_close
         self.verification = verification
         self.records: dict[str, CoreVotingRecord] = {}  # receipt -> record, in cast order
         self.by_login: dict[str, CoreVotingRecord] = {}  # single-cast check
 
     def cast(self, credentials: Credentials, envelope: bytes,
              channel: VoteChannel, now: int, rng: Random) -> str:
-        if now >= self.timeline.polls_close:
+        if now >= self.polls_close:
             raise PollsClosed("polls are closed")
         login_id = credentials.login_id
         if not self.registration.check_pin(login_id, credentials.pin):
@@ -242,6 +224,15 @@ class CoreVotingSystem:
                 return receipt
 
 
+def open_ballot(envelope: bytes, role: ServerRole, keypair: KeyPair,
+                manifest: ElectionManifest) -> Ballot:
+    """The ballot sealed in an envelope's wire bytes, opened with `role`'s
+    key; the one place either server opens a vote.
+    """
+    return decode_ballot(open_envelope(DigitalEnvelope.from_bytes(envelope), role, keypair),
+                         manifest)
+
+
 def open_core_store(
     cvs: CoreVotingSystem,
     election_key: KeyPair,
@@ -257,8 +248,7 @@ def open_core_store(
     twins = cvs.verification.records
     ballots = []
     for receipt, record in cvs.records.items():
-        ballot = decode_ballot(open_envelope(DigitalEnvelope.from_bytes(record.envelope),
-                                             ServerRole.ELECTION, election_key), manifest)
+        ballot = open_ballot(record.envelope, ServerRole.ELECTION, election_key, manifest)
         twin = twins[receipt].ballot
         ballots.append(twin if ballot == twin else ballot)
     return ballots

@@ -98,11 +98,6 @@ class ScenarioEngine:
         self.rng_attacker = Random(f"{seed}:attacker")
 
         self.manifest = build_manifest(config.manifest)
-        self.timeline = el.ElectionTimeline(
-            polls_open=config.timeline.polls_open,
-            polls_close=config.timeline.polls_close,
-            receipt_service_end=config.timeline.receipt_service_end,
-        )
         self.params = env.gen_params(config.crypto.envelope_bits, self.rng_setup)
         self.election_key = env.gen_keypair(self.params, self.rng_setup)
         self.verification_key = env.gen_keypair(self.params, self.rng_setup)
@@ -110,10 +105,10 @@ class ScenarioEngine:
         self.election_pub = self.election_key.public()
         self.verification_pub = self.verification_key.public()
 
-        self.registration = el.RegistrationService(self.timeline)
-        self.verification = el.VerificationService(self.verification_key,
-                                                   self.manifest, self.timeline)
-        self.cvs = el.CoreVotingSystem(self.registration, self.timeline, self.verification)
+        close = config.timeline.polls_close
+        self.registration = el.RegistrationService(close)
+        self.verification = el.VerificationService(self.verification_key, self.manifest, close)
+        self.cvs = el.CoreVotingSystem(self.registration, close, self.verification)
 
         self.attacker = atk.AttackerState()
 
@@ -235,7 +230,7 @@ class ScenarioEngine:
         cfg = self.config
         freak, logjam = cfg.attacks.freak, cfg.attacks.logjam
         rng = Random(f"{cfg.seed}:voter:{i}")
-        cast_time = rng.randint(self.earliest_cast, self.timeline.polls_close - 1)
+        cast_time = rng.randint(self.earliest_cast, cfg.timeline.polls_close - 1)
         profile = bal.draw_profile(cfg.behavior.card_rate,
                                    cfg.behavior.leaning_weights, self.manifest, rng,
                                    cast_time=cast_time, leaning=self.leanings[i])
@@ -298,7 +293,7 @@ class ScenarioEngine:
                 handler=self._piwik_mitm,
             ))
         if a.last_minute.enabled:
-            close, window = self.timeline.polls_close, a.last_minute.safety_window
+            close, window = self.config.timeline.polls_close, a.last_minute.safety_window
             self.sim.install_tap(atk.make_browser_tap(
                 "last-minute",
                 lambda intent: atk.last_minute_rewrite(
@@ -347,12 +342,8 @@ class ScenarioEngine:
                 if result.success:
                     return netsim.Decision.forward()
         if a.logjam.enabled:
-            conn = self.piwik_server.connect(now)
-            try:
-                result = tls.mitm_logjam(client_cfg, conn, self.dlog_table,
-                                         self._voter_rng(state))
-            except tls.TlsError as exc:
-                result = tls.MitmResult(success=False, error=f"{type(exc).__name__}: {exc}")
+            result = tls.mitm_logjam(client_cfg, self.piwik_server.connect(now),
+                                     self.dlog_table, self._voter_rng(state))
             self._note_downgrade(state, now, "logjam", result)
         return netsim.Decision.forward()
 
@@ -482,14 +473,11 @@ class ScenarioEngine:
             ))
             return
         rng = self._voter_rng(state) if state is not None else self.rng_services
-        ballot_bytes = bal.encode_ballot(intent.ballot, self.manifest)
         session_id = f"cast:{intent.voter_id}"
         session_key = self._session_key(session_id)
-        sealed = env.seal(ballot_bytes, self.election_pub, self.verification_pub,
-                          rng, session_key=session_key)
         submission = CastSubmission(
             voter_id=intent.voter_id, credentials=intent.credentials,
-            envelope=sealed.to_bytes(), channel=intent.channel,
+            envelope=self._seal(intent.ballot, rng, session_key), channel=intent.channel,
         )
         if state is not None:
             state.rng = None
@@ -500,6 +488,14 @@ class ScenarioEngine:
             blob=tls.encrypt_record(session_key, 0, submission.to_bytes()),
         )
         sim.schedule(event.time, intent.voter_id, "cvs", record)
+
+    def _seal(self, ballot: bal.Ballot, rng: Random,
+              session_key: Optional[bytes] = None) -> bytes:
+        """`ballot` sealed for both servers, as the envelope's wire bytes;
+        a vote sealed on no session gets a throwaway tag key.
+        """
+        return env.seal(bal.encode_ballot(ballot, self.manifest), self.election_pub,
+                        self.verification_pub, rng, session_key=session_key).to_bytes()
 
     def _session_key(self, session_id: str) -> bytes:
         """A cast session's record key, derived from its id; a record sent
@@ -514,32 +510,28 @@ class ScenarioEngine:
         plain = tls.decrypt_record(self._session_key(payload.session_id),
                                    payload.seq, payload.blob)
         submission = CastSubmission.from_bytes(plain)
-        self._accept_cast(submission, event.time, sim)
+        self._accept_cast(submission.voter_id, submission.credentials,
+                          submission.envelope, submission.channel, event.time, sim)
 
     def _on_voice(self, event: netsim.Event, sim: netsim.Simulator) -> None:
-        payload = event.payload
-        ballot_bytes = bal.encode_ballot(payload.ballot, self.manifest)
-        sealed = env.seal(ballot_bytes, self.election_pub, self.verification_pub,
-                          self.rng_services)
-        submission = CastSubmission(
-            voter_id=payload.voter_id, credentials=payload.credentials,
-            envelope=sealed.to_bytes(), channel=el.VoteChannel.PHONE,
-        )
-        self._accept_cast(submission, event.time, sim)
+        # the voice server seals the choices it heard, on no session
+        call = event.payload
+        self._accept_cast(call.voter_id, call.credentials,
+                          self._seal(call.ballot, self.rng_services),
+                          el.VoteChannel.PHONE, event.time, sim)
 
-    def _accept_cast(self, submission: CastSubmission, now: int,
-                     sim: netsim.Simulator) -> None:
-        receipt = self.cvs.cast(submission.credentials, submission.envelope,
-                                submission.channel, now, self.rng_services)
-        state = self.voters.get(submission.voter_id)
+    def _accept_cast(self, voter_id: str, credentials: el.Credentials, envelope: bytes,
+                     channel: el.VoteChannel, now: int, sim: netsim.Simulator) -> None:
+        receipt = self.cvs.cast(credentials, envelope, channel, now, self.rng_services)
+        state = self.voters.get(voter_id)
         if state is None:
             return  # attacker-cast entitlement: no voter-side bookkeeping
         state.cast_ok = True
         if state.show_receipt:
             state.believed_receipt = receipt
         if state.submitted is not None:  # None for a phone cast
-            atk.clash_note_cast(self.attacker, submission.voter_id,
-                                submission.credentials, receipt, state.submitted)
+            atk.clash_note_cast(self.attacker, voter_id, credentials, receipt,
+                                state.submitted)
         self._schedule_voter_followups(state, now, sim)
 
     def _schedule_voter_followups(self, state: VoterState, now: int,
@@ -554,9 +546,9 @@ class ScenarioEngine:
                              caller_id=state.voter_id if state.reveals_caller_id else None,
                          ))
         if state.checks_receipt and state.believed_receipt is not None:
-            when = max(now + state.verify_delay,
-                       self.timeline.polls_close + 600)
-            if when < self.timeline.receipt_service_end:
+            timeline = self.config.timeline
+            when = max(now + state.verify_delay, timeline.polls_close + 600)
+            if when < timeline.receipt_service_end:
                 sim.schedule(when, state.voter_id, "receipt-service",
                              ReceiptQuery(voter_id=state.voter_id,
                                           receipt=state.believed_receipt))
@@ -658,7 +650,6 @@ class ScenarioEngine:
         if not a.server_rewrite.enabled or a.server_rewrite.count <= 0:
             return
         rng = Random(f"{self.config.seed}:server-rewrite")
-        ballot_bytes = bal.encode_ballot(self.attacker_ballot, self.manifest)
         # only records whose vote the attacker actually wants changed: a
         # ledgered voter's record already carries the attacker ballot, and
         # any other voter cast their own intent, on the web or by phone
@@ -673,12 +664,10 @@ class ScenarioEngine:
             # phone casts are sealed at the voice server, on no session
             session_key = None if record.channel is el.VoteChannel.PHONE \
                 else self._session_key(f"cast:{state.voter_id}")
-            forged = env.seal(ballot_bytes, self.election_pub,
-                              self.verification_pub, rng, session_key=session_key)
-            record.envelope = forged.to_bytes()
+            record.envelope = self._seal(self.attacker_ballot, rng, session_key)
             self.attacker.charge(atk.LedgerEntry(
                 voter_id=state.voter_id, strategy="server_rewrite",
-                cast_time=self.timeline.polls_close,
+                cast_time=self.config.timeline.polls_close,
             ))
 
 

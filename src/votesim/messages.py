@@ -68,8 +68,10 @@ class CastTrigger:
 
 @dataclass(slots=True)
 class CastSubmission:
-    """A sealed vote on its way to the voting server. `envelope` is the
-    envelope's wire bytes, stored as they arrive; only its openers parse it.
+    """The plaintext of a web cast's record on its way to the voting
+    server; it travels only inside a SecureRecord, so it renders no trace
+    token. `envelope` is the envelope's wire bytes, stored as they arrive;
+    only its openers parse it.
     """
 
     voter_id: str
@@ -90,9 +92,6 @@ class CastSubmission:
         return cls(voter_id=voter_id,
                    credentials=Credentials(login_id=login_id, pin=pin),
                    envelope=data[2 + n:], channel=VoteChannel(channel))
-
-    def trace_text(self) -> str:
-        return f"CastSubmission(login={self.credentials.login_id},voter={self.voter_id})"
 
 
 @dataclass(slots=True)

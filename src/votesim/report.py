@@ -180,10 +180,6 @@ def serialize_report(report: dict) -> str:
     return "".join(report_chunks(report))
 
 
-def parse_report(text: str) -> dict:
-    return json.loads(text)
-
-
 def metrics_chunks(report: dict) -> Iterator[str]:
     """The text of `metrics_rows` in pieces: one per leaf row, and a list's
     row as its key, its encoded chunks and the newline.

@@ -161,7 +161,7 @@ class TestAcceptance:
             for v in engine.voters.values():
                 if v.verify_outcome == "read_back":
                     readbacks += 1
-                    if called[v.voter_id] >= engine.timeline.polls_close:
+                    if called[v.voter_id] >= engine.config.timeline.polls_close:
                         late_successes += 1
                     if v.verify_matched is not True:
                         bad_readbacks += 1

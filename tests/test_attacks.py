@@ -21,7 +21,8 @@ from votesim.engine import (FETCH_LEAD_DLOG, FETCH_LEAD_PLAIN, REGISTRATION_LEAD
 from votesim.envelope import DigitalEnvelope, client_signature, open_envelope
 from votesim.ballots import decode_ballot
 from votesim.messages import CastIntent, CastTrigger, RegistrationReply
-from votesim.minitls import RecordTampered
+from votesim.minitls import (DlogBudgetExceeded, RecordTampered, dlog_precompute,
+                              gen_export_dhe_params)
 from votesim.netsim import Decision, Endpoint, Event, MitmTap, Simulator
 from votesim.report import build_report
 
@@ -605,6 +606,20 @@ class TestDowngradeComposition:
         assert freak["attempted"] > 0
         assert freak["succeeded"] == 0
 
+    def test_a_table_for_another_group_raises_out_of_the_run(self):
+        # a precompute bound to the wrong modulus is a simulator fault, not
+        # a failed downgrade: it must stop the run, not be recorded
+        engine = ScenarioEngine(parse_config(base_tree(
+            voters=20,
+            tls={"enabled": True, "third_party_suites": ["RSA", "DHE", "DHE_EXPORT"]},
+            attacks={"logjam": {"enabled": True}},
+        )))
+        other = dlog_precompute(gen_export_dhe_params(64, Random(55)))
+        assert other.params.p != engine.dlog_table.params.p
+        engine.dlog_table = other
+        with pytest.raises(DlogBudgetExceeded, match="different modulus"):
+            engine.run()
+
     def freak_oracles(self, window_end):
         engine = ScenarioEngine(parse_config(base_tree(
             voters=20,
@@ -666,7 +681,7 @@ class TestMetricsAndInvariants:
             called = ivr_call_times(engine)
             readback_ok = {v.voter_id for v in engine.voters.values()
                            if v.verify_outcome == "read_back"
-                           and called[v.voter_id] < engine.timeline.polls_close}
+                           and called[v.voter_id] < engine.config.timeline.polls_close}
             for v in engine.voters.values():
                 if v.complaint is ComplaintKind.MISMATCH_READ:
                     assert v.voter_id in ledgered
@@ -864,7 +879,7 @@ class TestMetricsAndInvariants:
         engine.sim.install_tap(MitmTap("count-queries",
                                        dst="receipt-service", handler=record))
         engine.run()
-        t = engine.timeline
+        t = engine.config.timeline
         shown = {v.voter_id: v.believed_receipt for v in engine.voters.values()
                  if v.believed_receipt is not None}
         assert shown

@@ -28,7 +28,6 @@ from votesim.election import (
     Component,
     CoreVotingSystem,
     ElectionError,
-    ElectionTimeline,
     NoSuchRecord,
     PollsClosed,
     RegistrationService,
@@ -58,19 +57,17 @@ from votesim.envelope import (
 class Fixture:
     """One wired election stack at desk scale."""
 
-    def __init__(self, seed=1, polls_close=1000, receipt_end=2000):
+    def __init__(self, seed=1, polls_close=1000):
         self.manifest = make_manifest(num_groups=6, num_candidates=12,
                                       num_assembly=3)
-        self.timeline = ElectionTimeline(polls_open=0, polls_close=polls_close,
-                                         receipt_service_end=receipt_end)
         rng = Random(seed)
         self.params = gen_params(64, rng)
         self.election_key = gen_keypair(self.params, rng)
         self.verification_key = gen_keypair(self.params, rng)
-        self.registration = RegistrationService(self.timeline)
+        self.registration = RegistrationService(polls_close)
         self.verification = VerificationService(self.verification_key,
-                                                self.manifest, self.timeline)
-        self.cvs = CoreVotingSystem(self.registration, self.timeline, self.verification)
+                                                self.manifest, polls_close)
+        self.cvs = CoreVotingSystem(self.registration, polls_close, self.verification)
         self.rng = Random(seed + 1000)
 
     def core_ballots(self):
@@ -109,8 +106,7 @@ class TestRegistration:
 
 class TestCredentials:
     def registration(self):
-        return RegistrationService(ElectionTimeline(polls_open=0, polls_close=1000,
-                                                    receipt_service_end=2000))
+        return RegistrationService(polls_close=1000)
 
     def test_successive_ids_distinct(self):
         reg = self.registration()

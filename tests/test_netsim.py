@@ -9,11 +9,9 @@ import pytest
 from votesim import netsim
 from votesim.ballots import Ballot, CouncilMode
 from votesim.election import Credentials, VoteChannel
-from votesim.envelope import DigitalEnvelope
 from votesim.messages import (
     C2Exfil,
     CastIntent,
-    CastSubmission,
     CastTrigger,
     PhoneCast,
     ReceiptQuery,
@@ -381,8 +379,6 @@ class TestTraceStore:
 
 CREDS = Credentials(login_id="01234567", pin="123456")
 BALLOT = Ballot(("a01",), CouncilMode.ABOVE_THE_LINE, ("g01",))
-ENVELOPE = DigitalEnvelope((1, 2), (3, 4), b"n" * 12, b"ct", b"t" * 16,
-                           b"s" * 16).to_bytes()
 
 
 class TestTraceText:
@@ -400,8 +396,6 @@ class TestTraceText:
         (CastIntent("fraud:voter00002", CREDS, BALLOT, 0, VoteChannel.WEB),
          "CastIntent(compromised=False,t=0,voter=fraud:voter00002)"),
         (CastTrigger("voter00001"), "CastTrigger(voter=voter00001)"),
-        (CastSubmission("voter00001", CREDS, ENVELOPE, VoteChannel.POLLING_PLACE),
-         "CastSubmission(login=01234567,voter=voter00001)"),
         (SecureRecord("cast:voter00001", 0, bytes(range(0xf0, 0x100))),
          "SecureRecord(blob=f0f1f2f3f4f5f6f7,seq=0,session=cast:voter00001)"),
         (SecureRecord("cast:voter00001", 7, b"\x00\x01\xab"),

@@ -13,6 +13,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 from random import Random
 from typing import Union, get_args, get_origin
+from unittest import mock
 
 import pytest
 import yaml
@@ -33,12 +34,12 @@ from votesim.config import (
     load_config,
     parse_config,
 )
-from votesim.election import Credentials
+from votesim.election import Credentials, VoteChannel
 from votesim.engine import ScenarioEngine, run_engine
 from votesim.envelope import DigitalEnvelope, gen_keypair, gen_params, seal
 from votesim.messages import CastSubmission
 from votesim.netsim import Event
-from votesim.report import build_report, diff_reports, parse_report, serialize_report
+from votesim.report import build_report, diff_reports, serialize_report
 
 
 def minimal_tree(**over):
@@ -240,9 +241,10 @@ def draw_no_adversary_tree(data, candidates_ok=True, suites_ok=True):
 def draw_clash_tree(data):
     """A small config tree with the clash front on, drawn over the keys
     that steer it and the strategies that meet it at the browser and the
-    IVR. One tree in about ten closes the polls before 1,812 s, which
-    leaves no casting window after the registration and fetch leads, so
-    `parse_config` rejects it.
+    IVR: under granted compromise, any of the in-browser strategies, with
+    phone voters among the casts they see. One tree in about ten closes
+    the polls before 1,812 s, which leaves no casting window after the
+    registration and fetch leads, so `parse_config` rejects it.
     """
     prob = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
     groups = data.draw(st.integers(1, 5))
@@ -252,6 +254,7 @@ def draw_clash_tree(data):
         polls_close = data.draw(st.integers(1, 1811))
     phone = data.draw(prob)
     granted = data.draw(prob)
+    in_browser = data.draw(st.sets(st.sampled_from(IN_BROWSER))) if granted else set()
     return {
         "schema_version": 1, "name": "gen", "seed": data.draw(st.integers(0, 2**32)),
         "voters": data.draw(st.sampled_from([60]) | st.integers(1, 60)),
@@ -264,7 +267,8 @@ def draw_clash_tree(data):
                      "p_pin_suspicion": data.draw(prob),
                      "phone_fraction": phone,
                      "polling_fraction": data.draw(st.floats(0, 1 - phone)),
-                     "caller_id_fraction": data.draw(prob)},
+                     "caller_id_fraction": data.draw(prob),
+                     "p_leave_without_receipt": data.draw(prob)},
         "timeline": {"polls_open": 0, "polls_close": polls_close,
                      "receipt_service_end": polls_close
                      + data.draw(st.integers(1, 86400))},
@@ -275,11 +279,18 @@ def draw_clash_tree(data):
                       "prediction": data.draw(st.sampled_from(["card", "perfect"]))},
             "fake_ivr": {"enabled": data.draw(st.booleans()),
                          "dial_genuine_rate": data.draw(prob)},
-            "vote_rewrite": {"enabled": granted > 0},
+            "vote_rewrite": {"enabled": "vote_rewrite" in in_browser},
+            "last_minute": {"enabled": "last_minute" in in_browser,
+                            "safety_window": data.draw(st.integers(0, 43200))},
+            "receipt_delay": {"enabled": "receipt_delay" in in_browser},
             "granted_compromise_rate": granted,
         },
         "audit": {"mode": data.draw(st.sampled_from(["honest", "blind_eye"]))},
     }
+
+
+# strategies that run as injected client code on the casting step
+IN_BROWSER = ("vote_rewrite", "last_minute", "receipt_delay")
 
 
 # Configs the grammar or a cross-field check rejects: (key path, overrides
@@ -593,7 +604,7 @@ class TestCli:
         report_path = tmp_path / "honest-baseline-seed42.report.json"
         assert report_path.exists()
         assert (tmp_path / "honest-baseline-seed42.metrics.tsv").exists()
-        report = parse_report(report_path.read_text())
+        report = json.loads(report_path.read_text())
         assert report["scenario"] == "honest-baseline"
         # the trace file is written in chunks; its bytes are what the
         # report's digest hashed, wherever the chunks broke
@@ -608,12 +619,19 @@ class TestCli:
     def test_generated_clash_runs_exit_cleanly(self, data):
         tree = draw_clash_tree(data)
         out, err = io.StringIO(), io.StringIO()
+        engines = []
+
+        def run_and_keep(config):
+            engines.append(run_engine(config))
+            return engines[-1]
+
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "gen.yaml")
             with open(path, "w") as f:
                 yaml.safe_dump(tree, f)
             # an exception out of main is the traceback a shell would show
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    mock.patch("votesim.cli.run_engine", run_and_keep):
                 rc = main(["run", path, "--out", tmp])
             assert rc in (0, 2)
             assert "Traceback" not in out.getvalue() + err.getvalue()
@@ -621,7 +639,7 @@ class TestCli:
                 assert err.getvalue().startswith("config error: ")
                 return
             with open(os.path.join(tmp, f"gen-seed{tree['seed']}.report.json")) as f:
-                report = parse_report(f.read())
+                report = json.loads(f.read())
         c = report["event_conservation"]
         assert c["delivered"] + c["dropped"] + c["replaced"] + c["pending"] \
             == c["scheduled"]
@@ -630,6 +648,15 @@ class TestCli:
         assert mismatches == report["detection"]["overall"]["complaints_true"]
         for counts in report["detection"].values():
             assert counts["complaints_true"] <= counts["manipulated"]
+        # no injected client code sees a phone vote, and the gambit charges
+        # only a voter who left without a receipt
+        [engine] = engines
+        for voter_id, entry in engine.attacker.manipulation_ledger.items():
+            voter = engine.voters[voter_id]
+            if entry.strategy in IN_BROWSER:
+                assert voter.channel is not VoteChannel.PHONE
+            if entry.strategy == "receipt_delay":
+                assert voter.believed_receipt is None
 
     def test_import_loads_no_sympy(self):
         # primality is numth's own: importing sympy loads the whole package,
