@@ -238,6 +238,10 @@ def draw_no_adversary_tree(data, candidates_ok=True, suites_ok=True):
     }
 
 
+# strategies that run as injected client code on the casting step
+IN_BROWSER = ("vote_rewrite", "last_minute", "receipt_delay")
+
+
 def draw_clash_tree(data):
     """A small config tree with the clash front on, drawn over the keys
     that steer it and the strategies that meet it at the browser and the
@@ -287,10 +291,6 @@ def draw_clash_tree(data):
         },
         "audit": {"mode": data.draw(st.sampled_from(["honest", "blind_eye"]))},
     }
-
-
-# strategies that run as injected client code on the casting step
-IN_BROWSER = ("vote_rewrite", "last_minute", "receipt_delay")
 
 
 # Configs the grammar or a cross-field check rejects: (key path, overrides
@@ -639,7 +639,7 @@ class TestCli:
                 assert err.getvalue().startswith("config error: ")
                 return
             with open(os.path.join(tmp, f"gen-seed{tree['seed']}.report.json")) as f:
-                report = json.loads(f.read())
+                report = json.load(f)
         c = report["event_conservation"]
         assert c["delivered"] + c["dropped"] + c["replaced"] + c["pending"] \
             == c["scheduled"]
