@@ -257,23 +257,17 @@ def decode_ballot(data: bytes, manifest: ElectionManifest) -> Ballot:
 
 def draw_profile(
     card_rate: float,
-    leaning_weights: Optional[dict[str, float]],
     manifest: ElectionManifest,
     rng: Random,
     cast_time: int = 0,
     leaning: Optional[str] = None,
 ) -> VoterProfile:
     """Draw one voter profile: a card follower with probability
-    `card_rate`. Leaning is sampled from `leaning_weights` (uniform over
-    the manifest's groups when None or empty) unless fixed by the caller.
+    `card_rate`. Leaning is drawn uniformly over the manifest's groups
+    unless fixed by the caller.
     """
     if leaning is None:
-        if leaning_weights:
-            groups = list(leaning_weights.keys())
-            weights = [leaning_weights[g] for g in groups]
-            leaning = rng.choices(groups, weights=weights, k=1)[0]
-        else:
-            leaning = rng.choice(manifest.groups)
+        leaning = rng.choice(manifest.groups)
     return VoterProfile(
         party_leaning=leaning,
         follows_card=rng.random() < card_rate,

@@ -94,7 +94,6 @@ class BehaviorConfig:
     p_pin_suspicion: float = 0.0
     verify_delay_min: int = _field(600, min=0)
     verify_delay_max: int = _field(3600, min=0)
-    leaning_weights: Optional[dict[str, float]] = _field(None, min=0)
     leaning_counts: Optional[dict[str, int]] = _field(None, min=0)
 
 
@@ -106,18 +105,12 @@ class TimelineConfig:
 
 
 @dataclass
-class CryptoConfig:
-    envelope_bits: int = _field(64, choices=(32, 64, 128))
-
-
-@dataclass
 class TlsConfig:
     enabled: bool = True
     client_patch_rate: float = 1.0
     third_party_suites: tuple[str, ...] = _field(
         ("RSA", "RSA_EXPORT", "DHE", "DHE_EXPORT"),
         choices=tuple(s.value for s in CipherSuite))
-    rotation_period: int = _field(3600, min=1)
     oracle_connection_lifetime: int = _field(64800, min=1)
 
 
@@ -186,7 +179,6 @@ class ScenarioConfig:
     manifest: ManifestConfig = field(default_factory=ManifestConfig)
     behavior: BehaviorConfig = field(default_factory=BehaviorConfig)
     timeline: TimelineConfig = field(default_factory=TimelineConfig)
-    crypto: CryptoConfig = field(default_factory=CryptoConfig)
     tls: TlsConfig = field(default_factory=TlsConfig)
     attacks: AttacksConfig = field(default_factory=AttacksConfig)
     audit: AuditConfig = field(default_factory=AuditConfig)
@@ -303,8 +295,6 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
         _fail("behavior.polling_fraction", "phone_fraction + polling_fraction must be <= 1")
     if b.verify_delay_min > b.verify_delay_max:
         _fail("behavior.verify_delay_min", "must be <= verify_delay_max")
-    if b.leaning_weights and not any(b.leaning_weights.values()):
-        _fail("behavior.leaning_weights", "at least one weight must be positive")
     if not t.polls_open < t.polls_close < t.receipt_service_end:
         _fail("timeline", "must order polls_open < polls_close < receipt_service_end")
     lead, first_fetch, last_fetch = fetch_range(cfg)
@@ -316,10 +306,9 @@ def parse_config(tree: Any, name_hint: str = "scenario") -> ScenarioConfig:
     target = cfg.attacks.target_group
     if target is not None and target not in manifest.cards:
         _fail("attacks.target_group", f"{target!r} not in manifest")
-    for key in ("leaning_weights", "leaning_counts"):
-        for group in getattr(b, key) or {}:
-            if group not in manifest.groups:
-                _fail(f"behavior.{key}.{group}", "group not in manifest")
+    for group in b.leaning_counts or {}:
+        if group not in manifest.groups:
+            _fail(f"behavior.leaning_counts.{group}", "group not in manifest")
     counted = sum((b.leaning_counts or {}).values())
     if counted > cfg.voters:
         _fail("behavior.leaning_counts", f"{counted} exceed the {cfg.voters} voters")

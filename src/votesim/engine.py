@@ -45,6 +45,15 @@ from .messages import (
     VerifyCall,
 )
 
+ENVELOPE_BITS = 64  # the ballot envelope's group size: a 64-bit safe prime
+# the honest client offers RSA and DHE, patched against export downgrades
+# or not; every background fetch shares one of these two
+HONEST_CLIENT_TLS = {
+    patched: tls.ClientTlsConfig(
+        offered_suites=(tls.CipherSuite.RSA, tls.CipherSuite.DHE), patched=patched)
+    for patched in (False, True)}
+
+
 @dataclass(slots=True)
 class VoterState:
     voter_id: str
@@ -98,7 +107,7 @@ class ScenarioEngine:
         self.rng_attacker = Random(f"{seed}:attacker")
 
         self.manifest = build_manifest(config.manifest)
-        self.params = env.gen_params(config.crypto.envelope_bits, self.rng_setup)
+        self.params = env.gen_params(ENVELOPE_BITS, self.rng_setup)
         self.election_key = env.gen_keypair(self.params, self.rng_setup)
         self.verification_key = env.gen_keypair(self.params, self.rng_setup)
         # built once: each public key keeps its fixed-base table for every seal
@@ -137,10 +146,7 @@ class ScenarioEngine:
     def _build_tls(self) -> None:
         cfg = self.config.tls
         suites = frozenset(tls.CipherSuite(s) for s in cfg.third_party_suites)
-        server_cfg = tls.make_server_config(
-            "piwik", suites, self.rng_setup,
-            rotation_period=cfg.rotation_period,
-        )
+        server_cfg = tls.make_server_config("piwik", suites, self.rng_setup)
         self.piwik_server = tls.TlsServer(server_cfg)
         if self.config.attacks.logjam.enabled:
             # fixed up-front cost, paid before polls open and reused for
@@ -200,8 +206,8 @@ class ScenarioEngine:
             self.sim.add_endpoint(netsim.Endpoint(name, handler))
 
     def _draw_leanings(self) -> list[str]:
-        """Quota mode fixes group counts exactly; otherwise leanings are
-        sampled per voter from the weights.
+        """Quota mode fixes group counts exactly; otherwise each voter
+        draws a leaning uniformly.
         """
         counts = self.config.behavior.leaning_counts
         n = self.config.voters
@@ -231,8 +237,7 @@ class ScenarioEngine:
         freak, logjam = cfg.attacks.freak, cfg.attacks.logjam
         rng = Random(f"{cfg.seed}:voter:{i}")
         cast_time = rng.randint(self.earliest_cast, cfg.timeline.polls_close - 1)
-        profile = bal.draw_profile(cfg.behavior.card_rate,
-                                   cfg.behavior.leaning_weights, self.manifest, rng,
+        profile = bal.draw_profile(cfg.behavior.card_rate, self.manifest, rng,
                                    cast_time=cast_time, leaning=self.leanings[i])
         intended = bal.draw_ballot(profile, self.manifest, rng)
         chan_draw = rng.random()
@@ -325,10 +330,7 @@ class ScenarioEngine:
         if not state.controlled:
             return netsim.Decision.forward()
         now = event.time
-        client_cfg = tls.ClientTlsConfig(
-            offered_suites=(tls.CipherSuite.RSA, tls.CipherSuite.DHE),
-            patched=state.patched,
-        )
+        client_cfg = HONEST_CLIENT_TLS[state.patched]
         a = self.config.attacks
         # export-RSA path first when both are on (cheaper per session); a
         # rejected downgrade just kills one background fetch, so the
@@ -389,15 +391,19 @@ class ScenarioEngine:
             # to the genuine service; this victim is lost to the attacker
             sim.schedule(event.time, req.voter_id, "registration", req)
             return
-        if self.config.attacks.clash.prediction == "perfect":
-            predicted = state.intended
-        else:
-            predicted = self.manifest.cards[state.profile.party_leaning]
         # the victim's real entitlement, under a PIN the attacker assigns
         attacker_pin = f"{self.rng_attacker.randrange(10 ** el.PIN_DIGITS):06d}"
         creds = self.registration.register(req.voter_id, attacker_pin, event.time,
                                            self.rng_services)
-        pooled = atk.clash_register(self.attacker, req.voter_id, predicted)
+        if req.channel is el.VoteChannel.PHONE:
+            # a phone vote goes to the voice server, where no client code
+            # can swallow it: the front neither pools nor watches this voter
+            pooled = None
+        elif self.config.attacks.clash.prediction == "perfect":
+            pooled = atk.clash_register(self.attacker, req.voter_id, state.intended)
+        else:
+            pooled = atk.clash_register(self.attacker, req.voter_id,
+                                        self.manifest.cards[state.profile.party_leaning])
         if pooled is not None:
             # spend the entitlement on the attacker's ballot, and hand the
             # victim the pooled vote's credentials and receipt instead
@@ -445,12 +451,8 @@ class ScenarioEngine:
             return
         if self.piwik_server is None:
             return
-        client_cfg = tls.ClientTlsConfig(
-            offered_suites=(tls.CipherSuite.RSA, tls.CipherSuite.DHE),
-            patched=payload.patched_client,
-        )
-        tls.handshake(client_cfg, self.piwik_server.connect(event.time),
-                      self._voter_rng(state))
+        tls.handshake(HONEST_CLIENT_TLS[payload.patched_client],
+                      self.piwik_server.connect(event.time), self._voter_rng(state))
 
     def _on_browser(self, event: netsim.Event, sim: netsim.Simulator) -> None:
         intent = event.payload

@@ -555,6 +555,29 @@ class TestClash:
         half_m = detection(half)["clash"]["manipulated"]
         assert 0 < half_m < full_m
 
+    def test_front_leaves_phone_registrants_alone(self):
+        # a phone vote goes to the voice server, where no client code can
+        # swallow it: a phone registrant keeps its real login under the
+        # attacker's PIN, is neither pooled nor watched, and its own vote
+        # is stored
+        engine = run_tree(base_tree(
+            voters=400, seed=3, behavior={"phone_fraction": 0.5, "card_rate": 1.0},
+            attacks={"clash": {"enabled": True}}))
+        attacker = engine.attacker
+        phone = {v.voter_id for v in engine.voters.values()
+                 if v.channel is VoteChannel.PHONE}
+        assert phone and attacker.manipulation_ledger
+        assert phone.isdisjoint(attacker.manipulation_ledger)
+        assert phone.isdisjoint(attacker.clash_victims)
+        assert phone.isdisjoint(attacker.harvest_targets)
+        login_of = {voter: login for login, voter in engine.registration.owner.items()}
+        for voter_id in phone:
+            creds = engine.voters[voter_id].credentials
+            assert creds.login_id == login_of[voter_id]
+            assert engine.registration.check_pin(creds.login_id, creds.pin)
+            assert stored_ballot(engine, engine.cvs.by_login[creds.login_id]) == \
+                engine.voters[voter_id].intended
+
 
 class TestDowngradeComposition:
     def test_freak_falls_back_to_logjam_for_patched_clients(self):
@@ -1122,8 +1145,8 @@ class TestDowngradeProperties:
 def replay_trees(draw):
     """Configs reaching every draw a voter's set-up makes: the clash
     front and granted compromise with TLS on or off, or the FREAK and
-    Logjam trees above, each with uniform, weighted or quota leanings and
-    every channel.
+    Logjam trees above, each with uniform or quota leanings and every
+    channel.
     """
     kind = draw(st.sampled_from(("plain", "freak", "logjam")))
     if kind == "plain":
@@ -1138,10 +1161,7 @@ def replay_trees(draw):
     behavior = tree["behavior"]
     behavior["phone_fraction"] = draw(st.sampled_from((0.0, 0.3)))
     behavior["polling_fraction"] = draw(st.sampled_from((0.0, 0.3)))
-    leaning = draw(st.sampled_from(("uniform", "weights", "quota")))
-    if leaning == "weights":
-        behavior["leaning_weights"] = {"g01": 3.0, "g04": 1.0}
-    elif leaning == "quota":
+    if draw(st.booleans()):  # else each voter draws a leaning uniformly
         first = draw(st.integers(0, tree["voters"]))
         behavior["leaning_counts"] = {
             "g02": first, "g05": draw(st.integers(0, tree["voters"] - first))}

@@ -287,7 +287,7 @@ class TestDrawBallot:
     def test_card_follower_gets_exact_card(self):
         rng = Random(1)
         card_rate = 1.0
-        profile = draw_profile(card_rate, None, self.m, rng, leaning="g01")
+        profile = draw_profile(card_rate, self.m, rng, leaning="g01")
         assert profile.follows_card
         assert draw_ballot(profile, self.m, rng) == self.m.cards["g01"]
 
@@ -295,7 +295,7 @@ class TestDrawBallot:
         rng = Random(2)
         card_rate = 0.0
         for _ in range(50):
-            profile = draw_profile(card_rate, None, self.m, rng, leaning="g01")
+            profile = draw_profile(card_rate, self.m, rng, leaning="g01")
             ballot = draw_ballot(profile, self.m, rng)
             assert ballot.council_prefs[0] == "g01"
 
@@ -306,7 +306,7 @@ class TestDrawBallot:
         n = 10_000
         hits = 0
         for _ in range(n):
-            profile = draw_profile(card_rate, None, self.m, rng)
+            profile = draw_profile(card_rate, self.m, rng)
             ballot = draw_ballot(profile, self.m, rng)
             if ballot == self.m.cards[profile.party_leaning]:
                 hits += 1
@@ -316,7 +316,7 @@ class TestDrawBallot:
         rng = Random(4)
         card_rate = 0.40
         n = 10_000
-        hits = sum(draw_profile(card_rate, None, self.m, rng).follows_card
+        hits = sum(draw_profile(card_rate, self.m, rng).follows_card
                    for _ in range(n))
         sigma = math.sqrt(0.40 * 0.60 / n)
         assert abs(hits / n - 0.40) <= 3 * sigma
@@ -384,7 +384,7 @@ class TestTally:
         card_rate = 0.4
         ballots = []
         for _ in range(300):
-            profile = draw_profile(card_rate, None, self.m, rng)
+            profile = draw_profile(card_rate, self.m, rng)
             ballots.append(draw_ballot(profile, self.m, rng))
         base = tally_first_preferences(ballots, self.m)
         shuffled = list(ballots)

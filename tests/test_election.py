@@ -313,7 +313,7 @@ class TestDedupAndCount:
         for i in range(100):
             voter = f"v{i}"
             creds = fx.register(voter, now=1)
-            profile = draw_profile(card_rate, None, fx.manifest, rng)
+            profile = draw_profile(card_rate, fx.manifest, rng)
             ballot = draw_ballot(profile, fx.manifest, rng)
             fx.cast(creds, ballot, now=10 + i)
             expected[voter] = ballot
@@ -458,7 +458,7 @@ class TestLinkage:
         rng = Random(7)
         for i in range(12):
             creds = fx.register(f"v{i}")
-            ballot = draw_ballot(draw_profile(0.0, None, fx.manifest, rng), fx.manifest, rng)
+            ballot = draw_ballot(draw_profile(0.0, fx.manifest, rng), fx.manifest, rng)
             receipt = fx.cast(creds, ballot, now=10 + i,
                               channel=list(VoteChannel)[i % len(VoteChannel)])
             if i in (1, 3):

@@ -50,9 +50,6 @@ OVERRIDES = {
         "manifest.cards": {"g01": {"assembly": ["a01", "a02"],
                                    "council": ["c002", "c001", "c009"],
                                    "mode": "btl"}}},
-    # leanings drawn per voter from uneven weights; unlisted groups get none
-    "honest-baseline+leaning-weights": {
-        "behavior.leaning_weights": {"g01": 3.0, "g02": 1.0, "g05": 0.5}},
     # quotas for 270 of the 500 voters; the rest draw a group at random
     "honest-baseline+partial-quotas": {
         "behavior.leaning_counts": {"g01": 150, "g02": 120}},

@@ -229,7 +229,6 @@ def draw_no_adversary_tree(data, candidates_ok=True, suites_ok=True):
         "timeline": {"polls_open": polls_open, "polls_close": polls_close,
                      "receipt_service_end": polls_close
                      + data.draw(st.integers(1, 86400))},
-        "crypto": {"envelope_bits": data.draw(st.sampled_from([32, 64, 128]))},
         "tls": {"enabled": tls_enabled, "client_patch_rate": data.draw(prob),
                 "third_party_suites": suites},
         "linkage": {"compromised": data.draw(st.lists(st.sampled_from(
@@ -276,7 +275,6 @@ def draw_clash_tree(data):
         "timeline": {"polls_open": 0, "polls_close": polls_close,
                      "receipt_service_end": polls_close
                      + data.draw(st.integers(1, 86400))},
-        "crypto": {"envelope_bits": 32},
         "tls": {"enabled": False},
         "attacks": {
             "clash": {"enabled": True,
@@ -304,16 +302,17 @@ UNRUNNABLE = [
     ("behavior.leaning_counts", {"behavior": {"leaning_counts": {"g01": 60}}}),
     ("timeline.polls_close", {"timeline": {"polls_open": 0, "polls_close": 1000,
                                            "receipt_service_end": 2000}}),
-    ("behavior.leaning_weights.g99",
-     {"behavior": {"leaning_weights": {"g01": 1.0, "g99": 1.0}}}),
+    # deleted keys no scenario set; here, a voter without a quota draws a
+    # group uniformly
+    ("behavior.leaning_weights", {"behavior": {"leaning_weights": {"g01": 1.0}}}),
     ("attacks.freak.window_start",
      {"tls": {"enabled": True},
       "attacks": {"freak": {"enabled": True, "window_start": "3600"}}}),
     ("attacks.logjam.window_end",
      {"tls": {"enabled": True},
       "attacks": {"logjam": {"enabled": True, "window_end": "40000"}}}),
-    ("behavior.leaning_weights",
-     {"behavior": {"leaning_weights": {"g01": 0, "g02": 0.0}}}),
+    # deleted: the export RSA key rotates hourly
+    ("tls.rotation_period", {"tls": {"enabled": False, "rotation_period": 3600}}),
     ("manifest.cards.g01",
      {"manifest": {"groups": 4, "candidates": 8, "assembly": 4,
                    "cards": {"g01": {"assembly": ["a99"], "council": ["g01"]}}}}),
@@ -334,7 +333,7 @@ UNRUNNABLE = [
                    "cards": {"g01": {"assembly": ["a01"], "council": ["g01"],
                                      "councl": ["g02"]}}}}),
     ("timeline.polls_end", {"timeline": {"polls_end": 100}}),
-    ("crypto.bits", {"crypto": {"bits": 64}}),
+    ("crypto", {"crypto": {"bits": 64}}),
     ("tls.enable", {"tls": {"enabled": False, "enable": True}}),
     ("attacks.vote_rewite", {"attacks": {"vote_rewite": {"enabled": True}}}),
     ("attacks.freak.window", {"attacks": {"freak": {"window": 5}}}),
@@ -371,8 +370,7 @@ UNRUNNABLE = [
     # deleted keys: no check ever read the tag it toggled; the clash
     # attack strips the gateway itself; an untapped phone network is
     # phone_tap_caller_id left out of linkage.compromised
-    ("crypto.signature_forgeable_by_server",
-     {"crypto": {"signature_forgeable_by_server": True}}),
+    ("crypto", {"crypto": {"signature_forgeable_by_server": True}}),
     ("attacks.gateway_stripped", {"attacks": {"gateway_stripped": True}}),
     ("linkage.phone_tap", {"linkage": {"phone_tap": False}}),
     # a manifest past the u16 counts and indexes of the ballot wire format
@@ -395,6 +393,8 @@ UNRUNNABLE = [
     ("tls.oracle_connection_lifetime",
      {"tls": {"enabled": True, "oracle_connection_lifetime": 25201},
       "attacks": {"freak": {"enabled": True}}}),
+    # deleted: every envelope is sealed in a 64-bit group
+    ("crypto", {"crypto": {"envelope_bits": 64}}),
 ]
 
 
@@ -648,12 +648,13 @@ class TestCli:
         assert mismatches == report["detection"]["overall"]["complaints_true"]
         for counts in report["detection"].values():
             assert counts["complaints_true"] <= counts["manipulated"]
-        # no injected client code sees a phone vote, and the gambit charges
-        # only a voter who left without a receipt
+        # no injected client code sees a phone vote, the clash front pools
+        # no phone registrant, and the gambit charges only a voter who left
+        # without a receipt
         [engine] = engines
         for voter_id, entry in engine.attacker.manipulation_ledger.items():
             voter = engine.voters[voter_id]
-            if entry.strategy in IN_BROWSER:
+            if entry.strategy in IN_BROWSER + ("clash",):
                 assert voter.channel is not VoteChannel.PHONE
             if entry.strategy == "receipt_delay":
                 assert voter.believed_receipt is None
