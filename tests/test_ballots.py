@@ -1,6 +1,7 @@
 """Ballot encoding, voter behaviour, and first-preference tallies."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 from itertools import permutations
 from random import Random
@@ -320,6 +321,17 @@ class TestDrawBallot:
                    for _ in range(n))
         sigma = math.sqrt(0.40 * 0.60 / n)
         assert abs(hits / n - 0.40) <= 3 * sigma
+
+    def test_unfixed_leaning_is_uniform_over_groups(self):
+        # 24,000 draws over 24 groups; 49.7 is the chi-square critical
+        # value at 23 degrees of freedom and p = 0.001
+        rng = Random(5)
+        n = 24_000
+        seen = Counter(draw_profile(0.5, self.m, rng).party_leaning for _ in range(n))
+        assert set(seen) == set(self.m.groups)
+        expected = n / len(self.m.groups)
+        chi2 = sum((seen[g] - expected) ** 2 / expected for g in self.m.groups)
+        assert chi2 < 49.7
 
 
 class TestTally:
