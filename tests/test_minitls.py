@@ -27,6 +27,7 @@ from votesim.minitls import (
     ServerKeyExchange,
     TlsError,
     TlsServer,
+    _LogjamInterposer,
     decrypt_record,
     dlog_individual,
     dlog_precompute,
@@ -485,6 +486,68 @@ class TestKnownAnswers:
         keys = r.attacker_session_key + r.client_session_key
         assert hashlib.sha256(keys).hexdigest() == \
             "d1178722f3765a1d4a8eb8be0cc9eb41f18f442b48716bd30de44272ac10d1d9"
+
+
+def view_digest(view):
+    """sha256 of a transcript view, each message length-prefixed so that a
+    byte moved across a message boundary changes it too.
+    """
+    return hashlib.sha256(b"".join(len(m).to_bytes(4, "big") + m
+                                   for m in view)).hexdigest()
+
+
+class TestHandshakeBytes:
+    # No report or trace digest sees the handshake messages' bytes: the
+    # transcripts feed only the Finished MACs and the session keys, which
+    # the engine keeps to itself. So the sha256 of every transcript view and
+    # session key is pinned here, at fixed seeds, for each message kind and
+    # the integer encoding inside them.
+
+    # offered suites -> the digests of both ends' transcript views, which
+    # are equal, and of both ends' session keys, which are equal too
+    HONEST = {
+        ("RSA", "DHE"): (
+            "98fe3fc1c7bfad4518ad78b6b3ee75fe2c8ab90f284a28bede57ba6fcaf896e2",
+            "633554fffbcf10b6ed803db767c4bb70ee8b428e82ada269d577f777dd53e889"),
+        ("DHE", "RSA"): (
+            "711ae5f8b8e1d4ee3891149d9105b4fb33ba0ca3449f0abedce90b91b145ebc5",
+            "cb9a5a73cc1ff78b20212b533affb83bfc8dcf08907921f6b2487187eb8fa403"),
+        ("RSA_EXPORT", "DHE_EXPORT"): (
+            "ca299c7072a5efa9655b26fc54ebfe37037c866544c5914238d9c2ff064dbc13",
+            "57605533e0bf045bf2dce75a5709b7a0df3bea768a1eb97eb477108f2ce56c96"),
+    }
+
+    @pytest.mark.parametrize("offered", list(HONEST))
+    def test_honest_transcripts_and_keys(self, offered):
+        server = make_server(Random(90))
+        config = ClientTlsConfig(offered_suites=tuple(map(CipherSuite, offered)))
+        client, srv = handshake(config, server.connect(0), Random(91))
+        assert client.suite is srv.suite is CipherSuite(offered[0])
+        view, key = self.HONEST[offered]
+        assert view_digest(client.transcript_view) == view_digest(srv.transcript_view) \
+            == view
+        assert hashlib.sha256(client.session_key).hexdigest() == \
+            hashlib.sha256(srv.session_key).hexdigest() == key
+
+    def test_logjam_interposer_views_and_keys(self):
+        # the interposer as the channel of an ordinary handshake: the client
+        # offers DHE first, the server is pushed to DHE_EXPORT, and each end's
+        # view is the one the interposer keeps for it
+        server = make_server(Random(50))
+        interposer = _LogjamInterposer(CipherSuite.DHE,
+                                       dlog_precompute(server.config.export_dhe_params))
+        config = ClientTlsConfig(offered_suites=(CipherSuite.DHE, CipherSuite.RSA))
+        client, srv = handshake(config, server.connect(0), Random(51), interposer)
+        assert (client.suite, srv.suite) == (CipherSuite.DHE, CipherSuite.DHE_EXPORT)
+        assert view_digest(client.transcript_view) == \
+            view_digest(interposer.views["client"]) == \
+            "1e414424aaac9eb286c393e3c823257c005b4d466e46f83f5a143b7814d0c107"
+        assert view_digest(srv.transcript_view) == \
+            view_digest(interposer.views["server"]) == \
+            "4db5562e442a1547e47a44cf1359d60c2ec217db34231b3238848847980c0ba7"
+        for key in (client.session_key, srv.session_key, interposer.attacker_key):
+            assert hashlib.sha256(key).hexdigest() == \
+                "f4abcfeb64443a64ce07aa3b0e63539392025c34758e129307ee8710c2c32c8a"
 
 
 class TestRecords:
