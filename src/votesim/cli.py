@@ -5,7 +5,8 @@
     votesim list-scenarios
 
 `run` accepts either a path or the name of a bundled scenario. Exit codes:
-0 success / empty diff, 1 nonempty diff, 2 invalid config or usage.
+0 success / empty diff, 1 nonempty diff, 2 invalid or unreadable config,
+unreadable report, or usage.
 """
 
 import argparse
@@ -58,11 +59,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    with open(args.a) as f:
-        a = json.load(f)
-    with open(args.b) as f:
-        b = json.load(f)
-    delta = diff_reports(a, b)
+    reports = []
+    for path in (args.a, args.b):
+        try:
+            with open(path, encoding="utf-8") as f:
+                reports.append(json.load(f))
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+            print(f"report error: {path}: {getattr(exc, 'strerror', None) or exc}",
+                  file=sys.stderr)
+            return 2
+    delta = diff_reports(*reports)
     for path, left, right in delta:
         print(f"{path}: {json.dumps(left)} != {json.dumps(right)}")
     if not delta:

@@ -376,8 +376,13 @@ def build_manifest(m: ManifestConfig) -> bal.ElectionManifest:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path) as f:
-        text = f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        # an OSError's strerror leaves out the path it would repeat
+        raise ConfigInvalid(
+            f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         tree = yaml.safe_load(text)
     except yaml.YAMLError as exc:

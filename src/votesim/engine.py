@@ -146,7 +146,7 @@ class ScenarioEngine:
     def _build_tls(self) -> None:
         cfg = self.config.tls
         suites = frozenset(tls.CipherSuite(s) for s in cfg.third_party_suites)
-        server_cfg = tls.make_server_config("piwik", suites, self.rng_setup)
+        server_cfg = tls.make_server_config(suites, self.rng_setup)
         self.piwik_server = tls.TlsServer(server_cfg)
         if self.config.attacks.logjam.enabled:
             # fixed up-front cost, paid before polls open and reused for

@@ -25,7 +25,7 @@ from functools import cached_property
 from random import Random
 from typing import Optional
 
-from .numth import FixedBase, gen_safe_prime, find_subgroup_generator
+from .numth import FixedBase, gen_safe_prime, find_subgroup_generator, int_bytes
 
 
 class EnvelopeError(Exception):
@@ -132,10 +132,6 @@ def elgamal_decrypt(params: ElGamalParams, x: int, ciphertext: tuple[int, int]) 
 
 # --- authenticated stream layer ---
 
-def _key_bytes(key_int: int) -> bytes:
-    return key_int.to_bytes((key_int.bit_length() + 7) // 8 or 1, "big")
-
-
 def keystream_xor(key: bytes, data: bytes) -> bytes:
     """XOR `data` with the keystream sha256(key || counter) for counter =
     0, 1, ... as 8-byte big-endian blocks; encrypts and decrypts alike.
@@ -152,7 +148,7 @@ def symmetric_seal(key_int: int, plaintext: bytes, rng: Random) -> tuple[bytes, 
     """Encrypt-then-MAC under keys hashed from the wrapped group element.
     Returns (nonce, ciphertext, tag).
     """
-    kb = _key_bytes(key_int)
+    kb = int_bytes(key_int)
     enc_key = hashlib.sha256(b"enc" + kb).digest()
     mac_key = hashlib.sha256(b"mac" + kb).digest()
     nonce = rng.getrandbits(NONCE_LEN * 8).to_bytes(NONCE_LEN, "big")
@@ -162,7 +158,7 @@ def symmetric_seal(key_int: int, plaintext: bytes, rng: Random) -> tuple[bytes, 
 
 
 def symmetric_open(key_int: int, nonce: bytes, ciphertext: bytes, tag: bytes) -> bytes:
-    kb = _key_bytes(key_int)
+    kb = int_bytes(key_int)
     enc_key = hashlib.sha256(b"enc" + kb).digest()
     mac_key = hashlib.sha256(b"mac" + kb).digest()
     expect = hmac_mod.new(mac_key, nonce + ciphertext, hashlib.sha256).digest()[:TAG_LEN]
@@ -199,7 +195,7 @@ class DigitalEnvelope:
         parts = []
         for c1, c2 in (self.wrapped_key_election, self.wrapped_key_verification):
             for v in (c1, c2):
-                vb = v.to_bytes((v.bit_length() + 7) // 8 or 1, "big")
+                vb = int_bytes(v)
                 parts.append(len(vb).to_bytes(2, "big") + vb)
         for blob in (self.nonce, self.vote_ciphertext, self.tag, self.client_sig):
             parts.append(len(blob).to_bytes(2, "big") + blob)

@@ -28,6 +28,7 @@ import hmac as hmac_mod
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from random import Random
 from typing import Callable, Optional
 
@@ -36,6 +37,7 @@ from .numth import (
     find_subgroup_generator,
     gen_prime,
     gen_subgroup_prime,
+    int_bytes,
     is_prime,
     pollard_rho,
 )
@@ -99,6 +101,7 @@ EXPORT_BITS = 64  # export RSA keys and DHE groups: squarely inside it
 DLOG_TABLE_FACTOR = 16
 # B: one baby step in B keeps its index; a descent walks back at most B - 1
 DLOG_MARK_EVERY = 64
+TEMP_RSA_ROTATION_SECONDS = 3600  # a server's temporary export-RSA key lives an hour
 
 
 # --- RSA primitive (textbook, simulation-grade) ---
@@ -124,10 +127,6 @@ class RsaKey:
         """
         return cls(n=p * q, e=e, p=p, q=q, dp=pow(e, -1, p - 1),
                    dq=pow(e, -1, q - 1), qinv=pow(q, -1, p))
-
-    @property
-    def bits(self) -> int:
-        return self.n.bit_length()
 
     def public(self) -> "RsaKey":
         return RsaKey(n=self.n, e=self.e)
@@ -190,18 +189,26 @@ def gen_export_dhe_params(bits: int, rng: Random) -> ElGamalParams:
     return ElGamalParams(p=p, g=g, q=q, bit_length=bits)
 
 
-# --- handshake messages ---
+# --- handshake messages: `encoded` is made once, however many transcripts record it ---
 
 @dataclass(frozen=True)
 class ClientHello:
     nonce: bytes
     suites: tuple[CipherSuite, ...]
 
+    @cached_property
+    def encoded(self) -> bytes:
+        return b"ch|" + self.nonce + b"|" + ",".join(s.value for s in self.suites).encode()
+
 
 @dataclass(frozen=True)
 class ServerHello:
     nonce: bytes
     suite: CipherSuite
+
+    @cached_property
+    def encoded(self) -> bytes:
+        return b"sh|" + self.nonce + b"|" + self.suite.value.encode()
 
 
 @dataclass(frozen=True)
@@ -210,11 +217,21 @@ class ServerKeyExchange:
     params: tuple[int, ...]  # rsa_temp: (n, e); dhe: (p, g, server_pub)
     signature: int
 
+    @cached_property
+    def encoded(self) -> bytes:
+        return (b"skx|" + self.kind.encode() + b"|"
+                + b",".join(str(v).encode() for v in self.params)
+                + b"|" + str(self.signature).encode())
+
 
 @dataclass(frozen=True)
 class ClientKeyExchange:
     kind: str  # "rsa" or "dhe"
     payload: int  # rsa: encrypted premaster; dhe: client public value
+
+    @cached_property
+    def encoded(self) -> bytes:
+        return b"ckx|" + self.kind.encode() + b"|" + str(self.payload).encode()
 
 
 @dataclass(frozen=True)
@@ -229,29 +246,13 @@ def signed_blob(client_nonce: bytes, server_nonce: bytes, kind: str,
     suite is intentionally absent; that omission is the protocol flaw the
     export-DHE downgrade rides on.
     """
-    parts = [b"ske", client_nonce, server_nonce, kind.encode()]
-    for v in params:
-        parts.append(v.to_bytes((v.bit_length() + 7) // 8 or 1, "big"))
-    return b"|".join(parts)
-
-
-def message_bytes(msg: object) -> bytes:
-    if isinstance(msg, ClientHello):
-        return b"ch|" + msg.nonce + b"|" + ",".join(s.value for s in msg.suites).encode()
-    if isinstance(msg, ServerHello):
-        return b"sh|" + msg.nonce + b"|" + msg.suite.value.encode()
-    if isinstance(msg, ServerKeyExchange):
-        return (b"skx|" + msg.kind.encode() + b"|"
-                + b",".join(str(v).encode() for v in msg.params)
-                + b"|" + str(msg.signature).encode())
-    if isinstance(msg, ClientKeyExchange):
-        return b"ckx|" + msg.kind.encode() + b"|" + str(msg.payload).encode()
-    raise TlsError(f"unknown message {msg!r}")
+    return b"|".join([b"ske", client_nonce, server_nonce, kind.encode(),
+                      *map(int_bytes, params)])
 
 
 def derive_session_key(premaster: int, client_nonce: bytes, server_nonce: bytes) -> bytes:
-    pm = premaster.to_bytes((premaster.bit_length() + 7) // 8 or 1, "big")
-    return hashlib.sha256(b"master" + pm + client_nonce + server_nonce).digest()
+    return hashlib.sha256(b"master" + int_bytes(premaster) + client_nonce
+                          + server_nonce).digest()
 
 
 def finished_mac(session_key: bytes, side: str, transcript: list[bytes]) -> bytes:
@@ -263,17 +264,11 @@ def finished_mac(session_key: bytes, side: str, transcript: list[bytes]) -> byte
 
 @dataclass(frozen=True)
 class ServerTlsConfig:
-    name: str
     cert_key: RsaKey
     enabled_suites: frozenset[CipherSuite]
-    temp_rsa_rotation_period: int = 3600
     dhe_params: Optional[ElGamalParams] = None
     export_dhe_params: Optional[ElGamalParams] = None
     key_seed: int = 0
-
-    def __post_init__(self):
-        if self.temp_rsa_rotation_period <= 0:
-            raise TlsError("rotation period must be positive")
 
 
 @dataclass(frozen=True)
@@ -282,12 +277,7 @@ class ClientTlsConfig:
     patched: bool = True
 
 
-def make_server_config(
-    name: str,
-    suites: frozenset[CipherSuite],
-    rng: Random,
-    rotation_period: int = 3600,
-) -> ServerTlsConfig:
+def make_server_config(suites: frozenset[CipherSuite], rng: Random) -> ServerTlsConfig:
     """Server identity plus key material sized so the certificate key is
     out of reach of the desk-scale factoring budget while export material
     is squarely inside it.
@@ -302,10 +292,8 @@ def make_server_config(
     if CipherSuite.DHE_EXPORT in suites:
         dhe_export = gen_export_dhe_params(EXPORT_BITS, rng)
     return ServerTlsConfig(
-        name=name,
         cert_key=cert,
         enabled_suites=suites,
-        temp_rsa_rotation_period=rotation_period,
         dhe_params=dhe,
         export_dhe_params=dhe_export,
         key_seed=rng.getrandbits(64),
@@ -322,7 +310,7 @@ class TlsServer:
         self._epoch_keys: dict[int, RsaKey] = {}
 
     def temp_rsa_key(self, now: int) -> RsaKey:
-        epoch = now // self.config.temp_rsa_rotation_period
+        epoch = now // TEMP_RSA_ROTATION_SECONDS
         key = self._epoch_keys.get(epoch)
         if key is None:
             key_rng = Random(f"{self.config.key_seed}:epoch:{epoch}")
@@ -365,7 +353,7 @@ class ClientHandshake:
 
     def hello(self) -> ClientHello:
         msg = ClientHello(nonce=self.nonce, suites=self.config.offered_suites)
-        self.transcript_view.append(message_bytes(msg))
+        self.transcript_view.append(msg.encoded)
         return msg
 
     def on_server_hello(self, msg: ServerHello, cert_key: RsaKey) -> None:
@@ -374,7 +362,7 @@ class ClientHandshake:
         self.suite = msg.suite
         self.server_nonce = msg.nonce
         self.cert_key = cert_key.public()
-        self.transcript_view.append(message_bytes(msg))
+        self.transcript_view.append(msg.encoded)
 
     def on_server_key_exchange(self, msg: ServerKeyExchange) -> None:
         assert self.suite is not None and self.server_nonce is not None
@@ -390,27 +378,24 @@ class ClientHandshake:
         if not rsa_verify(self.cert_key, blob, msg.signature):
             raise BadSignature("ServerKeyExchange signature invalid")
         self.key_material = (msg.kind, msg.params)
-        self.transcript_view.append(message_bytes(msg))
+        self.transcript_view.append(msg.encoded)
 
     def client_key_exchange(self) -> ClientKeyExchange:
         assert self.suite is not None
-        if self.suite is CipherSuite.RSA and self.key_material is None:
-            # key transport under the certificate key
-            n = self.cert_key.n
-            premaster = self.rng.randrange(2, n - 1)
-            msg = ClientKeyExchange(kind="rsa", payload=rsa_encrypt_int(self.cert_key, premaster))
-        elif self.key_material is not None and self.key_material[0] == "rsa_temp":
-            n, e = self.key_material[1]
-            premaster = self.rng.randrange(2, n - 1)
-            msg = ClientKeyExchange(kind="rsa", payload=rsa_encrypt_int(RsaKey(n=n, e=e), premaster))
-        elif self.key_material is not None and self.key_material[0] == "dhe":
-            p, g, server_pub = self.key_material[1]
+        kind, params = self.key_material or (None, ())
+        if kind == "rsa_temp" or kind is None and self.suite is CipherSuite.RSA:
+            # key transport under the temporary key, or else the certificate key
+            key = RsaKey(*params) if kind else self.cert_key
+            premaster = self.rng.randrange(2, key.n - 1)
+            msg = ClientKeyExchange(kind="rsa", payload=rsa_encrypt_int(key, premaster))
+        elif kind == "dhe":
+            p, g, server_pub = params
             xc = self.rng.randrange(2, p - 1)
             premaster = pow(server_pub, xc, p)
             msg = ClientKeyExchange(kind="dhe", payload=pow(g, xc, p))
         else:
             raise TlsError("no key material to respond to")
-        self.transcript_view.append(message_bytes(msg))
+        self.transcript_view.append(msg.encoded)
         self.session_key = derive_session_key(premaster, self.nonce, self.server_nonce)
         return msg
 
@@ -442,7 +427,7 @@ class ServerHandshake:
 
     def on_client_hello(self, msg: ClientHello) -> ServerHello:
         self.client_nonce = msg.nonce
-        self.transcript_view.append(message_bytes(msg))
+        self.transcript_view.append(msg.encoded)
         for suite in msg.suites:
             if suite in self.config.enabled_suites:
                 self.suite = suite
@@ -450,7 +435,7 @@ class ServerHandshake:
         if self.suite is None:
             raise NoCommonSuite("no client-offered suite is enabled")
         reply = ServerHello(nonce=self.nonce, suite=self.suite)
-        self.transcript_view.append(message_bytes(reply))
+        self.transcript_view.append(reply.encoded)
         return reply
 
     def server_key_exchange(self) -> Optional[ServerKeyExchange]:
@@ -471,7 +456,7 @@ class ServerHandshake:
         blob = signed_blob(self.client_nonce, self.nonce, kind, params)
         msg = ServerKeyExchange(kind=kind, params=params,
                                 signature=rsa_sign(self.config.cert_key, blob))
-        self.transcript_view.append(message_bytes(msg))
+        self.transcript_view.append(msg.encoded)
         return msg
 
     def on_client_key_exchange(self, msg: ClientKeyExchange) -> None:
@@ -490,7 +475,7 @@ class ServerHandshake:
             raise FinishedMismatch(
                 f"ClientKeyExchange kind {msg.kind} does not fit suite "
                 f"{self.suite.value}")
-        self.transcript_view.append(message_bytes(msg))
+        self.transcript_view.append(msg.encoded)
         self.session_key = derive_session_key(premaster, self.client_nonce, self.nonce)
 
     def on_client_finished(self, msg: Finished) -> Finished:
@@ -768,8 +753,8 @@ class _LogjamInterposer:
             premaster = pow(msg.payload, server_secret, self.table.params.p)
             self.attacker_key = derive_session_key(
                 premaster, self.nonces["client"], self.nonces["server"])
-        self.views[sender].append(message_bytes(msg))
-        self.views[receiver].append(message_bytes(relayed))
+        self.views[sender].append(msg.encoded)
+        self.views[receiver].append(relayed.encoded)
         return relayed
 
 

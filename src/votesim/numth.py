@@ -106,6 +106,11 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
+def int_bytes(v: int) -> bytes:
+    """The minimal big-endian bytes of v >= 0; one zero byte for 0."""
+    return v.to_bytes((v.bit_length() + 7) // 8 or 1, "big")
+
+
 def gen_prime(bits: int, rng: Random) -> int:
     """Random prime with exactly `bits` bits."""
     if bits < 2:

@@ -48,7 +48,7 @@ def run_downgrade_matrix(rng: Random) -> list[MatrixCell]:
                     suites.add(CipherSuite.RSA_EXPORT)
                 if export_dhe:
                     suites.add(CipherSuite.DHE_EXPORT)
-                cfg = make_server_config("matrix", frozenset(suites), rng)
+                cfg = make_server_config(frozenset(suites), rng)
                 if export_dhe:
                     cfg = replace(cfg, export_dhe_params=export_dhe_params)
                 server = TlsServer(cfg)

@@ -64,8 +64,7 @@ class TestAcceptance:
                 ok, f"{len(exceptions)} exceptions, {elapsed:.1f}s")
 
     def test_02_signature_oracle_pinning(self):
-        cfg = tls.make_server_config(
-            "piwik", frozenset(tls.CipherSuite), Random(2), rotation_period=3600)
+        cfg = tls.make_server_config(frozenset(tls.CipherSuite), Random(2))
         server = tls.TlsServer(cfg)
         conn = server.connect(0)
         rng = Random(3)

@@ -14,6 +14,7 @@ from downgrade_matrix import run_downgrade_matrix
 from votesim.minitls import (
     DLOG_MARK_EVERY,
     DLOG_TABLE_FACTOR,
+    TEMP_RSA_ROTATION_SECONDS,
     BadSignature,
     CipherSuite,
     ClientTlsConfig,
@@ -50,9 +51,9 @@ ALL_SUITES = frozenset({CipherSuite.RSA, CipherSuite.RSA_EXPORT,
                         CipherSuite.DHE, CipherSuite.DHE_EXPORT})
 
 
-def make_server(rng=None, suites=ALL_SUITES, rotation=3600):
+def make_server(rng=None, suites=ALL_SUITES):
     rng = rng or Random(100)
-    return TlsServer(make_server_config("srv", suites, rng, rotation_period=rotation))
+    return TlsServer(make_server_config(suites, rng))
 
 
 class TestHonestHandshake:
@@ -140,13 +141,13 @@ class TestRenegotiationAndRotation:
         assert len(moduli) == 1
 
     def test_rotation_across_connections(self):
-        server = make_server(rotation=3600)
+        server = make_server()
         k1 = server.connect(0).pinned_temp_key
-        k2 = server.connect(3601).pinned_temp_key
+        k2 = server.connect(TEMP_RSA_ROTATION_SECONDS + 1).pinned_temp_key
         assert k1.n != k2.n
 
     def test_same_epoch_reuses_key(self):
-        server = make_server(rotation=3600)
+        server = make_server()
         k1 = server.connect(100).pinned_temp_key
         k2 = server.connect(200).pinned_temp_key
         assert k1.n == k2.n
@@ -200,7 +201,7 @@ class TestRsaCrt:
         rng = Random(bits)
         key = gen_rsa_keypair(bits, rng)
         n, p, q = key.n, key.p, key.q
-        assert p * q == n and key.bits == bits
+        assert p * q == n and n.bit_length() == bits
         d = pow(key.e, -1, math.lcm(p - 1, q - 1))
         xs = [0, 1, p, q, n - 1] + [rng.randrange(n) for _ in range(200)]
         for x in xs:

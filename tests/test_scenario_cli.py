@@ -24,7 +24,10 @@ from votesim.ballots import Ballot, CouncilMode, encode_ballot
 from votesim.cli import main
 from votesim.config import (
     FACTORING_SIM_SECONDS,
+    FETCH_LEAD_DLOG,
+    FETCH_LEAD_PLAIN,
     MAX_PREFS,
+    REGISTRATION_LEAD,
     U16_MAX,
     ConfigInvalid,
     LinkageConfig,
@@ -38,6 +41,7 @@ from votesim.election import Credentials, VoteChannel
 from votesim.engine import ScenarioEngine, run_engine
 from votesim.envelope import DigitalEnvelope, gen_keypair, gen_params, seal
 from votesim.messages import CastSubmission
+from votesim.minitls import CipherSuite
 from votesim.netsim import Event
 from votesim.report import build_report, diff_reports, serialize_report
 
@@ -290,6 +294,190 @@ def draw_clash_tree(data):
         "audit": {"mode": data.draw(st.sampled_from(["honest", "blind_eye"]))},
     }
 
+
+
+# the attacks a generated TLS tree switches on; with none on, the tally
+# must be the intent tally
+TLS_TREE_ATTACKS = ("freak", "logjam", "vote_rewrite", "fake_ivr", "server_rewrite")
+# the load-time rules a generated TLS tree breaks on purpose: no suite an
+# honest client offers, a downgrade without its export suite, a downgrade
+# window after the last fetch, a FREAK oracle lifetime under twice the
+# factoring time, a card the manifest rejects
+TLS_TREE_FLAWS = ("suites", "export_suite", "window", "lifetime", "card")
+
+
+def draw_card(data, groups, candidates, assembly, min_below_line_prefs, flawed):
+    """A `manifest.cards` entry in either mode and whether it breaks a
+    load-time rule. A `flawed` card names a group, assembly candidate or
+    council id the manifest lacks, or ranks fewer candidates below the line
+    than the minimum; a below-the-line card may also run short when the
+    manifest has fewer candidates than the minimum.
+    """
+    group_ids = [f"g{i + 1:02d}" for i in range(groups)]
+    flaw = data.draw(st.sampled_from(["group", "assembly", "council", "few"])) \
+        if flawed else None
+    mode = "btl" if flaw == "few" else data.draw(st.sampled_from(["atl", "btl"]))
+    pool = group_ids if mode == "atl" else [f"c{i + 1:03d}" for i in range(candidates)]
+    if flaw == "few":
+        ranked = data.draw(st.integers(1, max(1, min_below_line_prefs - 1)))
+    else:
+        least = min_below_line_prefs if mode == "btl" else 1
+        ranked = data.draw(st.integers(min(least, len(pool)), len(pool)))
+    card = {"assembly": data.draw(st.lists(st.sampled_from(
+                [f"a{i + 1:02d}" for i in range(assembly)]), min_size=1, max_size=3,
+                unique=True)),
+            "council": data.draw(st.permutations(pool))[:ranked]}
+    if mode == "btl" or data.draw(st.booleans()):
+        card["mode"] = mode
+    group = data.draw(st.sampled_from(group_ids))
+    if flaw == "group":
+        group = f"g{groups + 1:02d}"
+    elif flaw == "assembly":
+        card["assembly"][-1] = f"a{assembly + 1:02d}"
+    elif flaw == "council":
+        card["council"][-1] = f"g{groups + 1:02d}" if mode == "atl" \
+            else f"c{candidates + 1:03d}"
+    too_few = mode == "btl" and len(card["council"]) < min_below_line_prefs
+    return group, card, flaw not in (None, "few") or too_few
+
+
+def draw_tls_tree(data, flaw):
+    """A small config tree with TLS on, drawn over the suites, the client
+    patch rate, both downgrades with their control rates and windows, the
+    FREAK oracles' lifetime, card overrides, the linkage components, the
+    stored-vote rewrite, the in-browser vote rewrite, the fake IVR and the
+    audit mode. The tree breaks `flaw`, one of `TLS_TREE_FLAWS` or None,
+    where it applies, and may break others by chance. Returns the tree and
+    the key paths of every load-time rule it breaks.
+    """
+    prob = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+    broken = set()
+    # about one tree in five has no adversary
+    on = {key for key in TLS_TREE_ATTACKS if data.draw(st.booleans())} \
+        if data.draw(st.integers(0, 4)) else set()
+
+    suites = data.draw(st.lists(st.sampled_from(["RSA_EXPORT", "DHE_EXPORT"]), unique=True))
+    for key, suite in (("freak", "RSA_EXPORT"), ("logjam", "DHE_EXPORT")):
+        if key in on and suite not in suites and flaw != "export_suite":
+            suites.append(suite)
+    if flaw != "suites":
+        suites += data.draw(st.lists(st.sampled_from(["RSA", "DHE"]), unique=True,
+                                     min_size=1))
+    suites = data.draw(st.permutations(suites))
+    if not {"RSA", "DHE"} & set(suites):
+        broken.add("tls.third_party_suites")
+
+    groups = data.draw(st.integers(1, 4))
+    candidates = data.draw(st.integers(groups, 3 * groups))
+    assembly = data.draw(st.integers(1, 4))
+    min_btl = data.draw(st.integers(1, 3))
+    cards, bad_cards = {}, {}
+    count = data.draw(st.integers(1 if flaw == "card" else 0, 2))
+    for i in range(count):
+        group, cards[group], bad_cards[group] = draw_card(
+            data, groups, candidates, assembly, min_btl,
+            flawed=flaw == "card" and i == count - 1)
+    broken |= {f"manifest.cards.{group}" for group, bad in bad_cards.items() if bad}
+
+    polls_open = data.draw(st.integers(0, 3600))
+    polls_close = polls_open + data.draw(st.sampled_from([43200]) | st.integers(2000, 43200))
+    # every fetch falls a fetch lead before a cast in the polls, and no
+    # cast comes before the registration lead
+    lead = FETCH_LEAD_DLOG if "logjam" in on else FETCH_LEAD_PLAIN
+    first_fetch = polls_open + REGISTRATION_LEAD + 1
+    last_fetch = polls_close - 1 - lead
+    attacks = {"granted_compromise_rate": data.draw(prob)}
+    for key, suite in (("freak", "RSA_EXPORT"), ("logjam", "DHE_EXPORT")):
+        w = {"enabled": key in on,
+             "control_rate": data.draw(st.sampled_from([1.0]) | st.floats(0, 1))}
+        if flaw == "window":
+            w["window_start"] = data.draw(st.integers(last_fetch + 1, polls_close + 3600))
+        elif data.draw(st.booleans()):
+            w["window_start"] = data.draw(st.integers(polls_open, polls_close))
+        if data.draw(st.booleans()):
+            w["window_end"] = w.get("window_start", polls_open) \
+                + data.draw(st.integers(1, polls_close - polls_open))
+        start, end = w.get("window_start", polls_open), w.get("window_end", polls_close)
+        if key in on and suite not in suites:
+            broken.add(f"attacks.{key}")
+        if key in on and (start >= end or end <= first_fetch or start > last_fetch):
+            broken.add(f"attacks.{key}.window_start")
+        attacks[key] = w
+    lifetime = 2 * FACTORING_SIM_SECONDS + data.draw(
+        st.integers(-3600, -1) if flaw == "lifetime"
+        else st.sampled_from([0]) | st.integers(0, 3 * 3600))
+    if "freak" in on and lifetime < 2 * FACTORING_SIM_SECONDS:
+        broken.add("tls.oracle_connection_lifetime")
+    attacks["vote_rewrite"] = {"enabled": "vote_rewrite" in on}
+    attacks["fake_ivr"] = {"enabled": "fake_ivr" in on,
+                           "dial_genuine_rate": data.draw(prob)}
+    attacks["server_rewrite"] = {"enabled": "server_rewrite" in on,
+                                 "count": data.draw(st.integers(0, 40))}
+
+    tree = {
+        "schema_version": 1, "name": "gen", "seed": data.draw(st.integers(0, 2**32)),
+        "voters": data.draw(st.sampled_from([40]) | st.integers(1, 40)),
+        "manifest": {"groups": groups, "candidates": candidates, "assembly": assembly,
+                     "min_below_line_prefs": min_btl, "cards": cards or None},
+        "behavior": {"card_rate": data.draw(prob), "p_verify_ivr": data.draw(prob),
+                     "p_check_receipt_only": data.draw(prob),
+                     "p_false_complaint": data.draw(prob),
+                     "phone_fraction": data.draw(st.sampled_from([0.0, 0.25])),
+                     "caller_id_fraction": data.draw(prob)},
+        "timeline": {"polls_open": polls_open, "polls_close": polls_close,
+                     "receipt_service_end": polls_close
+                     + data.draw(st.integers(1, 86400))},
+        "tls": {"enabled": True, "client_patch_rate": data.draw(prob),
+                "third_party_suites": suites, "oracle_connection_lifetime": lifetime},
+        "attacks": attacks,
+        "audit": {"mode": data.draw(st.sampled_from(["honest", "blind_eye"]))},
+        "linkage": {"compromised": data.draw(st.lists(st.sampled_from(
+            LinkageConfig.__dataclass_fields__["compromised"].metadata["choices"]),
+            unique=True))},
+    }
+    return tree, broken
+
+
+def run_tree_through_cli(tree):
+    """`votesim run` on `tree` in process: (exit code, stderr, report,
+    engine), the last two None unless the run exits 0. An exception out of
+    `main` is the traceback a shell would show, so it fails the caller.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    engines = []
+
+    def run_and_keep(config):
+        engines.append(run_engine(config))
+        return engines[-1]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "gen.yaml")
+        with open(path, "w") as f:
+            yaml.safe_dump(tree, f)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch("votesim.cli.run_engine", run_and_keep):
+            rc = main(["run", path, "--out", tmp])
+        assert rc in (0, 2)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if rc == 2:
+            return rc, err.getvalue(), None, None
+        with open(os.path.join(tmp, f"gen-seed{tree['seed']}.report.json")) as f:
+            report = json.load(f)
+    [engine] = engines
+    return rc, err.getvalue(), report, engine
+
+
+def assert_report_invariants(report):
+    """Event conservation, and complaints that match manipulation: every
+    read-back mismatch is heard by a manipulated voter, and no strategy has
+    more true complaints than manipulated votes.
+    """
+    c = report["event_conservation"]
+    assert c["delivered"] + c["dropped"] + c["replaced"] + c["pending"] == c["scheduled"]
+    mismatches = report["complaints"]["by_kind"].get("mismatch_read", 0)
+    assert mismatches == report["detection"]["overall"]["complaints_true"]
+    for counts in report["detection"].values():
+        assert counts["complaints_true"] <= counts["manipulated"]
 
 # Configs the grammar or a cross-field check rejects: (key path, overrides
 # of minimal_tree)
@@ -618,46 +806,48 @@ class TestCli:
     @given(data=st.data())
     def test_generated_clash_runs_exit_cleanly(self, data):
         tree = draw_clash_tree(data)
-        out, err = io.StringIO(), io.StringIO()
-        engines = []
-
-        def run_and_keep(config):
-            engines.append(run_engine(config))
-            return engines[-1]
-
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "gen.yaml")
-            with open(path, "w") as f:
-                yaml.safe_dump(tree, f)
-            # an exception out of main is the traceback a shell would show
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                    mock.patch("votesim.cli.run_engine", run_and_keep):
-                rc = main(["run", path, "--out", tmp])
-            assert rc in (0, 2)
-            assert "Traceback" not in out.getvalue() + err.getvalue()
-            if rc == 2:
-                assert err.getvalue().startswith("config error: ")
-                return
-            with open(os.path.join(tmp, f"gen-seed{tree['seed']}.report.json")) as f:
-                report = json.load(f)
-        c = report["event_conservation"]
-        assert c["delivered"] + c["dropped"] + c["replaced"] + c["pending"] \
-            == c["scheduled"]
-        # every read-back mismatch is heard by a manipulated voter
-        mismatches = report["complaints"]["by_kind"].get("mismatch_read", 0)
-        assert mismatches == report["detection"]["overall"]["complaints_true"]
-        for counts in report["detection"].values():
-            assert counts["complaints_true"] <= counts["manipulated"]
+        rc, err, report, engine = run_tree_through_cli(tree)
+        if rc == 2:
+            assert err.startswith("config error: ")
+            return
+        assert_report_invariants(report)
         # no injected client code sees a phone vote, the clash front pools
         # no phone registrant, and the gambit charges only a voter who left
         # without a receipt
-        [engine] = engines
         for voter_id, entry in engine.attacker.manipulation_ledger.items():
             voter = engine.voters[voter_id]
             if entry.strategy in IN_BROWSER + ("clash",):
                 assert voter.channel is not VoteChannel.PHONE
             if entry.strategy == "receipt_delay":
                 assert voter.believed_receipt is None
+
+    # every Logjam tree pays the discrete-log precompute, about 0.3 s
+    @pytest.mark.parametrize("flaw", (None,) + TLS_TREE_FLAWS)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_generated_tls_runs_exit_cleanly(self, flaw, data):
+        tree, broken = draw_tls_tree(data, flaw)
+        rc, err, report, engine = run_tree_through_cli(tree)
+        if broken:
+            assert rc == 2
+            assert any(f": {path}: " in err for path in broken), (broken, err)
+            return
+        assert rc == 0, err
+        assert_report_invariants(report)
+        ledger = engine.attacker.manipulation_ledger
+        flagged = {engine.registration.owner[inc["login_id"]]
+                   for inc in report["audit"]["inconsistencies"]}
+        if tree["audit"]["mode"] == "honest":
+            assert flagged == {v for v, e in ledger.items() if e.strategy == "server_rewrite"}
+        else:
+            assert flagged == set()
+        # the export-RSA downgrade takes only an unpatched client
+        for entry in report["attack_timeline"]:
+            if entry["kind"] == "freak" and entry["outcome"] == "compromised":
+                assert not engine.voters[entry["voter"]].patched
+        if not any(tree["attacks"][key]["enabled"] for key in TLS_TREE_ATTACKS):
+            assert ledger == {}
+            assert report["tally"]["counts"] == report["honest_intent_tally"]["counts"]
 
     def test_import_loads_no_sympy(self):
         # primality is numth's own: importing sympy loads the whole package,
@@ -692,6 +882,27 @@ class TestCli:
         rc = main(["run", str(bad)])
         assert rc == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, bad", [
+        ("run", "directory"), ("run", "not-utf8"),
+        ("diff", "missing"), ("diff", "not-json"),
+    ])
+    def test_unreadable_input_exits_2_naming_the_file(self, command, bad, tmp_path,
+                                                      capsys):
+        path = tmp_path / bad
+        if bad == "directory":
+            path.mkdir()
+        elif bad == "not-utf8":
+            path.write_bytes(b"schema_version: 1\nname: \xff\xfe\n")
+        elif bad == "not-json":
+            path.write_text('{"votes": ')
+        readable = tmp_path / "readable.json"
+        readable.write_text("{}")
+        argv = [command, str(path)] + ([str(readable)] if command == "diff" else [])
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
 
     @staticmethod
     def run_tree(tree, tmp_path, capsys):
