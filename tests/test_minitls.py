@@ -551,6 +551,59 @@ class TestHandshakeBytes:
                 "f4abcfeb64443a64ce07aa3b0e63539392025c34758e129307ee8710c2c32c8a"
 
 
+class TestHandshakeBytesOverRuns:
+    # The fixed-seed handshakes above pin one negotiation each. These pin
+    # every handshake a whole bundled run makes, in call order: the honest
+    # background fetches, each FREAK and Logjam attempt, and the handshake
+    # inside each Logjam attempt. Session keys alone would not do: they
+    # derive from the premaster and the nonces, so they miss a slip in a
+    # message's encoding, which only the transcripts see. The calls are
+    # wrapped through their module attributes, as the benchmark's tracer
+    # wraps them.
+
+    # scenario at seed 42 -> (pieces returned, their view_digest): each
+    # handshake end's transcript messages and session key, and every
+    # session key a MITM attempt returns
+    RUNS = {
+        "freak-window": (
+            3096, "2783628b97265070640053a7802a6a4f1c3a9e9a337ca9527c604b747c72f388"),
+        "logjam-anyclient": (
+            3900, "75a78ac0e0b7724d23cdc9fed7c9010f3a9712a3cf59e0cc454011889aac7340"),
+    }
+
+    @pytest.mark.parametrize("scenario", list(RUNS))
+    def test_handshakes_of_a_run(self, scenario, monkeypatch):
+        from votesim import minitls
+        from votesim.config import bundled_scenarios, load_config
+        from votesim.engine import run_engine
+
+        pieces = []
+
+        def record(fn, pieces_of):
+            @functools.wraps(fn)
+            def wrapped(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                pieces.extend(p for p in pieces_of(result) if p is not None)
+                return result
+            return wrapped
+
+        def ends(result):
+            for end in result:
+                yield from end.transcript_view
+                yield end.session_key
+
+        monkeypatch.setattr(minitls, "handshake", record(minitls.handshake, ends))
+        for name in ("mitm_freak", "mitm_logjam"):
+            monkeypatch.setattr(minitls, name, record(
+                getattr(minitls, name),
+                lambda r: (r.attacker_session_key, r.client_session_key,
+                           r.server_session_key)))
+        config = load_config(bundled_scenarios()[scenario])
+        config.seed = 42
+        run_engine(config)
+        assert (len(pieces), view_digest(pieces)) == self.RUNS[scenario]
+
+
 class TestRecords:
     def test_round_trip_and_tamper(self):
         key = b"k" * 32
