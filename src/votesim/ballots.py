@@ -103,15 +103,6 @@ class ElectionManifest:
         return {encode_ballot(card, self): card for card in self.cards.values()}
 
 
-@dataclass(frozen=True, slots=True)
-class VoterProfile:
-    """Behavioural parameters for one simulated voter."""
-
-    party_leaning: str
-    follows_card: bool
-    cast_time: int
-
-
 def make_manifest(
     num_groups: int = 24,
     num_candidates: int = 394,
@@ -255,37 +246,18 @@ def decode_ballot(data: bytes, manifest: ElectionManifest) -> Ballot:
     return Ballot(assembly_prefs=assembly, council_mode=mode, council_prefs=council)
 
 
-def draw_profile(
-    card_rate: float,
-    manifest: ElectionManifest,
-    rng: Random,
-    cast_time: int = 0,
-    leaning: Optional[str] = None,
-) -> VoterProfile:
-    """Draw one voter profile: a card follower with probability
-    `card_rate`. Leaning is drawn uniformly over the manifest's groups
-    unless fixed by the caller.
-    """
-    if leaning is None:
-        leaning = rng.choice(manifest.groups)
-    return VoterProfile(
-        party_leaning=leaning,
-        follows_card=rng.random() < card_rate,
-        cast_time=cast_time,
-    )
-
-
-def draw_ballot(profile: VoterProfile, manifest: ElectionManifest, rng: Random) -> Ballot:
+def draw_ballot(leaning: str, follows_card: bool, manifest: ElectionManifest,
+                rng: Random) -> Ballot:
     """Card followers cast their group's card exactly. Everyone else gets
     a random valid above-the-line ballot whose first council preference is
     their leaning (a modelling assumption, surfaced in scenario reports).
     """
-    if profile.follows_card:
-        card = manifest.cards.get(profile.party_leaning)
+    if follows_card:
+        card = manifest.cards.get(leaning)
         if card is None:
-            raise InvalidBallot(f"no card configured for group {profile.party_leaning}")
+            raise InvalidBallot(f"no card configured for group {leaning}")
         return card
-    others = [g for g in manifest.groups if g != profile.party_leaning]
+    others = [g for g in manifest.groups if g != leaning]
     extra = rng.randint(0, len(others))
     tail = rng.sample(others, extra)
     n_assembly = rng.randint(1, min(4, len(manifest.assembly_candidates)))
@@ -293,7 +265,7 @@ def draw_ballot(profile: VoterProfile, manifest: ElectionManifest, rng: Random) 
     return Ballot(
         assembly_prefs=assembly,
         council_mode=CouncilMode.ABOVE_THE_LINE,
-        council_prefs=(profile.party_leaning, *tail),
+        council_prefs=(leaning, *tail),
     )
 
 

@@ -6,7 +6,7 @@
 
 `run` accepts either a path or the name of a bundled scenario. Exit codes:
 0 success / empty diff, 1 nonempty diff, 2 invalid or unreadable config,
-unreadable report, or usage.
+unreadable report, an `--out` that cannot be a directory, or usage.
 """
 
 import argparse
@@ -34,10 +34,14 @@ def cmd_run(args) -> int:
     config = load_config(_resolve_config(args.config))
     if args.seed is not None:
         config.seed = args.seed
+    out_dir = args.out or "."
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # a file, or a path under one
+        print(f"output error: {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     engine = run_engine(config)
     report = build_report(engine)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, f"{config.name}-seed{config.seed}")
     report_path = f"{base}.report.json"
     # piece by piece, so the whole text is never held or encoded at once

@@ -57,7 +57,8 @@ HONEST_CLIENT_TLS = {
 @dataclass(slots=True)
 class VoterState:
     voter_id: str
-    profile: bal.VoterProfile
+    leaning: str  # the voter's group
+    cast_time: int
     intended: bal.Ballot
     channel: el.VoteChannel
     # pre-drawn behaviour, so paired runs stay aligned
@@ -95,7 +96,7 @@ class FreakOracle:
     usable_from: int
     usable_until: int
     conn: tls.ServerConnection
-    factored_key: Optional[tls.RsaKey]
+    factored_key: tls.RsaKey
 
 
 class ScenarioEngine:
@@ -170,16 +171,14 @@ class ScenarioEngine:
             # parse_config puts RSA_EXPORT among the suites whenever FREAK is on
             conn = self.piwik_server.connect(open_at)
             key = conn.pinned_temp_key
-            try:
-                p, q = tls.factor_export_modulus(key.n, self.rng_attacker)
-                factored = tls.RsaKey.from_primes(p, q, key.e)
-            except tls.NotFactorable:
-                factored = None
+            # an export modulus takes about 2^16 rho steps against a budget
+            # of 2^20, so a NotFactorable here is a simulator fault
+            p, q = tls.factor_export_modulus(key.n, self.rng_attacker)
             self.freak_oracles.append(FreakOracle(
                 usable_from=open_at + FACTORING_SIM_SECONDS,
                 usable_until=open_at + lifetime,
                 conn=conn,
-                factored_key=factored,
+                factored_key=tls.RsaKey.from_primes(p, q, key.e),
             ))
             open_at += lifetime - FACTORING_SIM_SECONDS
 
@@ -205,7 +204,7 @@ class ScenarioEngine:
                 ("voter*", self._on_voter)):
             self.sim.add_endpoint(netsim.Endpoint(name, handler))
 
-    def _draw_leanings(self) -> list[str]:
+    def _draw_leanings(self) -> list[Optional[str]]:
         """Quota mode fixes group counts exactly; otherwise each voter
         draws a leaning uniformly.
         """
@@ -237,9 +236,9 @@ class ScenarioEngine:
         freak, logjam = cfg.attacks.freak, cfg.attacks.logjam
         rng = Random(f"{cfg.seed}:voter:{i}")
         cast_time = rng.randint(self.earliest_cast, cfg.timeline.polls_close - 1)
-        profile = bal.draw_profile(cfg.behavior.card_rate, self.manifest, rng,
-                                   cast_time=cast_time, leaning=self.leanings[i])
-        intended = bal.draw_ballot(profile, self.manifest, rng)
+        leaning = self.leanings[i] or rng.choice(self.manifest.groups)
+        follows_card = rng.random() < cfg.behavior.card_rate
+        intended = bal.draw_ballot(leaning, follows_card, self.manifest, rng)
         chan_draw = rng.random()
         if chan_draw < cfg.behavior.phone_fraction:
             channel = el.VoteChannel.PHONE
@@ -249,7 +248,8 @@ class ScenarioEngine:
             channel = el.VoteChannel.WEB
         state = VoterState(
             voter_id=f"voter{i:05d}",
-            profile=profile,
+            leaning=leaning,
+            cast_time=cast_time,
             intended=intended,
             channel=channel,
             patched=rng.random() < cfg.tls.client_patch_rate,
@@ -395,7 +395,7 @@ class ScenarioEngine:
         attacker_pin = f"{self.rng_attacker.randrange(10 ** el.PIN_DIGITS):06d}"
         creds = self.registration.register(req.voter_id, attacker_pin, event.time,
                                            self.rng_services)
-        if req.channel is el.VoteChannel.PHONE:
+        if state.channel is el.VoteChannel.PHONE:
             # a phone vote goes to the voice server, where no client code
             # can swallow it: the front neither pools nor watches this voter
             pooled = None
@@ -403,7 +403,7 @@ class ScenarioEngine:
             pooled = atk.clash_register(self.attacker, req.voter_id, state.intended)
         else:
             pooled = atk.clash_register(self.attacker, req.voter_id,
-                                        self.manifest.cards[state.profile.party_leaning])
+                                        self.manifest.cards[state.leaning])
         if pooled is not None:
             # spend the entitlement on the attacker's ballot, and hand the
             # victim the pooled vote's credentials and receipt instead
@@ -429,12 +429,12 @@ class ScenarioEngine:
             if state.credentials is None:
                 raise el.ElectionError(
                     f"{state.voter_id} has no credentials at its cast trigger")
-            sim.schedule(state.profile.cast_time, state.voter_id, "browser",
+            sim.schedule(state.cast_time, state.voter_id, "browser",
                          CastIntent(
                              voter_id=state.voter_id,
                              credentials=state.credentials,
                              ballot=state.intended,
-                             cast_time=state.profile.cast_time,
+                             cast_time=state.cast_time,
                              channel=state.channel,
                              compromised=state.compromised,
                          ))
@@ -451,7 +451,7 @@ class ScenarioEngine:
             return
         if self.piwik_server is None:
             return
-        tls.handshake(HONEST_CLIENT_TLS[payload.patched_client],
+        tls.handshake(HONEST_CLIENT_TLS[state.patched],
                       self.piwik_server.connect(event.time), self._voter_rng(state))
 
     def _on_browser(self, event: netsim.Event, sim: netsim.Simulator) -> None:
@@ -608,13 +608,13 @@ class ScenarioEngine:
         per = 3 if fetches else 2
         first = self.sim.reserve(per * len(states))
         order = array("l", sorted(range(len(states)),
-                                  key=lambda k: states[k].profile.cast_time))
+                                  key=lambda k: states[k].cast_time))
 
         def feed(j, lead, dst, payload):
             # dst None: the event goes to the voter itself
             for k in order:
                 s = states[k]
-                yield netsim.Event(s.profile.cast_time - lead, s.voter_id, dst or s.voter_id,
+                yield netsim.Event(s.cast_time - lead, s.voter_id, dst or s.voter_id,
                                    payload(s), first + per * k + j)
 
         self.sim.feed(feed(0, REGISTRATION_LEAD, "registration-gateway",

@@ -671,7 +671,7 @@ class MitmResult:
 def mitm_freak(
     client_config: ClientTlsConfig,
     oracle_conn: ServerConnection,
-    factored_temp_key: Optional[RsaKey],
+    factored_temp_key: RsaKey,
     rng: Random,
 ) -> MitmResult:
     """Export-RSA downgrade against one victim handshake.
@@ -701,8 +701,7 @@ def mitm_freak(
         return MitmResult(success=False, error=f"ClientPatched: {exc}")
 
     cke = client.client_key_exchange()
-    if factored_temp_key is None or factored_temp_key.p is None \
-            or factored_temp_key.n != ske.params[0]:
+    if factored_temp_key.p is None or factored_temp_key.n != ske.params[0]:
         return MitmResult(success=False, error="temp key not factored; cannot decrypt")
     premaster = rsa_decrypt_int(factored_temp_key, cke.payload)
     attacker_key = derive_session_key(premaster, hello.nonce, server_nonce)

@@ -59,12 +59,10 @@ def run_downgrade_matrix(rng: Random) -> list[MatrixCell]:
                 client_cfg = ClientTlsConfig(offered_suites=(CipherSuite.RSA, CipherSuite.DHE),
                                              patched=patched)
                 try:
-                    if export_rsa:
-                        _, probe = signature_oracle(oracle, b"\x00" * NONCE_LEN, rng)
-                        fp, fq = factor_export_modulus(probe.params[0], rng)
-                        factored = RsaKey.from_primes(fp, fq, probe.params[1])
-                    else:
-                        factored = None
+                    # a server without export RSA fails here with NoCommonSuite
+                    _, probe = signature_oracle(oracle, b"\x00" * NONCE_LEN, rng)
+                    fp, fq = factor_export_modulus(probe.params[0], rng)
+                    factored = RsaKey.from_primes(fp, fq, probe.params[1])
                     result = mitm_freak(client_cfg, oracle, factored, rng)
                     freak_ok = result.success and \
                         result.attacker_session_key == result.client_session_key

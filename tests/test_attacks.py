@@ -11,7 +11,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from votesim import attacks as atk
+from votesim import attacks as atk, minitls
 from votesim.ballots import make_manifest, tally_first_preferences
 from votesim.config import bundled_scenarios, load_config, parse_config
 from votesim.election import (BadCredentials, ComplaintKind, Credentials, ElectionError,
@@ -21,10 +21,11 @@ from votesim.engine import (FETCH_LEAD_DLOG, FETCH_LEAD_PLAIN, REGISTRATION_LEAD
 from votesim.envelope import DigitalEnvelope, client_signature, open_envelope
 from votesim.ballots import decode_ballot
 from votesim.messages import CastIntent, CastTrigger, RegistrationReply
-from votesim.minitls import (DlogBudgetExceeded, RecordTampered, dlog_precompute,
-                              gen_export_dhe_params)
+from votesim.minitls import (DlogBudgetExceeded, NotFactorable, RecordTampered,
+                              dlog_precompute, gen_export_dhe_params)
 from votesim.netsim import Decision, Endpoint, Event, MitmTap, Simulator
 from votesim.report import build_report
+from test_golden import OVERRIDES, scenario_tree
 
 
 def base_tree(**over):
@@ -236,7 +237,7 @@ class TestLastMinute:
             voter = engine.registration.owner[record.login_id]
             state = engine.voters[voter]
             stored = stored_ballot(engine, record)
-            if state.profile.cast_time < window_start:
+            if state.cast_time < window_start:
                 assert stored == state.intended
 
 
@@ -446,13 +447,14 @@ class TestClash:
         # card-following victims hear their exact intent from the genuine
         # service and never complain
         ledgered = engine.attacker.manipulation_ledger
+        cards = engine.manifest.cards
         matched = [v for v in engine.voters.values()
                    if v.verify_outcome == "read_back" and v.voter_id in ledgered and
-                   v.profile.follows_card]
+                   v.intended == cards[v.leaning]]
         assert matched and all(v.verify_matched for v in matched)
         complainers = {v.voter_id for v in engine.voters.values()
                        if v.complaint is not None}
-        assert not any(engine.voters[v.voter_id].profile.follows_card
+        assert not any(v.intended == cards[v.leaning]
                        for v in matched if v.voter_id in complainers)
         # each pool hit spent the victim's entitlement on an attacker ballot
         login_of = {voter: login for login, voter in engine.registration.owner.items()}
@@ -467,7 +469,8 @@ class TestClash:
         for st in engine.voters.values():
             if st.complaint is ComplaintKind.MISMATCH_READ:
                 assert st.voter_id in ledgered
-                assert not st.profile.follows_card  # prediction missed them
+                # the prediction missed them
+                assert st.intended != engine.manifest.cards[st.leaning]
                 assert st.verifies  # receipt-only checkers never complain
         # receipt-only victims hold the pooled receipt, which is stored, so
         # their queries pass the receipt service and they stay silent
@@ -642,6 +645,16 @@ class TestDowngradeComposition:
         engine.dlog_table = other
         with pytest.raises(DlogBudgetExceeded, match="different modulus"):
             engine.run()
+
+    def test_an_unfactored_oracle_key_raises_out_of_the_engine(self, monkeypatch):
+        # no run exhausts the factoring budget, so a failure is a simulator
+        # fault: it must stop the run, not build an oracle that never works
+        def give_up(n, rng=None, max_iters=1 << 20):
+            raise NotFactorable(f"budget exhausted for {n}")
+
+        monkeypatch.setattr(minitls, "factor_export_modulus", give_up)
+        with pytest.raises(NotFactorable, match="budget exhausted"):
+            ScenarioEngine(load_config(bundled_scenarios()["freak-window"]))
 
     def freak_oracles(self, window_end):
         engine = ScenarioEngine(parse_config(base_tree(
@@ -859,7 +872,7 @@ class TestMetricsAndInvariants:
         engine = ScenarioEngine(parse_config(base_tree(voters=5)))
         state = engine.voters["voter00002"]
         assert state.credentials is None
-        trigger = Event(time=state.profile.cast_time - 1, src=state.voter_id,
+        trigger = Event(time=state.cast_time - 1, src=state.voter_id,
                         dst=state.voter_id, payload=CastTrigger(state.voter_id))
         with pytest.raises(ElectionError, match="voter00002"):
             engine._on_voter(trigger, engine.sim)
@@ -879,7 +892,7 @@ class TestMetricsAndInvariants:
             def schedule(self, *args):
                 scheduled.append(args)
 
-        trigger = Event(time=state.profile.cast_time - 1, src=state.voter_id,
+        trigger = Event(time=state.cast_time - 1, src=state.voter_id,
                         dst=state.voter_id, payload=CastTrigger(state.voter_id))
         engine._on_voter(trigger, Recorder())
         [(_, _, dst, intent)] = scheduled
@@ -1076,6 +1089,45 @@ class TestDetectionProperties:
         assert downgrade[kind]["succeeded"] > 0
         assert off.tally.counts == off.intent_tally.counts
         assert off.attacker.manipulation_ledger == {}
+
+
+# the browser tap whose trace note marks a swapped ballot -> the strategy
+# its swap is charged under
+SWAP_NOTES = {"vote-rewrite": "vote_rewrite", "last-minute": "last_minute",
+              "clash-cast": "clash"}
+
+
+def count_trace(trace):
+    """From trace lines alone: the CastIntents each tap modified, by tap
+    name, and the VerifyCalls delivered to the attacker's IVR.
+    """
+    modified, fake_read_backs = Counter(), 0
+    for line in trace:
+        head, notes = line.rsplit(" ", 1)
+        _, _, route, _, payload = head.split(" ", 4)
+        if payload.startswith("CastIntent("):
+            modified.update(note.removeprefix("modified:") for note in notes.split(";"))
+        elif payload.startswith("VerifyCall(") and route.endswith("->attacker-ivr"):
+            fake_read_backs += 1
+    return modified, fake_read_backs
+
+
+class TestLedgerAgainstTrace:
+    # every bundled scenario, and each golden override that turns on the
+    # fake IVR or the last-minute rewrite
+    RUNS = [(name, {}) for name in sorted(bundled_scenarios())] + [
+        (key, changes) for key, changes in sorted(OVERRIDES.items())
+        if any(k.startswith(("attacks.fake_ivr.", "attacks.last_minute.")) for k in changes)]
+
+    @pytest.mark.parametrize("key, changes", RUNS, ids=[key for key, _ in RUNS])
+    def test_swaps_and_fake_read_backs_match_the_trace(self, key, changes):
+        engine = run_tree(scenario_tree(key, changes, 42))
+        modified, fake_read_backs = count_trace(engine.sim.trace)
+        charged = Counter(e.strategy for e in engine.attacker.manipulation_ledger.values())
+        for note, strategy in SWAP_NOTES.items():
+            assert modified[note] == charged[strategy], note
+        assert fake_read_backs == sum(v.verify_outcome == "read_back_fake"
+                                      for v in engine.voters.values())
 
 
 @st.composite

@@ -16,12 +16,13 @@ from votesim.ballots import (
     MalformedEncoding,
     decode_ballot,
     draw_ballot,
-    draw_profile,
     encode_ballot,
     make_manifest,
     tally_first_preferences,
     validate_ballot,
 )
+from votesim.config import parse_config
+from votesim.engine import ScenarioEngine
 
 ATL = CouncilMode.ABOVE_THE_LINE
 BTL = CouncilMode.BELOW_THE_LINE
@@ -286,18 +287,12 @@ class TestDrawBallot:
         self.m = make_manifest(num_groups=24, num_candidates=48, num_assembly=24)
 
     def test_card_follower_gets_exact_card(self):
-        rng = Random(1)
-        card_rate = 1.0
-        profile = draw_profile(card_rate, self.m, rng, leaning="g01")
-        assert profile.follows_card
-        assert draw_ballot(profile, self.m, rng) == self.m.cards["g01"]
+        assert draw_ballot("g01", True, self.m, Random(1)) == self.m.cards["g01"]
 
     def test_non_follower_first_pref_is_leaning(self):
         rng = Random(2)
-        card_rate = 0.0
         for _ in range(50):
-            profile = draw_profile(card_rate, self.m, rng, leaning="g01")
-            ballot = draw_ballot(profile, self.m, rng)
+            ballot = draw_ballot("g01", False, self.m, rng)
             assert ballot.council_prefs[0] == "g01"
 
     def test_card_following_rate_monte_carlo(self):
@@ -307,30 +302,45 @@ class TestDrawBallot:
         n = 10_000
         hits = 0
         for _ in range(n):
-            profile = draw_profile(card_rate, self.m, rng)
-            ballot = draw_ballot(profile, self.m, rng)
-            if ballot == self.m.cards[profile.party_leaning]:
+            leaning = rng.choice(self.m.groups)
+            ballot = draw_ballot(leaning, rng.random() < card_rate, self.m, rng)
+            if ballot == self.m.cards[leaning]:
                 hits += 1
         assert abs(hits / n - 0.40) <= 0.02
 
-    def test_card_rate_within_three_sigma(self):
-        rng = Random(4)
-        card_rate = 0.40
-        n = 10_000
-        hits = sum(draw_profile(card_rate, self.m, rng).follows_card
-                   for _ in range(n))
-        sigma = math.sqrt(0.40 * 0.60 / n)
-        assert abs(hits / n - 0.40) <= 3 * sigma
+    # The engine draws each voter's leaning and card-following. With no
+    # quota and TLS off, 24,000 voters over this manifest's 24 groups.
+    @pytest.fixture(scope="class")
+    def drawn_voters(self):
+        engine = ScenarioEngine(parse_config({
+            "schema_version": 1, "name": "draws", "seed": 5, "voters": 24_000,
+            "manifest": {"groups": 24, "candidates": 48, "assembly": 24},
+            "behavior": {"card_rate": 0.40},
+            "timeline": {"polls_open": 0, "polls_close": 43200,
+                         "receipt_service_end": 86400},
+            "tls": {"enabled": False}}))
+        return engine.manifest, list(engine.voters.values())
 
-    def test_unfixed_leaning_is_uniform_over_groups(self):
+    def test_card_rate_within_three_sigma(self, drawn_voters):
+        # a voter casts the card when it follows it, or when it does not
+        # and draws it anyway: no tail (1/24), one assembly preference
+        # (1/4) and the card's one (1/24)
+        manifest, voters = drawn_voters
+        n = len(voters)
+        hits = sum(v.intended == manifest.cards[v.leaning] for v in voters)
+        p = 0.40 + 0.60 / (24 * 4 * 24)
+        sigma = math.sqrt(p * (1 - p) / n)
+        assert abs(hits / n - p) <= 3 * sigma
+
+    def test_unfixed_leaning_is_uniform_over_groups(self, drawn_voters):
         # 24,000 draws over 24 groups; 49.7 is the chi-square critical
         # value at 23 degrees of freedom and p = 0.001
-        rng = Random(5)
-        n = 24_000
-        seen = Counter(draw_profile(0.5, self.m, rng).party_leaning for _ in range(n))
-        assert set(seen) == set(self.m.groups)
-        expected = n / len(self.m.groups)
-        chi2 = sum((seen[g] - expected) ** 2 / expected for g in self.m.groups)
+        manifest, voters = drawn_voters
+        n = len(voters)
+        seen = Counter(v.leaning for v in voters)
+        assert set(seen) == set(manifest.groups)
+        expected = n / len(manifest.groups)
+        chi2 = sum((seen[g] - expected) ** 2 / expected for g in manifest.groups)
         assert chi2 < 49.7
 
 
@@ -396,8 +406,8 @@ class TestTally:
         card_rate = 0.4
         ballots = []
         for _ in range(300):
-            profile = draw_profile(card_rate, self.m, rng)
-            ballots.append(draw_ballot(profile, self.m, rng))
+            leaning = rng.choice(self.m.groups)
+            ballots.append(draw_ballot(leaning, rng.random() < card_rate, self.m, rng))
         base = tally_first_preferences(ballots, self.m)
         shuffled = list(ballots)
         rng.shuffle(shuffled)

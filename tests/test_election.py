@@ -15,7 +15,6 @@ from votesim import election
 from votesim.ballots import (
     decode_ballot,
     draw_ballot,
-    draw_profile,
     encode_ballot,
     make_manifest,
     tally_first_preferences,
@@ -313,8 +312,8 @@ class TestDedupAndCount:
         for i in range(100):
             voter = f"v{i}"
             creds = fx.register(voter, now=1)
-            profile = draw_profile(card_rate, fx.manifest, rng)
-            ballot = draw_ballot(profile, fx.manifest, rng)
+            leaning = rng.choice(fx.manifest.groups)
+            ballot = draw_ballot(leaning, rng.random() < card_rate, fx.manifest, rng)
             fx.cast(creds, ballot, now=10 + i)
             expected[voter] = ballot
         assert len(fx.cvs.records) == 100
@@ -458,7 +457,9 @@ class TestLinkage:
         rng = Random(7)
         for i in range(12):
             creds = fx.register(f"v{i}")
-            ballot = draw_ballot(draw_profile(0.0, fx.manifest, rng), fx.manifest, rng)
+            leaning = rng.choice(fx.manifest.groups)
+            rng.random()  # the card draw, which no voter here follows
+            ballot = draw_ballot(leaning, False, fx.manifest, rng)
             receipt = fx.cast(creds, ballot, now=10 + i,
                               channel=list(VoteChannel)[i % len(VoteChannel)])
             if i in (1, 3):

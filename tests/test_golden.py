@@ -74,28 +74,36 @@ OVERRIDES = {
 CHILDREN = 2
 
 
+def scenario_tree(key: str, changes: dict, seed: int) -> dict:
+    """The YAML tree of bundled scenario `key` (any "+<label>" dropped)
+    with each dotted key path in `changes` set, at `seed`.
+    """
+    import yaml
+
+    from votesim.config import bundled_scenarios
+
+    with open(bundled_scenarios()[key.split("+")[0]]) as f:
+        tree = yaml.safe_load(f)
+    tree["seed"] = seed
+    for dotted, value in changes.items():
+        *parents, leaf = dotted.split(".")
+        functools.reduce(lambda node, k: node.setdefault(k, {}), parents, tree)[leaf] = value
+    return tree
+
+
 def compute_digests(part: int = 0, parts: int = 1) -> dict[str, dict[str, str]]:
     """"<scenario>[+<label>]@<seed>" -> {"report_sha256", "trace_digest"},
     for every `parts`-th run starting at run `part`.
     """
-    import yaml
-
     from votesim.config import bundled_scenarios, parse_config
     from votesim.engine import run_engine
     from votesim.report import build_report, serialize_report
 
-    paths = bundled_scenarios()
-    runs = [(name, {}) for name in sorted(paths)] + sorted(OVERRIDES.items())
+    runs = [(name, {}) for name in sorted(bundled_scenarios())] + sorted(OVERRIDES.items())
     jobs = [(key, changes, seed) for key, changes in runs for seed in SEEDS]
     out = {}
     for key, changes, seed in jobs[part::parts]:
-        with open(paths[key.split("+")[0]]) as f:
-            tree = yaml.safe_load(f)
-        tree["seed"] = seed
-        for dotted, value in changes.items():
-            *parents, leaf = dotted.split(".")
-            functools.reduce(lambda node, k: node.setdefault(k, {}), parents, tree)[leaf] = value
-        report = build_report(run_engine(parse_config(tree)))
+        report = build_report(run_engine(parse_config(scenario_tree(key, changes, seed))))
         text = serialize_report(report)
         out[f"{key}@{seed}"] = {
             "report_sha256": hashlib.sha256(text.encode()).hexdigest(),

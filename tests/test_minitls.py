@@ -374,10 +374,20 @@ class TestFreak:
 
     def test_unfactored_key_yields_nothing(self):
         client = ClientTlsConfig(offered_suites=(CipherSuite.RSA,), patched=False)
-        result = mitm_freak(client, self.oracle_conn, None, Random(44))
+        # the pinned key's public half: no primes to decrypt with
+        public = self.oracle_conn.pinned_temp_key.public()
+        result = mitm_freak(client, self.oracle_conn, public, Random(44))
         assert not result.success
         assert result.attacker_session_key is None
         assert result.client_session_key is None
+
+    def test_key_for_another_modulus_yields_nothing(self):
+        client = ClientTlsConfig(offered_suites=(CipherSuite.RSA,), patched=False)
+        other = gen_rsa_keypair(64, Random(47))
+        assert other.n != self.factored.n
+        result = mitm_freak(client, self.oracle_conn, other, Random(44))
+        assert not result.success
+        assert result.attacker_session_key is None
 
     def test_export_rsa_disabled_breaks_oracle(self):
         server = make_server(Random(45),

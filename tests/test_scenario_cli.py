@@ -904,6 +904,17 @@ class TestCli:
         assert rc == 2
         assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("out", ["a-file", "a-file/under-it"])
+    def test_bad_out_exits_2_before_the_run(self, out, tmp_path, capsys, monkeypatch):
+        (tmp_path / "a-file").write_text("")
+        monkeypatch.setattr("votesim.cli.run_engine",
+                            lambda config: pytest.fail("the election ran"))
+        path = str(tmp_path / out)
+        rc = main(["run", "honest-baseline", "--out", path])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and path in err and "Traceback" not in err
+
     @staticmethod
     def run_tree(tree, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
